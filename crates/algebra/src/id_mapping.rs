@@ -18,8 +18,10 @@
 //! boundary, under a single dictionary read lock.
 //!
 //! Frames wider than 64 variables would overflow the domain bitmask;
-//! the evaluation engine falls back to the term-level path before ever
-//! building one (see `WIDTH_LIMIT`).
+//! the evaluation engine rejects such patterns with a typed error
+//! before ever building one (see `WIDTH_LIMIT`). A pattern with no
+//! variables at all still gets one-column tables — a single,
+//! never-bound padding column — whose rows decode to `µ∅`.
 
 use crate::mapping::Mapping;
 use crate::mapping_set::MappingSet;
@@ -33,7 +35,8 @@ use std::collections::{HashMap, HashSet};
 pub const WIDTH_LIMIT: usize = 64;
 
 /// Beyond this many distinct domains, grouped maximality degrades to
-/// the pairwise scan (mirrors `GROUPED_DOMAIN_LIMIT` on the term path).
+/// the pairwise scan (the grouped shadow sets stop paying for
+/// themselves).
 const GROUPED_DOMAIN_LIMIT: usize = 64;
 
 /// The ordered set of variables a query's columnar tables are keyed by.
@@ -143,8 +146,8 @@ pub struct IdMappingSet {
 }
 
 impl IdMappingSet {
-    /// An empty set of `width`-column rows (`width >= 1`; zero-variable
-    /// patterns stay on the term-level path).
+    /// An empty set of `width`-column rows (`width >= 1`; a
+    /// zero-variable frame pads its tables to one all-unbound column).
     pub fn new(width: usize) -> IdMappingSet {
         assert!(width >= 1, "columnar tables need at least one column");
         IdMappingSet {
@@ -386,7 +389,7 @@ impl IdMappingSet {
     /// Decodes every row back to a term-level [`MappingSet`] under one
     /// dictionary read lock — the result boundary.
     pub fn decode(&self, frame: &VarFrame, dict: &TermDict) -> MappingSet {
-        debug_assert_eq!(frame.width(), self.width);
+        debug_assert_eq!(frame.width().max(1), self.width);
         // Frame columns are sorted by variable, so visiting a row in
         // column order yields bindings already in `Mapping`'s sorted
         // order: one exact-size allocation per mapping, no per-pair

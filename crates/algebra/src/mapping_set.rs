@@ -15,20 +15,10 @@
 use crate::condition::Condition;
 use crate::mapping::Mapping;
 use crate::variable::Variable;
-use owql_exec::{chunk_ranges, Pool};
 use owql_rdf::FxHashSet;
 use std::collections::hash_set;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
-
-/// Above this many distinct mapping domains, [`MappingSet::maximal_parallel`]
-/// falls back from the domain-grouped algorithm to tiled pairwise
-/// comparison (the grouped shadow sets stop paying for themselves).
-const GROUPED_DOMAIN_LIMIT: usize = 64;
-
-/// Below this many mappings the parallel maximality paths just run the
-/// sequential [`MappingSet::maximal`] — fan-out costs more than the work.
-const PARALLEL_NS_MIN: usize = 128;
 
 /// The backing storage of a [`MappingSet`].
 ///
@@ -224,33 +214,6 @@ impl MappingSet {
         out
     }
 
-    /// Consuming n-way union `Ω₁ ∪ ⋯ ∪ Ωₙ`.
-    ///
-    /// Folding binary [`MappingSet::union`] over `n` operands clones the
-    /// accumulated set on every step — `O(n·|Ω|)` mapping clones for a
-    /// wide UNION. This merge instead moves every mapping exactly once
-    /// into the largest operand, which is what the parallel engine uses
-    /// to combine per-disjunct and per-partition results.
-    pub fn union_all(sets: impl IntoIterator<Item = MappingSet>) -> MappingSet {
-        let mut sets: Vec<MappingSet> = sets.into_iter().collect();
-        let Some(largest) = sets
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
-        else {
-            return MappingSet::new();
-        };
-        let mut acc = sets.swap_remove(largest);
-        for s in sets {
-            let target = acc.as_hashed();
-            for m in s {
-                target.insert(m);
-            }
-        }
-        acc
-    }
-
     /// Difference `Ω₁ ∖ Ω₂`: the mappings of `Ω₁` incompatible with
     /// *every* mapping of `Ω₂`.
     ///
@@ -314,113 +277,6 @@ impl MappingSet {
                 .filter(|m| !self.iter().any(|m2| m.properly_subsumed_by(m2)))
                 .cloned(),
         )
-    }
-
-    /// Domain-grouped `Ω^max`: same answers as [`MappingSet::maximal`],
-    /// different complexity class on the workloads NS is for.
-    ///
-    /// Since set members are pairwise distinct and mappings over the
-    /// *same* domain cannot properly subsume one another, a member `µ`
-    /// is properly subsumed iff some member over a **strict superset**
-    /// domain restricts to exactly `µ`. Bucketing by domain and hashing
-    /// each bucket's restrictions (its "shadow" on smaller domains)
-    /// turns the `O(|Ω|²)` pairwise scan into `O(|Ω| · d)` hash work for
-    /// `d` distinct domains — and `d` is small (≈ 2^optionals) for the
-    /// paper's optional-information queries. Falls back to pairwise
-    /// comparison beyond `GROUPED_DOMAIN_LIMIT` domains.
-    pub fn maximal_grouped(&self) -> MappingSet {
-        self.maximal_grouped_impl(None)
-            .unwrap_or_else(|| self.maximal())
-    }
-
-    /// `Ω^max` across a worker pool: the domain-grouped algorithm with
-    /// its shadow-building phase fanned out per domain, falling back to
-    /// pairwise comparison blocked into index tiles when there are too
-    /// many distinct domains. Exact agreement with
-    /// [`MappingSet::maximal`] at every pool width is enforced by the
-    /// differential tests below and in `tests/integration_parallel.rs`.
-    pub fn maximal_parallel(&self, pool: &Pool) -> MappingSet {
-        if self.len() < PARALLEL_NS_MIN {
-            return self.maximal();
-        }
-        match self.maximal_grouped_impl(Some(pool)) {
-            Some(out) => out,
-            None => self.maximal_tiled(pool),
-        }
-    }
-
-    /// Members bucketed by their domain (insertion-ordered buckets).
-    fn domain_buckets(&self) -> Vec<(BTreeSet<Variable>, Vec<&Mapping>)> {
-        let mut index: HashMap<BTreeSet<Variable>, usize> = HashMap::new();
-        let mut buckets: Vec<(BTreeSet<Variable>, Vec<&Mapping>)> = Vec::new();
-        for m in self.iter() {
-            let dom = m.dom_set();
-            let at = *index.entry(dom.clone()).or_insert_with(|| {
-                buckets.push((dom, Vec::new()));
-                buckets.len() - 1
-            });
-            buckets[at].1.push(m);
-        }
-        buckets
-    }
-
-    /// The grouped algorithm; `None` when there are too many distinct
-    /// domains for shadow sets to pay off.
-    fn maximal_grouped_impl(&self, pool: Option<&Pool>) -> Option<MappingSet> {
-        let buckets = self.domain_buckets();
-        if buckets.len() > GROUPED_DOMAIN_LIMIT {
-            return None;
-        }
-        // Shadow of domain D: restrictions to D of every member whose
-        // domain strictly contains D. µ over D is properly subsumed iff
-        // it appears in D's shadow.
-        let shadow_of = |d: &usize| -> HashSet<Mapping> {
-            let dom = &buckets[*d].0;
-            let mut shadow = HashSet::new();
-            for (dom2, members) in &buckets {
-                if dom2.len() > dom.len() && dom.iter().all(|v| dom2.contains(v)) {
-                    for m2 in members {
-                        shadow.insert(m2.restrict(dom));
-                    }
-                }
-            }
-            shadow
-        };
-        let indices: Vec<usize> = (0..buckets.len()).collect();
-        let shadows: Vec<HashSet<Mapping>> = match pool {
-            Some(pool) => pool.map(&indices, shadow_of),
-            None => indices.iter().map(shadow_of).collect(),
-        };
-        let mut out = MappingSet::new();
-        for ((_, members), shadow) in buckets.iter().zip(&shadows) {
-            for m in members {
-                if !shadow.contains(m) {
-                    out.insert((*m).clone());
-                }
-            }
-        }
-        Some(out)
-    }
-
-    /// Pairwise maximality blocked into index tiles across the pool —
-    /// the same size-sorted prefix scan as [`MappingSet::maximal`], with
-    /// each tile of candidates checked by one worker.
-    fn maximal_tiled(&self, pool: &Pool) -> MappingSet {
-        let mut by_size: Vec<&Mapping> = self.iter().collect();
-        by_size.sort_by_key(|m| std::cmp::Reverse(m.len()));
-        let by_size = &by_size;
-        let tiles = chunk_ranges(by_size.len(), pool.threads() * 8);
-        let parts = pool.map(&tiles, |&(lo, hi)| {
-            (lo..hi)
-                .filter(|&i| {
-                    !by_size[..i]
-                        .iter()
-                        .any(|bigger| by_size[i].properly_subsumed_by(bigger))
-                })
-                .map(|i| by_size[i].clone())
-                .collect::<Vec<Mapping>>()
-        });
-        parts.into_iter().flatten().collect()
     }
 
     /// `true` iff some member properly subsumes `m`.
@@ -667,98 +523,6 @@ mod tests {
         assert!(s.properly_subsumes(&Mapping::from_str_pairs(&[("X", "1")])));
         assert!(!s.properly_subsumes(&Mapping::from_str_pairs(&[("X", "1"), ("Y", "2")])));
         assert!(!s.properly_subsumes(&Mapping::from_str_pairs(&[("X", "9")])));
-    }
-
-    #[test]
-    fn union_all_matches_folded_binary_union() {
-        let a = mapping_set(&[&[("X", "1")], &[("Y", "2")]]);
-        let b = mapping_set(&[&[("X", "1")], &[("Z", "3")]]);
-        let c = mapping_set(&[&[("W", "4"), ("X", "1")]]);
-        let folded = a.union(&b).union(&c);
-        let merged = MappingSet::union_all([a, b, c]);
-        assert_eq!(merged, folded);
-        assert_eq!(MappingSet::union_all([]), MappingSet::new());
-        let single = mapping_set(&[&[("X", "1")]]);
-        assert_eq!(MappingSet::union_all([single.clone()]), single);
-    }
-
-    /// A mapping set with a handful of distinct domains and built-in
-    /// subsumption chains, sized by `n`.
-    fn layered_set(n: usize) -> MappingSet {
-        let mut out = MappingSet::new();
-        for i in 0..n {
-            let p = format!("p{i}");
-            let e = format!("e{}", i % 7);
-            let c = format!("c{}", i % 3);
-            out.insert(Mapping::from_str_pairs(&[("P", &p)]));
-            if i % 2 == 0 {
-                out.insert(Mapping::from_str_pairs(&[("P", &p), ("E", &e)]));
-            }
-            if i % 3 == 0 {
-                out.insert(Mapping::from_str_pairs(&[("P", &p), ("C", &c)]));
-            }
-            if i % 6 == 0 {
-                out.insert(Mapping::from_str_pairs(&[("P", &p), ("E", &e), ("C", &c)]));
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn maximal_grouped_agrees_with_naive() {
-        for n in [0, 1, 7, 40] {
-            let s = layered_set(n);
-            assert_eq!(s.maximal_grouped(), s.maximal_naive(), "n={n}");
-            assert_eq!(s.maximal_grouped(), s.maximal(), "n={n}");
-        }
-        // Fixtures from the sequential tests.
-        let s = mapping_set(&[&[("X", "1")], &[("X", "1"), ("Y", "2")], &[("X", "3")]]);
-        assert_eq!(s.maximal_grouped(), s.maximal_naive());
-    }
-
-    #[test]
-    fn maximal_parallel_agrees_across_widths() {
-        // Big enough to clear PARALLEL_NS_MIN and hit the grouped path.
-        let s = layered_set(300);
-        assert!(s.len() >= PARALLEL_NS_MIN);
-        let expected = s.maximal();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            assert_eq!(s.maximal_parallel(&pool), expected, "threads={threads}");
-        }
-        // Small sets take the sequential shortcut.
-        let small = layered_set(5);
-        assert_eq!(small.maximal_parallel(&Pool::new(8)), small.maximal());
-    }
-
-    #[test]
-    fn maximal_tiled_agrees_with_maximal() {
-        // Force the tiled path directly (many mappings, any domains).
-        let s = layered_set(200);
-        for threads in [1, 3, 8] {
-            let pool = Pool::new(threads);
-            assert_eq!(s.maximal_tiled(&pool), s.maximal(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn grouped_falls_back_beyond_domain_limit() {
-        // More distinct domains than GROUPED_DOMAIN_LIMIT: chain of
-        // nested domains v0..v_k, each mapping extending the previous.
-        let mut s = MappingSet::new();
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for i in 0..(GROUPED_DOMAIN_LIMIT + 8) {
-            pairs.push((format!("v{i}"), format!("x{i}")));
-            let borrowed: Vec<(&str, &str)> = pairs
-                .iter()
-                .map(|(a, b)| (a.as_str(), b.as_str()))
-                .collect();
-            s.insert(Mapping::from_str_pairs(&borrowed));
-        }
-        assert!(s.maximal_grouped_impl(None).is_none());
-        // Everything but the longest chain member is subsumed.
-        assert_eq!(s.maximal_grouped().len(), 1);
-        assert_eq!(s.maximal_parallel(&Pool::new(2)), s.maximal());
     }
 
     #[test]

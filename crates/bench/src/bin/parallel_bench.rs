@@ -102,13 +102,12 @@ fn measure(people: usize, reps: usize) -> SizeRun {
             widths.push((workers, ms, sequential_ms / ms));
         }
         // Tracing-overhead measurement (CI gate: traced stays within
-        // 1.15x of untraced on these workloads): best-of-reps columnar
-        // 8-worker runs with the recorder disabled and enabled. Both
-        // legs force the columnar path so the ratio isolates the
-        // recorder seam, not an engine switch.
+        // 1.15x of untraced on these workloads): best-of-reps 8-worker
+        // runs with the recorder disabled and enabled, so the ratio
+        // isolates the recorder seam.
         let pool8 = Pool::new(8);
-        let untraced_opts = ExecOpts::parallel().with_columnar(true);
-        let traced_opts = ExecOpts::parallel().with_columnar(true).traced();
+        let untraced_opts = ExecOpts::parallel();
+        let traced_opts = ExecOpts::parallel().traced();
         let (columnar_untraced_ms, _) =
             time_ms(reps, || run(&untraced_opts, &pool8).mappings.len());
         let (columnar_traced_ms, _) = time_ms(reps, || run(&traced_opts, &pool8).mappings.len());

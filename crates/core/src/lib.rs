@@ -76,8 +76,7 @@ pub mod prelude {
     pub use owql_algebra::pattern::{tp, Pattern, TriplePattern};
     pub use owql_algebra::{ConstructQuery, Mapping, MappingSet, Variable};
     pub use owql_eval::{
-        construct, evaluate, AnnotatedPlan, ColumnarPath, Engine, EvalError, ExecMode, ExecOpts,
-        RunOutcome,
+        construct, evaluate, AnnotatedPlan, Engine, EvalError, ExecMode, ExecOpts, RunOutcome,
     };
     pub use owql_exec::Pool;
     pub use owql_lint::{analyze_pattern, analyze_source, Analysis, ComplexityClass, Fragment};

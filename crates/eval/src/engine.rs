@@ -1,67 +1,34 @@
-//! The indexed evaluation engine.
+//! The evaluation engine's front door.
 //!
-//! Functionally identical to [`crate::reference::evaluate`] (this is
-//! enforced by a randomized differential test suite — see the tests at
-//! the bottom and `tests/integration_properties.rs`), but:
+//! [`Engine`] binds a [`TripleLookup`] backend — a [`GraphIndex`], or
+//! the live [`SnapshotIndex`] of `owql-store` — and [`Engine::run`] is
+//! the single entry point: the execution strategy — sequential or
+//! pool-parallel scheduling, span tracing, the static optimizer, a
+//! cooperative deadline, an admission ceiling — is selected by an
+//! [`ExecOpts`] value, not by the method name. Every run goes through
+//! one prelude (admission → optimize → recorder) and then the one
+//! evaluator (`columnar.rs`); [`Engine::run_sharded`] differs only
+//! in handing that evaluator a shard set to scatter over.
 //!
-//! * triple patterns are answered through the SPO/POS/OSP indexes of
-//!   [`owql_rdf::GraphIndex`],
-//! * an `AND`-spine is flattened and evaluated as one index nested-loop
-//!   join: bindings accumulated so far are substituted into the next
-//!   triple pattern, and the next pattern is chosen greedily by
-//!   estimated selectivity (fewest unbound variables, then smallest
-//!   constant-only index cardinality),
-//! * non-triple conjuncts of a spine are evaluated recursively and
-//!   hash-joined in.
+//! Answers are held to exact agreement with
+//! [`crate::reference::evaluate`] by the randomized differential tests
+//! at the bottom and under `tests/`.
 //!
-//! The single entry point is [`Engine::run`]: the execution strategy —
-//! sequential or pool-parallel scheduling, span tracing, the static
-//! optimizer, a cooperative deadline, an admission ceiling — is
-//! selected by an [`ExecOpts`] value, not by the method name. (The
-//! historical `evaluate*` method matrix has been removed after its
-//! deprecation cycle.)
-//!
-//! Every evaluation path threads an [`EvalBudget`] and checks it
-//! between operators (and every `BUDGET_CHECK_STRIDE` candidate
-//! bindings inside the nested-loop joins), so a run with a deadline
-//! unwinds with [`EvalError::Timeout`] instead of hanging.
-//!
-//! The `engine_ablation` benchmark quantifies each of these choices.
+//! The evaluator threads an [`EvalBudget`] and checks it between
+//! operators (and every `BUDGET_CHECK_STRIDE` candidate rows inside a
+//! spine step), so a run with a deadline unwinds with
+//! [`EvalError::Timeout`] instead of hanging.
 
-use crate::run::{
-    ColumnarPath, EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome, BUDGET_CHECK_STRIDE,
-};
-use owql_algebra::mapping::Mapping;
-use owql_algebra::mapping_set::MappingSet;
-use owql_algebra::normal_form::union_spine;
-use owql_algebra::pattern::{Pattern, TermPattern, TriplePattern};
-use owql_algebra::Variable;
-use owql_exec::{chunk_ranges, Pool};
-use owql_obs::{OpKind, Recorder, SpanId};
-use owql_rdf::{Graph, GraphIndex, Iri, SnapshotIndex, TripleLookup};
-use std::collections::BTreeSet;
+use crate::columnar::{self, ShardSet};
+use crate::run::{EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome};
+use owql_algebra::pattern::Pattern;
+use owql_exec::Pool;
+use owql_obs::Recorder;
+use owql_rdf::{Graph, GraphIndex, SnapshotIndex, TripleLookup};
 
-/// An AND-spine partition is only fanned out once the candidate set is
-/// at least this many bindings per worker — below that the chunk
-/// bookkeeping costs more than the join it parallelizes.
-const MIN_BINDINGS_PER_WORKER: usize = 2;
-
-/// Minimum candidate bindings per dealt chunk of a partitioned
-/// AND-spine. The profiled EXPLAIN ANALYZE data behind the `spine`
-/// regression in BENCH_parallel.json showed small partitions paying
-/// more in chunk dealing + per-chunk dedup than the join they
-/// parallelize; capping the chunk count at
-/// `candidates / MIN_BINDINGS_PER_CHUNK` (sequential fallback below
-/// one full chunk) recovers the sequential baseline on small spines
-/// while leaving genuinely wide spines fanned out.
-pub(crate) const MIN_BINDINGS_PER_CHUNK: usize = 4096;
-
-/// Expect-message for unwrapping runs made with an unlimited budget.
-const NO_BUDGET: &str = "unlimited budget cannot time out";
-
-/// An indexed engine bound to one graph (or any [`TripleLookup`]
-/// backend — see [`Engine::for_snapshot`] for evaluation over the live
-/// snapshots of `owql-store`).
+/// An engine bound to one graph (or any [`TripleLookup`] backend — see
+/// [`Engine::for_snapshot`] for evaluation over the live snapshots of
+/// `owql-store`).
 ///
 /// ```
 /// use owql_algebra::pattern::Pattern;
@@ -119,158 +86,69 @@ impl<I: TripleLookup> Engine<I> {
         crate::plan::plan(pattern, &self.index)
     }
 
-    /// Sequential `⟦P⟧G` under a cooperative `budget`.
-    fn try_evaluate(
-        &self,
-        pattern: &Pattern,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        budget.check()?;
-        Ok(match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => {
-                let (triples, others) = spine_parts(pattern);
-                let sub: Vec<MappingSet> = others
-                    .iter()
-                    .map(|p| self.try_evaluate(p, budget))
-                    .collect::<Result<_, _>>()?;
-                let (current, bound) = seed_spine(sub);
-                self.join_spine(current, triples, bound, budget)?
-            }
-            Pattern::Opt(a, b) => self
-                .try_evaluate(a, budget)?
-                .left_outer_join(&self.try_evaluate(b, budget)?),
-            Pattern::Union(a, b) => self
-                .try_evaluate(a, budget)?
-                .union(&self.try_evaluate(b, budget)?),
-            Pattern::Select(vars, p) => self.try_evaluate(p, budget)?.project(vars),
-            Pattern::Filter(p, r) => self.try_evaluate(p, budget)?.filter(r),
-            Pattern::Ns(p) => self.try_evaluate(p, budget)?.maximal(),
-            Pattern::Minus(a, b) => self
-                .try_evaluate(a, budget)?
-                .difference(&self.try_evaluate(b, budget)?),
-        })
-    }
-
-    /// The greedy index nested-loop join over the triple patterns of a
-    /// flattened `AND`-spine, from an already-seeded candidate set.
-    ///
-    /// This is the shared seam of the sequential and parallel engines:
-    /// [`Engine::try_evaluate`] calls it once over the full seed, the
-    /// parallel spine partitioner calls it per candidate chunk. `bound`
-    /// tracks statically-bound variables — an *ordering heuristic* only
-    /// (a variable bound in *some* mapping still constrains matching
-    /// for that mapping individually), so chunks sharing one global
-    /// `bound` pick identical join orders.
-    fn join_spine(
-        &self,
-        mut current: Vec<Mapping>,
-        mut triples: Vec<TriplePattern>,
-        mut bound: BTreeSet<Variable>,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        while !triples.is_empty() {
-            budget.check()?;
-            let next_idx = self.pick_next(&triples, &bound);
-            let t = triples.swap_remove(next_idx);
-            let mut next: Vec<Mapping> = Vec::new();
-            for (i, m) in current.iter().enumerate() {
-                if i % BUDGET_CHECK_STRIDE == BUDGET_CHECK_STRIDE - 1 {
-                    budget.check()?;
-                }
-                self.extend_matches(t, m, &mut next);
-            }
-            // Set semantics: dedup.
-            let set: MappingSet = next.into_iter().collect();
-            current = set.into_iter().collect();
-            bound.extend(t.vars());
-            if current.is_empty() {
-                return Ok(MappingSet::new());
-            }
-        }
-        Ok(current.into_iter().collect())
-    }
-
-    /// Greedy choice: fewest variables not yet bound, breaking ties by
-    /// the constant-only index cardinality estimate.
-    fn pick_next(
-        &self,
-        triples: &[TriplePattern],
-        bound: &BTreeSet<owql_algebra::Variable>,
-    ) -> usize {
-        let mut best = 0usize;
-        let mut best_key = (usize::MAX, usize::MAX);
-        for (i, t) in triples.iter().enumerate() {
-            let unbound = t.vars().iter().filter(|v| !bound.contains(v)).count();
-            let (s, p, o) = constant_positions(*t);
-            let card = self.index.cardinality(s, p, o);
-            let key = (unbound, card);
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Extends `m` with every index match of `t` under `m`'s bindings.
-    fn extend_matches(&self, t: TriplePattern, m: &Mapping, out: &mut Vec<Mapping>) {
-        let resolve = |tp: TermPattern| -> Option<Iri> {
-            match tp {
-                TermPattern::Iri(i) => Some(i),
-                TermPattern::Var(v) => m.get(v),
-            }
-        };
-        let (s, p, o) = (resolve(t.s), resolve(t.p), resolve(t.o));
-        for matched in self.index.matching(s, p, o) {
-            if let Some(binding) = crate::reference::match_triple(t, matched) {
-                if let Some(u) = m.union(&binding) {
-                    out.push(u);
-                }
-            }
-        }
-    }
-}
-
-/// The unified entry point, plus parallel evaluation over a pool of
-/// workers — available whenever the lookup backend is shareable across
-/// threads (`GraphIndex` and the store's `SnapshotIndex` both are).
-///
-/// Three operator shapes fan out, mirroring the independence structure
-/// of the semantics:
-///
-/// * **UNION** — the disjuncts of the syntactic UNION spine are fully
-///   independent sub-evaluations (`⟦P₁ UNION P₂⟧G = ⟦P₁⟧G ∪ ⟦P₂⟧G`);
-///   each runs on a worker and the results are merged with the
-///   consuming [`MappingSet::union_all`].
-/// * **AND-spines** — the candidate-binding set is partitioned into
-///   per-worker chunks after a short sequential ramp-up; every chunk
-///   runs the same greedy bound-propagation join (`Engine::join_spine`)
-///   locally, and per-chunk answer sets union to exactly the global
-///   answer (dedup placement never changes the set).
-/// * **NS** — subsumption-maximality filtering runs through
-///   [`MappingSet::maximal_parallel`] (domain-grouped shadow sets, or
-///   pairwise comparison blocked into tiles across workers).
-///
-/// A 1-thread pool short-circuits to the sequential path, and every
-/// width is held to exact agreement with it by differential tests here
-/// and in `tests/integration_parallel.rs`.
-impl<I: TripleLookup + Sync> Engine<I> {
     /// Evaluates `⟦P⟧G` under `opts` — THE entry point; every other
     /// evaluation method on `Engine`, `Store`, and `Snapshot` is a thin
     /// wrapper over it.
     ///
     /// `pool` is only consulted in [`ExecMode::Parallel`]; pass
-    /// [`Pool::sequential`] for sequential runs. The outcome carries a
-    /// [`owql_obs::Profile`] iff `opts.trace` is set. A set
-    /// `opts.deadline` turns a long evaluation into
-    /// [`EvalError::Timeout`] instead of an open-ended hang;
-    /// `opts.cache` is ignored here (the bare engine has no cache —
-    /// see `Store::query_request`).
+    /// [`Pool::sequential`] for sequential runs. Three operator shapes
+    /// then fan out, mirroring the independence structure of the
+    /// semantics: the disjuncts of a UNION spine, the candidate rows of
+    /// a wide AND-spine step, and the per-domain shadow sets of NS
+    /// maximality. A 1-thread pool is the sequential walk.
+    ///
+    /// The outcome carries a [`owql_obs::Profile`] iff `opts.trace` is
+    /// set. A set `opts.deadline` turns a long evaluation into
+    /// [`EvalError::Timeout`] instead of an open-ended hang; a pattern
+    /// with more than 64 distinct variables is refused with
+    /// [`EvalError::TooManyVariables`]. `opts.cache` is ignored here
+    /// (the bare engine has no cache — see `Store::query_request`).
     pub fn run(
         &self,
         pattern: &Pattern,
         opts: &ExecOpts,
         pool: &Pool,
+    ) -> Result<RunOutcome, EvalError> {
+        let parallel = opts.mode == ExecMode::Parallel && pool.threads() > 1;
+        self.run_on(pattern, opts, parallel, pool, None)
+    }
+
+    /// [`Engine::run`] with a scatter-gather scan source: `shard_runs`
+    /// are disjoint subject-hash partitions of this engine's snapshot
+    /// (`owql_rdf::shard_rows` over its id view), with one [`Pool`] per
+    /// shard; `pools[0]` doubles as the coordinator's. Admission,
+    /// optimizer, deadline, and tracing semantics are [`Engine::run`]'s.
+    ///
+    /// # Panics
+    /// If `shard_runs` or `pools` is empty.
+    pub fn run_sharded(
+        &self,
+        pattern: &Pattern,
+        opts: &ExecOpts,
+        shard_runs: &[owql_rdf::IdRuns],
+        pools: &[Pool],
+        metrics: Option<&owql_obs::ShardMetrics>,
+    ) -> Result<RunOutcome, EvalError> {
+        assert!(!shard_runs.is_empty(), "a shard set has at least one shard");
+        let coordinator = pools.first().expect("a shard set has at least one pool");
+        let shards = ShardSet {
+            runs: shard_runs,
+            pools,
+            metrics,
+        };
+        let parallel = coordinator.threads() > 1;
+        self.run_on(pattern, opts, parallel, coordinator, Some(shards))
+    }
+
+    /// The shared body of [`Engine::run`] and [`Engine::run_sharded`]:
+    /// admission → optimize → recorder → evaluate.
+    fn run_on(
+        &self,
+        pattern: &Pattern,
+        opts: &ExecOpts,
+        parallel: bool,
+        pool: &Pool,
+        shards: Option<ShardSet<'_>>,
     ) -> Result<RunOutcome, EvalError> {
         crate::run::check_admission(pattern, opts)?;
         let budget = EvalBudget::from_opts(opts);
@@ -288,653 +166,53 @@ impl<I: TripleLookup + Sync> Engine<I> {
             Recorder::disabled()
         };
         rec.record_prunes(prunes);
-        let parallel = opts.mode == ExecMode::Parallel && pool.threads() > 1;
-        // The columnar path covers traced and untraced runs alike: the
-        // id-batch evaluator records its own per-operator spans (with
-        // `estimated_rows` seeded from run cardinality) into `rec`, so
-        // tracing no longer forces the term-at-a-time engine.
-        let mut columnar_path = ColumnarPath::Disabled;
-        if opts.columnar_enabled() {
-            if let Some(mappings) =
-                crate::columnar::try_run(self, pattern, parallel, pool, &rec, &budget)
-            {
-                return Ok(RunOutcome {
-                    mappings: mappings?,
-                    profile: opts.trace.then(|| rec.profile()),
-                    columnar_path: ColumnarPath::Used,
-                    prunes,
-                });
-            }
-            // Columnar was requested but the backend/query shape cannot
-            // serve it: fall back loudly, never silently.
-            rec.record_columnar_fallback();
-            columnar_path = ColumnarPath::Fallback;
-        }
-        let mappings = match (parallel, opts.trace) {
-            (false, false) => self.try_evaluate(pattern, &budget)?,
-            (false, true) => self.try_eval_traced(pattern, &rec, SpanId::ROOT, &budget)?,
-            (true, false) => self.try_eval_par(pattern, pool, &budget)?,
-            (true, true) => self.try_eval_par_traced(pattern, pool, &rec, SpanId::ROOT, &budget)?,
-        };
+        let mappings = columnar::run(&self.index, pattern, parallel, pool, shards, &rec, &budget)?;
         Ok(RunOutcome {
             mappings,
             profile: opts.trace.then(|| rec.profile()),
-            columnar_path,
             prunes,
         })
     }
 
-    /// [`Engine::run`]'s scatter-gather sibling: evaluates over
-    /// `shard_runs` (disjoint subject-hash partitions of this engine's
-    /// snapshot, one [`Pool`] per shard) with the same admission,
-    /// optimizer, deadline, and tracing semantics. Returns `None` when
-    /// the pattern or backend is outside the columnar envelope — the
-    /// caller then falls back to [`Engine::run`], exactly like the
-    /// single-node columnar fallback.
-    pub fn run_sharded(
-        &self,
-        pattern: &Pattern,
-        opts: &ExecOpts,
-        shard_runs: &[owql_rdf::IdRuns],
-        pools: &[Pool],
-        metrics: Option<&owql_obs::ShardMetrics>,
-    ) -> Option<Result<RunOutcome, EvalError>>
-    where
-        I: Sync,
-    {
-        if !opts.columnar_enabled() {
-            return None;
-        }
-        if let Err(e) = crate::run::check_admission(pattern, opts) {
-            return Some(Err(e));
-        }
-        let budget = EvalBudget::from_opts(opts);
-        let mut prunes = owql_obs::PruneObs::default();
-        let optimized;
-        let pattern = if opts.optimize {
-            (optimized, prunes) = crate::optimize::optimize_with_stats(pattern);
-            &optimized
-        } else {
-            pattern
-        };
-        let rec = if opts.trace {
-            Recorder::new()
-        } else {
-            Recorder::disabled()
-        };
-        rec.record_prunes(prunes);
-        let mappings = crate::sharded::try_run_sharded(
-            self, pattern, shard_runs, pools, &rec, &budget, metrics,
-        )?;
-        Some(mappings.map(|mappings| RunOutcome {
-            mappings,
-            profile: opts.trace.then(|| rec.profile()),
-            columnar_path: ColumnarPath::Used,
-            prunes,
-        }))
-    }
-
-    fn try_eval_par(
-        &self,
-        pattern: &Pattern,
-        pool: &Pool,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        budget.check()?;
-        Ok(match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => {
-                let (triples, others) = spine_parts(pattern);
-                self.evaluate_spine_parallel(triples, &others, pool, budget)?
-            }
-            Pattern::Union(..) => {
-                let disjuncts = union_spine(pattern);
-                let parts = pool.map(&disjuncts, |d| self.try_eval_par(d, pool, budget));
-                MappingSet::union_all(parts.into_iter().collect::<Result<Vec<_>, _>>()?)
-            }
-            Pattern::Opt(a, b) => {
-                let [left, right] = self.eval_both(a, b, pool, budget)?;
-                left.left_outer_join(&right)
-            }
-            Pattern::Minus(a, b) => {
-                let [left, right] = self.eval_both(a, b, pool, budget)?;
-                left.difference(&right)
-            }
-            Pattern::Select(vars, p) => self.try_eval_par(p, pool, budget)?.project(vars),
-            Pattern::Filter(p, r) => self.try_eval_par(p, pool, budget)?.filter(r),
-            Pattern::Ns(p) => self.try_eval_par(p, pool, budget)?.maximal_parallel(pool),
-        })
-    }
-
-    /// Evaluates two independent subpatterns, one per worker.
-    fn eval_both(
-        &self,
-        a: &Pattern,
-        b: &Pattern,
-        pool: &Pool,
-        budget: &EvalBudget,
-    ) -> Result<[MappingSet; 2], EvalError> {
-        let mut results = pool
-            .map(&[a, b], |p| self.try_eval_par(p, pool, budget))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let right = results.pop().expect("two results");
-        let left = results.pop().expect("two results");
-        Ok([left, right])
-    }
-
-    /// The partitioned AND-spine: seed from the non-triple conjuncts
-    /// (evaluated concurrently — they are independent), expand triple
-    /// patterns sequentially until the candidate set is wide enough,
-    /// then split it into chunks and run the remaining join per worker.
-    fn evaluate_spine_parallel(
-        &self,
-        mut triples: Vec<TriplePattern>,
-        others: &[&Pattern],
-        pool: &Pool,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        let sub = pool
-            .map(others, |p| self.try_eval_par(p, pool, budget))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let (mut current, mut bound) = seed_spine(sub);
-
-        // Ramp-up: a seed of one empty mapping (or a handful of
-        // conjunct bindings) has no parallelism to expose yet; expanding
-        // the most selective pattern first is exactly what the
-        // sequential engine does, and it manufactures the fan-out.
-        let target = pool.threads() * MIN_BINDINGS_PER_WORKER;
-        while !triples.is_empty() && current.len() < target {
-            budget.check()?;
-            let next_idx = self.pick_next(&triples, &bound);
-            let t = triples.swap_remove(next_idx);
-            let mut next: Vec<Mapping> = Vec::new();
-            for m in &current {
-                self.extend_matches(t, m, &mut next);
-            }
-            let set: MappingSet = next.into_iter().collect();
-            current = set.into_iter().collect();
-            bound.extend(t.vars());
-            if current.is_empty() {
-                return Ok(MappingSet::new());
-            }
-        }
-        if triples.is_empty() {
-            return Ok(current.into_iter().collect());
-        }
-
-        // Partition: chunks share the global `bound`, so each worker
-        // picks the same greedy join order, and the union of per-chunk
-        // answer sets is the global answer set. The chunk count is
-        // capped so every chunk carries at least
-        // `MIN_BINDINGS_PER_CHUNK` bindings — a candidate set below one
-        // full chunk falls back to the sequential join, because dealing
-        // overhead and per-chunk dedup would outweigh the fan-out.
-        let max_chunks = current.len() / MIN_BINDINGS_PER_CHUNK;
-        if max_chunks < 2 {
-            return self.join_spine(current, triples, bound, budget);
-        }
-        let ranges = chunk_ranges(current.len(), max_chunks.min(pool.threads() * 4));
-        let chunks: Vec<&[Mapping]> = ranges
-            .into_iter()
-            .map(|(lo, hi)| &current[lo..hi])
-            .collect();
-        let parts = pool.map(&chunks, |chunk| {
-            self.join_spine(chunk.to_vec(), triples.clone(), bound.clone(), budget)
-        });
-        Ok(MappingSet::union_all(
-            parts.into_iter().collect::<Result<Vec<_>, _>>()?,
-        ))
-    }
-}
-
-/// Instrumented (traced) evaluation — the observability path.
-///
-/// `try_eval_traced` mirrors the plain sequential path operator for
-/// operator, recording one [`owql_obs::Span`] per algebra node (kind,
-/// label, input/output cardinality, wall time) plus one `SCAN` span
-/// per index nested-loop step, into a caller-supplied
-/// [`Recorder`]. A **disabled** recorder records nothing and skips all
-/// clock reads, so carrying the traced API costs almost nothing when
-/// tracing is off; differential tests (`tests/integration_obs.rs`)
-/// hold both paths to exact answer agreement at widths 1 and 8.
-impl<I: TripleLookup> Engine<I> {
-    fn try_eval_traced(
-        &self,
-        pattern: &Pattern,
-        rec: &Recorder,
-        parent: SpanId,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        budget.check()?;
-        let id = rec.begin();
-        let timer = rec.timer();
-        let (label, rows_in, out) = match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => {
-                let (triples, others) = spine_parts(pattern);
-                let label = spine_label(triples.len(), others.len());
-                let sub: Vec<MappingSet> = others
-                    .iter()
-                    .map(|p| self.try_eval_traced(p, rec, id, budget))
-                    .collect::<Result<_, _>>()?;
-                let (current, bound) = seed_spine(sub);
-                let seeded = current.len() as u64;
-                (
-                    label,
-                    Some(seeded),
-                    self.join_spine_traced(current, triples, bound, rec, id, budget)?,
-                )
-            }
-            Pattern::Opt(a, b) => {
-                let left = self.try_eval_traced(a, rec, id, budget)?;
-                let right = self.try_eval_traced(b, rec, id, budget)?;
-                let rows_in = left.len() as u64;
-                (
-                    "left outer join".to_owned(),
-                    Some(rows_in),
-                    left.left_outer_join(&right),
-                )
-            }
-            Pattern::Union(a, b) => {
-                let left = self.try_eval_traced(a, rec, id, budget)?;
-                let right = self.try_eval_traced(b, rec, id, budget)?;
-                ("union".to_owned(), None, left.union(&right))
-            }
-            Pattern::Minus(a, b) => {
-                let left = self.try_eval_traced(a, rec, id, budget)?;
-                let right = self.try_eval_traced(b, rec, id, budget)?;
-                let rows_in = left.len() as u64;
-                (
-                    "difference".to_owned(),
-                    Some(rows_in),
-                    left.difference(&right),
-                )
-            }
-            Pattern::Select(vars, p) => {
-                let inner = self.try_eval_traced(p, rec, id, budget)?;
-                let rows_in = inner.len() as u64;
-                (project_label(vars), Some(rows_in), inner.project(vars))
-            }
-            Pattern::Filter(p, r) => {
-                let inner = self.try_eval_traced(p, rec, id, budget)?;
-                let rows_in = inner.len() as u64;
-                (format!("filter {r}"), Some(rows_in), inner.filter(r))
-            }
-            Pattern::Ns(p) => {
-                let inner = self.try_eval_traced(p, rec, id, budget)?;
-                let candidates = inner.len() as u64;
-                let out = inner.maximal();
-                rec.record_ns(candidates, out.len() as u64);
-                ("maximal answers".to_owned(), Some(candidates), out)
-            }
-        };
-        rec.record_span(
-            id,
-            parent,
-            op_kind(pattern),
-            &label,
-            rows_in,
-            out.len() as u64,
-            &timer,
-        );
-        Ok(out)
-    }
-
-    /// [`Engine::join_spine`] with one `SCAN` span per nested-loop
-    /// step: input candidates in, deduplicated bindings out — the
-    /// per-join cardinalities EXPLAIN ANALYZE reports.
-    #[allow(clippy::too_many_arguments)]
-    fn join_spine_traced(
-        &self,
-        mut current: Vec<Mapping>,
-        mut triples: Vec<TriplePattern>,
-        mut bound: BTreeSet<Variable>,
-        rec: &Recorder,
-        parent: SpanId,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        while !triples.is_empty() {
-            budget.check()?;
-            let next_idx = self.pick_next(&triples, &bound);
-            let t = triples.swap_remove(next_idx);
-            let id = rec.begin();
-            let timer = rec.timer();
-            let rows_in = current.len() as u64;
-            let mut next: Vec<Mapping> = Vec::new();
-            for (i, m) in current.iter().enumerate() {
-                if i % BUDGET_CHECK_STRIDE == BUDGET_CHECK_STRIDE - 1 {
-                    budget.check()?;
-                }
-                self.extend_matches(t, m, &mut next);
-            }
-            let set: MappingSet = next.into_iter().collect();
-            current = set.into_iter().collect();
-            bound.extend(t.vars());
-            rec.record_span(
-                id,
-                parent,
-                OpKind::Scan,
-                &format!("{t} via {}", crate::plan::access_path(t)),
-                Some(rows_in),
-                current.len() as u64,
-                &timer,
-            );
-            if current.is_empty() {
-                return Ok(MappingSet::new());
-            }
-        }
-        Ok(current.into_iter().collect())
-    }
-}
-
-/// Instrumented parallel evaluation: the parallel operators with spans,
-/// NS pruning counters, and per-worker pool stats (via
-/// [`Pool::map_profiled`]) recorded into a shared [`Recorder`].
-impl<I: TripleLookup + Sync> Engine<I> {
     /// Runs the query and returns the plan annotated with the observed
-    /// per-node output cardinalities, wall times, and (on columnar
-    /// scan steps) the planner-side `estimated_rows` — EXPLAIN
-    /// ANALYZE. Routed through [`Engine::run`] with sequential traced
-    /// options, so it profiles whichever engine actually serves
-    /// queries: the columnar id-batch evaluator when the backend has
-    /// an id view, the term-at-a-time engine otherwise. (See
+    /// per-node output cardinalities, wall times, and (on scan steps)
+    /// the planner-side `estimated_rows` — EXPLAIN ANALYZE. Routed
+    /// through [`Engine::run`] with sequential traced options and no
+    /// deadline, so the only possible error is
+    /// [`EvalError::TooManyVariables`]. (See
     /// [`crate::plan::AnnotatedPlan`] for the rendered shape;
     /// [`Engine::explain`] stays the purely static EXPLAIN.)
-    pub fn explain_analyze(&self, pattern: &Pattern) -> crate::plan::AnnotatedPlan {
-        let outcome = self
-            .run(pattern, &ExecOpts::seq().traced(), &Pool::sequential())
-            .expect(NO_BUDGET);
-        let profile = outcome.profile.expect("traced run has a profile");
-        crate::plan::annotate(&profile.spans, outcome.mappings.len())
+    pub fn explain_analyze(
+        &self,
+        pattern: &Pattern,
+    ) -> Result<crate::plan::AnnotatedPlan, EvalError> {
+        self.explain_analyze_with(pattern, &ExecOpts::seq(), &Pool::sequential())
     }
 
-    /// [`Engine::explain_analyze`] over the parallel engine: the
-    /// annotated plan additionally reflects the parallel operators
-    /// (partitioned spines, fanned-out unions).
+    /// [`Engine::explain_analyze`] over a parallel run: the annotated
+    /// plan additionally reflects the parallel operators (partitioned
+    /// spine steps, fanned-out unions).
     pub fn explain_analyze_parallel(
         &self,
         pattern: &Pattern,
         pool: &Pool,
-    ) -> crate::plan::AnnotatedPlan {
-        let outcome = self
-            .run(pattern, &ExecOpts::parallel().traced(), pool)
-            .expect(NO_BUDGET);
-        let profile = outcome.profile.expect("traced run has a profile");
-        crate::plan::annotate(&profile.spans, outcome.mappings.len())
+    ) -> Result<crate::plan::AnnotatedPlan, EvalError> {
+        self.explain_analyze_with(pattern, &ExecOpts::parallel(), pool)
     }
 
-    fn try_eval_par_traced(
+    fn explain_analyze_with(
         &self,
         pattern: &Pattern,
+        opts: &ExecOpts,
         pool: &Pool,
-        rec: &Recorder,
-        parent: SpanId,
-        budget: &EvalBudget,
-    ) -> Result<MappingSet, EvalError> {
-        budget.check()?;
-        let id = rec.begin();
-        let timer = rec.timer();
-        let (label, rows_in, out) = match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => {
-                let (triples, others) = spine_parts(pattern);
-                let label = spine_label(triples.len(), others.len());
-                let (rows_in, out) =
-                    self.evaluate_spine_parallel_traced(triples, &others, pool, rec, id, budget)?;
-                (label, rows_in, out)
-            }
-            Pattern::Union(..) => {
-                let disjuncts = union_spine(pattern);
-                let label = format!("union of {} disjuncts", disjuncts.len());
-                let parts = pool
-                    .map_profiled(&disjuncts, rec, |d| {
-                        self.try_eval_par_traced(d, pool, rec, id, budget)
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                (label, None, MappingSet::union_all(parts))
-            }
-            Pattern::Opt(a, b) => {
-                let [left, right] = self.eval_both_traced(a, b, pool, rec, id, budget)?;
-                let rows_in = left.len() as u64;
-                (
-                    "left outer join".to_owned(),
-                    Some(rows_in),
-                    left.left_outer_join(&right),
-                )
-            }
-            Pattern::Minus(a, b) => {
-                let [left, right] = self.eval_both_traced(a, b, pool, rec, id, budget)?;
-                let rows_in = left.len() as u64;
-                (
-                    "difference".to_owned(),
-                    Some(rows_in),
-                    left.difference(&right),
-                )
-            }
-            Pattern::Select(vars, p) => {
-                let inner = self.try_eval_par_traced(p, pool, rec, id, budget)?;
-                let rows_in = inner.len() as u64;
-                (project_label(vars), Some(rows_in), inner.project(vars))
-            }
-            Pattern::Filter(p, r) => {
-                let inner = self.try_eval_par_traced(p, pool, rec, id, budget)?;
-                let rows_in = inner.len() as u64;
-                (format!("filter {r}"), Some(rows_in), inner.filter(r))
-            }
-            Pattern::Ns(p) => {
-                let inner = self.try_eval_par_traced(p, pool, rec, id, budget)?;
-                let candidates = inner.len() as u64;
-                let out = inner.maximal_parallel(pool);
-                rec.record_ns(candidates, out.len() as u64);
-                (
-                    "maximal answers (parallel)".to_owned(),
-                    Some(candidates),
-                    out,
-                )
-            }
-        };
-        rec.record_span(
-            id,
-            parent,
-            op_kind(pattern),
-            &label,
-            rows_in,
-            out.len() as u64,
-            &timer,
-        );
-        Ok(out)
+    ) -> Result<crate::plan::AnnotatedPlan, EvalError> {
+        let outcome = self.run(pattern, &opts.traced(), pool)?;
+        let profile = outcome.profile.expect("traced run has a profile");
+        Ok(crate::plan::annotate(
+            &profile.spans,
+            outcome.mappings.len(),
+        ))
     }
-
-    /// Evaluates two independent subpatterns, one per worker, tracing
-    /// both.
-    fn eval_both_traced(
-        &self,
-        a: &Pattern,
-        b: &Pattern,
-        pool: &Pool,
-        rec: &Recorder,
-        parent: SpanId,
-        budget: &EvalBudget,
-    ) -> Result<[MappingSet; 2], EvalError> {
-        let mut results = pool
-            .map_profiled(&[a, b], rec, |p| {
-                self.try_eval_par_traced(p, pool, rec, parent, budget)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let right = results.pop().expect("two results");
-        let left = results.pop().expect("two results");
-        Ok([left, right])
-    }
-
-    /// [`Engine::evaluate_spine_parallel`] with tracing: ramp-up steps
-    /// record `SCAN` spans like the sequential join; the partitioned
-    /// tail records one `SCAN` span summarizing the fan-out (chunks ×
-    /// remaining steps) so per-chunk noise stays out of the plan.
-    /// Returns `(seeded candidate count, result)`.
-    #[allow(clippy::type_complexity)]
-    fn evaluate_spine_parallel_traced(
-        &self,
-        mut triples: Vec<TriplePattern>,
-        others: &[&Pattern],
-        pool: &Pool,
-        rec: &Recorder,
-        parent: SpanId,
-        budget: &EvalBudget,
-    ) -> Result<(Option<u64>, MappingSet), EvalError> {
-        let sub = pool
-            .map_profiled(others, rec, |p| {
-                self.try_eval_par_traced(p, pool, rec, parent, budget)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let (mut current, mut bound) = seed_spine(sub);
-        let seeded = Some(current.len() as u64);
-
-        let target = pool.threads() * MIN_BINDINGS_PER_WORKER;
-        while !triples.is_empty() && current.len() < target {
-            budget.check()?;
-            let next_idx = self.pick_next(&triples, &bound);
-            let t = triples.swap_remove(next_idx);
-            let id = rec.begin();
-            let timer = rec.timer();
-            let rows_in = current.len() as u64;
-            let mut next: Vec<Mapping> = Vec::new();
-            for m in &current {
-                self.extend_matches(t, m, &mut next);
-            }
-            let set: MappingSet = next.into_iter().collect();
-            current = set.into_iter().collect();
-            bound.extend(t.vars());
-            rec.record_span(
-                id,
-                parent,
-                OpKind::Scan,
-                &format!("{t} via {} (ramp-up)", crate::plan::access_path(t)),
-                Some(rows_in),
-                current.len() as u64,
-                &timer,
-            );
-            if current.is_empty() {
-                return Ok((seeded, MappingSet::new()));
-            }
-        }
-        if triples.is_empty() {
-            return Ok((seeded, current.into_iter().collect()));
-        }
-
-        let max_chunks = current.len() / MIN_BINDINGS_PER_CHUNK;
-        if max_chunks < 2 {
-            // Sequential fallback (small candidate set): trace each
-            // remaining step exactly like the sequential engine.
-            let out = self.join_spine_traced(current, triples, bound, rec, parent, budget)?;
-            return Ok((seeded, out));
-        }
-        let id = rec.begin();
-        let timer = rec.timer();
-        let rows_in = current.len() as u64;
-        let steps = triples.len();
-        let ranges = chunk_ranges(current.len(), max_chunks.min(pool.threads() * 4));
-        let chunk_count = ranges.len();
-        let chunks: Vec<&[Mapping]> = ranges
-            .into_iter()
-            .map(|(lo, hi)| &current[lo..hi])
-            .collect();
-        let parts = pool
-            .map_profiled(&chunks, rec, |chunk| {
-                self.join_spine(chunk.to_vec(), triples.clone(), bound.clone(), budget)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let out = MappingSet::union_all(parts);
-        rec.record_span(
-            id,
-            parent,
-            OpKind::Scan,
-            &format!("partitioned join: {chunk_count} chunks x {steps} steps"),
-            Some(rows_in),
-            out.len() as u64,
-            &timer,
-        );
-        Ok((seeded, out))
-    }
-}
-
-/// Maps an algebra node to its obs taxonomy kind (flattened
-/// `AND`-spines — including bare triple patterns — account as `AND`;
-/// individual nested-loop steps are recorded separately as `SCAN`).
-pub(crate) fn op_kind(p: &Pattern) -> OpKind {
-    match p {
-        Pattern::Triple(_) | Pattern::And(..) => OpKind::And,
-        Pattern::Union(..) => OpKind::Union,
-        Pattern::Opt(..) => OpKind::Opt,
-        Pattern::Minus(..) => OpKind::Minus,
-        Pattern::Filter(..) => OpKind::Filter,
-        Pattern::Select(..) => OpKind::Select,
-        Pattern::Ns(_) => OpKind::Ns,
-    }
-}
-
-pub(crate) fn spine_label(scans: usize, subpatterns: usize) -> String {
-    if subpatterns == 0 {
-        format!("index join: {scans} scans")
-    } else {
-        format!("index join: {scans} scans + {subpatterns} subpatterns")
-    }
-}
-
-pub(crate) fn project_label(vars: &BTreeSet<Variable>) -> String {
-    let names: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
-    format!("project {{{}}}", names.join(", "))
-}
-
-/// Splits an `AND`-spine into its triple-pattern leaves and the other
-/// conjunct sub-patterns — the shared flattening step of the
-/// sequential and parallel engines.
-pub(crate) fn spine_parts(p: &Pattern) -> (Vec<TriplePattern>, Vec<&Pattern>) {
-    fn flatten<'a>(
-        p: &'a Pattern,
-        triples: &mut Vec<TriplePattern>,
-        others: &mut Vec<&'a Pattern>,
-    ) {
-        match p {
-            Pattern::And(a, b) => {
-                flatten(a, triples, others);
-                flatten(b, triples, others);
-            }
-            Pattern::Triple(t) => triples.push(*t),
-            other => others.push(other),
-        }
-    }
-    let mut triples = Vec::new();
-    let mut others = Vec::new();
-    flatten(p, &mut triples, &mut others);
-    (triples, others)
-}
-
-/// Seeds an `AND`-spine from the evaluated non-triple conjuncts:
-/// smallest-first joins keep intermediates small; the returned `bound`
-/// set primes the greedy join-order heuristic.
-fn seed_spine(mut sub: Vec<MappingSet>) -> (Vec<Mapping>, BTreeSet<Variable>) {
-    let current: Vec<Mapping> = if sub.is_empty() {
-        vec![Mapping::new()]
-    } else {
-        sub.sort_by_key(MappingSet::len);
-        let mut acc = sub.remove(0);
-        for s in sub {
-            acc = acc.join(&s);
-        }
-        acc.into_iter().collect()
-    };
-    let mut bound: BTreeSet<Variable> = BTreeSet::new();
-    if let Some(first) = current.first() {
-        bound.extend(first.dom());
-    }
-    (current, bound)
-}
-
-fn constant_positions(t: TriplePattern) -> (Option<Iri>, Option<Iri>, Option<Iri>) {
-    (t.s.as_iri(), t.p.as_iri(), t.o.as_iri())
 }
 
 #[cfg(test)]
@@ -943,12 +221,16 @@ mod tests {
     use crate::reference::evaluate;
     use owql_algebra::analysis::Operators;
     use owql_algebra::random::{random_pattern, PatternConfig};
+    use owql_algebra::MappingSet;
     use owql_rdf::datasets::figure_1;
     use owql_rdf::generate;
     use std::time::Duration;
 
+    /// Expect-message for unwrapping runs made with an unlimited budget.
+    const NO_BUDGET: &str = "unlimited budget cannot time out";
+
     /// Sequential `run` shorthand for the tests below.
-    fn eval<I: TripleLookup + Sync>(engine: &Engine<I>, p: &Pattern) -> MappingSet {
+    fn eval<I: TripleLookup>(engine: &Engine<I>, p: &Pattern) -> MappingSet {
         engine
             .run(p, &ExecOpts::seq(), &Pool::sequential())
             .expect(NO_BUDGET)
@@ -956,11 +238,7 @@ mod tests {
     }
 
     /// Parallel `run` shorthand.
-    fn eval_par<I: TripleLookup + Sync>(
-        engine: &Engine<I>,
-        p: &Pattern,
-        pool: &Pool,
-    ) -> MappingSet {
+    fn eval_par<I: TripleLookup>(engine: &Engine<I>, p: &Pattern, pool: &Pool) -> MappingSet {
         engine
             .run(p, &ExecOpts::parallel(), pool)
             .expect(NO_BUDGET)
@@ -1050,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_run_agrees_with_plain() {
+    fn optimized_run_agrees_with_reference() {
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
             ..PatternConfig::standard(4, 5)
@@ -1065,7 +343,7 @@ mod tests {
                     .run(&p, &ExecOpts::seq().optimized(), &pool)
                     .expect(NO_BUDGET)
                     .mappings,
-                eval(&engine, &p),
+                evaluate(&p, &g),
                 "seed {seed}"
             );
         }
@@ -1078,12 +356,92 @@ mod tests {
         assert!(engine.index().is_empty());
     }
 
-    /// The parallel differential test: at widths 1, 2, and 8 the
-    /// parallel engine agrees exactly with the sequential one on random
-    /// full-NS–SPARQL patterns (the width-1 pool also certifies the
-    /// sequential fallback seam).
+    /// A default index carries an (empty) dictionary, so it evaluates
+    /// like any other backend: every constant is un-interned.
     #[test]
-    fn parallel_matches_sequential_across_widths() {
+    fn default_index_evaluates() {
+        let engine = Engine::with_index(GraphIndex::default());
+        assert!(eval(&engine, &Pattern::t("?x", "p", "?y")).is_empty());
+        assert!(eval(&engine, &Pattern::t("a", "p", "b")).is_empty());
+        let mixed = Pattern::t("a", "p", "b")
+            .ns()
+            .union(Pattern::t("?x", "p", "b"));
+        assert_eq!(eval(&engine, &mixed), evaluate(&mixed, &Graph::new()));
+    }
+
+    /// Fully ground patterns evaluate on the one walker: `{µ∅}` when
+    /// the triple is present, `∅` when it is absent or a constant was
+    /// never interned.
+    #[test]
+    fn ground_patterns_answer_unit_or_empty() {
+        let g = figure_1();
+        let engine = Engine::new(&g);
+        let present = Pattern::t("Gottfrid_Svartholm", "founder", "The_Pirate_Bay");
+        let absent = Pattern::t("The_Pirate_Bay", "founder", "Gottfrid_Svartholm");
+        let unknown = Pattern::t("Gottfrid_Svartholm", "founder", "never_interned");
+        assert_eq!(evaluate(&present, &g), MappingSet::unit());
+        let pool = Pool::new(2);
+        for opts in [
+            ExecOpts::seq(),
+            ExecOpts::parallel(),
+            ExecOpts::seq().traced(),
+            ExecOpts::parallel().traced().optimized(),
+        ] {
+            let run = |p: &Pattern| engine.run(p, &opts, &pool).expect(NO_BUDGET).mappings;
+            assert_eq!(run(&present), MappingSet::unit(), "{opts:?}");
+            assert_eq!(run(&absent), MappingSet::new(), "{opts:?}");
+            assert_eq!(run(&unknown), MappingSet::new(), "{opts:?}");
+        }
+    }
+
+    /// One variable more than a columnar row can hold is a typed error
+    /// on every execution path, before any evaluation work; exactly the
+    /// limit still evaluates.
+    #[test]
+    fn over_wide_patterns_are_rejected_up_front() {
+        let g = figure_1();
+        let engine = Engine::new(&g);
+        let wide = |n: usize| {
+            Pattern::union_all(
+                (0..n).map(|i| Pattern::t(format!("?w{i}").as_str(), "founder", "?o")),
+            )
+        };
+        let pool = Pool::new(2);
+        for opts in [
+            ExecOpts::seq(),
+            ExecOpts::parallel(),
+            ExecOpts::seq().traced(),
+            ExecOpts::parallel().optimized(),
+        ] {
+            // 64 `?w` variables plus `?o`.
+            let err = engine.run(&wide(64), &opts, &pool).unwrap_err();
+            assert_eq!(
+                err,
+                EvalError::TooManyVariables {
+                    count: 65,
+                    limit: 64
+                },
+                "{opts:?}"
+            );
+            let at_limit = wide(63);
+            assert_eq!(
+                engine
+                    .run(&at_limit, &opts, &pool)
+                    .expect(NO_BUDGET)
+                    .mappings,
+                evaluate(&at_limit, &g),
+                "{opts:?}"
+            );
+        }
+        assert!(engine.explain_analyze(&wide(64)).is_err());
+    }
+
+    /// The parallel differential test: at widths 1, 2, and 8 the
+    /// parallel walk agrees exactly with the reference evaluator on
+    /// random full-NS–SPARQL patterns (the width-1 pool also certifies
+    /// the sequential seam).
+    #[test]
+    fn parallel_matches_reference_across_widths() {
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
             ..PatternConfig::standard(4, 5)
@@ -1097,7 +455,7 @@ mod tests {
                 let engine = Engine::new(&g);
                 assert_eq!(
                     eval_par(&engine, &p, &pool),
-                    eval(&engine, &p),
+                    evaluate(&p, &g),
                     "threads {threads}, seed {seed}, pattern {p}"
                 );
             }
@@ -1124,13 +482,13 @@ mod tests {
             })
             .collect();
         let union = Pattern::union_all(disjuncts);
-        assert_eq!(eval_par(&engine, &union, &pool), eval(&engine, &union));
+        assert_eq!(eval_par(&engine, &union, &pool), evaluate(&union, &g));
 
         // Partitioned AND-spine: the star fans ?x out to 40 candidates.
         let spine = Pattern::t("hub", "spoke", "?x")
             .and(Pattern::t("hub", "spoke", "?y"))
             .and(Pattern::t("hub", "spoke", "?z"));
-        assert_eq!(eval_par(&engine, &spine, &pool), eval(&engine, &spine));
+        assert_eq!(eval_par(&engine, &spine, &pool), evaluate(&spine, &g));
         assert_eq!(eval_par(&engine, &spine, &pool).len(), 40 * 40 * 40);
 
         // NS over layered optional extensions (large maximality input).
@@ -1139,13 +497,14 @@ mod tests {
         let ns = Pattern::t("?a", "next", "?b")
             .union(Pattern::t("?a", "next", "?b").and(Pattern::t("?b", "next", "?c")))
             .ns();
-        assert_eq!(eval_par(&engine, &ns, &pool), eval(&engine, &ns));
+        assert_eq!(eval_par(&engine, &ns, &pool), evaluate(&ns, &chain));
     }
 
-    /// The traced run is answer-identical to the plain one, and its
-    /// profile carries a span tree whose root reports the answer count.
+    /// The traced run is answer-identical to the reference (and to the
+    /// plain run), and its profile carries a span tree whose root
+    /// reports the answer count.
     #[test]
-    fn traced_matches_plain_and_records_spans() {
+    fn traced_matches_reference_and_records_spans() {
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
             ..PatternConfig::standard(4, 5)
@@ -1156,7 +515,7 @@ mod tests {
             let g =
                 generate::uniform(40, 5, 5, 5, seed ^ 0xfeed).union(&graph_over_pattern_iris(seed));
             let engine = Engine::new(&g);
-            let expected = eval(&engine, &p);
+            let expected = evaluate(&p, &g);
 
             let out = engine
                 .run(&p, &ExecOpts::seq().traced(), &pool)
@@ -1180,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_traced_matches_plain_across_widths() {
+    fn parallel_traced_matches_reference_across_widths() {
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
             ..PatternConfig::standard(4, 5)
@@ -1197,7 +556,7 @@ mod tests {
                     .expect(NO_BUDGET);
                 assert_eq!(
                     out.mappings,
-                    eval(&engine, &p),
+                    evaluate(&p, &g),
                     "threads {threads}, seed {seed}, pattern {p}"
                 );
                 assert!(!out.profile.expect("traced").spans.is_empty());
@@ -1223,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_optimized_agrees_with_sequential_optimized() {
+    fn parallel_optimized_agrees_with_reference() {
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
             ..PatternConfig::standard(4, 5)
@@ -1238,10 +597,7 @@ mod tests {
                     .run(&p, &ExecOpts::parallel().optimized(), &pool)
                     .expect(NO_BUDGET)
                     .mappings,
-                engine
-                    .run(&p, &ExecOpts::seq().optimized(), &pool)
-                    .expect(NO_BUDGET)
-                    .mappings,
+                evaluate(&p, &g),
                 "seed {seed}"
             );
         }

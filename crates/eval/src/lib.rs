@@ -3,24 +3,27 @@
 //! Evaluation engines for NS–SPARQL graph patterns and CONSTRUCT
 //! queries.
 //!
-//! Two engines are provided:
+//! The semantics `⟦·⟧G` is implemented exactly twice:
 //!
 //! * [`reference::evaluate`] — the *reference evaluator*, a literal
-//!   transcription of the paper's recursive semantics `⟦·⟧G`
-//!   (Sections 2.1, 5.1). Triple patterns scan the whole graph; every
-//!   operator calls the corresponding [`owql_algebra::MappingSet`]
-//!   operation. It is deliberately unoptimized: it *is* the spec.
-//! * [`engine::Engine`] — the indexed engine: triple patterns are
-//!   answered through SPO/POS/OSP indexes, `AND`-spines are evaluated
-//!   with greedy selectivity-ordered index nested-loop joins, and
-//!   bindings propagate into later triple patterns. Its results are
-//!   cross-validated against the reference evaluator by a large
-//!   randomized test suite (and the `engine_ablation` benchmark measures
-//!   the gap).
+//!   transcription of the paper's recursive semantics (Sections 2.1,
+//!   5.1). Triple patterns scan the whole graph; every operator calls
+//!   the corresponding [`owql_algebra::MappingSet`] operation. It is
+//!   deliberately unoptimized: it *is* the spec, and the tests use it
+//!   as the differential oracle.
+//! * [`engine::Engine`] — the production engine, one columnar walker
+//!   over dictionary-encoded id tables: triple patterns are
+//!   binary-searched ranges of id-sorted SPO/POS/OSP runs, `AND`-spines
+//!   are greedy selectivity-ordered joins with bindings propagating
+//!   into later scans, and terms are decoded once at the result
+//!   boundary. The same walk serves sequential, pool-parallel, traced
+//!   and sharded runs. Its results are cross-validated against the
+//!   reference evaluator by a large randomized test suite (and the
+//!   `engine_ablation` benchmark measures the gap).
 //!
 //! CONSTRUCT evaluation (Section 6.1) lives in [`mod@construct`].
 //!
-//! The single entry point of the indexed engine is [`Engine::run`]: an
+//! The single entry point of the engine is [`Engine::run`]: an
 //! [`ExecOpts`] value selects sequential vs pool-parallel scheduling,
 //! span tracing (the outcome then carries an [`owql_obs::Profile`]),
 //! the static optimizer, and a cooperative deadline enforced by an
@@ -35,7 +38,6 @@ pub mod optimize;
 pub mod plan;
 pub mod reference;
 pub mod run;
-pub mod sharded;
 
 pub use construct::construct;
 pub use engine::Engine;
@@ -43,7 +45,5 @@ pub use optimize::{optimize, optimize_with_stats};
 pub use plan::{AnnotatedNode, AnnotatedPlan, Plan};
 pub use reference::evaluate;
 pub use run::{
-    check_admission, ColumnarPath, EvalBudget, EvalError, ExecMode, ExecOpts, ExecOptsBuilder,
-    RunOutcome,
+    check_admission, EvalBudget, EvalError, ExecMode, ExecOpts, ExecOptsBuilder, RunOutcome,
 };
-pub use sharded::try_run_sharded;

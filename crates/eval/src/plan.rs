@@ -404,7 +404,7 @@ mod tests {
         let g = generate::star("hub", "spoke", 10);
         let engine = Engine::new(&g);
         let p = parse_pattern("((hub, spoke, ?x) AND (hub, spoke, ?y))").unwrap();
-        let analyzed = engine.explain_analyze(&p);
+        let analyzed = engine.explain_analyze(&p).expect("narrow pattern");
         assert_eq!(analyzed.answers, 100);
         assert_eq!(analyzed.roots.len(), 1);
         let root = &analyzed.roots[0];
@@ -437,7 +437,7 @@ mod tests {
               ((?x, p2, ?w) MINUS (?w, p3, ?v))) FILTER bound(?x))))",
         )
         .unwrap();
-        let analyzed = engine.explain_analyze(&p);
+        let analyzed = engine.explain_analyze(&p).expect("narrow pattern");
         let text = analyzed.to_string();
         for needle in ["NS", "SELECT", "FILTER", "UNION", "OPT", "MINUS", "SCAN"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -25,9 +25,9 @@
 //! PSPACE`) used as an operational resource bound.
 //!
 //! Deadlines are enforced *cooperatively*: an [`EvalBudget`] derived
-//! from [`ExecOpts::deadline`] is threaded through every evaluation
-//! path and checked between operators (and periodically inside the
-//! long nested-loop joins). An exceeded budget surfaces as
+//! from [`ExecOpts::deadline`] is threaded through the evaluator and
+//! checked between operators (and periodically inside each spine
+//! step). An exceeded budget surfaces as
 //! [`EvalError::Timeout`] — the evaluation unwinds cleanly instead of
 //! hanging, which is what lets a networked front-end map it to `504`
 //! without poisoning its worker pool.
@@ -78,18 +78,6 @@ pub struct ExecOpts {
     /// [`EvalError::AdmissionDenied`] if its statically determined
     /// complexity class ranks above this one. `None` admits everything.
     pub max_class: Option<owql_lint::ComplexityClass>,
-    /// Columnar dictionary-encoded evaluation: `Some(b)` forces it on
-    /// or off; `None` defers to the `OWQL_COLUMNAR` environment
-    /// variable (`0`/`false`/`off` disables; anything else — including
-    /// unset — enables). Traced runs stay columnar — the id-batch
-    /// evaluator records its own spans. The engine falls back to the
-    /// term-at-a-time path only when the backend serves no id view, the
-    /// pattern binds no variables, or its variable frame does not fit
-    /// the 64-column domain mask; every such fallback is reported in
-    /// [`RunOutcome::columnar_path`] (and, for traced runs, the
-    /// profile's `columnar.fallbacks` counter) rather than happening
-    /// silently.
-    pub columnar: Option<bool>,
     /// Slow-query threshold: store-level entry points log any query
     /// whose end-to-end latency reaches this bound into the metrics
     /// hub's ring-buffer slow-query log. `None` disables capture.
@@ -113,7 +101,6 @@ impl ExecOpts {
             optimize: false,
             deadline: None,
             max_class: None,
-            columnar: None,
             slow_query: None,
         }
     }
@@ -156,24 +143,11 @@ impl ExecOpts {
         self
     }
 
-    /// Forces the columnar id-encoded evaluation path on or off for
-    /// this run, overriding the `OWQL_COLUMNAR` environment default.
-    pub fn with_columnar(mut self, enabled: bool) -> ExecOpts {
-        self.columnar = Some(enabled);
-        self
-    }
-
     /// Sets the slow-query capture threshold (see
     /// [`ExecOpts::slow_query`]).
     pub fn with_slow_query(mut self, threshold: Duration) -> ExecOpts {
         self.slow_query = Some(threshold);
         self
-    }
-
-    /// Whether this run should try the columnar path (the engine still
-    /// falls back when the backend or query shape cannot serve it).
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar.unwrap_or_else(columnar_env_default)
     }
 
     /// A builder over [`ExecOpts::seq`] defaults. The chainable
@@ -246,12 +220,6 @@ impl ExecOptsBuilder {
         self
     }
 
-    /// Columnar path override; `None` defers to `OWQL_COLUMNAR`.
-    pub fn columnar(mut self, columnar: Option<bool>) -> Self {
-        self.opts.columnar = columnar;
-        self
-    }
-
     /// Slow-query capture threshold; `None` disables capture.
     pub fn slow_query(mut self, threshold: Option<Duration>) -> Self {
         self.opts.slow_query = threshold;
@@ -262,20 +230,6 @@ impl ExecOptsBuilder {
     pub fn build(self) -> ExecOpts {
         self.opts
     }
-}
-
-/// The process-wide `OWQL_COLUMNAR` default: on unless explicitly
-/// disabled (`0`, `false`, or `off`). Read once — it is a CI-level
-/// escape hatch, not a per-query switch (use
-/// [`ExecOpts::with_columnar`] for that).
-fn columnar_env_default() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| {
-        !matches!(
-            std::env::var("OWQL_COLUMNAR").as_deref().map(str::trim),
-            Ok("0") | Ok("false") | Ok("off")
-        )
-    })
 }
 
 /// Enforces [`ExecOpts::max_class`]: classifies `pattern` with the
@@ -320,6 +274,16 @@ pub enum EvalError {
         /// Display name of the paper fragment the classifier chose.
         fragment: String,
     },
+    /// The pattern mentions more distinct variables than one columnar
+    /// row can hold (domain masks are single 64-bit words). Rejected
+    /// before any evaluation work.
+    TooManyVariables {
+        /// Distinct variables in the pattern.
+        count: usize,
+        /// The most a pattern may mention
+        /// ([`owql_algebra::id_mapping::WIDTH_LIMIT`]).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -343,28 +307,18 @@ impl fmt::Display for EvalError {
                      evaluation is {class}-hard, above the configured {ceiling} ceiling"
                 )
             }
+            EvalError::TooManyVariables { count, limit } => {
+                write!(
+                    f,
+                    "pattern mentions {count} distinct variables; the evaluator supports at \
+                     most {limit}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for EvalError {}
-
-/// Which engine actually answered a run — the columnar id-batch
-/// evaluator, a forced fallback to the term-at-a-time engine, or the
-/// term engine because columnar was never requested. Lets store-level
-/// metrics count fallbacks even for untraced runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ColumnarPath {
-    /// Columnar evaluation was not requested for this run.
-    #[default]
-    Disabled,
-    /// The columnar engine served the answer.
-    Used,
-    /// Columnar was requested but the backend or query shape could not
-    /// serve it (no id view, no variables, or frame wider than the
-    /// 64-column domain mask) — the term-at-a-time engine answered.
-    Fallback,
-}
 
 /// What [`Engine::run`](crate::Engine::run) produced.
 #[derive(Clone, Debug)]
@@ -373,21 +327,19 @@ pub struct RunOutcome {
     pub mappings: owql_algebra::MappingSet,
     /// The recorded profile — `Some` iff [`ExecOpts::trace`] was set.
     pub profile: Option<owql_obs::Profile>,
-    /// Which engine answered (see [`ColumnarPath`]).
-    pub columnar_path: ColumnarPath,
     /// Certified pruning rewrites the optimizer applied before the
     /// engine saw the plan (all-zero unless [`ExecOpts::optimize`] was
     /// set and a lint-proven prune fired).
     pub prunes: owql_obs::PruneObs,
 }
 
-/// How many candidate mappings a nested-loop join processes between
-/// deadline checks. Checks read the clock, so they are amortized over a
+/// How many candidate rows a spine step extends between deadline
+/// checks. Checks read the clock, so they are amortized over a
 /// block of bindings; one block is far below any usable deadline.
 pub(crate) const BUDGET_CHECK_STRIDE: usize = 1024;
 
-/// A cooperative wall-clock budget, threaded by reference through every
-/// evaluation path of [`Engine`](crate::Engine).
+/// A cooperative wall-clock budget, threaded by reference through the
+/// evaluator behind [`Engine`](crate::Engine).
 ///
 /// The budget is shared across pool workers (it is `Sync`); once any
 /// checker observes the deadline passed, the `expired` flag makes every
@@ -444,8 +396,8 @@ impl EvalBudget {
     }
 
     /// Returns `Err(Timeout)` iff the deadline has passed. Called
-    /// between operators and every `BUDGET_CHECK_STRIDE` candidate
-    /// bindings inside join loops.
+    /// between operators and every `BUDGET_CHECK_STRIDE` candidate rows
+    /// inside a spine step.
     pub fn check(&self) -> Result<(), EvalError> {
         let Some(deadline) = self.deadline else {
             return Ok(());

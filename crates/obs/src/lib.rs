@@ -38,7 +38,7 @@
 //!   percentile in the repo buckets identically.
 //! * [`MetricsHub`] — the per-store accumulator: query latency,
 //!   per-operator wall time, WAL fsync and checkpoint histograms,
-//!   columnar run/fallback counters, and a ring-buffer [`SlowQuery`]
+//!   an evaluator-run counter, and a ring-buffer [`SlowQuery`]
 //!   log.
 //! * [`prometheus`] — text-format (0.0.4) exposition writers backing
 //!   the server's `GET /metrics`.

@@ -246,12 +246,8 @@ pub struct MetricsHub {
     pub checkpoint: Histogram,
     /// Queries served.
     pub queries_total: AtomicU64,
-    /// Queries answered by the columnar id-batch engine.
+    /// Queries the evaluator ran (served queries minus cache hits).
     pub columnar_runs: AtomicU64,
-    /// Queries that requested the columnar engine but were forced back
-    /// to the term-at-a-time path (no id view, empty variable frame, or
-    /// a frame wider than the 64-column domain mask).
-    pub columnar_fallbacks: AtomicU64,
     /// Queries that crossed the slow-query threshold.
     pub slow_queries_total: AtomicU64,
     /// Plan subtrees pruned as unsatisfiable FILTER conjunctions
@@ -351,12 +347,6 @@ impl MetricsHub {
             "Queries answered by the columnar id-batch engine.",
             self.columnar_runs.load(Ordering::Relaxed),
         );
-        prometheus::counter(
-            out,
-            "owql_columnar_fallbacks_total",
-            "Columnar-enabled queries forced back to the term-at-a-time engine.",
-            self.columnar_fallbacks.load(Ordering::Relaxed),
-        );
         prometheus::histogram(
             out,
             "owql_wal_fsync_seconds",
@@ -403,7 +393,6 @@ impl MetricsHub {
         let mut out = format!(
             "{{\n{indent}  \"queries_total\": {},\n\
              {indent}  \"columnar_runs\": {},\n\
-             {indent}  \"columnar_fallbacks\": {},\n\
              {indent}  \"slow_queries_total\": {},\n\
              {indent}  \"lint_prunes\": {{\"unsat_filters\": {}, \
              \"subsumed_branches\": {}, \"opt_collapses\": {}}},\n\
@@ -414,7 +403,6 @@ impl MetricsHub {
              {indent}  \"slow_queries\": [",
             self.queries_total.load(Ordering::Relaxed),
             self.columnar_runs.load(Ordering::Relaxed),
-            self.columnar_fallbacks.load(Ordering::Relaxed),
             self.slow_queries_total.load(Ordering::Relaxed),
             self.pruned_unsat_filters.load(Ordering::Relaxed),
             self.pruned_subsumed_branches.load(Ordering::Relaxed),
@@ -470,7 +458,6 @@ mod tests {
             hub.query_latency.record_ns(2_000_000);
         }
         hub.columnar_runs.fetch_add(4, Ordering::Relaxed);
-        hub.columnar_fallbacks.fetch_add(1, Ordering::Relaxed);
         hub.observe_prunes(PruneObs {
             unsat_filters: 2,
             subsumed_branches: 1,
@@ -509,7 +496,6 @@ mod tests {
             "owql_query_latency_seconds",
             "owql_operator_latency_seconds",
             "owql_columnar_runs_total",
-            "owql_columnar_fallbacks_total",
             "owql_wal_fsync_seconds",
             "owql_checkpoint_seconds",
             "owql_slow_queries_total",
@@ -527,7 +513,7 @@ mod tests {
         assert!(out.contains("owql_queries_total 5"));
         assert!(out.contains("owql_query_latency_seconds_count 5"));
         assert!(out.contains("op=\"NS\""));
-        assert!(out.contains("owql_columnar_fallbacks_total 1"));
+        assert!(out.contains("owql_columnar_runs_total 4"));
         assert!(out.contains("owql_lint_prunes_total{rule=\"FL003\"} 2"));
         assert!(out.contains("owql_lint_prunes_total{rule=\"UN002\"} 1"));
         assert!(out.contains("owql_lint_prunes_total{rule=\"BD001\"} 0"));
@@ -561,7 +547,7 @@ mod tests {
         let text = hub_with_traffic().to_json("  ");
         for key in [
             "\"queries_total\"",
-            "\"columnar_fallbacks\"",
+            "\"columnar_runs\"",
             "\"lint_prunes\"",
             "\"subsumed_branches\"",
             "\"query_latency\"",

@@ -47,9 +47,9 @@ impl NsObs {
 /// Columnar id-batch engine counters for one traced run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColumnarObs {
-    /// Columnar-enabled runs forced back to the term-at-a-time engine
-    /// (no id view, empty variable frame, or frame wider than the
-    /// 64-column domain mask).
+    /// Retired: always 0. The columnar walker is the only evaluator, so
+    /// there is nothing to fall back to; the field (and its JSON key)
+    /// stays because `owql_bench` reads it.
     pub fallbacks: u64,
     /// Galloping-scan probes answered by the memoized previous key.
     pub hint_hits: u64,

@@ -155,7 +155,6 @@ pub struct Recorder {
     chunks: AtomicU64,
     steals: AtomicU64,
     workers: Mutex<Vec<WorkerStat>>,
-    columnar_fallbacks: AtomicU64,
     hint_hits: AtomicU64,
     hint_misses: AtomicU64,
     decoded_rows: AtomicU64,
@@ -186,7 +185,6 @@ impl Recorder {
             chunks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
-            columnar_fallbacks: AtomicU64::new(0),
             hint_hits: AtomicU64::new(0),
             hint_misses: AtomicU64::new(0),
             decoded_rows: AtomicU64::new(0),
@@ -322,15 +320,6 @@ impl Recorder {
             });
     }
 
-    /// Counts one columnar-enabled run forced back to the
-    /// term-at-a-time engine (no id view, empty variable frame, or a
-    /// frame wider than the 64-column domain mask).
-    pub fn record_columnar_fallback(&self) {
-        if self.enabled {
-            self.columnar_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Accumulates galloping-scan hint reuse counters from one spine
     /// extension: `hits` = scans answered by the memoized previous key,
     /// `misses` = fresh `scan_from` probes.
@@ -440,7 +429,7 @@ impl Recorder {
                 opt_collapses: self.pruned_opt_collapses.load(Ordering::Relaxed),
             },
             columnar: crate::profile::ColumnarObs {
-                fallbacks: self.columnar_fallbacks.load(Ordering::Relaxed),
+                fallbacks: 0,
                 hint_hits: self.hint_hits.load(Ordering::Relaxed),
                 hint_misses: self.hint_misses.load(Ordering::Relaxed),
                 decoded_rows: self.decoded_rows.load(Ordering::Relaxed),

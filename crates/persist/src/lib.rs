@@ -13,9 +13,8 @@
 //! - **Binary index segments** ([`segment`]) — an immutable snapshot
 //!   file per checkpoint generation: a sorted term dictionary plus
 //!   SPO/POS/OSP runs of fixed-width id rows, written via temp-file +
-//!   rename with header and body CRCs. A loaded [`Segment`] implements
-//!   [`owql_rdf::TripleLookup`], so the evaluation engine can answer
-//!   triple patterns straight off the file's sorted runs.
+//!   rename with header and body CRCs. A loaded [`Segment`] answers
+//!   triple-pattern lookups straight off the file's sorted runs.
 //! - **Recovery** ([`recover`]) — load the newest segment that
 //!   validates (walking back over corrupt generations), replay the WAL
 //!   records past its epoch watermark, report what happened.
@@ -155,7 +154,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
     let report = RecoveryReport {
         segment_generation: segment.as_ref().map_or(0, |s| s.generation()),
         segment_epoch: watermark,
-        segment_triples: segment.as_ref().map_or(0, owql_rdf::TripleLookup::len),
+        segment_triples: segment.as_ref().map_or(0, Segment::len),
         replayed_records: replay.len() as u64,
         replayed_ops: replay.iter().map(|r| r.ops.len() as u64).sum(),
         stale_records,
@@ -174,7 +173,6 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
 mod tests {
     use super::*;
     use owql_rdf::term::triple;
-    use owql_rdf::TripleLookup;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("owql-persist-{name}-{}", std::process::id()));
@@ -216,7 +214,7 @@ mod tests {
         let recovered = recover(&dir).expect("recover");
         let segment = recovered.segment.expect("segment found");
         assert_eq!(segment.generation(), 2);
-        assert_eq!(TripleLookup::len(&segment), 1);
+        assert_eq!(segment.len(), 1);
         assert_eq!(
             recovered.replay.iter().map(|r| r.epoch).collect::<Vec<_>>(),
             vec![6, 7],

@@ -28,9 +28,8 @@
 //!
 //! Because the dictionary is sorted, numeric id comparison equals
 //! lexicographic term comparison, and each run is one contiguous
-//! sorted array — every triple-pattern shape the engine asks for
-//! ([`TripleLookup::matching`]) is a binary-searched **contiguous
-//! range** of exactly one run, which is why predicate-bound scans (the
+//! sorted array — every triple-pattern shape ([`Segment::matching`])
+//! is a binary-searched **contiguous range** of exactly one run, which is why predicate-bound scans (the
 //! dominant shape in practical SPARQL logs) are sequential reads.
 //!
 //! Segments are written to a temp file, fsync'd, then renamed into
@@ -39,7 +38,7 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_parent_dir;
-use owql_rdf::{Graph, GraphIndex, Iri, Triple, TripleLookup};
+use owql_rdf::{Graph, GraphIndex, Iri, Triple};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
@@ -170,10 +169,11 @@ pub fn write_segment(
     Ok(path)
 }
 
-/// A loaded, validated segment: the graph snapshot at its epoch,
-/// queryable in place (it implements [`TripleLookup`], so
-/// `Engine::with_index(segment)` evaluates straight off the sorted
-/// runs with no hash-index build).
+/// A loaded, validated segment: the graph snapshot at its epoch.
+/// Triple patterns can be looked up in place off the sorted runs; the
+/// evaluator runs on the [`GraphIndex`] a store decodes it into
+/// ([`Segment::to_graph_index`]), which carries the id state the
+/// engine needs.
 #[derive(Clone, Debug)]
 pub struct Segment {
     generation: u64,
@@ -395,8 +395,10 @@ enum RunOrder {
     Osp,
 }
 
-impl TripleLookup for Segment {
-    fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
+impl Segment {
+    /// The triples matching a pattern with optionally bound positions
+    /// (`None` means "any value").
+    pub fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
         let Some((order, key)) = self.plan(s, p, o) else {
             return Vec::new();
         };
@@ -408,7 +410,8 @@ impl TripleLookup for Segment {
             .collect()
     }
 
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
+    /// Number of matches for the pattern.
+    pub fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
         let Some((order, key)) = self.plan(s, p, o) else {
             return 0;
         };
@@ -416,7 +419,8 @@ impl TripleLookup for Segment {
         hi - lo
     }
 
-    fn contains(&self, t: &Triple) -> bool {
+    /// Membership test for a fully ground triple.
+    pub fn contains(&self, t: &Triple) -> bool {
         let Some((_, key)) = self.plan(Some(t.s), Some(t.p), Some(t.o)) else {
             return false;
         };
@@ -424,11 +428,18 @@ impl TripleLookup for Segment {
         self.spo.binary_search(&key).is_ok()
     }
 
-    fn len(&self) -> usize {
+    /// Number of triples in the segment.
+    pub fn len(&self) -> usize {
         self.spo.len()
     }
 
-    fn to_graph(&self) -> Graph {
+    /// `true` iff the segment holds no triple.
+    pub fn is_empty(&self) -> bool {
+        self.spo.is_empty()
+    }
+
+    /// Materializes the segment's triples as a [`Graph`].
+    pub fn to_graph(&self) -> Graph {
         self.triples().collect()
     }
 }
@@ -542,7 +553,7 @@ mod tests {
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.generation(), 3);
         assert_eq!(segment.epoch(), 17);
-        assert_eq!(TripleLookup::len(&segment), triples.len());
+        assert_eq!(segment.len(), triples.len());
         let mut want = triples.clone();
         want.sort();
         assert_eq!(segment.triples().collect::<Vec<_>>(), want);
@@ -567,13 +578,13 @@ mod tests {
         for &s in &terms {
             for &p in &terms {
                 for &o in &terms {
-                    let mut got = TripleLookup::matching(&segment, s, p, o);
+                    let mut got = segment.matching(s, p, o);
                     let mut want = reference.matching(s, p, o);
                     got.sort();
                     want.sort();
                     assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
                     assert_eq!(
-                        TripleLookup::cardinality(&segment, s, p, o),
+                        segment.cardinality(s, p, o),
                         want.len(),
                         "cardinality ({s:?}, {p:?}, {o:?})"
                     );
@@ -581,9 +592,9 @@ mod tests {
             }
         }
         for t in &triples {
-            assert!(TripleLookup::contains(&segment, t));
+            assert!(segment.contains(t));
         }
-        assert!(!TripleLookup::contains(&segment, &triple("zz", "p", "b")));
+        assert!(!segment.contains(&triple("zz", "p", "b")));
     }
 
     #[test]
@@ -594,7 +605,7 @@ mod tests {
         triples.reverse();
         let path = write_segment(&dir, 1, 1, &triples).expect("write");
         let segment = Segment::load(&path).expect("load");
-        assert_eq!(TripleLookup::len(&segment), sample().len());
+        assert_eq!(segment.len(), sample().len());
         assert_eq!(
             segment.to_graph(),
             graph_from(&[
@@ -613,9 +624,9 @@ mod tests {
         let dir = tmp("empty");
         let path = write_segment(&dir, 1, 0, &[]).expect("write");
         let segment = Segment::load(&path).expect("load");
-        assert_eq!(TripleLookup::len(&segment), 0);
+        assert_eq!(segment.len(), 0);
         assert_eq!(segment.term_count(), 0);
-        assert!(TripleLookup::matching(&segment, None, None, None).is_empty());
+        assert!(segment.matching(None, None, None).is_empty());
     }
 
     /// Any single flipped bit anywhere in the file is caught by a CRC

@@ -10,7 +10,7 @@
 //!   `GraphIndex` over the same triples.
 
 use owql_persist::{replay_bytes, write_segment, CommitRecord, Segment, Wal, WalOp};
-use owql_rdf::{GraphIndex, Iri, Triple, TripleLookup};
+use owql_rdf::{GraphIndex, Iri, Triple};
 use proptest::prelude::*;
 use std::path::PathBuf;
 

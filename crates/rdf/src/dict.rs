@@ -458,9 +458,7 @@ fn partition_from(run: &[[TermId; 3]], from: usize, pred: impl Fn(&[TermId; 3]) 
 /// dictionary plus base runs, optionally overlaid with delta runs
 /// (sharing the *same* dictionary) and a set of deleted base triples.
 ///
-/// Exposed through `TripleLookup::id_view`; `None` there means the
-/// backend cannot serve id scans and the engine must stay on the
-/// term-at-a-time path.
+/// Exposed through `TripleLookup::id_view`.
 #[derive(Clone, Copy, Debug)]
 pub struct IdView<'a> {
     /// The shared dictionary every id in `base`/`adds` was assigned by.

@@ -58,18 +58,15 @@ pub trait TripleLookup {
         self.matching(None, None, None).into_iter().collect()
     }
 
-    /// The id-encoded scan surface, if this backend can serve one
-    /// (a term dictionary plus sorted id runs covering exactly the
-    /// triples visible through this lookup). `None` keeps the engine on
-    /// the term-at-a-time path.
-    fn id_view(&self) -> Option<IdView<'_>> {
-        None
-    }
+    /// The id-encoded scan surface the evaluator runs on: a term
+    /// dictionary plus sorted id runs covering exactly the triples
+    /// visible through this lookup.
+    fn id_view(&self) -> IdView<'_>;
 }
 
-/// The dictionary + sorted-run state a [`GraphIndex`] optionally carries
-/// to serve id scans.
-#[derive(Clone, Debug)]
+/// The dictionary + sorted-run state a [`GraphIndex`] carries to serve
+/// id scans.
+#[derive(Clone, Debug, Default)]
 struct IdState {
     dict: Arc<TermDict>,
     runs: IdRuns,
@@ -90,9 +87,9 @@ pub struct GraphIndex {
     by_po: HashMap<(Iri, Iri), Vec<Triple>>,
     by_so: HashMap<(Iri, Iri), Vec<Triple>>,
     /// Id-encoded twin of `all`: dictionary + SPO/POS/OSP sorted runs.
-    /// Bulk constructors always attach it; [`GraphIndex::default`] does
-    /// not (attach one with [`GraphIndex::with_dict`]).
-    ids: Option<IdState>,
+    /// [`GraphIndex::default`] starts on a private empty dictionary
+    /// (re-home it with [`GraphIndex::with_dict`]).
+    ids: IdState,
 }
 
 impl GraphIndex {
@@ -129,7 +126,7 @@ impl GraphIndex {
             idx.index_entry(t);
         }
         let runs = IdRuns::build(&idx.all, &dict);
-        idx.ids = Some(IdState { dict, runs });
+        idx.ids = IdState { dict, runs };
         idx
     }
 
@@ -139,19 +136,18 @@ impl GraphIndex {
     /// segment) onto the store-wide dictionary.
     pub fn with_dict(mut self, dict: Arc<TermDict>) -> Self {
         let runs = IdRuns::build(&self.all, &dict);
-        self.ids = Some(IdState { dict, runs });
+        self.ids = IdState { dict, runs };
         self
     }
 
-    /// The dictionary this index's id runs are encoded with, if id
-    /// state is attached.
-    pub fn dict(&self) -> Option<&Arc<TermDict>> {
-        self.ids.as_ref().map(|s| &s.dict)
+    /// The dictionary this index's id runs are encoded with.
+    pub fn dict(&self) -> &Arc<TermDict> {
+        &self.ids.dict
     }
 
-    /// The id-encoded sorted runs, if id state is attached.
-    pub fn id_runs(&self) -> Option<&IdRuns> {
-        self.ids.as_ref().map(|s| &s.runs)
+    /// The id-encoded sorted runs.
+    pub fn id_runs(&self) -> &IdRuns {
+        &self.ids.runs
     }
 
     fn index_entry(&mut self, t: Triple) {
@@ -175,14 +171,13 @@ impl GraphIndex {
             Err(pos) => {
                 self.all.insert(pos, t);
                 self.index_entry(t);
-                if let Some(ids) = &mut self.ids {
-                    let row = [
-                        ids.dict.intern(t.s),
-                        ids.dict.intern(t.p),
-                        ids.dict.intern(t.o),
-                    ];
-                    ids.runs.insert(row);
-                }
+                let ids = &mut self.ids;
+                let row = [
+                    ids.dict.intern(t.s),
+                    ids.dict.intern(t.p),
+                    ids.dict.intern(t.o),
+                ];
+                ids.runs.insert(row);
                 true
             }
         }
@@ -213,11 +208,9 @@ impl GraphIndex {
                 unindex(&mut self.by_sp, (t.s, t.p), t);
                 unindex(&mut self.by_po, (t.p, t.o), t);
                 unindex(&mut self.by_so, (t.s, t.o), t);
-                if let Some(ids) = &mut self.ids {
-                    // A present triple's terms are always interned.
-                    if let Some(rows) = ids.dict.encode_all(std::slice::from_ref(t)) {
-                        ids.runs.remove(rows[0]);
-                    }
+                // A present triple's terms are always interned.
+                if let Some(rows) = self.ids.dict.encode_all(std::slice::from_ref(t)) {
+                    self.ids.runs.remove(rows[0]);
                 }
                 true
             }
@@ -313,8 +306,8 @@ impl TripleLookup for GraphIndex {
         GraphIndex::len(self)
     }
 
-    fn id_view(&self) -> Option<IdView<'_>> {
-        self.ids.as_ref().map(|s| IdView::plain(&s.dict, &s.runs))
+    fn id_view(&self) -> IdView<'_> {
+        IdView::plain(&self.ids.dict, &self.ids.runs)
     }
 }
 
@@ -330,6 +323,8 @@ impl TripleLookup for GraphIndex {
 ///
 /// Invariants (maintained by `owql-store`, debug-asserted here):
 /// `adds ∩ base = ∅`, `dels ⊆ base`, and therefore `adds ∩ dels = ∅`.
+/// Base and overlay always share one dictionary, so their id runs are
+/// comparable (see [`SnapshotIndex::new`]).
 #[derive(Clone, Debug)]
 pub struct SnapshotIndex {
     base: Arc<GraphIndex>,
@@ -338,7 +333,10 @@ pub struct SnapshotIndex {
 }
 
 impl SnapshotIndex {
-    /// Wraps a base index and its overlay.
+    /// Wraps a base index and its overlay. An overlay encoded with a
+    /// different dictionary than the base is re-encoded onto the base's
+    /// (`owql-store` always passes a shared one, so this costs it
+    /// nothing).
     pub fn new(base: Arc<GraphIndex>, adds: Arc<GraphIndex>, dels: Arc<HashSet<Triple>>) -> Self {
         debug_assert!(
             adds.all().iter().all(|t| !base.contains(t)),
@@ -348,16 +346,21 @@ impl SnapshotIndex {
             dels.iter().all(|t| base.contains(t)),
             "dels must be a subset of the base"
         );
+        let adds = if Arc::ptr_eq(base.dict(), adds.dict()) {
+            adds
+        } else {
+            Arc::new(GraphIndex::clone(&adds).with_dict(base.dict().clone()))
+        };
         SnapshotIndex { base, adds, dels }
     }
 
     /// A snapshot of a plain graph with an empty overlay.
     pub fn from_graph(graph: &Graph) -> Self {
-        SnapshotIndex {
-            base: Arc::new(GraphIndex::build(graph)),
-            adds: Arc::new(GraphIndex::default()),
-            dels: Arc::new(HashSet::new()),
-        }
+        SnapshotIndex::new(
+            Arc::new(GraphIndex::build(graph)),
+            Arc::default(),
+            Arc::default(),
+        )
     }
 
     /// The shared base index.
@@ -422,22 +425,14 @@ impl TripleLookup for SnapshotIndex {
         self.base.len() - self.dels.len() + self.adds.len()
     }
 
-    /// A merged id view exists only when base and overlay carry id
-    /// state encoded by the *same* dictionary (the invariant
-    /// `owql-store` maintains); otherwise the ids of the two run sets
-    /// are not comparable and the engine must stay on the term path.
-    fn id_view(&self) -> Option<IdView<'_>> {
-        let base = self.base.ids.as_ref()?;
-        let adds = self.adds.ids.as_ref()?;
-        if !Arc::ptr_eq(&base.dict, &adds.dict) {
-            return None;
-        }
-        Some(IdView {
+    fn id_view(&self) -> IdView<'_> {
+        let (base, adds) = (&self.base.ids, &self.adds.ids);
+        IdView {
             dict: &base.dict,
             base: &base.runs,
             adds: (!adds.runs.is_empty()).then_some(&adds.runs),
             dels: (!self.dels.is_empty()).then_some(&self.dels),
-        })
+        }
     }
 }
 
@@ -618,6 +613,26 @@ mod tests {
 
             assert_eq!(TripleLookup::len(&snap), fresh.len());
             assert_eq!(snap.to_graph(), net);
+
+            // Base and adds were built on different dictionaries: the
+            // snapshot re-homed the overlay, so one dictionary resolves
+            // the id view's base and add rows to the net graph.
+            let view = snap.id_view();
+            let del_rows = view.del_rows();
+            let resolve = |id| view.dict.resolve(id).expect("interned");
+            let live: Graph = view
+                .base
+                .spo()
+                .iter()
+                .filter(|row| !del_rows.contains(*row))
+                .chain(view.adds.expect("non-empty add tier").spo())
+                .map(|&[s, p, o]| Triple {
+                    s: resolve(s),
+                    p: resolve(p),
+                    o: resolve(o),
+                })
+                .collect();
+            assert_eq!(live, net);
             let terms = [
                 None,
                 Some(Iri::new("a")),

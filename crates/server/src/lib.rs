@@ -17,7 +17,7 @@
 //! | `GET /metrics` | — | Prometheus text (or `?format=json`) |
 //!
 //! `"opts"` keys: `mode` (`"seq"`/`"parallel"`), `trace`, `cache`,
-//! `optimize`, `columnar` (booleans), `deadline_ms`, `slow_ms`
+//! `optimize` (booleans), `deadline_ms`, `slow_ms`
 //! (integers), `max_class` (complexity-class name, tighten-only).
 //! Errors answer a unified envelope
 //! `{"error": {"code", "message", "span"?, "retry_after"?}}`.

@@ -386,7 +386,6 @@ fn parse_opts(req: &Request, config: &ServerConfig) -> Result<ExecOpts, HttpErro
             "trace" => builder.trace(parse_flag(key, value)?),
             "cache" => builder.cache(parse_flag(key, value)?),
             "optimize" => builder.optimize(parse_flag(key, value)?),
-            "columnar" => builder.columnar(Some(parse_flag(key, value)?)),
             "slow_ms" => {
                 let ms: u64 = value
                     .parse()
@@ -482,7 +481,6 @@ fn v1_opts(opts: Option<&reqjson::JsonValue>, config: &ServerConfig) -> Result<E
             "trace" => builder.trace(v1_bool(value, "trace")?),
             "cache" => builder.cache(v1_bool(value, "cache")?),
             "optimize" => builder.optimize(v1_bool(value, "optimize")?),
-            "columnar" => builder.columnar(Some(v1_bool(value, "columnar")?)),
             "deadline_ms" => builder.deadline_ms(Some(v1_u64(value, "deadline_ms")?)),
             "slow_ms" => builder.slow_query(Some(Duration::from_millis(v1_u64(value, "slow_ms")?))),
             "max_class" => {
@@ -657,8 +655,11 @@ fn mappings_json_into(out: &mut String, mappings: &owql_algebra::MappingSet) {
         // and reused while consecutive rows match it. The match check
         // compares interned `Variable` handles — integer equality, no
         // name resolution.
+        // The cache starts out describing the empty domain, so an
+        // answer set led by `µ∅` (a matching fully ground pattern)
+        // renders without a rebuild.
         let mut domain: Vec<owql_algebra::Variable> = Vec::new();
-        let mut segments: Vec<String> = Vec::new();
+        let mut segments: Vec<String> = vec!["{}".to_owned()];
         let mut dom = 0u32;
         let mut key_off = 0usize;
         for m in mappings.iter() {
@@ -1018,6 +1019,7 @@ fn v1_query(
                 .with_diagnostic(diagnostic.to_json(&text))
                 .reply()
         }
+        Err(e @ EvalError::TooManyVariables { .. }) => ApiError::bad_request(e.to_string()).reply(),
         #[allow(unreachable_patterns)] // EvalError is #[non_exhaustive]
         Err(e) => ApiError::new(500, "internal", e.to_string()).reply(),
     }
@@ -1031,7 +1033,10 @@ fn v1_explain(req: &Request, store: &Store, config: &ServerConfig) -> Reply {
         Ok(parsed) => parsed,
         Err(e) => return e.reply(),
     };
-    Reply::json(200, explain_body(store, &pattern, opts.optimize))
+    match explain_body(store, &pattern, opts.optimize) {
+        Ok(body) => Reply::json(200, body),
+        Err(e) => ApiError::bad_request(e.to_string()).reply(),
+    }
 }
 
 /// `POST /v1/lint`: JSON envelope in, full static analysis out.
@@ -1094,6 +1099,7 @@ fn answer_query(
                 ),
             )
         }
+        Err(e @ EvalError::TooManyVariables { .. }) => Reply::json(400, error_body(&e.to_string())),
         #[allow(unreachable_patterns)] // EvalError is #[non_exhaustive]
         Err(e) => Reply::json(500, error_body(&e.to_string())),
     }
@@ -1151,11 +1157,16 @@ fn answer_lint(req: &Request) -> Reply {
 /// `optimize` set the certified-pruning optimizer rewrites the plan
 /// first — the EXPLAIN then shows what the engine would actually run,
 /// and a `"prunes"` section reports which lint-proven rewrites fired.
-fn explain_body(store: &Store, pattern: &owql_algebra::Pattern, optimize: bool) -> String {
+/// The run has no deadline, so the only error is an over-wide pattern.
+fn explain_body(
+    store: &Store,
+    pattern: &owql_algebra::Pattern,
+    optimize: bool,
+) -> Result<String, EvalError> {
     let snapshot = store.snapshot();
     let prunes = optimize.then(|| owql_eval::optimize_with_stats(pattern));
     let pattern = prunes.as_ref().map(|(p, _)| p).unwrap_or(pattern);
-    let plan = snapshot.engine().explain_analyze(pattern);
+    let plan = snapshot.engine().explain_analyze(pattern)?;
     let mut out = format!(
         "{{\"epoch\": {}, \"answers\": {}, \"total_ms\": {}, \"plan\": {}",
         snapshot.epoch(),
@@ -1176,7 +1187,7 @@ fn explain_body(store: &Store, pattern: &owql_algebra::Pattern, optimize: bool) 
         );
     }
     out.push_str("}\n");
-    out
+    Ok(out)
 }
 
 /// `POST /explain` (legacy): pattern text in, EXPLAIN ANALYZE out.
@@ -1186,7 +1197,10 @@ fn answer_explain(req: &Request, store: &Store, config: &ServerConfig) -> Reply 
         Ok(parsed) => parsed,
         Err(e) => return Reply::json(e.status, error_body(&e.message)),
     };
-    Reply::json(200, explain_body(store, &pattern, opts.optimize))
+    match explain_body(store, &pattern, opts.optimize) {
+        Ok(body) => Reply::json(200, body),
+        Err(e) => Reply::json(400, error_body(&e.to_string())),
+    }
 }
 
 /// Shared body+options parsing for the legacy `/query` and `/explain`.
@@ -2143,12 +2157,9 @@ mod tests {
         assert!(opts.cache);
         assert_eq!(opts.deadline, config.default_deadline);
         assert_eq!(opts.slow_query, config.slow_query_threshold);
-        assert_eq!(opts.columnar, None);
 
-        // Per-request overrides for the columnar engine and the
-        // slow-query threshold.
-        let opts = parse_opts(&get_req("/query?columnar=0&slow_ms=5"), &config).expect("valid");
-        assert_eq!(opts.columnar, Some(false));
+        // Per-request override for the slow-query threshold.
+        let opts = parse_opts(&get_req("/query?slow_ms=5"), &config).expect("valid");
         assert_eq!(opts.slow_query, Some(Duration::from_millis(5)));
 
         assert!(parse_opts(&get_req("/query?mode=warp"), &config).is_err());
@@ -2156,7 +2167,8 @@ mod tests {
         assert!(parse_opts(&get_req("/query?bogus=1"), &config).is_err());
         assert!(parse_opts(&get_req("/query?deadline_ms=abc"), &config).is_err());
         assert!(parse_opts(&get_req("/query?slow_ms=fast"), &config).is_err());
-        assert!(parse_opts(&get_req("/query?columnar=maybe"), &config).is_err());
+        // The retired evaluator switch is an unknown parameter now.
+        assert!(parse_opts(&get_req("/query?columnar=1"), &config).is_err());
     }
 
     #[test]
@@ -2199,14 +2211,13 @@ mod tests {
         let config = ServerConfig::default();
         let doc = reqjson::parse(
             r#"{"mode": "parallel", "trace": true, "cache": false,
-                "columnar": true, "deadline_ms": 250, "slow_ms": 5}"#,
+                "deadline_ms": 250, "slow_ms": 5}"#,
         )
         .expect("valid json");
         let opts = v1_opts(Some(&doc), &config).expect("valid");
         assert_eq!(opts.mode, ExecMode::Parallel);
         assert!(opts.trace);
         assert!(!opts.cache);
-        assert_eq!(opts.columnar, Some(true));
         assert_eq!(opts.deadline, Some(Duration::from_millis(250)));
         assert_eq!(opts.slow_query, Some(Duration::from_millis(5)));
 
@@ -2220,6 +2231,7 @@ mod tests {
             r#"{"deadline_ms": -1}"#,
             r#"{"deadline_ms": 2.5}"#,
             r#"{"bogus": 1}"#,
+            r#"{"columnar": true}"#,
             r#"{"max_class": 3}"#,
         ] {
             let doc = reqjson::parse(bad).expect("valid json");
@@ -2237,6 +2249,8 @@ mod tests {
         let json = mappings_json(&set);
         assert_eq!(json, r#"[{"a": "A", "b": "B"}, {"a": "quo\"te"}]"#);
         assert!(mappings_json(&owql_algebra::MappingSet::new()) == "[]");
+        // An answer set led by (here: consisting of) the empty mapping.
+        assert_eq!(mappings_json(&owql_algebra::MappingSet::unit()), "[{}]");
     }
 
     #[test]
@@ -2379,7 +2393,6 @@ mod tests {
             ("owql_query_latency_seconds", "histogram"),
             ("owql_operator_latency_seconds", "histogram"),
             ("owql_columnar_runs_total", "counter"),
-            ("owql_columnar_fallbacks_total", "counter"),
             ("owql_wal_fsync_seconds", "histogram"),
             ("owql_checkpoint_seconds", "histogram"),
             ("owql_slow_queries_total", "counter"),

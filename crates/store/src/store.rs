@@ -29,7 +29,7 @@
 use crate::cache::{cache_key, CacheStats, QueryCache};
 use owql_algebra::mapping_set::MappingSet;
 use owql_algebra::pattern::Pattern;
-use owql_eval::{ColumnarPath, Engine, EvalError, ExecMode, ExecOpts};
+use owql_eval::{Engine, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_exec::Pool;
 use owql_obs::{MetricsHub, PersistObs, Profile, ShardMetrics, SlowQuery, StoreObs};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
@@ -87,11 +87,6 @@ pub struct QueryOutcome {
     pub epoch: u64,
     /// `true` iff the answer came from the epoch-keyed query cache.
     pub cache_hit: bool,
-    /// Which engine served the request: `Used` when the columnar
-    /// id-batch path answered, `Fallback` when it was requested but the
-    /// term-at-a-time engine had to take over, `Disabled` otherwise
-    /// (including cache hits, which run no engine at all).
-    pub columnar_path: ColumnarPath,
     /// Certified pruning rewrites the optimizer applied to the plan
     /// (all-zero unless the request asked for optimization and a
     /// lint-proven prune fired; cache hits run no optimizer).
@@ -385,8 +380,8 @@ fn indexer_loop(inner: Arc<RwLock<StoreInner>>, persist: Arc<PersistState>) {
 struct StoreInner {
     /// The store-wide term dictionary. Append-only: ids survive
     /// compactions and epochs, and both `base` and `adds` encode their
-    /// id runs with it (the invariant that makes the merged snapshot
-    /// `id_view` valid).
+    /// id runs with it, so a snapshot's merged `id_view` is built
+    /// without re-encoding.
     dict: Arc<TermDict>,
     base: Arc<GraphIndex>,
     /// Net additions (disjoint from `base`), incrementally indexed.
@@ -483,55 +478,47 @@ impl Snapshot {
         pool: &Pool,
     ) -> Result<QueryOutcome, EvalError> {
         let out = self.engine().run(&req.pattern, &req.opts, pool)?;
-        let mut profile = out.profile;
-        if let Some(p) = profile.as_mut() {
-            p.query = Some(req.pattern.to_string());
-            p.answers = Some(out.mappings.len() as u64);
-        }
-        Ok(QueryOutcome {
-            mappings: out.mappings,
-            profile,
-            epoch: self.epoch,
-            cache_hit: false,
-            columnar_path: out.columnar_path,
-            prunes: out.prunes,
-        })
+        Ok(self.outcome(req, out))
     }
 
     /// Scatter-gather variant of [`Snapshot::query_request`]: answers
     /// `req` across `rt`'s shards, all pinned to this snapshot's epoch.
-    /// `None` means the pattern or backend is outside the sharded
-    /// columnar envelope — fall back to [`Snapshot::query_request`].
     pub fn query_request_sharded(
         &self,
         req: &QueryRequest,
         rt: &ShardRuntime,
         metrics: Option<&ShardMetrics>,
-    ) -> Option<Result<QueryOutcome, EvalError>> {
-        let runs = rt.runs_for(self)?;
+    ) -> Result<QueryOutcome, EvalError> {
+        let runs = rt.runs_for(self);
         let out = self
             .engine()
             .run_sharded(&req.pattern, &req.opts, &runs, rt.pools(), metrics)?;
-        Some(out.map(|out| {
-            let mut profile = out.profile;
-            if let Some(p) = profile.as_mut() {
-                p.query = Some(req.pattern.to_string());
-                p.answers = Some(out.mappings.len() as u64);
-            }
-            QueryOutcome {
-                mappings: out.mappings,
-                profile,
-                epoch: self.epoch,
-                cache_hit: false,
-                columnar_path: out.columnar_path,
-                prunes: out.prunes,
-            }
-        }))
+        Ok(self.outcome(req, out))
+    }
+
+    /// Stamps an engine run with this snapshot's epoch and labels its
+    /// profile with the request.
+    fn outcome(&self, req: &QueryRequest, out: RunOutcome) -> QueryOutcome {
+        let mut profile = out.profile;
+        if let Some(p) = profile.as_mut() {
+            p.query = Some(req.pattern.to_string());
+            p.answers = Some(out.mappings.len() as u64);
+        }
+        QueryOutcome {
+            mappings: out.mappings,
+            profile,
+            epoch: self.epoch,
+            cache_hit: false,
+            prunes: out.prunes,
+        }
     }
 
     /// EXPLAIN ANALYZE against this snapshot (see
     /// [`owql_eval::AnnotatedPlan`]).
-    pub fn explain_analyze(&self, pattern: &Pattern) -> owql_eval::AnnotatedPlan {
+    pub fn explain_analyze(
+        &self,
+        pattern: &Pattern,
+    ) -> Result<owql_eval::AnnotatedPlan, EvalError> {
         self.engine().explain_analyze(pattern)
     }
 
@@ -597,26 +584,23 @@ impl ShardRuntime {
     }
 
     /// The shard partition for `snapshot`'s epoch, building (and
-    /// caching) it on first use. `None` when the snapshot serves no id
-    /// view (mixed-dictionary delta) — callers fall back to unsharded
-    /// evaluation.
-    pub fn runs_for(&self, snapshot: &Snapshot) -> Option<Arc<Vec<IdRuns>>> {
+    /// caching) it on first use.
+    pub fn runs_for(&self, snapshot: &Snapshot) -> Arc<Vec<IdRuns>> {
         let epoch = snapshot.epoch();
         {
             let guard = self.runs.lock().expect("shard runs lock poisoned");
             if let Some((e, runs)) = guard.as_ref() {
                 if *e == epoch {
-                    return Some(runs.clone());
+                    return runs.clone();
                 }
             }
         }
-        let view = snapshot.index().id_view()?;
-        let built = Arc::new(shard_rows(&view, self.shards));
+        let built = Arc::new(shard_rows(&snapshot.index().id_view(), self.shards));
         let mut guard = self.runs.lock().expect("shard runs lock poisoned");
         // Last writer wins: under churn two epochs can race here, and
         // whichever publishes second simply serves the next rebuild.
         *guard = Some((epoch, built.clone()));
-        Some(built)
+        built
     }
 }
 
@@ -648,8 +632,8 @@ pub struct Store {
     inner: Arc<RwLock<StoreInner>>,
     cache: QueryCache,
     opts: StoreOptions,
-    /// Cross-query metrics: latency histograms, columnar engine
-    /// counters, and the slow-query log (see [`Store::metrics_hub`]).
+    /// Cross-query metrics: latency histograms, the evaluator-run
+    /// counter, and the slow-query log (see [`Store::metrics_hub`]).
     hub: Arc<MetricsHub>,
     /// Durable side — `Some` iff opened with [`Store::open`].
     persist: Option<Arc<PersistState>>,
@@ -1072,14 +1056,8 @@ impl Store {
         let elapsed = started.elapsed();
         self.hub.queries_total.fetch_add(1, Ordering::Relaxed);
         self.hub.query_latency.record(elapsed);
-        match outcome.columnar_path {
-            ColumnarPath::Used => {
-                self.hub.columnar_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            ColumnarPath::Fallback => {
-                self.hub.columnar_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            ColumnarPath::Disabled => {}
+        if !outcome.cache_hit {
+            self.hub.columnar_runs.fetch_add(1, Ordering::Relaxed);
         }
         self.hub.observe_prunes(outcome.prunes);
         if let Some(profile) = &outcome.profile {
@@ -1134,7 +1112,6 @@ impl Store {
                     profile,
                     epoch: snapshot.epoch(),
                     cache_hit: true,
-                    columnar_path: ColumnarPath::Disabled,
                     prunes: owql_obs::PruneObs::default(),
                 });
             }
@@ -1156,10 +1133,9 @@ impl Store {
         }
     }
 
-    /// Evaluates `req` against `snapshot`, preferring the sharded
-    /// scatter-gather path when a [`ShardRuntime`] is enabled and the
-    /// request asks for parallel scheduling; anything outside the
-    /// sharded envelope falls back to the snapshot's single-node path.
+    /// Evaluates `req` against `snapshot`, scattering over the
+    /// [`ShardRuntime`] when one is enabled and the request asks for
+    /// parallel scheduling.
     fn eval_snapshot(
         &self,
         snapshot: &Snapshot,
@@ -1168,10 +1144,7 @@ impl Store {
     ) -> Result<QueryOutcome, EvalError> {
         if req.opts.mode == ExecMode::Parallel {
             if let Some(rt) = self.shard_runtime() {
-                if let Some(out) = snapshot.query_request_sharded(req, &rt, Some(&self.hub.shards))
-                {
-                    return out;
-                }
+                return snapshot.query_request_sharded(req, &rt, Some(&self.hub.shards));
             }
         }
         snapshot.query_request(req, pool)
@@ -1220,8 +1193,8 @@ impl Store {
     }
 
     /// The store's cross-query metrics hub: latency histograms
-    /// (query / per-operator / WAL fsync / checkpoint), columnar
-    /// run-vs-fallback counters, and the slow-query ring buffer. Shared
+    /// (query / per-operator / WAL fsync / checkpoint), the
+    /// evaluator-run counter, and the slow-query ring buffer. Shared
     /// (`Arc`) with the background indexer; the HTTP server renders it
     /// on `GET /metrics`.
     pub fn metrics_hub(&self) -> Arc<MetricsHub> {
@@ -1676,21 +1649,20 @@ mod tests {
         let p = Pattern::t("?x", "knows", "?y").and(Pattern::t("?y", "knows", "?z"));
         for round in 0..3 {
             let snap = store.snapshot();
-            let runs1 = rt.runs_for(&snap).expect("id view");
-            let runs2 = rt.runs_for(&snap).expect("id view");
+            let runs1 = rt.runs_for(&snap);
+            let runs2 = rt.runs_for(&snap);
             assert!(
                 Arc::ptr_eq(&runs1, &runs2),
                 "same epoch must reuse the cached partition"
             );
             let sharded = QueryRequest::with_opts(p.clone(), ExecOpts::parallel().uncached());
-            let seq = QueryRequest::with_opts(p.clone(), ExecOpts::seq().uncached());
             let got = store.query_request(&sharded, &pool).expect(NO_BUDGET);
-            let want = store.query_request(&seq, &pool).expect(NO_BUDGET);
-            assert_eq!(got.mappings, want.mappings, "round {round}");
+            let want = owql_eval::evaluate(&p, &store.to_graph());
+            assert_eq!(got.mappings, want, "round {round}");
             // Churn: the next epoch must rebuild the partition.
             store.insert(Triple::new(&format!("n{round}"), "knows", "a"));
             let next = store.snapshot();
-            let runs3 = rt.runs_for(&next).expect("id view");
+            let runs3 = rt.runs_for(&next);
             assert!(!Arc::ptr_eq(&runs1, &runs3), "new epoch rebuilds");
         }
         let hub = store.metrics_hub();
@@ -1699,31 +1671,31 @@ mod tests {
     }
 
     /// Every served query lands in the hub: the total counter, the
-    /// latency histogram, and — for columnar-capable requests — the
-    /// run/fallback counters.
+    /// latency histogram, and — when the evaluator actually ran — the
+    /// run counter.
     #[test]
     fn metrics_hub_counts_queries_and_columnar_runs() {
         let store = Store::from_graph(&graph_from(&[("a", "p", "b"), ("b", "p", "c")]));
         let hub = store.metrics_hub();
         let p = Pattern::t("?x", "p", "?y");
-        store.query(&p); // miss → evaluated (columnar, default-on)
+        store.query(&p); // miss → evaluated
         store.query(&p); // cache hit → still counted, no engine ran
         assert_eq!(hub.queries_total.load(Ordering::Relaxed), 2);
         assert_eq!(hub.query_latency.snapshot().count, 2);
-        let runs = hub.columnar_runs.load(Ordering::Relaxed);
-        let fallbacks = hub.columnar_fallbacks.load(Ordering::Relaxed);
-        assert_eq!(runs + fallbacks, 1, "one engine run, one cache hit");
-
-        // A request with columnar forced off records neither counter.
-        let req = QueryRequest::with_opts(
-            Pattern::t("?x", "p", "c"),
-            ExecOpts::seq().uncached().with_columnar(false),
+        assert_eq!(
+            hub.columnar_runs.load(Ordering::Relaxed),
+            1,
+            "one engine run, one cache hit"
         );
-        store
+
+        // An uncached request — here a fully ground one — runs the
+        // evaluator again.
+        let req = QueryRequest::with_opts(Pattern::t("a", "p", "b"), ExecOpts::seq().uncached());
+        let out = store
             .query_request(&req, &Pool::sequential())
             .expect(NO_BUDGET);
-        assert_eq!(hub.columnar_runs.load(Ordering::Relaxed), runs);
-        assert_eq!(hub.columnar_fallbacks.load(Ordering::Relaxed), fallbacks);
+        assert_eq!(out.mappings, MappingSet::unit());
+        assert_eq!(hub.columnar_runs.load(Ordering::Relaxed), 2);
         assert_eq!(hub.queries_total.load(Ordering::Relaxed), 3);
     }
 

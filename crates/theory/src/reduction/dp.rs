@@ -88,7 +88,7 @@ mod tests {
             assert_eq!(inst.instance.decide(), expected, "case {i}");
             assert_eq!(
                 inst.instance.decide_indexed(),
-                expected,
+                Ok(expected),
                 "case {i} (indexed)"
             );
         }

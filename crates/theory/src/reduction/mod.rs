@@ -49,16 +49,17 @@ impl EvalInstance {
         owql_eval::reference::evaluate(&self.pattern, &self.graph).contains(&self.mapping)
     }
 
-    /// Decides the instance with the indexed engine.
-    pub fn decide_indexed(&self) -> bool {
-        owql_eval::Engine::new(&self.graph)
-            .run(
-                &self.pattern,
-                &owql_eval::ExecOpts::seq(),
-                &owql_exec::Pool::sequential(),
-            )
-            .expect("unlimited budget cannot time out")
-            .mappings
-            .contains(&self.mapping)
+    /// Decides the instance with the production engine. The run has no
+    /// deadline, so the only error is
+    /// [`owql_eval::EvalError::TooManyVariables`]: a reduction over a
+    /// large formula can mention more than the engine's 64 variables
+    /// ([`EvalInstance::decide`] has no such limit).
+    pub fn decide_indexed(&self) -> Result<bool, owql_eval::EvalError> {
+        let outcome = owql_eval::Engine::new(&self.graph).run(
+            &self.pattern,
+            &owql_eval::ExecOpts::seq(),
+            &owql_exec::Pool::sequential(),
+        )?;
+        Ok(outcome.mappings.contains(&self.mapping))
     }
 }

@@ -42,7 +42,7 @@ fn main() {
     let snapshot = store.snapshot();
     println!("EXPLAIN (static, estimated):");
     println!("{}", snapshot.engine().explain(&p));
-    println!("{}", snapshot.explain_analyze(&p));
+    println!("{}", snapshot.explain_analyze(&p).expect("narrow pattern"));
 
     // ------------------------------------------------------------------
     // 3. The unified profile: run once through the cache to give the

@@ -11,7 +11,7 @@
 # Stages:
 #   check         fmt + clippy + release build + tests
 #   determinism   width-1 vs width-8 full-suite output diff
-#   differential  evaluator suites with the columnar path forced off and on
+#   differential  evaluator suites against the reference evaluator
 #   lint-smoke    analyzer over the clean + golden pattern corpora
 #   bench-smoke   quick bench drivers + perf gate + profile schema
 #   server-smoke  HTTP boot, live /v1 smoke, load_gen perf gate, removed-API sweep
@@ -51,16 +51,14 @@ stage_determinism() {
 }
 
 stage_differential() {
-  step "differential: evaluator suites with OWQL_COLUMNAR=0 and OWQL_COLUMNAR=1"
-  # The columnar flag flips the *default* execution path; the suites
-  # below pin it per-run too, so both sweeps exercise both engines and
-  # every store/parallel configuration against the reference answers.
-  for mode in 0 1; do
-    echo "--- OWQL_COLUMNAR=$mode"
-    OWQL_COLUMNAR=$mode cargo test -q -p owql \
-      --test integration_columnar --test integration_store --test integration_parallel
-  done
-  OWQL_COLUMNAR=1 cargo test -q -p owql-rdf --test proptest_dict
+  step "differential: the one evaluator vs the reference evaluator"
+  # There is one production evaluator and one oracle; these suites hold
+  # every store/parallel/sharded configuration of the former to the
+  # latter's answers.
+  cargo test -q -p owql \
+    --test integration_columnar --test integration_store --test integration_parallel \
+    --test integration_sharded --test integration_prune
+  cargo test -q -p owql-rdf --test proptest_dict
   echo "differential OK"
 }
 
@@ -79,7 +77,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no evaluator switch)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -87,6 +85,12 @@ stage_lint_smoke() {
   if grep -rnE '\b(unimplemented|todo)!\s*\(' crates/ --include='*.rs' \
       | grep -vE ':[0-9]+:\s*//'; then
     echo "unimplemented!/todo! left in library code"; exit 1
+  fi
+  # The evaluator switch and its bookkeeping are gone for good. (The
+  # names are split so this gate does not match itself.)
+  if grep -rnE 'OWQL_COLUMN''AR|with_column''ar|Column''arPath' \
+      crates/ tests/ examples/ scripts/; then
+    echo "the retired columnar on/off switch reappeared"; exit 1
   fi
   echo "lint smoke OK"
 }

@@ -31,7 +31,6 @@ FAMILIES = {
     "owql_query_latency_seconds": "histogram",
     "owql_operator_latency_seconds": "histogram",
     "owql_columnar_runs_total": "counter",
-    "owql_columnar_fallbacks_total": "counter",
     "owql_slow_queries_total": "counter",
     "owql_server_accepted_total": "counter",
     "owql_server_responses_total": "counter",

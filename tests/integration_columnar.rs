@@ -1,20 +1,23 @@
 //! Differential tests for the columnar id-encoded evaluator: on every
-//! random pattern and store state, `ExecOpts::with_columnar(true)` must
-//! produce exactly the answers of the untouched term-at-a-time
-//! reference engine (`with_columnar(false)`), across sequential and
-//! parallel modes, live snapshots with deletes, and dictionary growth
-//! over commits.
+//! random pattern and store state, `Engine::run` must produce exactly
+//! the answers of the reference evaluator (`evaluate`, the paper's
+//! semantics transcribed) over the same visible graph, across
+//! sequential and parallel modes, live snapshots with deletes, and
+//! dictionary growth over commits — plus deterministic coverage of the
+//! corners that make the walker total: fully ground patterns, backends
+//! assembled from differently-encoded parts, and the 64-variable limit.
 
 use owql::algebra::analysis::Operators;
 use owql::algebra::random::{random_pattern, PatternConfig};
 use owql::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::sync::Arc;
 
-fn run_with<I: TripleLookup + Sync>(
+fn run_with<I: TripleLookup>(
     engine: &Engine<I>,
     p: &Pattern,
-    columnar: bool,
     pool: &Pool,
     parallel: bool,
 ) -> MappingSet {
@@ -24,7 +27,7 @@ fn run_with<I: TripleLookup + Sync>(
         ExecOpts::seq()
     };
     engine
-        .run(p, &opts.with_columnar(columnar), pool)
+        .run(p, &opts, pool)
         .expect("unlimited budget cannot time out")
         .mappings
 }
@@ -95,11 +98,12 @@ fn columnar_matches_reference_on_store_snapshots() {
         churn(&store, &mut rng, 50);
         let snapshot = store.snapshot();
         let engine = snapshot.engine();
+        let graph = snapshot.to_graph();
         let seq = Pool::sequential();
         for pattern_seed in 0..6u64 {
             let p = random_pattern(&cfg, seed * 977 + pattern_seed);
-            let reference = run_with(&engine, &p, false, &seq, false);
-            let columnar = run_with(&engine, &p, true, &seq, false);
+            let reference = evaluate(&p, &graph);
+            let columnar = run_with(&engine, &p, &seq, false);
             assert_eq!(
                 columnar, reference,
                 "columnar diverged at seed {seed}, pattern {p}"
@@ -108,7 +112,7 @@ fn columnar_matches_reference_on_store_snapshots() {
     }
 }
 
-/// Parallel columnar evaluation agrees with the sequential reference at
+/// Parallel columnar evaluation agrees with the reference evaluator at
 /// every pool width, including widths that trigger chunked extends.
 #[test]
 fn columnar_parallel_matches_reference_across_widths() {
@@ -122,13 +126,13 @@ fn columnar_parallel_matches_reference_across_widths() {
         churn(&store, &mut rng, 60);
         let snapshot = store.snapshot();
         let engine = snapshot.engine();
-        let reference_pool = Pool::sequential();
+        let graph = snapshot.to_graph();
         for pattern_seed in 0..4u64 {
             let p = random_pattern(&cfg, seed * 131 + pattern_seed);
-            let reference = run_with(&engine, &p, false, &reference_pool, false);
+            let reference = evaluate(&p, &graph);
             for workers in [1, 2, 8] {
                 let pool = Pool::new(workers);
-                let columnar = run_with(&engine, &p, true, &pool, true);
+                let columnar = run_with(&engine, &p, &pool, true);
                 assert_eq!(
                     columnar, reference,
                     "parallel columnar diverged at seed {seed}, {workers} workers, pattern {p}"
@@ -138,8 +142,8 @@ fn columnar_parallel_matches_reference_across_widths() {
     }
 }
 
-/// Plain-graph engines (no store, no id view from deltas) also answer
-/// identically with the columnar path forced on and off.
+/// Plain-graph engines (no store, no delta overlay) also answer exactly
+/// like the reference evaluator.
 #[test]
 fn columnar_matches_reference_on_plain_graphs() {
     let cfg = pattern_config();
@@ -153,8 +157,8 @@ fn columnar_matches_reference_on_plain_graphs() {
         let seq = Pool::sequential();
         for pattern_seed in 0..6u64 {
             let p = random_pattern(&cfg, seed * 313 + pattern_seed);
-            let reference = run_with(&engine, &p, false, &seq, false);
-            let columnar = run_with(&engine, &p, true, &seq, false);
+            let reference = evaluate(&p, &graph);
+            let columnar = run_with(&engine, &p, &seq, false);
             assert_eq!(
                 columnar, reference,
                 "columnar diverged at seed {seed}, pattern {p}"
@@ -163,13 +167,12 @@ fn columnar_matches_reference_on_plain_graphs() {
     }
 }
 
-/// Satellite acceptance: tracing is observation, not behavior — with
-/// `trace: true, columnar: true` the engine stays on the columnar path
-/// (no fallback), answers exactly like the untraced columnar run at
-/// pool widths 1, 2, and 8, and emits a populated span tree whose scan
-/// spans carry `estimated_rows`.
+/// Tracing is observation, not behavior: a traced run answers exactly
+/// like the untraced one (and the reference evaluator) at pool widths
+/// 1, 2, and 8, and emits a populated span tree whose scan spans carry
+/// `estimated_rows`.
 #[test]
-fn traced_columnar_matches_untraced_and_stays_columnar() {
+fn traced_columnar_matches_untraced_and_reference() {
     let graph: Graph = universe().into_iter().collect();
     let engine = Engine::new(&graph);
     let x_y = Pattern::t("?x", "p", "?y");
@@ -186,7 +189,7 @@ fn traced_columnar_matches_untraced_and_stays_columnar() {
     for workers in [1usize, 2, 8] {
         let pool = Pool::new(workers);
         for p in &workloads {
-            let base = ExecOpts::parallel().with_columnar(true);
+            let base = ExecOpts::parallel();
             let untraced = engine
                 .run(p, &base, &pool)
                 .expect("unlimited budget cannot time out");
@@ -198,14 +201,9 @@ fn traced_columnar_matches_untraced_and_stays_columnar() {
                 "tracing changed answers at {workers} workers, pattern {p}"
             );
             assert_eq!(
-                untraced.columnar_path,
-                ColumnarPath::Used,
-                "untraced run fell off the columnar path for {p}"
-            );
-            assert_eq!(
-                traced.columnar_path,
-                ColumnarPath::Used,
-                "traced run fell off the columnar path for {p}"
+                traced.mappings,
+                evaluate(p, &graph),
+                "traced run diverged from the reference at {workers} workers, pattern {p}"
             );
             let profile = traced.profile.expect("traced run has a profile");
             assert_eq!(
@@ -251,5 +249,187 @@ fn dict_ids_stay_stable_across_commits() {
             "id {id} was renumbered by a later commit"
         );
         assert_eq!(dict_after.lookup(term), Some(id));
+    }
+}
+
+/// A small fixed store state with a base segment, an add tier and a
+/// deletion, over the `universe` vocabulary.
+fn fixed_store() -> Store {
+    let store = Store::with_options(StoreOptions {
+        cache_capacity: 0,
+        ..StoreOptions::default()
+    });
+    let mut tx = store.begin();
+    for (s, p, o) in [
+        ("a", "p", "b"),
+        ("a", "p", "c"),
+        ("b", "p", "c"),
+        ("a", "q", "b"),
+        ("b", "q", "d"),
+        ("c", "q", "d"),
+        ("d", "r", "a"),
+    ] {
+        tx.insert(Triple::new(s, p, o));
+    }
+    store.commit(tx);
+    store.force_compact();
+    let mut tx = store.begin();
+    tx.insert(Triple::new("c", "p", "a"));
+    tx.delete(Triple::new("b", "p", "c"));
+    store.commit(tx);
+    store
+}
+
+/// Fully ground patterns — alone and as an operand of every operator —
+/// evaluate on the one walker: sequential and parallel at widths 1, 2
+/// and 8, and scattered over 1, 2 and 8 shards, always exactly the
+/// reference evaluator's `{µ∅}` or `∅`-driven answer.
+#[test]
+fn ground_patterns_are_total_at_every_width_and_shard_count() {
+    let store = fixed_store();
+    let snapshot = store.snapshot();
+    let graph = snapshot.to_graph();
+
+    let hit = Pattern::t("a", "p", "b");
+    let added = Pattern::t("c", "p", "a");
+    let deleted = Pattern::t("b", "p", "c");
+    let miss = Pattern::t("a", "p", "e");
+    let unknown = Pattern::t("a", "p", "zzz_absent");
+    let var = Pattern::t("?x", "q", "?y");
+
+    // The headline cases, pinned independently of the oracle.
+    for (p, want) in [
+        (&hit, MappingSet::unit()),
+        (&added, MappingSet::unit()),
+        (&deleted, MappingSet::new()),
+        (&miss, MappingSet::new()),
+        (&unknown, MappingSet::new()),
+    ] {
+        assert_eq!(evaluate(p, &graph), want, "oracle on {p}");
+    }
+
+    let mut patterns = Vec::new();
+    for g in [&hit, &added, &deleted, &miss, &unknown] {
+        let g = || g.clone();
+        patterns.extend([
+            g(),
+            g().and(var.clone()),
+            var.clone().and(g()),
+            g().and(hit.clone()),
+            g().opt(var.clone()),
+            var.clone().opt(g()),
+            hit.clone().opt(g()),
+            g().union(var.clone()),
+            g().union(miss.clone()),
+            g().minus(var.clone()),
+            var.clone().minus(g()),
+            hit.clone().minus(g()),
+            g().ns(),
+            g().union(var.clone()).ns(),
+            g().filter(Condition::bound("x")),
+            g().filter(Condition::bound("x").not()),
+            g().and(var.clone()).filter(Condition::eq_const("x", "a")),
+            g().select(["x"]),
+            g().and(var.clone()).select(["y"]),
+        ]);
+    }
+
+    for p in &patterns {
+        let want = evaluate(p, &graph);
+        for width in [1usize, 2, 8] {
+            let pool = Pool::new(width);
+            for opts in [ExecOpts::seq(), ExecOpts::parallel()] {
+                let got = snapshot
+                    .query_request(&QueryRequest::with_opts(p.clone(), opts), &pool)
+                    .expect("unlimited budget cannot time out")
+                    .mappings;
+                assert_eq!(got, want, "width {width}, {:?}, pattern {p}", opts.mode);
+            }
+        }
+    }
+    let pool = Pool::new(2);
+    for shards in [1usize, 2, 8] {
+        store.enable_sharding(shards, 1);
+        for p in &patterns {
+            let got = store
+                .query_request(
+                    &QueryRequest::with_opts(p.clone(), ExecOpts::parallel()),
+                    &pool,
+                )
+                .expect("unlimited budget cannot time out")
+                .mappings;
+            assert_eq!(got, evaluate(p, &graph), "{shards} shards, pattern {p}");
+        }
+    }
+}
+
+/// A snapshot whose base and delta were indexed on *different*
+/// dictionaries is re-homed onto one by `SnapshotIndex::new`, so joins
+/// that cross the base/delta boundary compare ids of one encoding.
+#[test]
+fn snapshot_over_mixed_dictionaries_evaluates() {
+    // Interning orders differ: `z0` sorts last in the base but the
+    // delta's private dictionary hands its terms the low ids.
+    let base = GraphIndex::from_triples([
+        Triple::new("a", "p", "b"),
+        Triple::new("b", "p", "z0"),
+        Triple::new("z0", "q", "a"),
+    ]);
+    let adds = GraphIndex::from_triples([Triple::new("z0", "p", "k"), Triple::new("k", "q", "b")]);
+    let dels: HashSet<Triple> = [Triple::new("a", "p", "b")].into_iter().collect();
+    let snapshot = SnapshotIndex::new(Arc::new(base), Arc::new(adds), Arc::new(dels));
+    let graph = snapshot.to_graph();
+    assert_eq!(graph.len(), 4);
+    let engine = Engine::with_index(snapshot);
+    let patterns = [
+        Pattern::t("?x", "p", "?y").and(Pattern::t("?y", "p", "?z")),
+        Pattern::t("?x", "p", "?y").opt(Pattern::t("?y", "q", "?z")),
+        Pattern::t("?x", "p", "?y")
+            .union(Pattern::t("?x", "q", "?y"))
+            .ns(),
+        Pattern::t("z0", "p", "k"),
+        Pattern::t("a", "p", "b"),
+    ];
+    for p in &patterns {
+        for (pool, parallel) in [(Pool::sequential(), false), (Pool::new(2), true)] {
+            assert_eq!(
+                run_with(&engine, p, &pool, parallel),
+                evaluate(p, &graph),
+                "pattern {p}"
+            );
+        }
+    }
+}
+
+/// One variable over the 64-column limit is a typed error from the
+/// store — cached or not, sharded or not — and the store keeps
+/// answering afterwards.
+#[test]
+fn over_wide_pattern_is_a_typed_error_from_the_store() {
+    let store = fixed_store();
+    let wide = Pattern::union_all((0..65).map(|i| Pattern::t(format!("?w{i}").as_str(), "p", "b")));
+    let pool = Pool::new(2);
+    for sharded in [false, true] {
+        if sharded {
+            store.enable_sharding(2, 1);
+        }
+        for opts in [
+            ExecOpts::seq(),
+            ExecOpts::seq().uncached().traced(),
+            ExecOpts::parallel().uncached().optimized(),
+        ] {
+            let err = store
+                .query_request(&QueryRequest::with_opts(wide.clone(), opts), &pool)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                EvalError::TooManyVariables {
+                    count: 65,
+                    limit: 64
+                },
+                "sharded {sharded}, {opts:?}"
+            );
+        }
+        assert_eq!(store.query(&Pattern::t("?x", "p", "b")).len(), 1);
     }
 }

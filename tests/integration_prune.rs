@@ -79,13 +79,7 @@ fn churned_store(seed: u64, n_ops: usize) -> Store {
 /// The request every differential case runs: optimization on (so the
 /// prune pass fires), uncached (so it actually runs every time).
 fn optimized_request(p: &Pattern) -> QueryRequest {
-    QueryRequest::with_opts(
-        p.clone(),
-        ExecOpts::parallel()
-            .with_columnar(true)
-            .uncached()
-            .optimized(),
-    )
+    QueryRequest::with_opts(p.clone(), ExecOpts::parallel().uncached().optimized())
 }
 
 proptest! {
@@ -94,7 +88,7 @@ proptest! {
     /// Acceptance criterion: optimize-with-pruning is answer-identical
     /// to the unoptimized reference engine for random NS-SPARQL+MINUS
     /// patterns over churned snapshots, at pool widths 1, 2, and 8, in
-    /// both sequential and parallel/columnar mode.
+    /// both sequential and parallel mode.
     #[test]
     fn pruned_evaluation_matches_reference_at_all_widths(
         store_seed in 0..1000u64,
@@ -108,7 +102,7 @@ proptest! {
             let pool = Pool::new(width);
             let runs = [
                 ExecOpts::seq().uncached().optimized(),
-                ExecOpts::parallel().with_columnar(true).uncached().optimized(),
+                ExecOpts::parallel().uncached().optimized(),
             ];
             for opts in runs {
                 let req = QueryRequest::with_opts(p.clone(), opts);
@@ -263,10 +257,7 @@ fn cache_hits_report_zero_prunes() {
     let pool = Pool::new(2);
     let p = Pattern::t("?x", "p", "?y")
         .filter(Condition::eq_const("y", "a").and(Condition::eq_const("y", "b")));
-    let req = QueryRequest::with_opts(
-        p.clone(),
-        ExecOpts::parallel().with_columnar(true).optimized(),
-    );
+    let req = QueryRequest::with_opts(p.clone(), ExecOpts::parallel().optimized());
     let first = store
         .query_request(&req, &pool)
         .expect("unlimited budget cannot time out");

@@ -36,7 +36,7 @@ fn theorem_7_1_sat_unsat() {
         let expected = solve_formula(&phi).is_sat() && !solve_formula(&psi).is_sat();
         let inst = dp::sat_unsat_instance(&phi, &psi, &format!("it71_{seed}"));
         assert_eq!(inst.instance.decide(), expected, "seed {seed}");
-        assert_eq!(inst.instance.decide_indexed(), expected, "seed {seed}");
+        assert_eq!(inst.instance.decide_indexed(), Ok(expected), "seed {seed}");
     }
 }
 

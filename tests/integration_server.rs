@@ -712,3 +712,92 @@ fn inline_mode_serves_pipelined_queries_without_workers() {
     // Shutdown drains without a worker pool to join.
     server.shutdown();
 }
+
+/// Fully ground patterns round-trip over a real socket: a matching one
+/// answers `[{}]` (the empty mapping — this used to panic the renderer
+/// and kill the worker), a non-matching one `[]`, and the same
+/// keep-alive connection keeps answering. One worker, so a dead worker
+/// would hang the follow-ups.
+#[test]
+fn ground_patterns_render_and_the_connection_survives() {
+    let store = seeded_store(3);
+    let config = ServerConfig::builder().workers(1).build();
+    let server = Server::start(store, config).expect("start");
+    let mut client = Client::connect(server.addr());
+
+    client.send("POST", "/v1/query", r#"{"pattern": "(s0, p, o0)"}"#);
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), 1);
+    assert!(body.contains("\"mappings\": [{}]"), "{body}");
+
+    client.send("POST", "/v1/query", r#"{"pattern": "(s0, p, o1)"}"#);
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), 0);
+    assert!(body.contains("\"mappings\": []"), "{body}");
+
+    // `µ∅` beside a binding in one answer set.
+    client.send(
+        "POST",
+        "/v1/query",
+        r#"{"pattern": "((s0, p, o0) UNION (?x, p, o1))"}"#,
+    );
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#""mappings": [{"x": "s1"}, {}]"#), "{body}");
+
+    client.send("POST", "/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), 3);
+
+    server.shutdown();
+}
+
+/// A pattern over the evaluator's 64-variable limit is a `400` in the
+/// unified envelope on `/v1/query` and `/v1/explain` (and on the legacy
+/// adapter), and the single worker answers the next request.
+#[test]
+fn over_wide_patterns_answer_400_and_leave_the_worker_alive() {
+    let store = seeded_store(3);
+    let config = ServerConfig::builder().workers(1).build();
+    let server = Server::start(store, config).expect("start");
+    let addr = server.addr();
+    let mut client = Client::connect(addr);
+
+    let triples: Vec<String> = (0..65).map(|i| format!("(?w{i}, p, o0)")).collect();
+    let wide = triples
+        .iter()
+        .skip(1)
+        .fold(triples[0].clone(), |acc, t| format!("({acc} UNION {t})"));
+    let envelope = format!(r#"{{"pattern": "{wide}"}}"#);
+
+    for target in ["/v1/query", "/v1/explain"] {
+        client.send("POST", target, &envelope);
+        let (status, _, body) = client.read_response();
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(body.contains("\"code\": \"bad_request\""), "{body}");
+        assert!(body.contains("65 distinct variables"), "{body}");
+    }
+    let (status, body) = query(addr, "/query", &wide);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("65 distinct variables"), "{body}");
+
+    client.send("POST", "/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), 3);
+
+    // The retired evaluator switch is an unknown option like any other.
+    client.send(
+        "POST",
+        "/v1/query",
+        r#"{"pattern": "(?x, p, ?y)", "opts": {"columnar": true}}"#,
+    );
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown option 'columnar'"), "{body}");
+
+    server.shutdown();
+}

@@ -1,9 +1,9 @@
 //! Differential tests for the sharded scatter-gather path: with a
 //! [`ShardRuntime`] enabled, parallel-mode queries that fan out across
 //! subject-hash shards must produce exactly the answers of the
-//! unsharded columnar engine — on every random pattern, every shard
-//! count, and every churned store snapshot (base segments + add tiers
-//! + deletes), with all partials pinned to one snapshot epoch.
+//! reference evaluator — on every random pattern, every shard count,
+//! and every churned store snapshot (base segments + add tiers +
+//! deletes), with all partials pinned to one snapshot epoch.
 
 use owql::algebra::analysis::Operators;
 use owql::algebra::random::{random_pattern, PatternConfig};
@@ -74,13 +74,10 @@ fn churned_store(seed: u64, n_ops: usize) -> Store {
     store
 }
 
-/// The request every differential case runs: parallel, columnar,
-/// uncached — the envelope the scatter-gather path engages on.
+/// The request every differential case runs: parallel, uncached — the
+/// envelope the scatter-gather path engages on.
 fn parallel_request(p: &Pattern) -> QueryRequest {
-    QueryRequest::with_opts(
-        p.clone(),
-        ExecOpts::parallel().with_columnar(true).uncached(),
-    )
+    QueryRequest::with_opts(p.clone(), ExecOpts::parallel().uncached())
 }
 
 proptest! {
@@ -88,9 +85,8 @@ proptest! {
 
     /// Acceptance criterion: for random NS-SPARQL+MINUS patterns over
     /// churned snapshots, `Store::query_request` with sharding enabled
-    /// at 1, 2, and 8 shards answers exactly like the unsharded
-    /// columnar engine on the same snapshot. Patterns outside the
-    /// sharded envelope fall back — and must *still* agree.
+    /// at 1, 2, and 8 shards answers exactly like the reference
+    /// evaluator on the same snapshot's graph.
     #[test]
     fn sharded_matches_unsharded_on_churned_snapshots(
         store_seed in 0..1000u64,
@@ -99,12 +95,7 @@ proptest! {
         let store = churned_store(0x5AD ^ store_seed, 50);
         let p = random_pattern(&pattern_config(), pattern_seed);
         let req = parallel_request(&p);
-        // Unsharded columnar reference, same snapshot semantics.
-        let reference = store
-            .snapshot()
-            .query_request(&req, &Pool::new(2))
-            .expect("unlimited budget cannot time out")
-            .mappings;
+        let reference = evaluate(&p, &store.snapshot().to_graph());
         for shards in [1usize, 2, 8] {
             store.enable_sharding(shards, 1);
             let sharded = store
@@ -123,8 +114,8 @@ proptest! {
 
     /// AND/UNION spines with a churn writer racing the readers: every
     /// sharded answer must be internally consistent with the single
-    /// epoch it reports — verified by re-running the same pattern
-    /// unsharded against a snapshot taken at that epoch's final state.
+    /// epoch it reports — verified by the reference evaluator over a
+    /// snapshot taken at that epoch's final state.
     #[test]
     fn sharded_spines_agree_under_concurrent_churn(seed in 0..200u64) {
         let store = churned_store(0xC0FFEE ^ seed, 40);
@@ -144,17 +135,14 @@ proptest! {
             // No commits ran between snapshot() and the query, so the
             // epochs — and therefore the answers — must line up.
             prop_assert_eq!(sharded.epoch, snapshot.epoch());
-            let reference = snapshot
-                .query_request(&req, &pool)
-                .expect("unlimited budget cannot time out")
-                .mappings;
+            let reference = evaluate(&spine, &snapshot.to_graph());
             prop_assert_eq!(&sharded.mappings, &reference);
         }
     }
 }
 
-/// The sharded path actually engages for AND/UNION spines (this is not
-/// a fallback test): the store's shard metrics count the queries and
+/// The sharded path actually engages for AND/UNION spines: the store's
+/// shard metrics count the queries and
 /// scatter rounds, and per-shard task counters show real fan-out.
 #[test]
 fn spine_queries_take_the_scatter_gather_path() {
@@ -195,10 +183,7 @@ fn spine_queries_take_the_scatter_gather_path() {
 
     // Sequential-mode requests keep the single-node path even with
     // sharding enabled.
-    let seq = QueryRequest::with_opts(
-        patterns[0].clone(),
-        ExecOpts::seq().with_columnar(true).uncached(),
-    );
+    let seq = QueryRequest::with_opts(patterns[0].clone(), ExecOpts::seq().uncached());
     store
         .query_request(&seq, &pool)
         .expect("unlimited budget cannot time out");
@@ -218,14 +203,14 @@ fn shard_partitions_are_cached_per_epoch() {
     store.enable_sharding(2, 1);
     let rt = store.shard_runtime().expect("sharding enabled");
     let snap = store.snapshot();
-    let runs1 = rt.runs_for(&snap).expect("spo runs shard cleanly");
-    let runs2 = rt.runs_for(&snap).expect("cached partition");
+    let runs1 = rt.runs_for(&snap);
+    let runs2 = rt.runs_for(&snap);
     assert!(
         std::sync::Arc::ptr_eq(&runs1, &runs2),
         "same epoch must reuse the cached partition"
     );
     store.insert(Triple::new("fresh", "p", "fresh"));
-    let runs3 = rt.runs_for(&store.snapshot()).expect("rebuilt partition");
+    let runs3 = rt.runs_for(&store.snapshot());
     assert!(
         !std::sync::Arc::ptr_eq(&runs1, &runs3),
         "a commit must invalidate the cached partition"

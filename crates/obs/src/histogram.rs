@@ -9,9 +9,8 @@
 //!
 //! Fixed power-of-two boundaries mean every histogram in the process —
 //! query latency, per-operator wall time, WAL fsync, checkpoint
-//! duration, and the `load_gen` client-side samples — buckets
-//! identically, so percentiles reported by `BENCH_server.json` and the
-//! server's `/metrics` exposition are directly comparable. The
+//! duration — buckets identically, so percentiles from any two
+//! families of the `/metrics` exposition are directly comparable. The
 //! cumulative-bucket view maps 1:1 onto Prometheus histogram samples
 //! (`_bucket{le="..."}` / `_sum` / `_count`).
 

@@ -13,8 +13,7 @@
 //! The response side writes HTTP/1.1 keep-alive framing: either
 //! `Content-Length` or, for large bodies on 1.1 clients,
 //! `Transfer-Encoding: chunked` ([`encode_response_into`]). A matching
-//! [`decode_chunked`] is exported for clients (the load generator and
-//! the integration tests).
+//! [`decode_chunked`] is exported for clients (the integration tests).
 
 /// Hard cap on the header section — a wire-level guard so a hostile
 /// client cannot balloon memory before admission control sees the

@@ -6,7 +6,7 @@
 //! `QueryRequest → QueryOutcome` API for evaluation, and owql-obs's
 //! hand-rolled JSON for responses.
 //!
-//! ## Endpoints (versioned surface)
+//! ## Endpoints
 //!
 //! | Endpoint | Body | Answer |
 //! |---|---|---|
@@ -19,13 +19,10 @@
 //! `"opts"` keys: `mode` (`"seq"`/`"parallel"`), `trace`, `cache`,
 //! `optimize` (booleans), `deadline_ms`, `slow_ms`
 //! (integers), `max_class` (complexity-class name, tighten-only).
-//! Errors answer a unified envelope
+//! That table is the whole surface: any other path is a `404`, and
+//! every non-2xx answer — routed, shed, or a wire-level failure —
+//! carries the one envelope
 //! `{"error": {"code", "message", "span"?, "retry_after"?}}`.
-//!
-//! The original query-string endpoints (`POST /query?...` with a bare
-//! pattern body, `/explain`, `/lint`, `GET /healthz`) remain as thin
-//! adapters that answer with a `Deprecation` header and a `Link` to
-//! their `/v1` successor.
 //!
 //! ## Design
 //!
@@ -34,10 +31,13 @@
 //!   [`sys::Epoll`] — HTTP/1.1 keep-alive, pipelining (responses in
 //!   request order), and chunked transfer-encoding for large result
 //!   sets, with no async runtime and no `libc` crate.
-//! - **Bounded dispatch.** Parsed requests enter a bounded job queue
-//!   drained by a fixed worker pool; a full queue sheds with `429` +
-//!   `Retry-After` written inline without costing a worker — and
-//!   without sacrificing the connection.
+//! - **Bounded dispatch, one execution shape.** Parsed requests enter
+//!   a bounded job queue drained by a fixed worker pool; evaluation
+//!   never runs on the event-loop thread, so a full queue sheds with
+//!   `429` + `Retry-After` written inline — without costing a worker
+//!   or the connection — and `GET` probes answer while a query runs.
+//!   Pipelining is bounded per connection, and a panicking request
+//!   handler becomes a `500` and a counter, not a dead worker.
 //! - **Sharded scatter-gather.** With [`ServerConfig::shards`] set,
 //!   the store partitions its id-encoded runs by subject and
 //!   parallel-mode queries fan out across per-shard evaluation pools

@@ -17,7 +17,7 @@
 //!    the event loop — back-pressure costs one buffered write, never a
 //!    worker, and the connection *stays open* (a shed under pipelining
 //!    does not sacrifice the keep-alive socket). `GET` requests
-//!    (`/healthz`, `/metrics`) bypass the bound so probes stay
+//!    (`/v1/healthz`, `/metrics`) bypass the bound so probes stay
 //!    responsive under overload.
 //! 3. A **worker** (fixed set of threads, each owning an evaluation
 //!    pool) pops a job, routes it, and frames the response bytes
@@ -45,11 +45,11 @@
 //!
 //! ## Wire surface
 //!
-//! The versioned `/v1` endpoints take a JSON body
-//! `{"pattern": "...", "opts": {...}}` and answer errors with a
-//! unified envelope `{"error": {"code", "message", "span"?,
-//! "retry_after"?}}`. The original query-string endpoints remain as
-//! thin adapters that answer with a `Deprecation` header.
+//! `POST /v1/query|/v1/explain|/v1/lint` take a JSON body
+//! `{"pattern": "...", "opts": {...}}`; `GET /v1/healthz` and
+//! `GET /metrics` take none. Every non-2xx answer — routed, shed, or a
+//! wire-level failure — carries the one envelope
+//! `{"error": {"code", "message", "span"?, "retry_after"?}}`.
 
 use crate::http::{encode_response_into, parse_request, HttpError, Request};
 use crate::json as reqjson;
@@ -80,13 +80,9 @@ pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`Server::addr`]).
     pub addr: String,
-    /// Worker threads answering requests. `0` selects *inline* mode
-    /// (thread-per-core style): requests are evaluated directly on the
-    /// event-loop thread, removing the queue hand-off, wake pipe, and
-    /// two context switches per request — the fastest shape on a
-    /// single-core host. Admission control is unchanged: the dispatch
-    /// queue still bounds how many parsed requests one readiness sweep
-    /// may admit before excess demand is shed with `429`.
+    /// Worker threads answering requests (at least one: `0` is
+    /// clamped to `1`). Evaluation never runs on the event-loop thread,
+    /// so sheds and `GET` probes stay answerable while a query runs.
     pub workers: usize,
     /// Dispatch-queue bound: parsed requests waiting for a worker.
     /// A full queue sheds with `429` (`GET`s bypass the bound).
@@ -157,8 +153,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker threads answering requests (`0` = inline mode: evaluate
-    /// on the event-loop thread).
+    /// Worker threads answering requests (`0` is clamped to `1`).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -339,11 +334,6 @@ impl ApiError {
     }
 }
 
-/// JSON error body shared by the legacy (pre-`/v1`) endpoints.
-fn error_body(message: &str) -> String {
-    format!("{{\"error\": {}}}\n", json::string(message))
-}
-
 /// Envelope body for wire-level failures (emitted by the event loop
 /// before routing sees the request).
 fn wire_error_body(status: u16, message: &str) -> String {
@@ -358,7 +348,7 @@ fn wire_error_body(status: u16, message: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Option parsing (legacy query string and /v1 JSON opts)
+// Option parsing (/v1 JSON opts)
 // ---------------------------------------------------------------------
 
 /// Clamps a requested complexity ceiling against the configured one:
@@ -370,66 +360,6 @@ fn tighten_ceiling(
     match configured {
         Some(c) if c.rank() < requested.rank() => c,
         _ => requested,
-    }
-}
-
-/// Parses `ExecOpts` from the request's query string (legacy
-/// endpoints).
-fn parse_opts(req: &Request, config: &ServerConfig) -> Result<ExecOpts, HttpError> {
-    let mut builder = ExecOpts::builder()
-        .deadline(config.default_deadline)
-        .max_class(config.admission_ceiling)
-        .slow_query(config.slow_query_threshold);
-    for (key, value) in req.query_params() {
-        builder = match key {
-            "mode" => builder.mode(parse_mode(value).map_err(HttpError::bad_request)?),
-            "trace" => builder.trace(parse_flag(key, value)?),
-            "cache" => builder.cache(parse_flag(key, value)?),
-            "optimize" => builder.optimize(parse_flag(key, value)?),
-            "slow_ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| HttpError::bad_request(format!("invalid slow_ms '{value}'")))?;
-                builder.slow_query(Some(Duration::from_millis(ms)))
-            }
-            "deadline_ms" => {
-                let ms: u64 = value.parse().map_err(|_| {
-                    HttpError::bad_request(format!("invalid deadline_ms '{value}'"))
-                })?;
-                builder.deadline_ms(Some(ms))
-            }
-            "max_class" => {
-                let requested: owql_lint::ComplexityClass =
-                    value.parse().map_err(HttpError::bad_request)?;
-                builder.max_class(Some(tighten_ceiling(config.admission_ceiling, requested)))
-            }
-            other => {
-                return Err(HttpError::bad_request(format!(
-                    "unknown query parameter '{other}'"
-                )))
-            }
-        };
-    }
-    Ok(builder.build())
-}
-
-fn parse_mode(value: &str) -> Result<ExecMode, String> {
-    match value {
-        "seq" => Ok(ExecMode::Seq),
-        "parallel" => Ok(ExecMode::Parallel),
-        other => Err(format!(
-            "unknown mode '{other}' (expected 'seq' or 'parallel')"
-        )),
-    }
-}
-
-fn parse_flag(key: &str, value: &str) -> Result<bool, HttpError> {
-    match value {
-        "1" | "true" => Ok(true),
-        "0" | "false" => Ok(false),
-        other => Err(HttpError::bad_request(format!(
-            "invalid boolean '{other}' for '{key}'"
-        ))),
     }
 }
 
@@ -468,16 +398,15 @@ fn v1_opts(opts: Option<&reqjson::JsonValue>, config: &ServerConfig) -> Result<E
     };
     for (key, value) in pairs {
         builder = match key.as_str() {
-            "mode" => {
-                let mode = value
-                    .as_str()
-                    .ok_or(())
-                    .and_then(|v| parse_mode(v).map_err(drop))
-                    .map_err(|_| {
-                        ApiError::bad_request("\"mode\" must be \"seq\" or \"parallel\"")
-                    })?;
-                builder.mode(mode)
-            }
+            "mode" => builder.mode(match value.as_str() {
+                Some("seq") => ExecMode::Seq,
+                Some("parallel") => ExecMode::Parallel,
+                _ => {
+                    return Err(ApiError::bad_request(
+                        "\"mode\" must be \"seq\" or \"parallel\"",
+                    ))
+                }
+            }),
             "trace" => builder.trace(v1_bool(value, "trace")?),
             "cache" => builder.cache(v1_bool(value, "cache")?),
             "optimize" => builder.optimize(v1_bool(value, "optimize")?),
@@ -531,28 +460,10 @@ fn v1_parse_input(
 // Serialization
 // ---------------------------------------------------------------------
 
-/// Appends `s` as a JSON string literal. The fast path copies clean
-/// ASCII in one `push_str`; only strings carrying a quote, backslash,
-/// or control byte take the per-char escape walk.
+/// Appends `s` as a JSON string literal.
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-    } else {
-        out.push_str(s);
-    }
+    push_json_escaped(out, s);
     out.push('"');
 }
 
@@ -741,17 +652,17 @@ fn mappings_json(mappings: &owql_algebra::MappingSet) -> String {
 /// outcomes: the store's query cache already guarantees an identical
 /// `QueryOutcome` for an identical request within one epoch, so
 /// re-rendering it per request is pure waste. Keyed by the raw request
-/// (path + query string + body), bounded, and cleared whenever the
-/// epoch moves. Traced outcomes are excluded — their profiles differ
+/// body (the only input `/v1/query` reads), bounded, and cleared
+/// whenever the epoch moves. Traced outcomes are excluded — their profiles differ
 /// per execution even on a cache hit.
 fn query_success_body_memo(req: &Request, outcome: &owql_store::QueryOutcome) -> String {
     if !outcome.cache_hit || outcome.profile.is_some() {
         return query_success_body(outcome);
     }
-    type MemoKey = (String, String, Vec<u8>);
+    /// `(request body, rendered response body)`.
+    type Entry = (Vec<u8>, String);
     thread_local! {
-        static MEMO: RefCell<(u64, Vec<(MemoKey, String)>)> =
-            const { RefCell::new((0, Vec::new())) };
+        static MEMO: RefCell<(u64, Vec<Entry>)> = const { RefCell::new((0, Vec::new())) };
     }
     MEMO.with(|memo| {
         let (epoch, entries) = &mut *memo.borrow_mut();
@@ -759,26 +670,20 @@ fn query_success_body_memo(req: &Request, outcome: &owql_store::QueryOutcome) ->
             entries.clear();
             *epoch = outcome.epoch;
         }
-        if let Some((_, rendered)) = entries
-            .iter()
-            .find(|(k, _)| k.0 == req.path && k.1 == req.query && k.2 == req.body)
-        {
+        if let Some((_, rendered)) = entries.iter().find(|(key, _)| *key == req.body) {
             let mut body = take_body(rendered.len());
             body.push_str(rendered);
             return body;
         }
         let body = query_success_body(outcome);
         if entries.len() < 8 {
-            entries.push((
-                (req.path.clone(), req.query.clone(), req.body.clone()),
-                body.clone(),
-            ));
+            entries.push((req.body.clone(), body.clone()));
         }
         body
     })
 }
 
-/// The shared `200` body of `/query` and `/v1/query`.
+/// The `200` body of `/v1/query`.
 fn query_success_body(outcome: &owql_store::QueryOutcome) -> String {
     let mut body = take_body(128);
     let _ = write!(
@@ -898,20 +803,6 @@ fn metrics_prometheus(store: &Store, metrics: &ServerMetrics) -> String {
 // Routing
 // ---------------------------------------------------------------------
 
-/// `Link` header value advertising the `/v1` successor of a legacy
-/// endpoint.
-fn successor_link(path: &str) -> String {
-    format!("</v1{path}>; rel=\"successor-version\"")
-}
-
-/// Marks a legacy reply as deprecated, pointing at its `/v1`
-/// successor.
-fn deprecated(reply: Reply, path: &str) -> Reply {
-    reply
-        .with_header("Deprecation", "true".to_owned())
-        .with_header("Link", successor_link(path))
-}
-
 /// Dispatches one parsed request to its endpoint.
 ///
 /// `ready` gates `/v1/healthz?ready=1` — it is `true` once segments
@@ -926,18 +817,10 @@ fn route(
     ready: bool,
 ) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
-        // --- versioned surface -----------------------------------------
         ("GET", "/v1/healthz") => v1_healthz(req, store, ready),
         ("POST", "/v1/query") => v1_query(req, store, pool, config, metrics),
         ("POST", "/v1/explain") => v1_explain(req, store, config),
         ("POST", "/v1/lint") => v1_lint(req),
-        (_, "/v1/healthz" | "/v1/query" | "/v1/explain" | "/v1/lint") => ApiError::new(
-            405,
-            "method_not_allowed",
-            "method not allowed for this endpoint",
-        )
-        .reply(),
-        // --- shared infrastructure -------------------------------------
         ("GET", "/metrics") => {
             if metrics_wants_json(req) {
                 Reply::json(200, metrics_json(store, metrics))
@@ -945,19 +828,13 @@ fn route(
                 Reply::text(200, metrics_prometheus(store, metrics))
             }
         }
-        // --- legacy adapters (Deprecation + Link to /v1) ---------------
-        ("GET", "/healthz") => deprecated(
-            Reply::json(
-                200,
-                format!("{{\"status\": \"ok\", \"epoch\": {}}}\n", store.epoch()),
-            ),
-            "/healthz",
-        ),
-        ("POST", "/query") => deprecated(answer_query(req, store, pool, config, metrics), "/query"),
-        ("POST", "/explain") => deprecated(answer_explain(req, store, config), "/explain"),
-        ("POST", "/lint") => deprecated(answer_lint(req), "/lint"),
-        (_, "/healthz" | "/metrics" | "/query" | "/explain" | "/lint") => {
-            Reply::json(405, error_body("method not allowed for this endpoint"))
+        (_, "/v1/healthz" | "/v1/query" | "/v1/explain" | "/v1/lint" | "/metrics") => {
+            ApiError::new(
+                405,
+                "method_not_allowed",
+                "method not allowed for this endpoint",
+            )
+            .reply()
         }
         _ => ApiError::new(404, "not_found", "no such endpoint").reply(),
     }
@@ -1060,52 +937,7 @@ fn v1_lint(req: &Request) -> Reply {
     }
 }
 
-/// `POST /query` (legacy): pattern text in, mappings out.
-fn answer_query(
-    req: &Request,
-    store: &Store,
-    pool: &Pool,
-    config: &ServerConfig,
-    metrics: &ServerMetrics,
-) -> Reply {
-    let (pattern, opts) = match parse_query_input(req, config) {
-        Ok(parsed) => parsed,
-        Err(e) => return Reply::json(e.status, error_body(&e.message)),
-    };
-    let request = QueryRequest::with_opts(pattern, opts);
-    match store.query_request(&request, pool) {
-        Ok(outcome) => Reply::json(200, query_success_body_memo(req, &outcome)),
-        Err(e @ EvalError::Timeout { .. }) => {
-            metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
-            Reply::json(504, error_body(&e.to_string()))
-        }
-        // Admission shed: 429 (no Retry-After — retrying the same
-        // query cannot succeed) with a machine-readable AD001
-        // diagnostic alongside the error message.
-        Err(e @ EvalError::AdmissionDenied { .. }) => {
-            metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-            let text = request.pattern.to_string();
-            let diagnostic = owql_lint::Diagnostic::new(
-                owql_lint::RuleId::AdmissionDenied,
-                Span::new(0, text.len()),
-                e.to_string(),
-            );
-            Reply::json(
-                429,
-                format!(
-                    "{{\"error\": {}, \"diagnostic\": {}}}\n",
-                    json::string(&e.to_string()),
-                    diagnostic.to_json(&text),
-                ),
-            )
-        }
-        Err(e @ EvalError::TooManyVariables { .. }) => Reply::json(400, error_body(&e.to_string())),
-        #[allow(unreachable_patterns)] // EvalError is #[non_exhaustive]
-        Err(e) => Reply::json(500, error_body(&e.to_string())),
-    }
-}
-
-/// The shared `200` body of `/lint` and `/v1/lint`. `bindings` is the
+/// The `200` body of `/v1/lint`. `bindings` is the
 /// root of the semantic dataflow lattice: which variables every answer
 /// certainly binds, and which any answer could possibly bind.
 fn lint_body(text: &str, analysis: &owql_lint::Analysis) -> String {
@@ -1132,28 +964,7 @@ fn lint_body(text: &str, analysis: &owql_lint::Analysis) -> String {
     )
 }
 
-/// `POST /lint` (legacy): pattern text in, full static analysis out —
-/// fragment, complexity class, well-designedness verdict, and every
-/// diagnostic with its byte span and line:column into the request
-/// body. Nothing is evaluated.
-fn answer_lint(req: &Request) -> Reply {
-    let text = match req.body_utf8() {
-        Ok(text) => text.trim(),
-        Err(e) => return Reply::json(e.status, error_body(&e.message)),
-    };
-    if text.is_empty() {
-        return Reply::json(
-            400,
-            error_body("empty request body (expected a graph pattern)"),
-        );
-    }
-    match owql_lint::analyze_source(text) {
-        Ok(analysis) => Reply::json(200, lint_body(text, &analysis)),
-        Err(e) => Reply::json(400, error_body(&e.to_string())),
-    }
-}
-
-/// The shared `200` body of `/explain` and `/v1/explain`. With
+/// The `200` body of `/v1/explain`. With
 /// `optimize` set the certified-pruning optimizer rewrites the plan
 /// first — the EXPLAIN then shows what the engine would actually run,
 /// and a `"prunes"` section reports which lint-proven rewrites fired.
@@ -1188,37 +999,6 @@ fn explain_body(
     }
     out.push_str("}\n");
     Ok(out)
-}
-
-/// `POST /explain` (legacy): pattern text in, EXPLAIN ANALYZE out.
-/// Honors the `optimize` query-string option like `/query` does.
-fn answer_explain(req: &Request, store: &Store, config: &ServerConfig) -> Reply {
-    let (pattern, opts) = match parse_query_input(req, config) {
-        Ok(parsed) => parsed,
-        Err(e) => return Reply::json(e.status, error_body(&e.message)),
-    };
-    match explain_body(store, &pattern, opts.optimize) {
-        Ok(body) => Reply::json(200, body),
-        Err(e) => Reply::json(400, error_body(&e.to_string())),
-    }
-}
-
-/// Shared body+options parsing for the legacy `/query` and `/explain`.
-/// A parse failure echoes the `ParseError` `Display` (with its byte
-/// offset) verbatim in the `400` body.
-fn parse_query_input(
-    req: &Request,
-    config: &ServerConfig,
-) -> Result<(owql_algebra::Pattern, ExecOpts), HttpError> {
-    let opts = parse_opts(req, config)?;
-    let text = req.body_utf8()?;
-    if text.trim().is_empty() {
-        return Err(HttpError::bad_request(
-            "empty request body (expected a graph pattern)",
-        ));
-    }
-    let pattern = parse_pattern(text.trim()).map_err(|e| HttpError::bad_request(e.to_string()))?;
-    Ok((pattern, opts))
 }
 
 // ---------------------------------------------------------------------
@@ -1299,16 +1079,6 @@ impl JobQueue {
             }
             inner = self.cv.wait(inner).expect("job queue lock poisoned");
         }
-    }
-
-    /// Non-blocking pop for inline mode (`workers == 0`), where the
-    /// event loop drains the queue itself between readiness sweeps.
-    fn try_pop(&self) -> Option<Job> {
-        self.inner
-            .lock()
-            .expect("job queue lock poisoned")
-            .queue
-            .pop_front()
     }
 
     /// Closes the queue: queued jobs still drain, new pushes bounce,
@@ -1510,10 +1280,6 @@ struct EventLoop {
     draining: Arc<AtomicBool>,
     ready: Arc<AtomicBool>,
     config: ServerConfig,
-    store: Arc<Store>,
-    /// `Some` in inline mode (`workers == 0`): the evaluation pool the
-    /// event loop routes with when it drains the job queue itself.
-    inline_pool: Option<Pool>,
 }
 
 impl EventLoop {
@@ -1534,9 +1300,6 @@ impl EventLoop {
                     WAKE_TOKEN => self.drain_wake(),
                     slot => self.conn_ready(slot as usize, bits),
                 }
-            }
-            if self.inline_pool.is_some() {
-                self.drain_jobs_inline();
             }
             self.apply_completions();
             if self.shutdown.load(Ordering::Relaxed) && self.listener.is_some() {
@@ -1737,7 +1500,7 @@ impl EventLoop {
                     // preserved, loop on to the next pipelined request.
                     self.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
                     self.metrics.record_status(429);
-                    let reply = shed_reply(&job.req, &self.config);
+                    let reply = shed_reply(&self.config);
                     let conn = self.conns[slot].as_mut().expect("conn exists");
                     encode_response_into(
                         &mut conn.write_buf,
@@ -1753,64 +1516,6 @@ impl EventLoop {
                     }
                 }
             }
-        }
-    }
-
-    /// Inline mode: serve every queued job on this thread, encoding
-    /// straight into the connection's write buffer. Dispatching the
-    /// next pipelined request re-enters the queue, so one sweep fully
-    /// drains a pipelined connection. Admission (and shedding) already
-    /// happened in [`EventLoop::try_dispatch`]; this is the worker half
-    /// of the request without the thread hand-off.
-    fn drain_jobs_inline(&mut self) {
-        while let Some(job) = self.jobs.try_pop() {
-            self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            self.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-            let pool = self.inline_pool.as_ref().expect("inline pool present");
-            let reply = route(
-                &job.req,
-                &self.store,
-                pool,
-                &self.config,
-                &self.metrics,
-                self.ready.load(Ordering::Acquire),
-            );
-            self.metrics.record_status(reply.status);
-            let keep = job.req.keep_alive && !self.draining.load(Ordering::Relaxed);
-            self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
-            let Some(conn) = self.conns.get_mut(job.slot).and_then(|c| c.as_mut()) else {
-                retire_body(reply.body);
-                continue;
-            };
-            if conn.gen != job.gen {
-                retire_body(reply.body);
-                continue;
-            }
-            conn.busy = false;
-            let chunked = encode_response_into(
-                &mut conn.write_buf,
-                reply.status,
-                reply.content_type,
-                &reply.headers,
-                reply.body.as_bytes(),
-                keep,
-                job.req.http11,
-            );
-            if chunked {
-                self.metrics
-                    .chunked_responses_total
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            retire_body(reply.body);
-            conn.last_activity = Instant::now();
-            if !keep {
-                conn.closing = true;
-                conn.pending.clear();
-                conn.wire_error = None;
-            }
-            self.try_dispatch(job.slot);
-            self.flush(job.slot);
-            self.maybe_close(job.slot);
         }
     }
 
@@ -1968,18 +1673,12 @@ impl EventLoop {
     }
 }
 
-/// The inline `429` for a full dispatch queue: envelope format on
-/// `/v1` paths, the legacy error body elsewhere; `Retry-After` either
-/// way.
-fn shed_reply(req: &Request, config: &ServerConfig) -> Reply {
-    if req.path.starts_with("/v1/") {
-        ApiError::new(429, "shed", "dispatch queue is full, retry later")
-            .with_retry_after(config.retry_after_secs)
-            .reply()
-    } else {
-        Reply::json(429, error_body("admission queue is full, retry later"))
-            .with_header("Retry-After", config.retry_after_secs.to_string())
-    }
+/// The `429` the event loop writes itself when the dispatch queue is
+/// full.
+fn shed_reply(config: &ServerConfig) -> Reply {
+    ApiError::new(429, "shed", "dispatch queue is full, retry later")
+        .with_retry_after(config.retry_after_secs)
+        .reply()
 }
 
 // ---------------------------------------------------------------------
@@ -2001,7 +1700,7 @@ pub struct Server {
 
 impl Server {
     /// Binds, builds the shard runtime when configured, and starts the
-    /// event loop plus `config.workers` workers. Readiness
+    /// event loop plus `config.workers` workers (at least one). Readiness
     /// (`/v1/healthz?ready=1`) turns true here, after sharding is
     /// prewarmed and before the first connection is served.
     pub fn start(store: Arc<Store>, config: ServerConfig) -> io::Result<Server> {
@@ -2038,9 +1737,7 @@ impl Server {
         }
         ready.store(true, Ordering::Release);
 
-        // `workers == 0` is inline mode: no worker threads, the event
-        // loop routes requests itself with its own pool.
-        let worker_handles: Vec<JoinHandle<()>> = (0..config.workers)
+        let worker_handles: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|_| {
                 let jobs = jobs.clone();
                 let bridge = bridge.clone();
@@ -2056,11 +1753,6 @@ impl Server {
             .collect();
 
         let io_handle = {
-            let inline_pool = if config.workers == 0 {
-                Some(Pool::new(config.pool_threads.max(1)))
-            } else {
-                None
-            };
             let event_loop = EventLoop {
                 epoll,
                 listener: Some(listener),
@@ -2075,9 +1767,7 @@ impl Server {
                 shutdown: shutdown.clone(),
                 draining,
                 ready,
-                config: config.clone(),
-                store,
-                inline_pool,
+                config,
             };
             std::thread::spawn(move || event_loop.run())
         };
@@ -2133,77 +1823,90 @@ mod tests {
         }
     }
 
-    fn post_req(target: &str, body: &[u8]) -> Request {
+    fn post_req(target: &str, body: &str) -> Request {
         let mut req = get_req(target);
         req.method = "POST".into();
-        req.body = body.to_vec();
+        req.body = body.as_bytes().to_vec();
         req
     }
 
-    #[test]
-    fn opts_parse_from_query_string() {
-        let config = ServerConfig::default();
-        let req = get_req("/query?mode=parallel&trace=1&cache=0&deadline_ms=250");
-        let opts = parse_opts(&req, &config).expect("valid");
-        assert_eq!(opts.mode, ExecMode::Parallel);
-        assert!(opts.trace);
-        assert!(!opts.cache);
-        assert_eq!(opts.deadline, Some(Duration::from_millis(250)));
+    /// Everything `route` takes besides the request.
+    struct Fixture {
+        store: Store,
+        pool: Pool,
+        config: ServerConfig,
+        metrics: ServerMetrics,
+    }
 
-        // Defaults: sequential, cached, config deadline and slow-query
-        // threshold.
-        let opts = parse_opts(&get_req("/query"), &config).expect("valid");
-        assert_eq!(opts.mode, ExecMode::Seq);
-        assert!(opts.cache);
-        assert_eq!(opts.deadline, config.default_deadline);
-        assert_eq!(opts.slow_query, config.slow_query_threshold);
+    impl Fixture {
+        /// A store holding `(a, p, b)` behind the default config.
+        fn new() -> Fixture {
+            let store = Store::new();
+            store.insert(owql_rdf::Triple::new("a", "p", "b"));
+            Fixture {
+                store,
+                pool: Pool::sequential(),
+                config: ServerConfig::default(),
+                metrics: ServerMetrics::default(),
+            }
+        }
 
-        // Per-request override for the slow-query threshold.
-        let opts = parse_opts(&get_req("/query?slow_ms=5"), &config).expect("valid");
-        assert_eq!(opts.slow_query, Some(Duration::from_millis(5)));
+        fn capped_at_np() -> Fixture {
+            let mut fixture = Fixture::new();
+            fixture.config.admission_ceiling = Some(owql_lint::ComplexityClass::Np);
+            fixture
+        }
 
-        assert!(parse_opts(&get_req("/query?mode=warp"), &config).is_err());
-        assert!(parse_opts(&get_req("/query?trace=yes"), &config).is_err());
-        assert!(parse_opts(&get_req("/query?bogus=1"), &config).is_err());
-        assert!(parse_opts(&get_req("/query?deadline_ms=abc"), &config).is_err());
-        assert!(parse_opts(&get_req("/query?slow_ms=fast"), &config).is_err());
-        // The retired evaluator switch is an unknown parameter now.
-        assert!(parse_opts(&get_req("/query?columnar=1"), &config).is_err());
+        fn route(&self, req: &Request) -> Reply {
+            route(
+                req,
+                &self.store,
+                &self.pool,
+                &self.config,
+                &self.metrics,
+                true,
+            )
+        }
+
+        fn get(&self, target: &str) -> Reply {
+            self.route(&get_req(target))
+        }
+
+        fn post(&self, target: &str, body: &str) -> Reply {
+            self.route(&post_req(target, body))
+        }
+    }
+
+    /// Asserts `reply` is `status` carrying the envelope with `code`.
+    fn assert_envelope(reply: &Reply, status: u16, code: &str) {
+        assert_eq!(reply.status, status, "{}", reply.body);
+        let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
+        assert!(reply.body.starts_with(&needle), "{}", reply.body);
     }
 
     #[test]
     fn max_class_tightens_but_never_relaxes_the_configured_ceiling() {
         use owql_lint::ComplexityClass;
-        let open = ServerConfig::default();
-        assert_eq!(
-            parse_opts(&get_req("/query"), &open)
-                .expect("valid")
-                .max_class,
-            None
-        );
-        // No server ceiling: the request sets one freely.
-        let opts = parse_opts(&get_req("/query?max_class=dp"), &open).expect("valid");
-        assert_eq!(opts.max_class, Some(ComplexityClass::Dp));
-
-        let capped = ServerConfig {
-            admission_ceiling: Some(ComplexityClass::Np),
-            ..ServerConfig::default()
+        let opts = |config: &ServerConfig, json: &str| {
+            v1_opts(Some(&reqjson::parse(json).expect("valid json")), config)
         };
-        // Default: the configured ceiling rides along.
-        let opts = parse_opts(&get_req("/query"), &capped).expect("valid");
-        assert_eq!(opts.max_class, Some(ComplexityClass::Np));
-        // Tightening below the ceiling is honored...
-        let opts = parse_opts(&get_req("/query?max_class=p"), &capped).expect("valid");
-        assert_eq!(opts.max_class, Some(ComplexityClass::P));
-        // ...but asking for more than the server allows is clamped.
-        let opts = parse_opts(&get_req("/query?max_class=pspace"), &capped).expect("valid");
-        assert_eq!(opts.max_class, Some(ComplexityClass::Np));
-        assert!(parse_opts(&get_req("/query?max_class=turing"), &capped).is_err());
+        let open = ServerConfig::default();
+        assert_eq!(v1_opts(None, &open).expect("valid").max_class, None);
+        // No server ceiling: the request sets one freely.
+        let set = opts(&open, r#"{"max_class": "dp"}"#).expect("valid");
+        assert_eq!(set.max_class, Some(ComplexityClass::Dp));
 
-        // The /v1 JSON opts apply the same clamp.
-        let doc = reqjson::parse(r#"{"max_class": "pspace"}"#).expect("valid json");
-        let opts = v1_opts(Some(&doc), &capped).expect("valid");
-        assert_eq!(opts.max_class, Some(ComplexityClass::Np));
+        let capped = Fixture::capped_at_np().config;
+        // Default: the configured ceiling rides along.
+        let default = v1_opts(None, &capped).expect("valid");
+        assert_eq!(default.max_class, Some(ComplexityClass::Np));
+        // Tightening below the ceiling is honored...
+        let tighter = opts(&capped, r#"{"max_class": "p"}"#).expect("valid");
+        assert_eq!(tighter.max_class, Some(ComplexityClass::P));
+        // ...but asking for more than the server allows is clamped.
+        let looser = opts(&capped, r#"{"max_class": "pspace"}"#).expect("valid");
+        assert_eq!(looser.max_class, Some(ComplexityClass::Np));
+        assert!(opts(&capped, r#"{"max_class": "turing"}"#).is_err());
     }
 
     #[test]
@@ -2221,15 +1924,20 @@ mod tests {
         assert_eq!(opts.deadline, Some(Duration::from_millis(250)));
         assert_eq!(opts.slow_query, Some(Duration::from_millis(5)));
 
-        // Absent opts: config defaults.
+        // Absent opts: sequential, cached, config deadline and
+        // slow-query threshold.
         let opts = v1_opts(None, &config).expect("valid");
+        assert_eq!(opts.mode, ExecMode::Seq);
+        assert!(opts.cache);
         assert_eq!(opts.deadline, config.default_deadline);
+        assert_eq!(opts.slow_query, config.slow_query_threshold);
 
         for bad in [
             r#"{"mode": "warp"}"#,
             r#"{"trace": "yes"}"#,
             r#"{"deadline_ms": -1}"#,
             r#"{"deadline_ms": 2.5}"#,
+            r#"{"slow_ms": "fast"}"#,
             r#"{"bogus": 1}"#,
             r#"{"columnar": true}"#,
             r#"{"max_class": 3}"#,
@@ -2305,25 +2013,26 @@ mod tests {
     }
 
     #[test]
-    fn metrics_route_reports_persist_section() {
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
+    fn metrics_route_picks_the_format() {
+        let fixture = Fixture::new();
+        let text = fixture.get("/metrics");
+        assert_eq!(text.status, 200);
+        assert_eq!(text.content_type, "text/plain; version=0.0.4");
+        assert!(text.body.starts_with("# HELP "), "{}", text.body);
+        let json = fixture.get("/metrics?format=json");
+        assert_eq!(json.status, 200);
+        assert_eq!(json.content_type, "application/json");
+        assert!(json.body.starts_with("{\"server\": "), "{}", json.body);
+    }
 
+    #[test]
+    fn metrics_json_reports_persist_section() {
         // In-memory store: persist is explicitly null.
-        let store = Store::new();
-        let reply = route(
-            &get_req("/metrics?format=json"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
-        assert!(reply.body.contains("\"persist\": null"), "{}", reply.body);
-        assert!(reply.body.contains("\"hub\""), "{}", reply.body);
-        assert!(reply.body.contains("\"slow_queries\""), "{}", reply.body);
+        let metrics = ServerMetrics::default();
+        let body = metrics_json(&Store::new(), &metrics);
+        assert!(body.contains("\"persist\": null"), "{body}");
+        assert!(body.contains("\"hub\""), "{body}");
+        assert!(body.contains("\"slow_queries\""), "{body}");
 
         // Durable store: the counters appear.
         let dir = std::env::temp_dir().join(format!("owql-server-metrics-{}", std::process::id()));
@@ -2337,15 +2046,7 @@ mod tests {
         )
         .expect("open durable store");
         durable.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let reply = route(
-            &get_req("/metrics?format=json"),
-            &durable,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
+        let body = metrics_json(&durable, &metrics);
         for key in [
             "\"wal_bytes\"",
             "\"wal_records\": 1",
@@ -2356,38 +2057,36 @@ mod tests {
             "\"wal_fsync\"",
             "\"histogram_buckets\"",
         ] {
-            assert!(reply.body.contains(key), "missing {key} in {}", reply.body);
+            assert!(body.contains(key), "missing {key} in {body}");
         }
     }
 
-    /// The golden Prometheus-format test: after `N` queries the default
-    /// `/metrics` rendering carries every `# TYPE`/`# HELP` pair, a
-    /// monotonically non-decreasing cumulative `le` series ending in
-    /// `+Inf`, and `owql_query_latency_seconds_count == N`.
+    /// The golden Prometheus-format test: after `N` queries the text
+    /// rendering carries every `# TYPE`/`# HELP` pair, a monotonically
+    /// non-decreasing cumulative `le` series ending in `+Inf`, and
+    /// `owql_query_latency_seconds_count == N`.
     #[test]
-    fn metrics_route_renders_prometheus_text_by_default() {
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
+    fn metrics_prometheus_is_golden_after_n_queries() {
         let store = Store::new();
         store.insert(owql_rdf::Triple::new("a", "p", "b"));
         store.insert(owql_rdf::Triple::new("b", "p", "c"));
 
         const N: usize = 7;
-        let query = post_req("/query?cache=0&trace=1", b"((?x, p, ?y) AND (?y, p, ?z))");
+        let request = QueryRequest::with_opts(
+            parse_pattern("((?x, p, ?y) AND (?y, p, ?z))").expect("valid pattern"),
+            ExecOpts::builder().cache(false).trace(true).build(),
+        );
         for _ in 0..N {
-            let reply = route(&query, &store, &pool, &config, &metrics, true);
-            assert_eq!(reply.status, 200);
+            store
+                .query_request(&request, &Pool::sequential())
+                .expect("query answers");
         }
 
-        let reply = route(&get_req("/metrics"), &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 200);
-        let body = reply.body;
+        let body = metrics_prometheus(&store, &ServerMetrics::default());
         assert!(
             !body.trim_start().starts_with('{'),
-            "default rendering must be Prometheus text, not JSON: {body}"
+            "must be Prometheus text, not JSON: {body}"
         );
-        assert_eq!(reply.content_type, "text/plain; version=0.0.4");
         for family in [
             ("owql_queries_total", "counter"),
             ("owql_query_latency_seconds", "histogram"),
@@ -2441,28 +2140,18 @@ mod tests {
         assert_eq!(inf_lines.len(), 1, "exactly one +Inf bucket");
     }
 
-    /// `slow_ms=0` forces every query into the slow-query log, which the
-    /// JSON metrics rendering then exposes.
+    /// `"slow_ms": 0` forces every query into the slow-query log, which
+    /// the JSON metrics rendering then exposes.
     #[test]
     fn slow_ms_zero_injects_into_the_slow_query_log() {
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-
-        let query = post_req("/query?cache=0&slow_ms=0", b"(?x, p, ?y)");
-        let reply = route(&query, &store, &pool, &config, &metrics, true);
+        let fixture = Fixture::new();
+        let reply = fixture.post(
+            "/v1/query",
+            r#"{"pattern": "(?x, p, ?y)", "opts": {"cache": false, "slow_ms": 0}}"#,
+        );
         assert_eq!(reply.status, 200);
 
-        let reply = route(
-            &get_req("/metrics?format=json"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
+        let reply = fixture.get("/metrics?format=json");
         assert_eq!(reply.status, 200);
         assert!(
             reply.body.contains("\"slow_queries_total\": 1"),
@@ -2470,7 +2159,7 @@ mod tests {
             reply.body
         );
         assert!(reply.body.contains("(?x, p, ?y)"), "{}", reply.body);
-        let prom = route(&get_req("/metrics"), &store, &pool, &config, &metrics, true);
+        let prom = fixture.get("/metrics");
         assert!(
             prom.body.contains("owql_slow_queries_total 1"),
             "{}",
@@ -2480,253 +2169,113 @@ mod tests {
 
     #[test]
     fn route_rejects_unknown_paths_and_methods() {
-        let store = Store::new();
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-        let reply = route(&get_req("/nope"), &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 404);
-        assert!(
-            reply.body.contains("\"code\": \"not_found\""),
-            "{}",
-            reply.body
-        );
-        let mut post = get_req("/healthz");
-        post.method = "POST".into();
-        let reply = route(&post, &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 405);
-        let mut post = get_req("/v1/healthz");
-        post.method = "POST".into();
-        let reply = route(&post, &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 405);
-        assert!(
-            reply.body.contains("\"code\": \"method_not_allowed\""),
-            "{}",
-            reply.body
-        );
-    }
-
-    #[test]
-    fn legacy_endpoints_answer_with_deprecation_headers() {
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-
-        let reply = route(&get_req("/healthz"), &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 200);
-        assert!(reply
-            .headers
-            .iter()
-            .any(|(name, value)| *name == "Deprecation" && value == "true"));
-        assert!(reply
-            .headers
-            .iter()
-            .any(|(name, value)| *name == "Link" && value.contains("/v1/healthz")));
-
-        let reply = route(
-            &post_req("/query", b"(?x, p, ?y)"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
-        assert!(reply.headers.iter().any(|(name, _)| *name == "Deprecation"));
-
-        // The versioned endpoints carry no deprecation marker.
-        let reply = route(
-            &get_req("/v1/healthz"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
-        assert!(reply.headers.is_empty(), "{:?}", reply.headers);
+        let fixture = Fixture::new();
+        assert_envelope(&fixture.get("/nope"), 404, "not_found");
+        // The pre-/v1 paths are unknown paths like any other.
+        for reply in [
+            fixture.get("/healthz"),
+            fixture.post("/query", "(?x, p, ?y)"),
+            fixture.post("/explain", "(?x, p, ?y)"),
+            fixture.post("/lint", "(?x, p, ?y)"),
+        ] {
+            assert_envelope(&reply, 404, "not_found");
+            assert!(reply.headers.is_empty(), "{:?}", reply.headers);
+        }
+        for target in ["/v1/healthz", "/metrics"] {
+            assert_envelope(&fixture.post(target, ""), 405, "method_not_allowed");
+        }
+        assert_envelope(&fixture.get("/v1/lint"), 405, "method_not_allowed");
+        assert!(fixture.get("/v1/healthz").headers.is_empty());
     }
 
     #[test]
     fn v1_healthz_readiness_gates_on_the_flag() {
-        let store = Store::new();
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
+        let Fixture {
+            store,
+            pool,
+            config,
+            metrics,
+        } = Fixture::new();
+        let healthz = |target: &str, ready: bool| {
+            route(&get_req(target), &store, &pool, &config, &metrics, ready)
+        };
 
         // Liveness always answers, reporting readiness.
-        let reply = route(
-            &get_req("/v1/healthz"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            false,
-        );
+        let reply = healthz("/v1/healthz", false);
         assert_eq!(reply.status, 200);
         assert!(reply.body.contains("\"ready\": false"), "{}", reply.body);
 
         // The readiness probe fails until ready.
-        let reply = route(
-            &get_req("/v1/healthz?ready=1"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            false,
-        );
-        assert_eq!(reply.status, 503);
-        assert!(
-            reply.body.contains("\"code\": \"not_ready\""),
-            "{}",
-            reply.body
-        );
-        let reply = route(
-            &get_req("/v1/healthz?ready=1"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
+        assert_envelope(&healthz("/v1/healthz?ready=1", false), 503, "not_ready");
+        let reply = healthz("/v1/healthz?ready=1", true);
         assert_eq!(reply.status, 200);
         assert!(reply.body.contains("\"ready\": true"), "{}", reply.body);
     }
 
     #[test]
     fn v1_query_answers_and_envelopes_errors() {
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-
-        let reply = route(
-            &post_req("/v1/query", br#"{"pattern": "(?x, p, ?y)"}"#),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
+        let fixture = Fixture::new();
+        let reply = fixture.post("/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
         assert_eq!(reply.status, 200, "{}", reply.body);
         assert!(reply.body.contains("\"count\": 1"), "{}", reply.body);
         assert!(reply.body.contains("\"x\": \"a\""), "{}", reply.body);
 
         // Options ride in the body; trace=true yields a profile.
-        let reply = route(
-            &post_req(
-                "/v1/query",
-                br#"{"pattern": "(?x, p, ?y)", "opts": {"trace": true, "cache": false}}"#,
-            ),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
+        let reply = fixture.post(
+            "/v1/query",
+            r#"{"pattern": "(?x, p, ?y)", "opts": {"trace": true, "cache": false}}"#,
         );
         assert_eq!(reply.status, 200, "{}", reply.body);
         assert!(reply.body.contains("\"profile\""), "{}", reply.body);
 
-        // A pattern parse failure carries a parse_error code and the
-        // offending span.
-        let reply = route(
-            &post_req("/v1/query", br#"{"pattern": "(?x, p"}"#),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 400);
-        assert!(
-            reply.body.contains("\"code\": \"parse_error\""),
-            "{}",
-            reply.body
-        );
+        // A pattern parse failure carries a parse_error code, the
+        // parser's message and the offending span.
+        let reply = fixture.post("/v1/query", r#"{"pattern": "(?x, p"}"#);
+        assert_envelope(&reply, 400, "parse_error");
+        assert!(reply.body.contains("parse error at byte"), "{}", reply.body);
         assert!(reply.body.contains("\"span\""), "{}", reply.body);
         assert!(reply.body.contains("\"offset\""), "{}", reply.body);
 
         // Malformed JSON and missing pattern are bad_request.
-        for bad in [&b"not json"[..], br#"{"opts": {}}"#] {
-            let reply = route(
-                &post_req("/v1/query", bad),
-                &store,
-                &pool,
-                &config,
-                &metrics,
-                true,
-            );
-            assert_eq!(reply.status, 400, "{}", reply.body);
-            assert!(
-                reply.body.contains("\"code\": \"bad_request\""),
-                "{}",
-                reply.body
-            );
+        for bad in ["not json", r#"{"opts": {}}"#] {
+            assert_envelope(&fixture.post("/v1/query", bad), 400, "bad_request");
         }
 
         // The deadline path maps to a timeout envelope.
-        let reply = route(
-            &post_req(
-                "/v1/query",
-                br#"{"pattern": "(?x, p, ?y)", "opts": {"deadline_ms": 0, "cache": false}}"#,
-            ),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
+        let reply = fixture.post(
+            "/v1/query",
+            r#"{"pattern": "(?x, p, ?y)", "opts": {"deadline_ms": 0, "cache": false}}"#,
         );
-        assert_eq!(reply.status, 504);
-        assert!(
-            reply.body.contains("\"code\": \"timeout\""),
-            "{}",
-            reply.body
-        );
-
-        // The admission ceiling maps to admission_denied + AD001.
-        let capped = ServerConfig {
-            admission_ceiling: Some(owql_lint::ComplexityClass::Np),
-            ..ServerConfig::default()
-        };
-        let reply = route(
-            &post_req(
-                "/v1/query",
-                br#"{"pattern": "NS(((?x, p, ?y) OPT (?y, p, ?z)))"}"#,
-            ),
-            &store,
-            &pool,
-            &capped,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 429, "{}", reply.body);
-        assert!(
-            reply.body.contains("\"code\": \"admission_denied\""),
-            "{}",
-            reply.body
-        );
-        assert!(reply.body.contains("\"rule\": \"AD001\""), "{}", reply.body);
+        assert_envelope(&reply, 504, "timeout");
+        assert!(reply.body.contains("deadline"), "{}", reply.body);
     }
 
     #[test]
-    fn v1_explain_and_lint_answer() {
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-
-        let reply = route(
-            &post_req("/v1/explain", br#"{"pattern": "(?x, p, ?y)"}"#),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
+    fn admission_ceiling_sheds_with_429_and_ad001_diagnostic() {
+        let fixture = Fixture::capped_at_np();
+        // PSPACE-class body: NS over a non-AUFS operand.
+        let reply = fixture.post(
+            "/v1/query",
+            r#"{"pattern": "NS(((?x, p, ?y) OPT (?y, p, ?z)))"}"#,
         );
+        assert_envelope(&reply, 429, "admission_denied");
+        assert!(reply.body.contains("\"rule\": \"AD001\""), "{}", reply.body);
+        assert!(
+            reply.body.contains("above the configured NP ceiling"),
+            "{}",
+            reply.body
+        );
+        assert_eq!(fixture.metrics.shed_total.load(Ordering::Relaxed), 1);
+
+        // At or under the ceiling the same store still answers.
+        let reply = fixture.post("/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
+        assert_eq!(reply.status, 200);
+    }
+
+    #[test]
+    fn v1_explain_answers_and_reports_prunes() {
+        let fixture = Fixture::new();
+        let reply = fixture.post("/v1/explain", r#"{"pattern": "(?x, p, ?y)"}"#);
         assert_eq!(reply.status, 200, "{}", reply.body);
         assert!(reply.body.contains("\"plan\""), "{}", reply.body);
         // Un-optimized explains carry no prune section.
@@ -2734,17 +2283,10 @@ mod tests {
 
         // With `optimize` the unsatisfiable conjunction is pruned: the
         // plan shown is the empty marker, and the counters say why.
-        let reply = route(
-            &post_req(
-                "/v1/explain",
-                br#"{"pattern": "((?x, p, ?y) FILTER ((?y = c1) && (?y = c2)))",
-                     "opts": {"optimize": true}}"#,
-            ),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
+        let reply = fixture.post(
+            "/v1/explain",
+            r#"{"pattern": "((?x, p, ?y) FILTER ((?y = c1) && (?y = c2)))",
+                "opts": {"optimize": true}}"#,
         );
         assert_eq!(reply.status, 200, "{}", reply.body);
         assert!(
@@ -2758,202 +2300,42 @@ mod tests {
             "optimized plan should show the empty marker: {}",
             reply.body
         );
+    }
 
-        let reply = route(
-            &post_req(
-                "/v1/lint",
-                br#"{"pattern": "((?X, a, Chile) AND ((?Y, a, Chile) OPT (?Y, b, ?X)))"}"#,
-            ),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
+    #[test]
+    fn v1_lint_reports_diagnostics_without_evaluating() {
+        let fixture = Fixture::new();
+        let reply = fixture.post(
+            "/v1/lint",
+            r#"{"pattern": "((?X, a, Chile) AND\n ((?Y, a, Chile) OPT (?Y, b, ?X)))"}"#,
         );
         assert_eq!(reply.status, 200, "{}", reply.body);
-        assert!(
-            reply.body.contains("\"well_designed\": \"violated\""),
-            "{}",
-            reply.body
-        );
-        assert!(reply.body.contains("\"rule\": \"WD001\""), "{}", reply.body);
-        // The dataflow lattice rides along: ?X and ?Y are certain,
-        // the OPT-side extension is possible-only.
-        assert!(
-            reply.body.contains(
-                "\"bindings\": {\"certain\": [\"?X\", \"?Y\"], \"possible\": [\"?X\", \"?Y\"]}"
-            ),
-            "{}",
-            reply.body
-        );
+        for needle in [
+            "\"fragment\": \"SPARQL\"",
+            "\"complexity\": \"PSPACE\"",
+            "\"well_designed\": \"violated\"",
+            "\"rule\": \"WD001\"",
+            // The WD001 span starts on line 2 of the multi-line pattern.
+            "\"line\": 2",
+            // The dataflow lattice rides along: ?X and ?Y are certain,
+            // the OPT-side extension is possible-only.
+            "\"bindings\": {\"certain\": [\"?X\", \"?Y\"], \"possible\": [\"?X\", \"?Y\"]}",
+        ] {
+            assert!(reply.body.contains(needle), "{needle}: {}", reply.body);
+        }
 
         // Lint parse failures carry the span envelope too.
-        let reply = route(
-            &post_req("/v1/lint", br#"{"pattern": "(?x, p"}"#),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 400);
-        assert!(
-            reply.body.contains("\"code\": \"parse_error\""),
-            "{}",
-            reply.body
-        );
-    }
-
-    #[test]
-    fn query_route_answers_and_echoes_parse_errors() {
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-
-        let reply = route(
-            &post_req("/query", b"(?x, p, ?y)"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
-        assert!(reply.body.contains("\"count\": 1"));
-        assert!(reply.body.contains("\"x\": \"a\""));
-
-        let reply = route(
-            &post_req("/query", b"(?x, p"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 400);
-        assert!(reply.body.contains("parse error at byte"), "{}", reply.body);
-
-        // The deadline path maps to 504.
-        let reply = route(
-            &post_req("/query?deadline_ms=0&cache=0", b"(?x, p, ?y)"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 504);
-        assert!(reply.body.contains("deadline"));
-    }
-
-    #[test]
-    fn admission_ceiling_sheds_with_429_and_ad001_diagnostic() {
-        let store = Store::new();
-        store.insert(owql_rdf::Triple::new("a", "p", "b"));
-        let pool = Pool::sequential();
-        let config = ServerConfig {
-            admission_ceiling: Some(owql_lint::ComplexityClass::Np),
-            ..ServerConfig::default()
-        };
-        let metrics = ServerMetrics::default();
-
-        // PSPACE-class body: NS over a non-AUFS operand.
-        let reply = route(
-            &post_req("/query", b"NS(((?x, p, ?y) OPT (?y, p, ?z)))"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 429, "{}", reply.body);
-        assert!(reply.body.contains("\"rule\": \"AD001\""), "{}", reply.body);
-        assert!(
-            reply.body.contains("above the configured NP ceiling"),
-            "{}",
-            reply.body
-        );
-        assert_eq!(metrics.shed_total.load(Ordering::Relaxed), 1);
-
-        // At or under the ceiling the same store still answers.
-        let reply = route(
-            &post_req("/query", b"(?x, p, ?y)"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 200);
-    }
-
-    #[test]
-    fn lint_route_reports_diagnostics_without_evaluating() {
-        let store = Store::new();
-        let pool = Pool::sequential();
-        let config = ServerConfig::default();
-        let metrics = ServerMetrics::default();
-
-        let req = post_req(
-            "/lint",
-            b"((?X, a, Chile) AND\n ((?Y, a, Chile) OPT (?Y, b, ?X)))",
-        );
-        let reply = route(&req, &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        assert!(
-            reply.body.contains("\"fragment\": \"SPARQL\""),
-            "{}",
-            reply.body
-        );
-        assert!(
-            reply.body.contains("\"complexity\": \"PSPACE\""),
-            "{}",
-            reply.body
-        );
-        assert!(
-            reply.body.contains("\"well_designed\": \"violated\""),
-            "{}",
-            reply.body
-        );
-        assert!(reply.body.contains("\"rule\": \"WD001\""), "{}", reply.body);
-        // The WD001 span starts on line 2 of the multi-line body.
-        assert!(reply.body.contains("\"line\": 2"), "{}", reply.body);
-
-        let mut get = req.clone();
-        get.method = "GET".into();
-        let reply = route(&get, &store, &pool, &config, &metrics, true);
-        assert_eq!(reply.status, 405);
-
-        let reply = route(
-            &post_req("/lint", b"(?x, p"),
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            true,
-        );
-        assert_eq!(reply.status, 400);
+        let reply = fixture.post("/v1/lint", r#"{"pattern": "(?x, p"}"#);
+        assert_envelope(&reply, 400, "parse_error");
         assert!(reply.body.contains("parse error at byte"), "{}", reply.body);
     }
 
     #[test]
-    fn shed_reply_formats_follow_the_surface() {
-        let config = ServerConfig::default();
-        let legacy = shed_reply(&post_req("/query", b"x"), &config);
-        assert_eq!(legacy.status, 429);
-        assert!(legacy.body.starts_with("{\"error\": \""), "{}", legacy.body);
-        assert!(legacy
-            .headers
-            .iter()
-            .any(|(name, value)| *name == "Retry-After" && value == "1"));
-
-        let v1 = shed_reply(&post_req("/v1/query", b"x"), &config);
-        assert_eq!(v1.status, 429);
-        assert!(v1.body.contains("\"code\": \"shed\""), "{}", v1.body);
-        assert!(v1.body.contains("\"retry_after\": 1"), "{}", v1.body);
-        assert!(v1
+    fn shed_reply_is_an_envelope_with_retry_after() {
+        let reply = shed_reply(&ServerConfig::default());
+        assert_envelope(&reply, 429, "shed");
+        assert!(reply.body.contains("\"retry_after\": 1"), "{}", reply.body);
+        assert!(reply
             .headers
             .iter()
             .any(|(name, value)| *name == "Retry-After" && value == "1"));

@@ -7,11 +7,9 @@
 //! curl -s -X POST localhost:PORT/v1/query -d '{"pattern": "(?x, knows, ?y)"}'
 //! ```
 //!
-//! The versioned `/v1` endpoints take a JSON envelope (`pattern` plus
-//! an optional `opts` object) and answer errors in a unified
-//! `{"error": {"code", "message", ...}}` envelope. The original
-//! unversioned endpoints still answer but carry a `Deprecation: true`
-//! header and a `Link` to their `/v1` successor.
+//! The `/v1` endpoints take a JSON envelope (`pattern` plus an
+//! optional `opts` object) and answer errors in a unified
+//! `{"error": {"code", "message", ...}}` envelope.
 //!
 //! `GET /metrics` speaks Prometheus text exposition (0.0.4), so the
 //! server can be scraped directly. Quickstart with a local Prometheus:
@@ -30,7 +28,8 @@
 //!
 //! `GET /metrics?format=json` returns the same counters as a JSON
 //! document, including the slow-query ring buffer (queries over the
-//! 250 ms default threshold; override per request with `?slow_ms=`).
+//! 250 ms default threshold; override per request with
+//! `"opts": {"slow_ms": ...}`).
 //!
 //! Set `OWQL_SERVE_ADDR` to pick the bind address (default
 //! `127.0.0.1:7878`); set `OWQL_SERVE_ONESHOT=1` to boot, self-query,
@@ -101,7 +100,6 @@ fn main() {
     println!("  curl -s -X POST {addr}/v1/query -d '{{\"pattern\": \"((?x, knows, ?y) AND (?y, knows, ?z))\", \"opts\": {{\"mode\": \"parallel\", \"trace\": true}}}}'");
     println!("  curl -s -X POST {addr}/v1/explain -d '{{\"pattern\": \"((?x, knows, ?y) AND (?y, age, ?a))\"}}'");
     println!("  curl -s -X POST {addr}/v1/lint -d '{{\"pattern\": \"((?x, knows, ?y) OPT (?z, age, ?a))\"}}'");
-    println!("  curl -si -X POST {addr}/query -d '(?x, knows, ?y)'   # legacy: note the Deprecation header");
 
     if std::env::var("OWQL_SERVE_ONESHOT").as_deref() == Ok("1") {
         // CI smoke mode: issue one /v1 query against ourselves and exit.

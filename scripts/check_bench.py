@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI perf gate over the parallel-evaluation benchmark artifact.
 
-Two checks:
+Three checks:
 
 1. Static (always): every per-worker speedup recorded in the committed
    artifact must clear MIN_SPEEDUP. A committed file showing a parallel
@@ -21,22 +21,8 @@ Two checks:
    reruns); the per-query minimum is compared, which keeps scheduler
    noise on loaded CI runners from tripping the gate.
 
-4. Server (with --server): gates over a `load_gen` BENCH_server.json
-   artifact. The committed artifact's sustained phase must serve at
-   least MIN_SERVER_SPEEDUP × the PR-8 baseline's sustained goodput
-   (ok responses per second — the baseline's headline `throughput_rps`
-   of 371.3 counted its 429s; 316.6 ok/s is the served-work figure and
-   the comparison both artifacts support). The overload phase must
-   keep its shed rate inside (0, MAX_OVERLOAD_SHED_RATE) at 16 clients
-   — admission control has to engage, but a majority of the 2× offered
-   load must still be served. A --fresh rerun is held to the same shed
-   window and to the committed sustained goodput divided by
-   MAX_REGRESSION (fresh throughput on a loaded CI runner is noisy;
-   fresh shed behaviour is not).
-
 Usage:
     scripts/check_bench.py ARTIFACT [--fresh FRESH.json ...]
-    scripts/check_bench.py --server ARTIFACT [--fresh FRESH.json ...]
 
 Exit code 0 = gate passes, 1 = gate fails, 2 = bad invocation/schema.
 """
@@ -64,22 +50,6 @@ MAX_REGRESSION = 1.25
 # granularity makes the ratio meaningless.
 MAX_TRACE_OVERHEAD = 1.15
 MIN_TRACE_BASELINE_MS = 1.0
-
-# --- server artifact gates (--server) --------------------------------
-
-# Sustained goodput of the PR-8 BENCH_server.json baseline (ok
-# responses / wall seconds: 966 ok over 3.051 s). Hardcoded so the gate
-# keeps meaning "vs PR-8" even after the artifact is regenerated.
-BASELINE_SUSTAINED_OK_RPS = 316.6
-
-# The committed artifact's sustained phase must serve at least this
-# multiple of the baseline goodput.
-MIN_SERVER_SPEEDUP = 4.0
-
-# Overload (16 clients vs a 10-slot admission queue) must shed *some*
-# requests — a zero shed rate means admission control never engaged —
-# but fewer than half: the majority of the offered load is served.
-MAX_OVERLOAD_SHED_RATE = 0.5
 
 
 def rows(doc):
@@ -152,120 +122,10 @@ def dynamic_gate(artifact, fresh_docs):
     return failures
 
 
-def server_phases(doc):
-    """{phase-name: record} for a load_gen artifact (last wins)."""
-    return {p["phase"]: p for p in doc["phases"]}
-
-
-def server_ok_rps(phase):
-    return phase["ok"] / phase["wall_s"]
-
-
-def server_shed_window(phase, label):
-    failures = []
-    rate = phase["shed_rate"]
-    if rate <= 0.0:
-        failures.append(
-            f"  {label} overload: shed rate 0 — admission control never engaged "
-            f"({phase['clients']} clients should exceed the queue bound)"
-        )
-    if rate >= MAX_OVERLOAD_SHED_RATE:
-        failures.append(
-            f"  {label} overload: shed rate {rate:.4f} >= {MAX_OVERLOAD_SHED_RATE} "
-            f"at {phase['clients']} clients — the majority of offered load must be served"
-        )
-    return failures
-
-
-def server_static_gate(artifact):
-    phases = server_phases(artifact)
-    failures = []
-    sustained = phases.get("sustained")
-    overload = phases.get("overload")
-    if sustained is None or overload is None:
-        return ["  artifact is missing a sustained or overload phase"]
-    rps = server_ok_rps(sustained)
-    floor = MIN_SERVER_SPEEDUP * BASELINE_SUSTAINED_OK_RPS
-    if rps < floor:
-        failures.append(
-            f"  sustained: committed goodput {rps:.1f} ok/s < {floor:.1f} "
-            f"({MIN_SERVER_SPEEDUP}x the PR-8 baseline {BASELINE_SUSTAINED_OK_RPS} ok/s)"
-        )
-    if overload["clients"] != 16:
-        failures.append(
-            f"  overload: phase ran {overload['clients']} clients, the gate is defined at 16"
-        )
-    failures += server_shed_window(overload, "committed")
-    return failures
-
-
-def server_dynamic_gate(artifact, fresh_docs):
-    committed = server_ok_rps(server_phases(artifact)["sustained"])
-    failures = []
-    best = None
-    for i, doc in enumerate(fresh_docs):
-        phases = server_phases(doc)
-        if "sustained" not in phases or "overload" not in phases:
-            failures.append(f"  fresh run {i + 1}: missing sustained or overload phase")
-            continue
-        rps = server_ok_rps(phases["sustained"])
-        best = rps if best is None else max(best, rps)
-        failures += server_shed_window(phases["overload"], f"fresh run {i + 1}")
-    if best is not None and best < committed / MAX_REGRESSION:
-        failures.append(
-            f"  sustained: best fresh goodput {best:.1f} ok/s < "
-            f"{committed / MAX_REGRESSION:.1f} (committed {committed:.1f} / {MAX_REGRESSION})"
-        )
-    return failures
-
-
-def server_main(artifact_path, fresh_paths):
-    try:
-        artifact = json.load(open(artifact_path))
-        fresh_docs = [json.load(open(p)) for p in fresh_paths]
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot read artifact: {e}")
-        return 2
-    failures = server_static_gate(artifact)
-    if fresh_docs:
-        failures += server_dynamic_gate(artifact, fresh_docs)
-    if failures:
-        print(f"server bench gate FAILED ({artifact_path}):")
-        print("\n".join(failures))
-        return 1
-    sustained = server_phases(artifact)["sustained"]
-    overload = server_phases(artifact)["overload"]
-    print(
-        f"server bench gate OK: sustained {server_ok_rps(sustained):.1f} ok/s "
-        f"({server_ok_rps(sustained) / BASELINE_SUSTAINED_OK_RPS:.2f}x baseline, "
-        f"floor {MIN_SERVER_SPEEDUP}x), overload shed rate "
-        f"{overload['shed_rate']:.4f} in (0, {MAX_OVERLOAD_SHED_RATE})"
-        + (f", {len(fresh_docs)} fresh rerun(s) within tolerance" if fresh_docs else "")
-    )
-    return 0
-
-
 def main(argv):
     if len(argv) < 2 or argv[1] in ("-h", "--help"):
         print(__doc__)
         return 2
-    if argv[1] == "--server":
-        if len(argv) < 3:
-            print("--server needs an artifact path")
-            return 2
-        fresh = []
-        it = iter(argv[3:])
-        for arg in it:
-            if arg == "--fresh":
-                try:
-                    fresh.append(next(it))
-                except StopIteration:
-                    print("--fresh needs a file argument")
-                    return 2
-            else:
-                print(f"unknown argument: {arg}")
-                return 2
-        return server_main(argv[2], fresh)
     artifact_path = argv[1]
     fresh_paths = []
     it = iter(argv[2:])

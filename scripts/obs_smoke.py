@@ -3,9 +3,9 @@
 
 Drives real HTTP against a running serve example:
 
-1. issues N traced, uncached queries plus one query with `slow_ms=0`
-   (threshold zero => every query is "slow"), the CI injection hook for
-   the slow-query ring buffer;
+1. issues N traced, uncached queries plus one query with
+   `"slow_ms": 0` (threshold zero => every query is "slow"), the CI
+   injection hook for the slow-query ring buffer;
 2. scrapes `GET /metrics` (Prometheus text) and schema-checks it: the
    content type, `# TYPE`/`# HELP` pairs for the core families,
    cumulative bucket monotonicity ending at `_count`, exactly one
@@ -49,6 +49,13 @@ def request(addr, method, target, body=""):
     return resp.status, content_type, payload
 
 
+def query(addr, pattern, **opts):
+    """`POST /v1/query` with `pattern` under the given `opts`."""
+    body = json.dumps({"pattern": pattern, "opts": opts})
+    status, _, payload = request(addr, "POST", "/v1/query", body)
+    return status, payload
+
+
 def check(cond, message):
     if not cond:
         print(f"obs smoke FAILED: {message}")
@@ -88,15 +95,15 @@ def check_histogram(text, name):
 
 
 def main(addr):
-    status, _, body = request(addr, "GET", "/healthz")
-    check(status == 200, f"/healthz returned {status}")
+    status, _, body = request(addr, "GET", "/v1/healthz")
+    check(status == 200, f"/v1/healthz returned {status}")
 
     for _ in range(N_QUERIES):
-        status, _, body = request(addr, "POST", "/query?cache=0&trace=1", QUERY)
+        status, body = query(addr, QUERY, cache=False, trace=True)
         check(status == 200, f"query returned {status}: {body}")
     # Injection: slow_ms=0 makes the threshold zero, so this one query
     # is guaranteed to land in the slow-query ring buffer.
-    status, _, body = request(addr, "POST", "/query?cache=0&slow_ms=0", SLOW_QUERY)
+    status, body = query(addr, SLOW_QUERY, cache=False, slow_ms=0)
     check(status == 200, f"slow_ms=0 query returned {status}: {body}")
 
     # --- Prometheus text exposition ------------------------------------

@@ -15,9 +15,8 @@ versioned surface end to end:
    `method_not_allowed`, an unknown path is `not_found`;
 4. `POST /v1/explain` and `POST /v1/lint` answer with a plan and
    diagnostics respectively;
-5. the legacy endpoints still answer but carry `Deprecation: true` and
-   a `Link: </v1/...>; rel="successor-version"` header pointing at
-   their `/v1` successor.
+5. the retired pre-`/v1` paths answer `404 not_found` in the envelope
+   like any unknown path, with no `Deprecation`/`Link` header.
 
 Usage: scripts/v1_smoke.py HOST:PORT
 """
@@ -126,8 +125,8 @@ def main(addr):
         f"/v1/lint missed the well-designedness violation: {payload!r}",
     )
 
-    # --- legacy adapters carry deprecation headers ---------------------
-    deprecated = 0
+    # --- retired paths are plain 404s ----------------------------------
+    retired = 0
     for method, target, body in [
         ("GET", "/healthz", ""),
         ("POST", "/query", PATTERN),
@@ -135,27 +134,21 @@ def main(addr):
         ("POST", "/lint", PATTERN),
     ]:
         status, headers, payload = request(addr, method, target, body)
-        check(status == 200, f"legacy {method} {target} returned {status}: {payload!r}")
+        check(status == 404, f"retired {method} {target} returned {status}: {payload!r}")
+        check_error_envelope(payload, "not_found", f"retired {method} {target}")
         check(
-            headers.get("deprecation") == "true",
-            f"legacy {method} {target} carries no Deprecation header: {headers}",
+            "deprecation" not in headers and "link" not in headers,
+            f"retired {method} {target} still carries a Deprecation/Link header: {headers}",
         )
-        link = headers.get("link", "")
-        check(
-            link == f"</v1{target}>; rel=\"successor-version\"",
-            f"legacy {method} {target} Link header wrong: {link!r}",
-        )
-        deprecated += 1
-    # /v1 endpoints must NOT carry the header.
-    status, headers, _ = request(addr, "GET", "/v1/healthz")
-    check(
-        "deprecation" not in headers,
-        f"/v1/healthz wrongly marked deprecated: {headers}",
-    )
+        retired += 1
+
+    status, _, payload = request(addr, "POST", "/metrics")
+    check(status == 405, f"POST /metrics returned {status}")
+    check_error_envelope(payload, "method_not_allowed", "POST /metrics")
 
     print(
         f"v1 smoke: success + error envelopes schema-clean, "
-        f"{deprecated} legacy adapters carry Deprecation + successor Link"
+        f"{retired} retired paths answer 404 not_found"
     )
 
 

@@ -2,9 +2,9 @@
 //! epoch-consistent answers under churn writes, deadline `504`s that
 //! leave the worker pool healthy, queue-full `429` shedding that
 //! preserves keep-alive, HTTP/1.1 pipelining with in-order responses,
-//! chunked transfer-encoding for large result sets, the versioned
-//! `/v1` JSON surface, and graceful shutdown draining in-flight
-//! requests.
+//! (bounded per connection), chunked transfer-encoding for large
+//! result sets, the `/v1` JSON surface and its one error envelope, and
+//! graceful shutdown draining in-flight requests.
 
 use owql_rdf::Triple;
 use owql_server::{decode_chunked, Server, ServerConfig};
@@ -51,9 +51,27 @@ fn send(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, Strin
     (status, head.to_owned(), payload)
 }
 
-fn query(addr: SocketAddr, target: &str, pattern: &str) -> (u16, String) {
-    let (status, _, body) = send(addr, "POST", target, pattern);
+/// The `/v1` request body for `pattern` under the JSON object `opts`.
+fn envelope(opts: &str, pattern: &str) -> String {
+    format!(
+        "{{\"pattern\": {}, \"opts\": {opts}}}",
+        owql_obs::json::string(pattern)
+    )
+}
+
+/// `POST /v1/query` on a fresh connection; `(status, body)`.
+fn query(addr: SocketAddr, opts: &str, pattern: &str) -> (u16, String) {
+    let (status, _, body) = send(addr, "POST", "/v1/query", &envelope(opts, pattern));
     (status, body)
+}
+
+/// Asserts `body` is the error envelope carrying `code`.
+fn assert_envelope(body: &str, code: &str) {
+    let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
+    assert!(
+        body.starts_with(&needle),
+        "expected a {code} envelope: {body}"
+    );
 }
 
 /// A persistent keep-alive client: writes requests without
@@ -82,6 +100,11 @@ impl Client {
             body.len()
         )
         .expect("write request");
+    }
+
+    /// Writes one `POST /v1/query` without waiting for the answer.
+    fn query(&mut self, opts: &str, pattern: &str) {
+        self.send("POST", "/v1/query", &envelope(opts, pattern));
     }
 
     /// Reads exactly one response frame; `(status, head, body)`.
@@ -142,6 +165,10 @@ impl Client {
     }
 }
 
+/// The `opts` of a request that must reach the evaluator.
+const UNCACHED: &str = r#"{"cache": false}"#;
+const UNCACHED_PARALLEL: &str = r#"{"cache": false, "mode": "parallel"}"#;
+
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack
         .windows(needle.len())
@@ -177,29 +204,27 @@ fn healthz_metrics_and_basic_query() {
     let server = Server::start(store.clone(), ServerConfig::default()).expect("start");
     let addr = server.addr();
 
-    let (status, head, body) = send(addr, "GET", "/healthz", "");
+    let (status, _, body) = send(addr, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\": \"ok\""), "{body}");
     assert_eq!(json_u64(&body, "epoch"), store.epoch());
-    // The legacy endpoint is marked deprecated, pointing at /v1.
-    assert!(head.contains("Deprecation: true"), "{head}");
-    assert!(head.contains("/v1/healthz"), "{head}");
 
-    let (status, body) = query(addr, "/query", "(?x, p, ?y)");
+    let (status, body) = query(addr, "{}", "(?x, p, ?y)");
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_u64(&body, "count"), 3);
     assert!(body.contains("\"s0\""), "{body}");
 
     // Same request again: served from the epoch-keyed cache.
-    let (_, body) = query(addr, "/query", "(?x, p, ?y)");
+    let (_, body) = query(addr, "{}", "(?x, p, ?y)");
     assert!(body.contains("\"cache_hit\": true"), "{body}");
 
     // Traced parallel request carries a profile.
-    let (status, body) = query(addr, "/query?mode=parallel&trace=1&cache=0", "(?x, p, ?y)");
+    let traced = r#"{"mode": "parallel", "trace": true, "cache": false}"#;
+    let (status, body) = query(addr, traced, "(?x, p, ?y)");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"profile\""), "{body}");
 
-    let (status, body) = query(addr, "/explain", "(?x, p, ?y)");
+    let (status, _, body) = send(addr, "POST", "/v1/explain", &envelope("{}", "(?x, p, ?y)"));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"plan\""), "{body}");
 
@@ -225,9 +250,33 @@ fn healthz_metrics_and_basic_query() {
 
     let (status, _, body) = send(addr, "GET", "/nope", "");
     assert_eq!(status, 404, "{body}");
-    let (status, _, _) = send(addr, "POST", "/healthz", "");
-    assert_eq!(status, 405);
+    for target in ["/v1/healthz", "/metrics"] {
+        let (status, _, body) = send(addr, "POST", target, "");
+        assert_eq!(status, 405, "{target}: {body}");
+        assert_envelope(&body, "method_not_allowed");
+    }
 
+    server.shutdown();
+}
+
+/// The pre-`/v1` paths are gone: each answers `404` in the envelope
+/// like any unknown path, with no deprecation marker.
+#[test]
+fn retired_paths_answer_404_envelopes() {
+    let server = Server::start(seeded_store(1), ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    for (method, target, body) in [
+        ("GET", "/healthz", ""),
+        ("POST", "/query", "(?x, p, ?y)"),
+        ("POST", "/explain", "(?x, p, ?y)"),
+        ("POST", "/lint", "(?x, p, ?y)"),
+    ] {
+        let (status, head, body) = send(addr, method, target, body);
+        assert_eq!(status, 404, "{target}: {body}");
+        assert_envelope(&body, "not_found");
+        assert!(!head.contains("Deprecation"), "{target}: {head}");
+        assert!(!head.contains("Link:"), "{target}: {head}");
+    }
     server.shutdown();
 }
 
@@ -295,13 +344,7 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
     // Three requests written back-to-back before reading anything.
     let mut client = Client::connect(addr);
     for i in 0..3 {
-        let body = format!("(s{i}, p, ?y)");
-        write!(
-            client.conn,
-            "POST /query?cache=0 HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write pipelined request");
+        client.query(UNCACHED, &format!("(s{i}, p, ?y)"));
     }
     for i in 0..3 {
         let (status, head, body) = client.read_response();
@@ -317,7 +360,7 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
     }
 
     // A fourth request on the same socket still answers.
-    client.send("POST", "/query?cache=0", "(s3, p, ?y)");
+    client.query(UNCACHED, "(s3, p, ?y)");
     let (status, _, body) = client.read_response();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"o3\""), "{body}");
@@ -336,7 +379,7 @@ fn large_result_sets_stream_chunked_and_decode() {
     let addr = server.addr();
 
     let mut client = Client::connect(addr);
-    client.send("POST", "/query?cache=0", "(?x, p, ?y)");
+    client.query(UNCACHED, "(?x, p, ?y)");
     let (status, head, body) = client.read_response();
     assert_eq!(status, 200);
     assert!(
@@ -355,7 +398,7 @@ fn large_result_sets_stream_chunked_and_decode() {
     );
 
     // The socket survives a chunked exchange.
-    client.send("GET", "/healthz", "");
+    client.send("GET", "/v1/healthz", "");
     let (status, _, body) = client.read_response();
     assert_eq!(status, 200, "{body}");
 
@@ -370,17 +413,19 @@ fn parse_errors_echo_byte_offsets() {
     let server = Server::start(seeded_store(1), ServerConfig::default()).expect("start");
     let addr = server.addr();
 
-    let (status, body) = query(addr, "/query", "(?x, p");
+    let (status, body) = query(addr, "{}", "(?x, p");
     assert_eq!(status, 400, "{body}");
+    assert_envelope(&body, "parse_error");
     assert!(body.contains("parse error at byte"), "{body}");
 
-    let (status, body) = query(addr, "/query", "");
+    let (status, _, body) = send(addr, "POST", "/v1/query", "");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("empty request body"), "{body}");
 
-    let (status, body) = query(addr, "/query?mode=sideways", "(?x, p, ?y)");
+    let (status, body) = query(addr, r#"{"mode": "sideways"}"#, "(?x, p, ?y)");
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("unknown mode"), "{body}");
+    assert_envelope(&body, "bad_request");
+    assert!(body.contains("\\\"mode\\\" must be"), "{body}");
 
     server.shutdown();
 }
@@ -399,12 +444,9 @@ fn admission_ceiling_sheds_over_class_queries_with_diagnostic_body() {
 
     // A PSPACE-complete pattern (non-well-designed OPT) is refused up
     // front with a machine-readable diagnostic, never evaluated.
-    let (status, body) = query(
-        addr,
-        "/query",
-        "((?X, a, b) AND ((?Y, a, b) OPT (?Y, c, ?X)))",
-    );
+    let (status, body) = query(addr, "{}", "((?X, a, b) AND ((?Y, a, b) OPT (?Y, c, ?X)))");
     assert_eq!(status, 429, "{body}");
+    assert_envelope(&body, "admission_denied");
     assert!(body.contains("\"rule\": \"AD001\""), "{body}");
     assert!(body.contains("\"severity\": \"error\""), "{body}");
     assert!(body.contains("above the configured NP ceiling"), "{body}");
@@ -412,27 +454,27 @@ fn admission_ceiling_sheds_over_class_queries_with_diagnostic_body() {
     // The same query is also refused on the cached and parallel paths.
     let (status, _) = query(
         addr,
-        "/query?mode=parallel",
+        r#"{"mode": "parallel"}"#,
         "((?X, a, b) AND ((?Y, a, b) OPT (?Y, c, ?X)))",
     );
     assert_eq!(status, 429);
 
     // Queries inside the admitted fragment still answer normally.
-    let (status, body) = query(addr, "/query", "(?x, p, ?y)");
+    let (status, body) = query(addr, "{}", "(?x, p, ?y)");
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_u64(&body, "count"), 3);
 
     // A request may tighten the ceiling further but not relax it.
     let (status, body) = query(
         addr,
-        "/query?max_class=p&cache=0",
+        r#"{"max_class": "p", "cache": false}"#,
         "((?x, p, ?y) UNION (?x, q, ?y))",
     );
     assert_eq!(status, 429, "{body}");
     assert!(body.contains("AD001"), "{body}");
     let (status, _) = query(
         addr,
-        "/query?max_class=pspace",
+        r#"{"max_class": "pspace"}"#,
         "((?X, a, b) AND ((?Y, a, b) OPT (?Y, c, ?X)))",
     );
     assert_eq!(status, 429);
@@ -448,24 +490,27 @@ fn lint_endpoint_classifies_and_reports_line_column_spans() {
     let server = Server::start(seeded_store(1), ServerConfig::default()).expect("start");
     let addr = server.addr();
 
-    let (status, body) = query(
-        addr,
-        "/lint",
-        "((?X, a, Chile) AND\n ((?Y, a, Chile) OPT (?Y, b, ?X)))",
-    );
+    let lint = |pattern: &str| {
+        let (status, _, body) = send(addr, "POST", "/v1/lint", &envelope("{}", pattern));
+        (status, body)
+    };
+    let (status, body) = lint("((?X, a, Chile) AND\n ((?Y, a, Chile) OPT (?Y, b, ?X)))");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"fragment\": \"SPARQL\""), "{body}");
     assert!(body.contains("\"complexity\": \"PSPACE\""), "{body}");
     assert!(body.contains("\"well_designed\": \"violated\""), "{body}");
     assert!(body.contains("\"rule\": \"WD001\""), "{body}");
-    // The offending OPT subtree sits on the second line of the body.
+    // The offending OPT subtree sits on the second line of the pattern.
     assert!(body.contains("\"line\": 2"), "{body}");
 
-    // Parse errors surface line:column alongside the byte offset.
-    let (status, body) = query(addr, "/lint", "((?x, p, ?y) AND\n (?y, q");
+    // Parse errors surface line:column alongside the byte offset, in
+    // the message and as the envelope's span.
+    let (status, body) = lint("((?x, p, ?y) AND\n (?y, q");
     assert_eq!(status, 400, "{body}");
+    assert_envelope(&body, "parse_error");
     assert!(body.contains("parse error at byte"), "{body}");
     assert!(body.contains("line 2"), "{body}");
+    assert!(body.contains("\"span\": {\"offset\": "), "{body}");
 
     server.shutdown();
 }
@@ -484,23 +529,24 @@ fn deadline_exceeded_maps_to_504_without_poisoning_workers() {
     let addr = server.addr();
 
     // A zero deadline times out on every execution mode.
-    for target in [
-        "/query?deadline_ms=0&cache=0",
-        "/query?deadline_ms=0&cache=0&mode=parallel",
-        "/query?deadline_ms=0&cache=0&trace=1",
+    for opts in [
+        r#"{"deadline_ms": 0, "cache": false}"#,
+        r#"{"deadline_ms": 0, "cache": false, "mode": "parallel"}"#,
+        r#"{"deadline_ms": 0, "cache": false, "trace": true}"#,
     ] {
-        let (status, body) = query(addr, target, "((?x, p, ?y) AND (?y, q, ?z))");
-        assert_eq!(status, 504, "{target}: {body}");
+        let (status, body) = query(addr, opts, "((?x, p, ?y) AND (?y, q, ?z))");
+        assert_eq!(status, 504, "{opts}: {body}");
+        assert_envelope(&body, "timeout");
         assert!(body.contains("deadline"), "{body}");
     }
 
     // Workers survive: the very next requests answer normally on both
     // modes, and more requests than workers all succeed.
     for _ in 0..4 {
-        let (status, body) = query(addr, "/query?cache=0", "(?x, p, ?y)");
+        let (status, body) = query(addr, UNCACHED, "(?x, p, ?y)");
         assert_eq!(status, 200, "{body}");
         assert_eq!(json_u64(&body, "count"), 8);
-        let (status, body) = query(addr, "/query?cache=0&mode=parallel", "(?x, p, ?y)");
+        let (status, body) = query(addr, UNCACHED_PARALLEL, "(?x, p, ?y)");
         assert_eq!(status, 200, "{body}");
         assert_eq!(json_u64(&body, "count"), 8);
     }
@@ -528,20 +574,21 @@ fn full_queue_sheds_with_429_and_the_connection_survives() {
     // cross join would run far past 600ms; the cooperative budget cuts
     // it off), then fill the one queue slot the same way.
     let heavy = "((?a, p, ?b) AND ((?c, p, ?d) AND (?e, p, ?f)))";
-    let heavy_target = "/query?cache=0&deadline_ms=600";
+    let heavy_opts = r#"{"cache": false, "deadline_ms": 600}"#;
     let mut hold_worker = Client::connect(addr);
-    hold_worker.send("POST", heavy_target, heavy);
+    hold_worker.query(heavy_opts, heavy);
     std::thread::sleep(Duration::from_millis(100));
     let mut hold_queue = Client::connect(addr);
-    hold_queue.send("POST", heavy_target, heavy);
+    hold_queue.query(heavy_opts, heavy);
     std::thread::sleep(Duration::from_millis(100));
 
     // Now the queue is full: this request is shed with 429 — and the
     // connection stays open.
     let mut probe = Client::connect(addr);
-    probe.send("POST", "/query", "(?x, p, ?y)");
+    probe.query("{}", "(?x, p, ?y)");
     let (status, head, body) = probe.read_response();
     assert_eq!(status, 429, "{body}");
+    assert_envelope(&body, "shed");
     assert!(head.contains("Retry-After:"), "{head}");
     assert!(
         head.contains("Connection: keep-alive"),
@@ -555,7 +602,7 @@ fn full_queue_sheds_with_429_and_the_connection_survives() {
     assert_eq!(status, 504);
 
     // The same socket that was shed now answers normally.
-    probe.send("POST", "/query", "(?x, p, ?y)");
+    probe.query("{}", "(?x, p, ?y)");
     let (status, _, body) = probe.read_response();
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_u64(&body, "count"), 400);
@@ -595,12 +642,12 @@ fn concurrent_queries_under_churn_are_epoch_consistent() {
         .map(|r| {
             std::thread::spawn(move || {
                 for i in 0..24 {
-                    let target = match (r + i) % 3 {
-                        0 => "/query?cache=0",
-                        1 => "/query?cache=0&mode=parallel",
-                        _ => "/query", // cached path is epoch-keyed too
+                    let opts = match (r + i) % 3 {
+                        0 => UNCACHED,
+                        1 => UNCACHED_PARALLEL,
+                        _ => "{}", // cached path is epoch-keyed too
                     };
-                    let (status, body) = query(addr, target, "(?x, p, ?y)");
+                    let (status, body) = query(addr, opts, "(?x, p, ?y)");
                     assert_eq!(status, 200, "{body}");
                     let epoch = json_u64(&body, "epoch");
                     let count = json_u64(&body, "count");
@@ -631,10 +678,10 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let slow_client = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(addr).expect("connect");
         std::thread::sleep(Duration::from_millis(300));
-        let body = "(?x, p, ?y)";
+        let body = envelope("{}", "(?x, p, ?y)");
         write!(
             conn,
-            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v1/query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         )
         .expect("write");
@@ -659,7 +706,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
             || TcpStream::connect(addr)
                 .and_then(|mut c| {
                     let mut buf = [0u8; 1];
-                    c.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")?;
+                    c.write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\n")?;
                     let n = c.read(&mut buf)?;
                     Ok(n == 0)
                 })
@@ -668,30 +715,16 @@ fn graceful_shutdown_drains_in_flight_requests() {
     );
 }
 
+/// `workers: 0` is not a second server: it is clamped to one worker,
+/// which serves a pipelined connection in order and joins on shutdown.
 #[test]
-fn inline_mode_serves_pipelined_queries_without_workers() {
-    let store = seeded_store(4);
-    // workers: 0 evaluates on the event-loop thread itself; admission
-    // stays bounded by the queue.
+fn zero_workers_is_clamped_to_one_worker() {
     let config = ServerConfig::builder().workers(0).queue_capacity(4).build();
-    let server = Server::start(store, config).expect("start");
-    let addr = server.addr();
+    let server = Server::start(seeded_store(4), config).expect("start");
 
-    let (status, _, body) = send(addr, "POST", "/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(json_u64(&body, "count"), 4);
-
-    // Pipelined requests on one socket drain fully and in order, even
-    // though no worker thread exists to hand them to.
-    let mut client = Client::connect(addr);
+    let mut client = Client::connect(server.addr());
     for i in 0..3 {
-        let body = format!("(s{i}, p, ?y)");
-        write!(
-            client.conn,
-            "POST /query?cache=0 HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write pipelined request");
+        client.query(UNCACHED, &format!("(s{i}, p, ?y)"));
     }
     for i in 0..3 {
         let (status, head, body) = client.read_response();
@@ -703,13 +736,50 @@ fn inline_mode_serves_pipelined_queries_without_workers() {
         );
     }
 
-    // Legacy adapters answer inline too, deprecation headers intact.
-    let (status, head, _) = send(addr, "POST", "/query", "(?x, p, ?y)");
-    assert_eq!(status, 200);
-    assert!(head.contains("Deprecation: true"), "{head}");
-    assert!(head.contains("rel=\"successor-version\""), "{head}");
+    server.shutdown();
+}
 
-    // Shutdown drains without a worker pool to join.
+/// Pipelining is bounded per connection — the loop stops parsing and
+/// reading a socket once 32 requests are queued behind the one in
+/// flight — and the bound must not stall or reorder anything: 5,000
+/// requests written before the first read are all answered, in order,
+/// and the connection keeps serving afterwards.
+#[test]
+fn deep_pipelines_are_bounded_answered_in_order_and_survive() {
+    const DEPTH: usize = 5_000;
+    const SUBJECTS: usize = 50;
+    let server = Server::start(seeded_store(SUBJECTS), ServerConfig::default()).expect("start");
+
+    let mut client = Client::connect(server.addr());
+    let mut requests = Vec::new();
+    for i in 0..DEPTH {
+        let body = envelope("{}", &format!("(s{}, p, ?y)", i % SUBJECTS));
+        write!(
+            requests,
+            "POST /v1/query HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("buffer request");
+    }
+    // One blocking write of the whole pipeline: it only returns once
+    // the server has drained the socket far enough, i.e. kept serving
+    // while not reading.
+    client.conn.write_all(&requests).expect("write pipeline");
+    for i in 0..DEPTH {
+        let (status, head, body) = client.read_response();
+        assert_eq!(status, 200, "response {i}: {body}");
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        assert!(
+            body.contains(&format!("\"o{}\"", i % SUBJECTS)),
+            "response {i} out of order: {body}"
+        );
+    }
+
+    client.query("{}", "(?x, p, ?y)");
+    let (status, _, body) = client.read_response();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), SUBJECTS as u64);
+
     server.shutdown();
 }
 
@@ -756,8 +826,8 @@ fn ground_patterns_render_and_the_connection_survives() {
 }
 
 /// A pattern over the evaluator's 64-variable limit is a `400` in the
-/// unified envelope on `/v1/query` and `/v1/explain` (and on the legacy
-/// adapter), and the single worker answers the next request.
+/// unified envelope on `/v1/query` and `/v1/explain`, and the single
+/// worker answers the next request.
 #[test]
 fn over_wide_patterns_answer_400_and_leave_the_worker_alive() {
     let store = seeded_store(3);
@@ -780,10 +850,6 @@ fn over_wide_patterns_answer_400_and_leave_the_worker_alive() {
         assert!(body.contains("\"code\": \"bad_request\""), "{body}");
         assert!(body.contains("65 distinct variables"), "{body}");
     }
-    let (status, body) = query(addr, "/query", &wide);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("65 distinct variables"), "{body}");
-
     client.send("POST", "/v1/query", r#"{"pattern": "(?x, p, ?y)"}"#);
     let (status, _, body) = client.read_response();
     assert_eq!(status, 200, "{body}");

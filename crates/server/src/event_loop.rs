@@ -1,0 +1,524 @@
+//! The event loop: one thread owning the epoll instance, the listener
+//! and every connection — reads, pipelined parsing, dispatch, inline
+//! sheds, writes, drain and the idle sweep.
+
+use crate::config::ServerConfig;
+use crate::http::{encode_response_into, parse_request, HttpError, Request};
+use crate::metrics::ServerMetrics;
+use crate::pool::{Bridge, Job, JobQueue};
+use crate::reply::{wire_error_body, ApiError, Reply};
+use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use std::collections::VecDeque;
+use std::io::{self, Read as _, Write as _};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Epoll tag for the listener.
+pub(crate) const LISTENER_TOKEN: u64 = u64::MAX;
+/// Epoll tag for the worker wake pipe.
+pub(crate) const WAKE_TOKEN: u64 = u64::MAX - 1;
+/// Epoll tick, ms: bounds how stale the timeout sweep and the
+/// shutdown-flag check can get while the loop is otherwise idle.
+const TICK_MS: i32 = 100;
+
+/// Per-connection state machine.
+#[derive(Debug)]
+pub(crate) struct Conn {
+    stream: TcpStream,
+    /// Generation tag: completions for a recycled slot are dropped
+    /// when their generation doesn't match.
+    gen: u64,
+    /// Bytes read but not yet parsed into a request.
+    read_buf: Vec<u8>,
+    /// Parsed requests waiting their turn (pipelining). Dispatch is
+    /// one-at-a-time per connection so responses keep request order.
+    pending: VecDeque<Request>,
+    /// A job for this connection is in flight with a worker.
+    busy: bool,
+    /// Bytes queued for the socket; `write_pos` marks the flushed
+    /// prefix.
+    write_buf: Vec<u8>,
+    write_pos: usize,
+    /// Close once the write buffer drains (Connection: close, wire
+    /// error, or forced by drain mode).
+    closing: bool,
+    /// Peer shut down its write half (EOF / EPOLLRDHUP).
+    read_eof: bool,
+    /// EPOLLOUT currently armed.
+    want_write: bool,
+    /// Requests dispatched on this connection so far.
+    served: u64,
+    last_activity: Instant,
+    /// A wire-level parse failure, deferred until the pipelined
+    /// requests ahead of it have been answered.
+    wire_error: Option<HttpError>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream, gen: u64) -> Conn {
+        Conn {
+            stream,
+            gen,
+            read_buf: Vec::new(),
+            pending: VecDeque::new(),
+            busy: false,
+            write_buf: Vec::new(),
+            write_pos: 0,
+            closing: false,
+            read_eof: false,
+            want_write: false,
+            served: 0,
+            last_activity: Instant::now(),
+            wire_error: None,
+        }
+    }
+
+    fn write_drained(&self) -> bool {
+        self.write_pos >= self.write_buf.len()
+    }
+}
+
+/// The event loop: owns the epoll instance, the listener, the wake
+/// pipe, and the connection slab.
+pub(crate) struct EventLoop {
+    pub(crate) epoll: Epoll,
+    pub(crate) listener: Option<TcpListener>,
+    pub(crate) wake_rx: UnixStream,
+    pub(crate) conns: Vec<Option<Conn>>,
+    pub(crate) free: Vec<usize>,
+    pub(crate) next_gen: u64,
+    pub(crate) open: usize,
+    pub(crate) jobs: Arc<JobQueue>,
+    pub(crate) bridge: Arc<Bridge>,
+    pub(crate) metrics: Arc<ServerMetrics>,
+    pub(crate) shutdown: Arc<AtomicBool>,
+    pub(crate) draining: Arc<AtomicBool>,
+    pub(crate) ready: Arc<AtomicBool>,
+    pub(crate) config: ServerConfig,
+}
+
+impl EventLoop {
+    pub(crate) fn run(mut self) {
+        let mut events = [EpollEvent::default(); 256];
+        loop {
+            let n = self.epoll.wait(&mut events, TICK_MS).unwrap_or(0);
+            if n > 0 {
+                self.metrics
+                    .ready_events_total
+                    .fetch_add(n as u64, Ordering::Relaxed);
+            }
+            for event in &events[..n] {
+                let token = event.data;
+                let bits = event.events;
+                match token {
+                    LISTENER_TOKEN => self.accept_ready(),
+                    WAKE_TOKEN => self.drain_wake(),
+                    slot => self.conn_ready(slot as usize, bits),
+                }
+            }
+            self.apply_completions();
+            if self.shutdown.load(Ordering::Relaxed) && self.listener.is_some() {
+                self.begin_drain();
+            }
+            if self.draining.load(Ordering::Relaxed) {
+                self.sweep_drain();
+                if self.open == 0 {
+                    return;
+                }
+            }
+            self.sweep_timeouts();
+        }
+    }
+
+    /// Edge-triggered accept: drain the backlog until `WouldBlock`.
+    fn accept_ready(&mut self) {
+        loop {
+            let Some(listener) = self.listener.as_ref() else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    self.metrics.accepted_total.fetch_add(1, Ordering::Relaxed);
+                    self.register(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn register(&mut self, stream: TcpStream) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.next_gen += 1;
+        let gen = self.next_gen;
+        if self
+            .epoll
+            .add(stream.as_raw_fd(), slot as u64, EPOLLIN | EPOLLRDHUP)
+            .is_err()
+        {
+            self.free.push(slot);
+            return;
+        }
+        self.conns[slot] = Some(Conn::new(stream, gen));
+        self.open += 1;
+        self.metrics
+            .connections_open
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn drain_wake(&mut self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match self.wake_rx.read(&mut buf) {
+                Ok(0) => return,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn conn_ready(&mut self, slot: usize, bits: u32) {
+        if self.conns.get(slot).is_none_or(|c| c.is_none()) {
+            return; // already closed this iteration
+        }
+        if bits & EPOLLERR != 0 {
+            self.close(slot);
+            return;
+        }
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
+            self.readable(slot);
+        }
+        if self.conns[slot].is_some() && bits & EPOLLOUT != 0 {
+            self.flush(slot);
+            self.maybe_close(slot);
+        }
+    }
+
+    /// Reads whatever arrived, parses pipelined requests off the
+    /// buffer, and dispatches.
+    fn readable(&mut self, slot: usize) {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => {
+                    conn.read_eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    conn.last_activity = Instant::now();
+                    if n < chunk.len() {
+                        break; // socket drained
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(slot);
+                    return;
+                }
+            }
+        }
+        self.parse_pending(slot);
+        self.try_dispatch(slot);
+        self.flush(slot);
+        self.maybe_close(slot);
+    }
+
+    fn parse_pending(&mut self, slot: usize) {
+        let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+        let mut pipelined = 0u64;
+        while conn.wire_error.is_none() && !conn.closing {
+            match parse_request(&mut conn.read_buf) {
+                Ok(Some(req)) => {
+                    if conn.busy || !conn.pending.is_empty() {
+                        pipelined += 1;
+                    }
+                    conn.pending.push_back(req);
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    // Defer: requests already pipelined ahead of the
+                    // bad bytes still get answers before the error
+                    // closes the connection.
+                    conn.wire_error = Some(e);
+                    break;
+                }
+            }
+        }
+        if pipelined > 0 {
+            self.metrics
+                .pipelined_requests_total
+                .fetch_add(pipelined, Ordering::Relaxed);
+        }
+    }
+
+    /// Dispatches the head-of-line request if the connection is free.
+    /// Sheds (full queue) are answered inline and dispatch continues
+    /// with the next pipelined request — the connection survives.
+    fn try_dispatch(&mut self, slot: usize) {
+        loop {
+            let draining = self.draining.load(Ordering::Relaxed);
+            let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+            if conn.busy || conn.closing {
+                return;
+            }
+            let Some(req) = conn.pending.pop_front() else {
+                // Everything answered: a deferred wire error now takes
+                // its turn and the connection closes behind it.
+                if let Some(e) = conn.wire_error.take() {
+                    let body = wire_error_body(e.status, &e.message);
+                    encode_response_into(
+                        &mut conn.write_buf,
+                        e.status,
+                        "application/json",
+                        &[],
+                        body.as_bytes(),
+                        false,
+                        false,
+                    );
+                    conn.closing = true;
+                    self.metrics.record_status(e.status);
+                }
+                return;
+            };
+            if conn.served > 0 {
+                self.metrics
+                    .keepalive_reuses_total
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            conn.served += 1;
+            let keep = req.keep_alive && !draining;
+            // GET probes bypass the bound: health and metrics stay
+            // answerable while query traffic is being shed.
+            let force = req.method == "GET";
+            let gen = conn.gen;
+            match self.jobs.push(Job { slot, gen, req }, force) {
+                Ok(()) => {
+                    self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+                    let conn = self.conns[slot].as_mut().expect("conn exists");
+                    conn.busy = true;
+                    return;
+                }
+                Err(job) => {
+                    // Inline shed: one buffered 429, keep-alive
+                    // preserved, loop on to the next pipelined request.
+                    self.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record_status(429);
+                    let reply = shed_reply(&self.config);
+                    let conn = self.conns[slot].as_mut().expect("conn exists");
+                    encode_response_into(
+                        &mut conn.write_buf,
+                        reply.status,
+                        reply.content_type,
+                        &reply.headers,
+                        reply.body.as_bytes(),
+                        keep,
+                        job.req.http11,
+                    );
+                    if !keep {
+                        conn.closing = true;
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply_completions(&mut self) {
+        for completion in self.bridge.drain() {
+            let Some(conn) = self.conns.get_mut(completion.slot).and_then(|c| c.as_mut()) else {
+                continue;
+            };
+            if conn.gen != completion.gen {
+                continue; // slot was recycled under the worker
+            }
+            conn.busy = false;
+            if conn.write_buf.is_empty() {
+                // Common case: nothing pending — adopt the worker's
+                // buffer instead of copying it, and cycle the drained
+                // predecessor back to the workers.
+                let old = std::mem::replace(&mut conn.write_buf, completion.bytes);
+                conn.write_pos = 0;
+                self.bridge.retire_spare(old);
+            } else {
+                conn.write_buf.extend_from_slice(&completion.bytes);
+                self.bridge.retire_spare(completion.bytes);
+            }
+            conn.last_activity = Instant::now();
+            if completion.close {
+                conn.closing = true;
+                conn.pending.clear();
+                conn.wire_error = None;
+            }
+            self.try_dispatch(completion.slot);
+            self.flush(completion.slot);
+            self.maybe_close(completion.slot);
+        }
+    }
+
+    /// Flushes the write buffer as far as the socket allows, arming
+    /// `EPOLLOUT` only while bytes remain.
+    fn flush(&mut self, slot: usize) {
+        loop {
+            let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+            if conn.write_drained() {
+                conn.write_buf.clear();
+                conn.write_pos = 0;
+                break;
+            }
+            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+                Ok(0) => {
+                    self.close(slot);
+                    return;
+                }
+                Ok(n) => {
+                    conn.write_pos += n;
+                    conn.last_activity = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.arm_write(slot, true);
+                    return;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(slot);
+                    return;
+                }
+            }
+        }
+        self.arm_write(slot, false);
+    }
+
+    fn arm_write(&mut self, slot: usize, want: bool) {
+        let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+        if conn.want_write == want {
+            return;
+        }
+        let mut interest = EPOLLIN | EPOLLRDHUP;
+        if want {
+            interest |= EPOLLOUT;
+        }
+        if self
+            .epoll
+            .modify(conn.stream.as_raw_fd(), slot as u64, interest)
+            .is_ok()
+        {
+            let conn = self.conns[slot].as_mut().expect("conn exists");
+            conn.want_write = want;
+        }
+    }
+
+    /// Closes the connection if nothing more can happen on it.
+    fn maybe_close(&mut self, slot: usize) {
+        let Some(conn) = self.conns.get(slot).and_then(|c| c.as_ref()) else {
+            return;
+        };
+        if conn.busy || !conn.write_drained() {
+            return;
+        }
+        if conn.closing || (conn.read_eof && conn.pending.is_empty() && conn.wire_error.is_none()) {
+            self.close(slot);
+        }
+    }
+
+    fn close(&mut self, slot: usize) {
+        if let Some(conn) = self.conns[slot].take() {
+            let _ = self.epoll.delete(conn.stream.as_raw_fd());
+            self.open -= 1;
+            self.metrics
+                .connections_open
+                .fetch_sub(1, Ordering::Relaxed);
+            self.free.push(slot);
+        }
+    }
+
+    /// Enters drain mode: stop accepting, clear readiness; existing
+    /// connections finish what they started.
+    fn begin_drain(&mut self) {
+        self.draining.store(true, Ordering::Relaxed);
+        self.ready.store(false, Ordering::Release);
+        if let Some(listener) = self.listener.take() {
+            let _ = self.epoll.delete(listener.as_raw_fd());
+        }
+    }
+
+    /// During drain, closes connections that have been served (or hung
+    /// up) and have nothing left in flight. Connections that connected
+    /// but have not yet sent a request stay until they do (their
+    /// response is forced to `Connection: close`) or until the idle
+    /// sweep reaps them.
+    fn sweep_drain(&mut self) {
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_ref() else {
+                continue;
+            };
+            if !conn.busy
+                && conn.pending.is_empty()
+                && conn.wire_error.is_none()
+                && conn.write_drained()
+                && (conn.served > 0 || conn.read_eof)
+            {
+                self.close(slot);
+            }
+        }
+    }
+
+    /// Slowloris guard: reaps connections idle past the configured
+    /// timeout with no request in flight.
+    fn sweep_timeouts(&mut self) {
+        let now = Instant::now();
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_ref() else {
+                continue;
+            };
+            if !conn.busy && now.duration_since(conn.last_activity) > self.config.io_timeout {
+                self.close(slot);
+            }
+        }
+    }
+}
+
+/// The `429` the event loop writes itself when the dispatch queue is
+/// full.
+fn shed_reply(config: &ServerConfig) -> Reply {
+    ApiError::new(429, "shed", "dispatch queue is full, retry later")
+        .with_retry_after(config.retry_after_secs)
+        .reply()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Asserts `reply` is `status` carrying the envelope with `code`.
+    fn assert_envelope(reply: &Reply, status: u16, code: &str) {
+        assert_eq!(reply.status, status, "{}", reply.body);
+        let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
+        assert!(reply.body.starts_with(&needle), "{}", reply.body);
+    }
+
+    #[test]
+    fn shed_reply_is_an_envelope_with_retry_after() {
+        let reply = shed_reply(&ServerConfig::default());
+        assert_envelope(&reply, 429, "shed");
+        assert!(reply.body.contains("\"retry_after\": 1"), "{}", reply.body);
+        assert!(reply
+            .headers
+            .iter()
+            .any(|(name, value)| *name == "Retry-After" && value == "1"));
+    }
+}

@@ -64,9 +64,15 @@
 //! server.shutdown();
 //! ```
 
+mod config;
+mod event_loop;
 pub mod http;
 pub mod json;
 pub mod metrics;
+mod pool;
+mod render;
+mod reply;
+mod route;
 pub mod server;
 pub mod sys;
 

@@ -1,6 +1,7 @@
 //! Server-side counters, exported by `GET /metrics`.
 
-use owql_obs::prometheus;
+use owql_obs::{json, prometheus};
+use owql_store::Store;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -162,9 +163,103 @@ impl ServerMetrics {
     }
 }
 
+/// `GET /metrics?format=json`: server counters, store gauges, persist
+/// counters, and the hub (latency histograms + slow-query log).
+pub(crate) fn metrics_json(store: &Store, metrics: &ServerMetrics) -> String {
+    let obs = store.observe();
+    let persist = match store.observe_persist() {
+        Some(p) => format!(
+            concat!(
+                "{{\"wal_bytes\": {}, \"wal_records\": {}, ",
+                "\"segment_generation\": {}, \"last_checkpoint_epoch\": {}, ",
+                "\"checkpoints\": {}, \"recovery_replayed_records\": {}}}"
+            ),
+            p.wal_bytes,
+            p.wal_records,
+            p.segment_generation,
+            p.last_checkpoint_epoch,
+            p.checkpoints,
+            p.recovery_replayed_records,
+        ),
+        None => "null".to_owned(),
+    };
+    format!(
+        concat!(
+            "{{\"server\": {},\n",
+            " \"store\": {{\"epoch\": {}, \"triples\": {}, ",
+            "\"cache_hits\": {}, \"cache_misses\": {}, ",
+            "\"cache_hit_rate\": {}}},\n",
+            " \"persist\": {},\n",
+            " \"hub\": {}}}\n"
+        ),
+        metrics.to_json(),
+        obs.epoch,
+        obs.triples,
+        obs.cache_hits,
+        obs.cache_misses,
+        json::number(obs.cache_hit_rate),
+        persist,
+        store.metrics_hub().to_json(" "),
+    )
+}
+
+/// `GET /metrics` (default): Prometheus text exposition — the hub's
+/// histograms and counters, the server's request counters, and the
+/// store's state gauges.
+pub(crate) fn metrics_prometheus(store: &Store, metrics: &ServerMetrics) -> String {
+    use owql_obs::prometheus;
+    let mut out = String::new();
+    store.metrics_hub().render_prometheus(&mut out);
+    metrics.render_prometheus(&mut out);
+    let obs = store.observe();
+    prometheus::gauge(
+        &mut out,
+        "owql_store_epoch",
+        "Current store epoch.",
+        obs.epoch as f64,
+    );
+    prometheus::gauge(
+        &mut out,
+        "owql_store_triples",
+        "Triples visible to a fresh snapshot.",
+        obs.triples as f64,
+    );
+    prometheus::counter(
+        &mut out,
+        "owql_store_cache_hits_total",
+        "Query-cache hits.",
+        obs.cache_hits,
+    );
+    prometheus::counter(
+        &mut out,
+        "owql_store_cache_misses_total",
+        "Query-cache misses.",
+        obs.cache_misses,
+    );
+    if let Some(p) = store.observe_persist() {
+        prometheus::gauge(
+            &mut out,
+            "owql_wal_records",
+            "Commit records currently in the write-ahead log.",
+            p.wal_records as f64,
+        );
+        prometheus::counter(
+            &mut out,
+            "owql_checkpoints_total",
+            "Checkpoints taken since this store opened.",
+            p.checkpoints,
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use owql_eval::ExecOpts;
+    use owql_exec::Pool;
+    use owql_parser::parse_pattern;
+    use owql_store::QueryRequest;
 
     #[test]
     fn status_classes_route_to_counters() {
@@ -180,5 +275,120 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"responses_2xx\": 2"));
         assert!(json.contains("\"responses_5xx\": 1"));
+    }
+
+    #[test]
+    fn metrics_json_reports_persist_section() {
+        // In-memory store: persist is explicitly null.
+        let metrics = ServerMetrics::default();
+        let body = metrics_json(&Store::new(), &metrics);
+        assert!(body.contains("\"persist\": null"), "{body}");
+        assert!(body.contains("\"hub\""), "{body}");
+        assert!(body.contains("\"slow_queries\""), "{body}");
+
+        // Durable store: the counters appear.
+        let dir = std::env::temp_dir().join(format!("owql-server-metrics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = Store::open(
+            &dir,
+            owql_store::StoreOptions::default(),
+            owql_store::PersistConfig::default()
+                .no_fsync()
+                .inline_indexer(),
+        )
+        .expect("open durable store");
+        durable.insert(owql_rdf::Triple::new("a", "p", "b"));
+        let body = metrics_json(&durable, &metrics);
+        for key in [
+            "\"wal_bytes\"",
+            "\"wal_records\": 1",
+            "\"segment_generation\"",
+            "\"last_checkpoint_epoch\"",
+            "\"checkpoints\"",
+            "\"recovery_replayed_records\"",
+            "\"wal_fsync\"",
+            "\"histogram_buckets\"",
+        ] {
+            assert!(body.contains(key), "missing {key} in {body}");
+        }
+    }
+
+    /// The golden Prometheus-format test: after `N` queries the text
+    /// rendering carries every `# TYPE`/`# HELP` pair, a monotonically
+    /// non-decreasing cumulative `le` series ending in `+Inf`, and
+    /// `owql_query_latency_seconds_count == N`.
+    #[test]
+    fn metrics_prometheus_is_golden_after_n_queries() {
+        let store = Store::new();
+        store.insert(owql_rdf::Triple::new("a", "p", "b"));
+        store.insert(owql_rdf::Triple::new("b", "p", "c"));
+
+        const N: usize = 7;
+        let request = QueryRequest::with_opts(
+            parse_pattern("((?x, p, ?y) AND (?y, p, ?z))").expect("valid pattern"),
+            ExecOpts::builder().cache(false).trace(true).build(),
+        );
+        for _ in 0..N {
+            store
+                .query_request(&request, &Pool::sequential())
+                .expect("query answers");
+        }
+
+        let body = metrics_prometheus(&store, &ServerMetrics::default());
+        assert!(
+            !body.trim_start().starts_with('{'),
+            "must be Prometheus text, not JSON: {body}"
+        );
+        for family in [
+            ("owql_queries_total", "counter"),
+            ("owql_query_latency_seconds", "histogram"),
+            ("owql_operator_latency_seconds", "histogram"),
+            ("owql_columnar_runs_total", "counter"),
+            ("owql_wal_fsync_seconds", "histogram"),
+            ("owql_checkpoint_seconds", "histogram"),
+            ("owql_slow_queries_total", "counter"),
+            ("owql_server_accepted_total", "counter"),
+            ("owql_server_responses_total", "counter"),
+            ("owql_server_ready_events_total", "counter"),
+            ("owql_server_connections_open", "gauge"),
+            ("owql_server_keepalive_reuses_total", "counter"),
+            ("owql_server_pipelined_requests_total", "counter"),
+            ("owql_server_chunked_responses_total", "counter"),
+            ("owql_store_epoch", "gauge"),
+            ("owql_store_triples", "gauge"),
+        ] {
+            let (name, kind) = family;
+            assert!(
+                body.contains(&format!("# TYPE {name} {kind}")),
+                "missing # TYPE {name} {kind} in:\n{body}"
+            );
+            assert!(
+                body.contains(&format!("# HELP {name} ")),
+                "missing # HELP {name} in:\n{body}"
+            );
+        }
+        assert!(
+            body.contains(&format!("owql_query_latency_seconds_count {N}")),
+            "count must equal the {N} queries served:\n{body}"
+        );
+        assert!(body.contains("owql_store_triples 2"), "{body}");
+
+        // Cumulative bucket counts are monotone and end at +Inf == count.
+        let buckets: Vec<u64> = body
+            .lines()
+            .filter(|l| l.starts_with("owql_query_latency_seconds_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(!buckets.is_empty());
+        assert!(
+            buckets.windows(2).all(|w| w[0] <= w[1]),
+            "le series must be cumulative: {buckets:?}"
+        );
+        assert_eq!(*buckets.last().unwrap(), N as u64, "+Inf bucket == count");
+        let inf_lines: Vec<&str> = body
+            .lines()
+            .filter(|l| l.starts_with("owql_query_latency_seconds_bucket") && l.contains("+Inf"))
+            .collect();
+        assert_eq!(inf_lines.len(), 1, "exactly one +Inf bucket");
     }
 }

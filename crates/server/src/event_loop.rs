@@ -3,10 +3,10 @@
 //! sheds, writes, drain and the idle sweep.
 
 use crate::config::ServerConfig;
-use crate::http::{encode_response_into, parse_request, HttpError, Request};
+use crate::http::{parse_request, HttpError, Request};
 use crate::metrics::ServerMetrics;
 use crate::pool::{Bridge, Job, JobQueue};
-use crate::reply::{wire_error_body, ApiError, Reply};
+use crate::reply::{ApiError, Reply};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
@@ -24,6 +24,13 @@ pub(crate) const WAKE_TOKEN: u64 = u64::MAX - 1;
 /// Epoll tick, ms: bounds how stale the timeout sweep and the
 /// shutdown-flag check can get while the loop is otherwise idle.
 const TICK_MS: i32 = 100;
+/// Pipelining bounds, per connection: while this many parsed requests
+/// wait behind the one in flight, or this many response bytes wait for
+/// the peer to read them, the loop parses nothing more and stops
+/// reading the socket. Without them one client pipelining 1 MiB bodies
+/// and never reading holds memory without limit.
+const MAX_PENDING: usize = 32;
+const MAX_UNFLUSHED: usize = 4 << 20;
 
 /// Per-connection state machine.
 #[derive(Debug)]
@@ -48,8 +55,8 @@ pub(crate) struct Conn {
     closing: bool,
     /// Peer shut down its write half (EOF / EPOLLRDHUP).
     read_eof: bool,
-    /// EPOLLOUT currently armed.
-    want_write: bool,
+    /// Epoll interest currently registered for the socket.
+    interest: u32,
     /// Requests dispatched on this connection so far.
     served: u64,
     last_activity: Instant,
@@ -70,7 +77,7 @@ impl Conn {
             write_pos: 0,
             closing: false,
             read_eof: false,
-            want_write: false,
+            interest: EPOLLIN | EPOLLRDHUP,
             served: 0,
             last_activity: Instant::now(),
             wire_error: None,
@@ -79,6 +86,17 @@ impl Conn {
 
     fn write_drained(&self) -> bool {
         self.write_pos >= self.write_buf.len()
+    }
+
+    /// A pipelining bound holds.
+    fn backlogged(&self) -> bool {
+        self.pending.len() >= MAX_PENDING || self.write_buf.len() - self.write_pos >= MAX_UNFLUSHED
+    }
+
+    /// Whether more requests may be parsed off `read_buf` — and so
+    /// whether reading more into it has any point.
+    fn may_parse(&self) -> bool {
+        !self.closing && self.wire_error.is_none() && !self.backlogged()
     }
 }
 
@@ -194,55 +212,80 @@ impl EventLoop {
         if self.conns.get(slot).is_none_or(|c| c.is_none()) {
             return; // already closed this iteration
         }
-        if bits & EPOLLERR != 0 {
+        // Both are reported whatever the registered interest: the peer
+        // is gone for good (reset, or both halves shut).
+        if bits & (EPOLLERR | EPOLLHUP) != 0 {
             self.close(slot);
             return;
         }
-        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-            self.readable(slot);
-        }
-        if self.conns[slot].is_some() && bits & EPOLLOUT != 0 {
-            self.flush(slot);
-            self.maybe_close(slot);
+        if bits & (EPOLLIN | EPOLLRDHUP) == 0 || self.read_socket(slot) {
+            self.advance(slot);
         }
     }
 
-    /// Reads whatever arrived, parses pipelined requests off the
-    /// buffer, and dispatches.
-    fn readable(&mut self, slot: usize) {
+    /// Reads what arrived, parsing as it goes so that a deep pipeline
+    /// stops being read at the bound instead of piling up in
+    /// `read_buf`. `false` if the connection died and was closed.
+    fn read_socket(&mut self, slot: usize) -> bool {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             let conn = self.conns[slot].as_mut().expect("conn checked by caller");
+            if !conn.may_parse() {
+                return true;
+            }
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.read_eof = true;
-                    break;
+                    return true;
                 }
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&chunk[..n]);
                     conn.last_activity = Instant::now();
                     if n < chunk.len() {
-                        break; // socket drained
+                        return true; // socket drained
                     }
+                    self.parse_pending(slot);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(slot);
-                    return;
+                    return false;
                 }
             }
         }
-        self.parse_pending(slot);
-        self.try_dispatch(slot);
-        self.flush(slot);
+    }
+
+    /// Moves a connection as far as it will go — parse and dispatch
+    /// what the bounds allow, flush — then closes it if nothing more
+    /// can happen, or registers the interest its state calls for.
+    fn advance(&mut self, slot: usize) {
+        loop {
+            self.try_dispatch(slot);
+            let conn = self.conns[slot].as_ref().expect("conn checked by caller");
+            let was_backlogged = conn.backlogged();
+            if !self.flush(slot) {
+                return;
+            }
+            // A flush that lifted the byte bound freed requests already
+            // sitting in `read_buf`; no socket event will announce them.
+            let conn = self.conns[slot].as_ref().expect("flush left it open");
+            if !was_backlogged || conn.backlogged() {
+                break;
+            }
+        }
         self.maybe_close(slot);
+        if let Some(conn) = self.conns[slot].as_ref() {
+            let read = !conn.read_eof && conn.may_parse();
+            let write = !conn.write_drained();
+            self.set_interest(slot, read, write);
+        }
     }
 
     fn parse_pending(&mut self, slot: usize) {
         let conn = self.conns[slot].as_mut().expect("conn checked by caller");
         let mut pipelined = 0u64;
-        while conn.wire_error.is_none() && !conn.closing {
+        while !conn.read_buf.is_empty() && conn.may_parse() {
             match parse_request(&mut conn.read_buf) {
                 Ok(Some(req)) => {
                     if conn.busy || !conn.pending.is_empty() {
@@ -267,11 +310,13 @@ impl EventLoop {
         }
     }
 
-    /// Dispatches the head-of-line request if the connection is free.
-    /// Sheds (full queue) are answered inline and dispatch continues
-    /// with the next pipelined request — the connection survives.
+    /// Parses what the bounds allow and dispatches the head-of-line
+    /// request if the connection is free. Sheds (full queue) are
+    /// answered inline and dispatch continues with the next pipelined
+    /// request — the connection survives.
     fn try_dispatch(&mut self, slot: usize) {
         loop {
+            self.parse_pending(slot);
             let draining = self.draining.load(Ordering::Relaxed);
             let conn = self.conns[slot].as_mut().expect("conn checked by caller");
             if conn.busy || conn.closing {
@@ -281,16 +326,8 @@ impl EventLoop {
                 // Everything answered: a deferred wire error now takes
                 // its turn and the connection closes behind it.
                 if let Some(e) = conn.wire_error.take() {
-                    let body = wire_error_body(e.status, &e.message);
-                    encode_response_into(
-                        &mut conn.write_buf,
-                        e.status,
-                        "application/json",
-                        &[],
-                        body.as_bytes(),
-                        false,
-                        false,
-                    );
+                    let reply = ApiError::from(&e).reply();
+                    reply.encode_into(&mut conn.write_buf, false, false);
                     conn.closing = true;
                     self.metrics.record_status(e.status);
                 }
@@ -312,6 +349,9 @@ impl EventLoop {
                     self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
                     let conn = self.conns[slot].as_mut().expect("conn exists");
                     conn.busy = true;
+                    // Refill the slot the dispatch freed, so a backlog
+                    // in `read_buf` keeps the socket unread.
+                    self.parse_pending(slot);
                     return;
                 }
                 Err(job) => {
@@ -321,15 +361,7 @@ impl EventLoop {
                     self.metrics.record_status(429);
                     let reply = shed_reply(&self.config);
                     let conn = self.conns[slot].as_mut().expect("conn exists");
-                    encode_response_into(
-                        &mut conn.write_buf,
-                        reply.status,
-                        reply.content_type,
-                        &reply.headers,
-                        reply.body.as_bytes(),
-                        keep,
-                        job.req.http11,
-                    );
+                    reply.encode_into(&mut conn.write_buf, keep, job.req.http11);
                     if !keep {
                         conn.closing = true;
                     }
@@ -364,61 +396,55 @@ impl EventLoop {
                 conn.pending.clear();
                 conn.wire_error = None;
             }
-            self.try_dispatch(completion.slot);
-            self.flush(completion.slot);
-            self.maybe_close(completion.slot);
+            self.advance(completion.slot);
         }
     }
 
-    /// Flushes the write buffer as far as the socket allows, arming
-    /// `EPOLLOUT` only while bytes remain.
-    fn flush(&mut self, slot: usize) {
+    /// Flushes the write buffer as far as the socket allows. `false`
+    /// if the connection died and was closed.
+    fn flush(&mut self, slot: usize) -> bool {
         loop {
             let conn = self.conns[slot].as_mut().expect("conn checked by caller");
             if conn.write_drained() {
                 conn.write_buf.clear();
                 conn.write_pos = 0;
-                break;
+                return true;
             }
             match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => {
-                    self.close(slot);
-                    return;
-                }
+                Ok(0) => break,
                 Ok(n) => {
                     conn.write_pos += n;
                     conn.last_activity = Instant::now();
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.arm_write(slot, true);
-                    return;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot);
-                    return;
-                }
+                Err(_) => break,
             }
         }
-        self.arm_write(slot, false);
+        self.close(slot);
+        false
     }
 
-    fn arm_write(&mut self, slot: usize, want: bool) {
+    /// Registers what the loop wants to hear about the socket.
+    /// Connection sockets are level-triggered, so input that is not
+    /// wanted (a bound holds, EOF was seen) must be deregistered — just
+    /// not reading it would spin the loop.
+    fn set_interest(&mut self, slot: usize, read: bool, write: bool) {
         let conn = self.conns[slot].as_mut().expect("conn checked by caller");
-        if conn.want_write == want {
-            return;
+        let mut interest = 0;
+        if read {
+            interest |= EPOLLIN | EPOLLRDHUP;
         }
-        let mut interest = EPOLLIN | EPOLLRDHUP;
-        if want {
+        if write {
             interest |= EPOLLOUT;
         }
-        if self
-            .epoll
-            .modify(conn.stream.as_raw_fd(), slot as u64, interest)
-            .is_ok()
+        if interest != conn.interest
+            && self
+                .epoll
+                .modify(conn.stream.as_raw_fd(), slot as u64, interest)
+                .is_ok()
         {
-            let conn = self.conns[slot].as_mut().expect("conn exists");
-            conn.want_write = want;
+            conn.interest = interest;
         }
     }
 
@@ -503,12 +529,32 @@ fn shed_reply(config: &ServerConfig) -> Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reply::assert_envelope;
 
-    /// Asserts `reply` is `status` carrying the envelope with `code`.
-    fn assert_envelope(reply: &Reply, status: u16, code: &str) {
-        assert_eq!(reply.status, status, "{}", reply.body);
-        let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
-        assert!(reply.body.starts_with(&needle), "{}", reply.body);
+    #[test]
+    fn parsing_pauses_at_either_pipelining_bound() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut conn = Conn::new(stream, 1);
+        assert!(conn.may_parse());
+
+        conn.pending
+            .extend((1..MAX_PENDING).map(|_| Request::default()));
+        assert!(!conn.backlogged(), "one under the request bound");
+        conn.pending.push_back(Request::default());
+        assert!(conn.backlogged() && !conn.may_parse());
+        conn.pending.pop_front();
+        assert!(conn.may_parse(), "a dispatch lifts it");
+
+        conn.write_buf = vec![0; MAX_UNFLUSHED + 8];
+        conn.write_pos = 8;
+        assert!(conn.backlogged() && !conn.may_parse());
+        conn.write_pos = 9;
+        assert!(conn.may_parse(), "a flush lifts it");
+
+        // A connection that will close parses nothing more either.
+        conn.wire_error = Some(HttpError::bad_request("x"));
+        assert!(!conn.may_parse() && !conn.backlogged());
     }
 
     #[test]

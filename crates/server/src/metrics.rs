@@ -5,7 +5,7 @@ use owql_store::Store;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free request accounting shared by the accept loop and workers.
+/// Lock-free request accounting shared by the event loop and workers.
 ///
 /// All counters are monotonic except `in_flight` and `queue_depth`,
 /// which are gauges.
@@ -19,10 +19,14 @@ pub struct ServerMetrics {
     pub responses_4xx: AtomicU64,
     /// `5xx` answers (including `504` deadline timeouts).
     pub responses_5xx: AtomicU64,
-    /// Requests shed with `429` because the admission queue was full.
+    /// Requests shed with `429`: dispatch queue full, or over the
+    /// admission ceiling.
     pub shed_total: AtomicU64,
     /// Requests that exceeded their deadline (`504`s).
     pub timeouts_total: AtomicU64,
+    /// Request handlers that panicked; each was answered `500` and its
+    /// worker kept running.
+    pub panics_total: AtomicU64,
     /// Requests currently being evaluated by workers.
     pub in_flight: AtomicU64,
     /// Requests currently waiting in the dispatch queue.
@@ -58,7 +62,7 @@ impl ServerMetrics {
             concat!(
                 "{{\"accepted_total\": {}, \"responses_2xx\": {}, ",
                 "\"responses_4xx\": {}, \"responses_5xx\": {}, ",
-                "\"shed_total\": {}, \"timeouts_total\": {}, ",
+                "\"shed_total\": {}, \"timeouts_total\": {}, \"panics_total\": {}, ",
                 "\"in_flight\": {}, \"queue_depth\": {}, ",
                 "\"ready_events_total\": {}, \"connections_open\": {}, ",
                 "\"keepalive_reuses_total\": {}, \"pipelined_requests_total\": {}, ",
@@ -70,6 +74,7 @@ impl ServerMetrics {
             self.responses_5xx.load(Ordering::Relaxed),
             self.shed_total.load(Ordering::Relaxed),
             self.timeouts_total.load(Ordering::Relaxed),
+            self.panics_total.load(Ordering::Relaxed),
             self.in_flight.load(Ordering::Relaxed),
             self.queue_depth.load(Ordering::Relaxed),
             self.ready_events_total.load(Ordering::Relaxed),
@@ -117,6 +122,12 @@ impl ServerMetrics {
             "owql_server_timeouts_total",
             "Requests that exceeded their deadline (504).",
             self.timeouts_total.load(Ordering::Relaxed),
+        );
+        prometheus::counter(
+            out,
+            "owql_server_panics_total",
+            "Request handlers that panicked (answered 500, worker kept).",
+            self.panics_total.load(Ordering::Relaxed),
         );
         prometheus::gauge(
             out,
@@ -275,6 +286,7 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"responses_2xx\": 2"));
         assert!(json.contains("\"responses_5xx\": 1"));
+        assert!(json.contains("\"panics_total\": 0"));
     }
 
     #[test]
@@ -349,6 +361,7 @@ mod tests {
             ("owql_slow_queries_total", "counter"),
             ("owql_server_accepted_total", "counter"),
             ("owql_server_responses_total", "counter"),
+            ("owql_server_panics_total", "counter"),
             ("owql_server_ready_events_total", "counter"),
             ("owql_server_connections_open", "gauge"),
             ("owql_server_keepalive_reuses_total", "counter"),

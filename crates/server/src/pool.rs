@@ -1,18 +1,16 @@
 //! The worker pool: the bounded dispatch queue the event loop feeds,
 //! the workers that drain it, and the completion bridge back.
 
-use crate::config::ServerConfig;
-use crate::http::{encode_response_into, Request};
+use crate::http::Request;
 use crate::metrics::ServerMetrics;
 use crate::render::retire_body;
-use crate::route::route;
-use owql_exec::Pool;
-use owql_store::Store;
+use crate::reply::{ApiError, Reply};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// One parsed request bound for a worker, tagged with the connection
 /// slot and generation that must receive the response.
@@ -63,7 +61,7 @@ impl JobQueue {
     }
 
     /// Offers a job; hands it back if the queue is full (unless
-    /// `force`) or closed. `force` lets `GET` probes (`/healthz`,
+    /// `force`) or closed. `force` lets `GET` probes (`/v1/healthz`,
     /// `/metrics`) bypass the bound so observability survives
     /// overload.
     pub(crate) fn push(&self, job: Job, force: bool) -> Result<(), Job> {
@@ -103,14 +101,24 @@ impl JobQueue {
 /// return to drain them.
 #[derive(Debug)]
 pub(crate) struct Bridge {
-    pub(crate) completions: Mutex<Vec<Completion>>,
-    pub(crate) wake_tx: UnixStream,
+    completions: Mutex<Vec<Completion>>,
+    wake_tx: UnixStream,
     /// Retired response buffers cycling back from the event loop so
     /// workers can encode large responses without fresh allocations.
-    pub(crate) spares: Mutex<Vec<Vec<u8>>>,
+    spares: Mutex<Vec<Vec<u8>>>,
 }
 
 impl Bridge {
+    /// A bridge waking the event loop through `wake_tx` (non-blocking;
+    /// the loop polls the other end).
+    pub(crate) fn new(wake_tx: UnixStream) -> Bridge {
+        Bridge {
+            completions: Mutex::new(Vec::new()),
+            wake_tx,
+            spares: Mutex::new(Vec::new()),
+        }
+    }
+
     /// Pops a recycled encode buffer, empty but with capacity.
     pub(crate) fn take_spare(&self) -> Vec<u8> {
         self.spares
@@ -147,47 +155,37 @@ impl Bridge {
     }
 }
 
-/// One worker: pops jobs, routes them, frames the response bytes, and
-/// pushes the completion back to the event loop.
-#[allow(clippy::too_many_arguments)]
+/// One worker: pops jobs, answers each with `handle` (the router, or a
+/// test's stand-in), frames the response bytes, and pushes the
+/// completion back to the event loop.
 pub(crate) fn worker_loop(
-    jobs: Arc<JobQueue>,
-    bridge: Arc<Bridge>,
-    store: Arc<Store>,
-    config: ServerConfig,
-    metrics: Arc<ServerMetrics>,
-    draining: Arc<AtomicBool>,
-    ready: Arc<AtomicBool>,
+    jobs: &JobQueue,
+    bridge: &Bridge,
+    metrics: &ServerMetrics,
+    draining: &AtomicBool,
+    handle: impl Fn(&Request) -> Reply,
 ) {
-    // Each worker owns its pool: concurrent requests never contend for
-    // evaluation threads.
-    let pool = Pool::new(config.pool_threads.max(1));
     while let Some(job) = jobs.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        let reply = route(
-            &job.req,
-            &store,
-            &pool,
-            &config,
-            &metrics,
-            ready.load(Ordering::Acquire),
-        );
+        // A panic must cost one response, not the worker: a dead worker
+        // leaves its connection `busy` forever, which no sweep reaps and
+        // shutdown waits on. What the handler was mutating is unknown,
+        // so the `500` also closes the connection.
+        let (reply, panicked) = match catch_unwind(AssertUnwindSafe(|| handle(&job.req))) {
+            Ok(reply) => (reply, false),
+            Err(_) => {
+                metrics.panics_total.fetch_add(1, Ordering::Relaxed);
+                let reply = ApiError::new(500, "internal", "request handler panicked").reply();
+                (reply, true)
+            }
+        };
         metrics.record_status(reply.status);
         // Shutdown drains by forcing every in-flight response to
         // Connection: close.
-        let keep = job.req.keep_alive && !draining.load(Ordering::Relaxed);
+        let keep = !panicked && job.req.keep_alive && !draining.load(Ordering::Relaxed);
         let mut bytes = bridge.take_spare();
-        let chunked = encode_response_into(
-            &mut bytes,
-            reply.status,
-            reply.content_type,
-            &reply.headers,
-            reply.body.as_bytes(),
-            keep,
-            job.req.http11,
-        );
-        if chunked {
+        if reply.encode_into(&mut bytes, keep, job.req.http11) {
             metrics
                 .chunked_responses_total
                 .fetch_add(1, Ordering::Relaxed);
@@ -228,5 +226,47 @@ mod tests {
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
         assert!(q.push(mk(), true).is_err(), "closed queue rejects pushes");
+    }
+
+    /// A panicking handler answers `500 internal` on a closing
+    /// connection and bumps the counter — and the worker lives to pop
+    /// the next job.
+    #[test]
+    fn a_panicking_handler_costs_one_response_not_the_worker() {
+        let jobs = JobQueue::new(2);
+        for (slot, path) in ["/boom", "/fine"].into_iter().enumerate() {
+            let req = Request {
+                path: path.into(),
+                ..Request::default()
+            };
+            let job = Job { slot, gen: 7, req };
+            jobs.push(job, false).expect("queue has room");
+        }
+        jobs.close();
+        let (wake_tx, _wake_rx) = UnixStream::pair().expect("socket pair");
+        let bridge = Bridge::new(wake_tx);
+        let metrics = ServerMetrics::default();
+
+        worker_loop(&jobs, &bridge, &metrics, &AtomicBool::new(false), |req| {
+            assert_ne!(req.path, "/boom", "injected handler panic");
+            Reply::json(200, "{}\n".to_owned())
+        });
+
+        let done = bridge.drain();
+        assert_eq!(done.len(), 2, "both jobs answered");
+        let text = |i: usize| String::from_utf8_lossy(&done[i].bytes).into_owned();
+        assert!(text(0).starts_with("HTTP/1.1 500 "), "{}", text(0));
+        assert!(text(0).contains("Connection: close"), "{}", text(0));
+        assert!(
+            text(0).contains("{\"error\": {\"code\": \"internal\""),
+            "{}",
+            text(0)
+        );
+        assert!(done[0].close && (done[0].slot, done[0].gen) == (0, 7));
+        assert!(text(1).starts_with("HTTP/1.1 200 "), "{}", text(1));
+        assert!(!done[1].close, "the next job keeps its connection");
+        assert_eq!(metrics.panics_total.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.responses_5xx.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.in_flight.load(Ordering::Relaxed), 0);
     }
 }

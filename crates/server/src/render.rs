@@ -119,7 +119,8 @@ fn mappings_json_into(out: &mut String, mappings: &owql_algebra::MappingSet) {
         // answer set led by `µ∅` (a matching fully ground pattern)
         // renders without a rebuild.
         let mut domain: Vec<owql_algebra::Variable> = Vec::new();
-        let mut segments: Vec<String> = vec!["{}".to_owned()];
+        let mut segments: Vec<String> = Vec::new();
+        let mut close = "{}";
         let mut dom = 0u32;
         let mut key_off = 0usize;
         for m in mappings.iter() {
@@ -136,19 +137,15 @@ fn mappings_json_into(out: &mut String, mappings: &owql_algebra::MappingSet) {
                     seg.push_str(": \"");
                     segments.push(seg);
                 }
-                segments.push(if domain.is_empty() { "{}" } else { "\"}" }.to_owned());
+                close = if domain.is_empty() { "{}" } else { "\"}" };
                 dom += 1;
-                key_off = if domain.is_empty() {
-                    0
-                } else {
-                    segments[0].len()
-                };
+                key_off = segments.first().map_or(0, String::len);
             }
             for (j, (_, value)) in m.iter().enumerate() {
                 arena.push_str(&segments[j]);
                 push_json_escaped(arena, value.as_str());
             }
-            arena.push_str(segments.last().expect("tail segment"));
+            arena.push_str(close);
             let end = arena.len() as u32;
             let key_start = (start as usize + key_off).min(end as usize);
             let tail = &arena.as_bytes()[key_start..end as usize];

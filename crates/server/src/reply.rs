@@ -1,12 +1,13 @@
 //! Routed replies and the one error envelope every non-2xx answer
 //! carries: `{"error": {"code", "message", "span"?, "retry_after"?}}`.
 
+use crate::http::{encode_response_into, HttpError};
 use owql_obs::json;
 use std::fmt::Write as _;
 
 /// One routed response before wire framing: the worker (or, for inline
 /// sheds, the event loop) turns this into bytes with
-/// [`encode_response_into`].
+/// [`Reply::encode_into`].
 #[derive(Clone, Debug)]
 pub(crate) struct Reply {
     pub(crate) status: u16,
@@ -37,6 +38,20 @@ impl Reply {
     pub(crate) fn with_header(mut self, name: &'static str, value: impl Into<String>) -> Reply {
         self.headers.push((name, value.into()));
         self
+    }
+
+    /// Appends the framed response to `out`; `true` if the body went
+    /// out chunked (only legal on `http11`).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>, keep_alive: bool, http11: bool) -> bool {
+        encode_response_into(
+            out,
+            self.status,
+            self.content_type,
+            &self.headers,
+            self.body.as_bytes(),
+            keep_alive,
+            http11,
+        )
     }
 }
 
@@ -86,7 +101,7 @@ impl ApiError {
     }
 
     /// Renders the envelope body.
-    pub(crate) fn body(&self) -> String {
+    fn body(&self) -> String {
         let mut out = String::with_capacity(96 + self.message.len());
         out.push_str("{\"error\": {\"code\": ");
         out.push_str(&json::string(self.code));
@@ -121,15 +136,25 @@ impl ApiError {
     }
 }
 
-/// Envelope body for wire-level failures (emitted by the event loop
-/// before routing sees the request).
-pub(crate) fn wire_error_body(status: u16, message: &str) -> String {
-    let code = match status {
-        400 => "bad_request",
-        413 => "payload_too_large",
-        431 => "headers_too_large",
-        501 => "not_implemented",
-        _ => "internal",
-    };
-    ApiError::new(status, code, message).body()
+/// The envelope for a wire-level failure (answered by the event loop;
+/// routing never sees the request).
+impl From<&HttpError> for ApiError {
+    fn from(e: &HttpError) -> ApiError {
+        let code = match e.status {
+            400 => "bad_request",
+            413 => "payload_too_large",
+            431 => "headers_too_large",
+            501 => "not_implemented",
+            _ => "internal",
+        };
+        ApiError::new(e.status, code, e.message.as_str())
+    }
+}
+
+/// Asserts `reply` is `status` carrying the envelope with `code`.
+#[cfg(test)]
+pub(crate) fn assert_envelope(reply: &Reply, status: u16, code: &str) {
+    assert_eq!(reply.status, status, "{}", reply.body);
+    let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
+    assert!(reply.body.starts_with(&needle), "{}", reply.body);
 }

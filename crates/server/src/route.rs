@@ -263,6 +263,7 @@ fn v1_parse_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reply::assert_envelope;
 
     fn get_req(target: &str) -> Request {
         let (path, query) = target.split_once('?').unwrap_or((target, ""));
@@ -326,13 +327,6 @@ mod tests {
         fn post(&self, target: &str, body: &str) -> Reply {
             self.route(&post_req(target, body))
         }
-    }
-
-    /// Asserts `reply` is `status` carrying the envelope with `code`.
-    fn assert_envelope(reply: &Reply, status: u16, code: &str) {
-        assert_eq!(reply.status, status, "{}", reply.body);
-        let needle = format!("{{\"error\": {{\"code\": \"{code}\"");
-        assert!(reply.body.starts_with(&needle), "{}", reply.body);
     }
 
     #[test]

@@ -1,16 +1,23 @@
-//! The query server: an epoll event loop, a bounded dispatch queue,
-//! worker threads, request routing, graceful shutdown.
+//! The query server: [`Server`] starts an epoll event loop and a fixed
+//! set of worker threads around a bounded dispatch queue, and shuts
+//! them down gracefully. The modules beside this one hold the parts:
+//! `event_loop` (connections), `pool` (queue, workers, completion
+//! bridge), `route` (endpoints and options), `render` (success
+//! bodies), `reply` (the error envelope), `config`.
 //!
 //! ## Life of a request
 //!
 //! 1. The **event loop** (one thread, [`sys::Epoll`](crate::sys::Epoll))
 //!    owns the listener and every connection. Sockets are non-blocking;
 //!    reads append into a per-connection buffer and
-//!    [`parse_request`] peels complete
-//!    requests off the front — several pipelined requests parse out of
-//!    one readable event. Responses queue into a per-connection write
-//!    buffer flushed as the socket allows (`EPOLLOUT` is armed only
-//!    while bytes are pending).
+//!    [`parse_request`] peels complete requests off the front — several
+//!    pipelined requests parse out of one readable event. Responses
+//!    queue into a per-connection write buffer flushed as the socket
+//!    allows (`EPOLLOUT` is armed only while bytes are pending).
+//!    Pipelining is bounded per connection: with 32 requests parsed
+//!    and waiting, or 4 MiB of responses the peer has not read, the
+//!    loop stops parsing and deregisters the socket for reading until
+//!    both fall back under.
 //! 2. Parsed requests are **dispatched** to a bounded job queue, one at
 //!    a time per connection so pipelined responses keep request order.
 //!    A full queue sheds with `429` + `Retry-After` written inline by
@@ -22,12 +29,16 @@
 //! 3. A **worker** (fixed set of threads, each owning an evaluation
 //!    pool) pops a job, routes it, and frames the response bytes
 //!    (`Content-Length`, or chunked transfer-encoding for large bodies
-//!    on HTTP/1.1). Query evaluation pins one store
-//!    [`Snapshot`](owql_store::Store::snapshot) per request — writers
-//!    never block readers, and the response reports the epoch it is
-//!    consistent with. When sharded scatter-gather is enabled
-//!    ([`ServerConfig::shards`]), parallel-mode queries fan out across
-//!    shard evaluation pools pinned to that same snapshot epoch.
+//!    on HTTP/1.1). Evaluation happens only here, never on the event
+//!    loop — that is what keeps sheds, probes and other connections
+//!    moving while a PSPACE-class query runs. A handler that panics
+//!    costs its request a `500` on a closing connection and a tick of
+//!    `panics_total`; the worker pops the next job. Query evaluation
+//!    pins one store [`Snapshot`](owql_store::Store::snapshot) per
+//!    request — writers never block readers, and the response reports
+//!    the epoch it is consistent with. When sharded scatter-gather is
+//!    enabled ([`ServerConfig::shards`]), parallel-mode queries fan out
+//!    across shard evaluation pools pinned to that same snapshot epoch.
 //! 4. Deadlines ride the unified API: `deadline_ms` becomes
 //!    [`ExecOpts::deadline`], the engine's cooperative budget unwinds
 //!    the evaluation, and the worker maps [`EvalError::Timeout`] to
@@ -60,14 +71,16 @@ pub use crate::config::{ServerConfig, ServerConfigBuilder};
 use crate::event_loop::{EventLoop, LISTENER_TOKEN, WAKE_TOKEN};
 use crate::metrics::ServerMetrics;
 use crate::pool::{worker_loop, Bridge, JobQueue};
+use crate::route::route;
 use crate::sys::{Epoll, EPOLLET, EPOLLIN};
+use owql_exec::Pool;
 use owql_store::Store;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A running query server. Dropping it without calling
@@ -105,11 +118,7 @@ impl Server {
         let ready = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::default());
         let jobs = Arc::new(JobQueue::new(config.queue_capacity.max(1)));
-        let bridge = Arc::new(Bridge {
-            completions: Mutex::new(Vec::new()),
-            wake_tx,
-            spares: Mutex::new(Vec::new()),
-        });
+        let bridge = Arc::new(Bridge::new(wake_tx));
 
         // Build and prewarm the shard runtime before declaring
         // readiness: the first scatter-gather query must not pay the
@@ -132,7 +141,13 @@ impl Server {
                 let draining = draining.clone();
                 let ready = ready.clone();
                 std::thread::spawn(move || {
-                    worker_loop(jobs, bridge, store, config, metrics, draining, ready)
+                    // Each worker owns its pool: concurrent requests
+                    // never contend for evaluation threads.
+                    let pool = Pool::new(config.pool_threads.max(1));
+                    worker_loop(&jobs, &bridge, &metrics, &draining, |req| {
+                        let ready = ready.load(Ordering::Acquire);
+                        route(req, &store, &pool, &config, &metrics, ready)
+                    })
                 })
             })
             .collect();

@@ -101,10 +101,12 @@ stage_lint_smoke() {
     echo "a retired server adapter or the inline execution shape reappeared"; exit 1
   fi
   # Request-path hygiene, first step: routing and rendering answer
-  # errors, they do not panic on them.
-  if grep -nE 'unwrap\(\)|expect\(' crates/server/src/route.rs crates/server/src/render.rs; then
-    echo "unwrap()/expect( on the route/render path"; exit 1
-  fi
+  # errors, they do not panic on them (their unit tests may).
+  for f in crates/server/src/route.rs crates/server/src/render.rs; do
+    if sed '/^mod tests {/,$d' "$f" | grep -nE 'unwrap\(\)|expect\('; then
+      echo "unwrap()/expect( on the request path in $f"; exit 1
+    fi
+  done
   echo "lint smoke OK"
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end tests driving the query server over real TCP sockets:
 //! epoch-consistent answers under churn writes, deadline `504`s that
 //! leave the worker pool healthy, queue-full `429` shedding that
-//! preserves keep-alive, HTTP/1.1 pipelining with in-order responses,
+//! preserves keep-alive, HTTP/1.1 pipelining with in-order responses
 //! (bounded per connection), chunked transfer-encoding for large
 //! result sets, the `/v1` JSON surface and its one error envelope, and
 //! graceful shutdown draining in-flight requests.
@@ -74,6 +74,14 @@ fn assert_envelope(body: &str, code: &str) {
     );
 }
 
+/// One keep-alive request (no `Connection: close`) as wire bytes.
+fn frame(method: &str, target: &str, body: &str) -> String {
+    format!(
+        "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 /// A persistent keep-alive client: writes requests without
 /// `Connection: close` and parses response frames (`Content-Length`
 /// or chunked) off the same socket.
@@ -94,12 +102,9 @@ impl Client {
     }
 
     fn send(&mut self, method: &str, target: &str, body: &str) {
-        write!(
-            self.conn,
-            "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write request");
+        self.conn
+            .write_all(frame(method, target, body).as_bytes())
+            .expect("write request");
     }
 
     /// Writes one `POST /v1/query` without waiting for the answer.
@@ -751,20 +756,17 @@ fn deep_pipelines_are_bounded_answered_in_order_and_survive() {
     let server = Server::start(seeded_store(SUBJECTS), ServerConfig::default()).expect("start");
 
     let mut client = Client::connect(server.addr());
-    let mut requests = Vec::new();
-    for i in 0..DEPTH {
-        let body = envelope("{}", &format!("(s{}, p, ?y)", i % SUBJECTS));
-        write!(
-            requests,
-            "POST /v1/query HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("buffer request");
-    }
+    let requests: String = (0..DEPTH)
+        .map(|i| envelope("{}", &format!("(s{}, p, ?y)", i % SUBJECTS)))
+        .map(|body| frame("POST", "/v1/query", &body))
+        .collect();
     // One blocking write of the whole pipeline: it only returns once
     // the server has drained the socket far enough, i.e. kept serving
     // while not reading.
-    client.conn.write_all(&requests).expect("write pipeline");
+    client
+        .conn
+        .write_all(requests.as_bytes())
+        .expect("write pipeline");
     for i in 0..DEPTH {
         let (status, head, body) = client.read_response();
         assert_eq!(status, 200, "response {i}: {body}");

@@ -7,7 +7,7 @@ use crate::http::{parse_request, HttpError, Request};
 use crate::metrics::ServerMetrics;
 use crate::pool::{Bridge, Job, JobQueue};
 use crate::reply::{ApiError, Reply};
-use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -18,9 +18,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Epoll tag for the listener.
-pub(crate) const LISTENER_TOKEN: u64 = u64::MAX;
+const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll tag for the worker wake pipe.
-pub(crate) const WAKE_TOKEN: u64 = u64::MAX - 1;
+const WAKE_TOKEN: u64 = u64::MAX - 1;
 /// Epoll tick, ms: bounds how stale the timeout sweep and the
 /// shutdown-flag check can get while the loop is otherwise idle.
 const TICK_MS: i32 = 100;
@@ -32,9 +32,21 @@ const TICK_MS: i32 = 100;
 const MAX_PENDING: usize = 32;
 const MAX_UNFLUSHED: usize = 4 << 20;
 
+/// What the server handle, the event loop and the workers tell each
+/// other.
+#[derive(Debug, Default)]
+pub(crate) struct Flags {
+    /// Set by `Server::shutdown`; the loop notices within one tick.
+    pub(crate) shutdown: AtomicBool,
+    /// The loop is draining: every response closes its connection.
+    pub(crate) draining: AtomicBool,
+    /// `/v1/healthz?ready=1` answers `200`.
+    pub(crate) ready: AtomicBool,
+}
+
 /// Per-connection state machine.
 #[derive(Debug)]
-pub(crate) struct Conn {
+struct Conn {
     stream: TcpStream,
     /// Generation tag: completions for a recycled slot are dropped
     /// when their generation doesn't match.
@@ -103,23 +115,51 @@ impl Conn {
 /// The event loop: owns the epoll instance, the listener, the wake
 /// pipe, and the connection slab.
 pub(crate) struct EventLoop {
-    pub(crate) epoll: Epoll,
-    pub(crate) listener: Option<TcpListener>,
-    pub(crate) wake_rx: UnixStream,
-    pub(crate) conns: Vec<Option<Conn>>,
-    pub(crate) free: Vec<usize>,
-    pub(crate) next_gen: u64,
-    pub(crate) open: usize,
-    pub(crate) jobs: Arc<JobQueue>,
-    pub(crate) bridge: Arc<Bridge>,
-    pub(crate) metrics: Arc<ServerMetrics>,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) draining: Arc<AtomicBool>,
-    pub(crate) ready: Arc<AtomicBool>,
-    pub(crate) config: ServerConfig,
+    epoll: Epoll,
+    listener: Option<TcpListener>,
+    wake_rx: UnixStream,
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    next_gen: u64,
+    open: usize,
+    jobs: Arc<JobQueue>,
+    bridge: Arc<Bridge>,
+    metrics: Arc<ServerMetrics>,
+    flags: Arc<Flags>,
+    config: ServerConfig,
 }
 
 impl EventLoop {
+    /// A loop over an empty slab, with the (non-blocking) listener and
+    /// the read end of the workers' wake pipe registered.
+    pub(crate) fn new(
+        listener: TcpListener,
+        wake_rx: UnixStream,
+        jobs: Arc<JobQueue>,
+        bridge: Arc<Bridge>,
+        metrics: Arc<ServerMetrics>,
+        flags: Arc<Flags>,
+        config: ServerConfig,
+    ) -> io::Result<EventLoop> {
+        let epoll = Epoll::new()?;
+        epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN | EPOLLET)?;
+        epoll.add(wake_rx.as_raw_fd(), WAKE_TOKEN, EPOLLIN)?;
+        Ok(EventLoop {
+            epoll,
+            listener: Some(listener),
+            wake_rx,
+            conns: Vec::new(),
+            free: Vec::new(),
+            next_gen: 0,
+            open: 0,
+            jobs,
+            bridge,
+            metrics,
+            flags,
+            config,
+        })
+    }
+
     pub(crate) fn run(mut self) {
         let mut events = [EpollEvent::default(); 256];
         loop {
@@ -139,10 +179,10 @@ impl EventLoop {
                 }
             }
             self.apply_completions();
-            if self.shutdown.load(Ordering::Relaxed) && self.listener.is_some() {
+            if self.flags.shutdown.load(Ordering::Relaxed) && self.listener.is_some() {
                 self.begin_drain();
             }
-            if self.draining.load(Ordering::Relaxed) {
+            if self.flags.draining.load(Ordering::Relaxed) {
                 self.sweep_drain();
                 if self.open == 0 {
                     return;
@@ -317,7 +357,7 @@ impl EventLoop {
     fn try_dispatch(&mut self, slot: usize) {
         loop {
             self.parse_pending(slot);
-            let draining = self.draining.load(Ordering::Relaxed);
+            let draining = self.flags.draining.load(Ordering::Relaxed);
             let conn = self.conns[slot].as_mut().expect("conn checked by caller");
             if conn.busy || conn.closing {
                 return;
@@ -475,8 +515,8 @@ impl EventLoop {
     /// Enters drain mode: stop accepting, clear readiness; existing
     /// connections finish what they started.
     fn begin_drain(&mut self) {
-        self.draining.store(true, Ordering::Relaxed);
-        self.ready.store(false, Ordering::Release);
+        self.flags.draining.store(true, Ordering::Relaxed);
+        self.flags.ready.store(false, Ordering::Release);
         if let Some(listener) = self.listener.take() {
             let _ = self.epoll.delete(listener.as_raw_fd());
         }

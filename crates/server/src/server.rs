@@ -68,18 +68,16 @@
 //! [`EvalError::Timeout`]: owql_eval::EvalError::Timeout
 
 pub use crate::config::{ServerConfig, ServerConfigBuilder};
-use crate::event_loop::{EventLoop, LISTENER_TOKEN, WAKE_TOKEN};
+use crate::event_loop::{EventLoop, Flags};
 use crate::metrics::ServerMetrics;
 use crate::pool::{worker_loop, Bridge, JobQueue};
 use crate::route::route;
-use crate::sys::{Epoll, EPOLLET, EPOLLIN};
 use owql_exec::Pool;
 use owql_store::Store;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -89,7 +87,7 @@ use std::thread::JoinHandle;
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    flags: Arc<Flags>,
     jobs: Arc<JobQueue>,
     metrics: Arc<ServerMetrics>,
     io_handle: Option<JoinHandle<()>>,
@@ -106,19 +104,23 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, EPOLLIN | EPOLLET)?;
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        epoll.add(wake_rx.as_raw_fd(), WAKE_TOKEN, EPOLLIN)?;
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let draining = Arc::new(AtomicBool::new(false));
-        let ready = Arc::new(AtomicBool::new(false));
+        let flags = Arc::new(Flags::default());
         let metrics = Arc::new(ServerMetrics::default());
         let jobs = Arc::new(JobQueue::new(config.queue_capacity.max(1)));
         let bridge = Arc::new(Bridge::new(wake_tx));
+        let event_loop = EventLoop::new(
+            listener,
+            wake_rx,
+            jobs.clone(),
+            bridge.clone(),
+            metrics.clone(),
+            flags.clone(),
+            config.clone(),
+        )?;
 
         // Build and prewarm the shard runtime before declaring
         // readiness: the first scatter-gather query must not pay the
@@ -129,7 +131,7 @@ impl Server {
                 let _ = runtime.runs_for(&store.snapshot());
             }
         }
-        ready.store(true, Ordering::Release);
+        flags.ready.store(true, Ordering::Release);
 
         let worker_handles: Vec<JoinHandle<()>> = (0..config.workers.max(1))
             .map(|_| {
@@ -138,43 +140,24 @@ impl Server {
                 let store = store.clone();
                 let config = config.clone();
                 let metrics = metrics.clone();
-                let draining = draining.clone();
-                let ready = ready.clone();
+                let flags = flags.clone();
                 std::thread::spawn(move || {
                     // Each worker owns its pool: concurrent requests
                     // never contend for evaluation threads.
                     let pool = Pool::new(config.pool_threads.max(1));
-                    worker_loop(&jobs, &bridge, &metrics, &draining, |req| {
-                        let ready = ready.load(Ordering::Acquire);
+                    worker_loop(&jobs, &bridge, &metrics, &flags.draining, |req| {
+                        let ready = flags.ready.load(Ordering::Acquire);
                         route(req, &store, &pool, &config, &metrics, ready)
                     })
                 })
             })
             .collect();
 
-        let io_handle = {
-            let event_loop = EventLoop {
-                epoll,
-                listener: Some(listener),
-                wake_rx,
-                conns: Vec::new(),
-                free: Vec::new(),
-                next_gen: 0,
-                open: 0,
-                jobs: jobs.clone(),
-                bridge,
-                metrics: metrics.clone(),
-                shutdown: shutdown.clone(),
-                draining,
-                ready,
-                config,
-            };
-            std::thread::spawn(move || event_loop.run())
-        };
+        let io_handle = std::thread::spawn(move || event_loop.run());
 
         Ok(Server {
             addr,
-            shutdown,
+            flags,
             jobs,
             metrics,
             io_handle: Some(io_handle),
@@ -198,7 +181,7 @@ impl Server {
     /// every connection has been served and closed; then the job queue
     /// closes and the workers join.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.flags.shutdown.store(true, Ordering::Relaxed);
         if let Some(handle) = self.io_handle.take() {
             let _ = handle.join();
         }

@@ -180,174 +180,3 @@ pub fn check_relation(
         graphs_tested: tested,
     }
 }
-
-/// A small structural evaluator implementing the paper's semantics
-/// directly over [`MappingSet`] — **total** on every [`Pattern`] and
-/// [`crate::condition::Condition`] variant. It exists so equivalence
-/// checks (and the lint crate's differential tests) have a reference
-/// evaluation without a dependency cycle on `owql-eval`; when
-/// performance matters, pass an engine-backed closure to
-/// [`check_relation`] instead.
-pub fn structural_eval(p: &Pattern, g: &Graph) -> MappingSet {
-    match p {
-        Pattern::Triple(t) => g
-            .iter()
-            .filter_map(|&triple| {
-                let mut m = Mapping::new();
-                for (tp, val) in t.components().into_iter().zip(triple.components()) {
-                    match tp {
-                        crate::pattern::TermPattern::Iri(i) => {
-                            if i != val {
-                                return None;
-                            }
-                        }
-                        crate::pattern::TermPattern::Var(v) => match m.get(v) {
-                            None => m = m.bind(v, val),
-                            Some(x) if x == val => {}
-                            Some(_) => return None,
-                        },
-                    }
-                }
-                Some(m)
-            })
-            .collect(),
-        Pattern::And(a, b) => structural_eval(a, g).join(&structural_eval(b, g)),
-        Pattern::Union(a, b) => structural_eval(a, g).union(&structural_eval(b, g)),
-        Pattern::Opt(a, b) => structural_eval(a, g).left_outer_join(&structural_eval(b, g)),
-        Pattern::Minus(a, b) => structural_eval(a, g).difference(&structural_eval(b, g)),
-        Pattern::Filter(q, r) => structural_eval(q, g).filter(r),
-        Pattern::Select(vars, q) => structural_eval(q, g).project(vars),
-        Pattern::Ns(q) => structural_eval(q, g).maximal(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pattern::Pattern;
-
-    /// Alias kept for the test bodies below; `structural_eval` is the
-    /// public, total evaluator (it used to be a test-local partial one
-    /// that panicked with `unimplemented!` on OPT/MINUS/FILTER/SELECT).
-    fn mini_eval(p: &Pattern, g: &Graph) -> MappingSet {
-        structural_eval(p, g)
-    }
-
-    #[test]
-    fn detects_equivalence_of_commuted_and() {
-        let p1 = Pattern::t("?x", "a", "?y").and(Pattern::t("?y", "b", "?z"));
-        let p2 = Pattern::t("?y", "b", "?z").and(Pattern::t("?x", "a", "?y"));
-        let r = check_relation(
-            &p1,
-            &p2,
-            Relation::Equivalent,
-            &mini_eval,
-            &EquivalenceOptions::default(),
-        );
-        assert!(r.holds());
-    }
-
-    #[test]
-    fn refutes_distinct_patterns_with_witness() {
-        let p1 = Pattern::t("?x", "a", "?y");
-        let p2 = Pattern::t("?x", "b", "?y");
-        match check_relation(
-            &p1,
-            &p2,
-            Relation::Equivalent,
-            &mini_eval,
-            &EquivalenceOptions::default(),
-        ) {
-            EquivalenceResult::Refuted { witness } => {
-                assert_ne!(mini_eval(&p1, &witness), mini_eval(&p2, &witness));
-            }
-            other => panic!("expected refutation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn subsumption_equivalence_vs_plain() {
-        // NS(t ∪ (t AND t')) vs (t ∪ (t AND t')): ≡s but not ≡.
-        let t = Pattern::t("?x", "a", "b");
-        let tt = t.clone().and(Pattern::t("?x", "c", "?y"));
-        let union = t.clone().union(tt);
-        let ns = union.clone().ns();
-        assert!(check_relation(
-            &union,
-            &ns,
-            Relation::SubsumptionEquivalent,
-            &mini_eval,
-            &EquivalenceOptions::default()
-        )
-        .holds());
-        assert!(!check_relation(
-            &union,
-            &ns,
-            Relation::Equivalent,
-            &mini_eval,
-            &EquivalenceOptions::default()
-        )
-        .holds());
-    }
-
-    #[test]
-    fn containment_is_directional() {
-        let small = Pattern::t("?x", "a", "b");
-        let big = small.clone().union(Pattern::t("?x", "c", "?y"));
-        assert!(check_relation(
-            &small,
-            &big,
-            Relation::Contained,
-            &mini_eval,
-            &EquivalenceOptions::default()
-        )
-        .holds());
-        assert!(!check_relation(
-            &big,
-            &small,
-            Relation::Contained,
-            &mini_eval,
-            &EquivalenceOptions::default()
-        )
-        .holds());
-    }
-
-    /// Regression: the structural evaluator used to be partial and hit
-    /// `unimplemented!("mini evaluator")` on OPT, MINUS, FILTER, and
-    /// SELECT — reachable through any `check_relation` call on such
-    /// patterns. It is now total and implements the paper's semantics.
-    #[test]
-    fn structural_eval_is_total_over_all_pattern_variants() {
-        use crate::condition::Condition;
-        use owql_rdf::graph::graph_from;
-
-        let g = graph_from(&[("1", "a", "b"), ("1", "c", "2"), ("3", "a", "b")]);
-        // OPT: left-outer-join semantics (Example 3.1's shape).
-        let opt = Pattern::t("?x", "a", "b").opt(Pattern::t("?x", "c", "?y"));
-        let out = structural_eval(&opt, &g);
-        assert_eq!(out.len(), 2);
-        assert!(out.contains(&Mapping::from_str_pairs(&[("x", "1"), ("y", "2")])));
-        assert!(out.contains(&Mapping::from_str_pairs(&[("x", "3")])));
-        // FILTER over the OPT keeps only the extended row.
-        let filtered = opt.clone().filter(Condition::bound("y"));
-        assert_eq!(structural_eval(&filtered, &g).len(), 1);
-        // MINUS removes compatible rows.
-        let minus = Pattern::t("?x", "a", "b").minus(Pattern::t("?x", "c", "?y"));
-        let out = structural_eval(&minus, &g);
-        assert_eq!(out.len(), 1);
-        assert!(out.contains(&Mapping::from_str_pairs(&[("x", "3")])));
-        // SELECT projects.
-        let select = Pattern::t("?x", "c", "?y").select(["?y"]);
-        let out = structural_eval(&select, &g);
-        assert!(out.contains(&Mapping::from_str_pairs(&[("y", "2")])));
-        // ...and check_relation itself now works across these variants.
-        let r = check_relation(
-            &opt.clone().ns(),
-            &opt,
-            Relation::Equivalent,
-            &structural_eval,
-            &EquivalenceOptions::default(),
-        );
-        assert!(r.holds(), "NS over well-designed OPT is the identity");
-    }
-}

@@ -251,9 +251,9 @@ impl MappingSet {
     ///
     /// Quadratic pairwise comparison with a domain-size pre-sort: a
     /// mapping can only be subsumed by one with a strictly larger domain,
-    /// so each candidate is compared against larger mappings only. The
-    /// `ns_maximal` benchmark measures this against the naive all-pairs
-    /// variant (see [`MappingSet::maximal_naive`]).
+    /// so each candidate is compared against larger mappings only. Tests
+    /// hold it to the naive all-pairs variant
+    /// ([`MappingSet::maximal_naive`]).
     pub fn maximal(&self) -> MappingSet {
         let mut by_size: Vec<&Mapping> = self.iter().collect();
         by_size.sort_by_key(|m| std::cmp::Reverse(m.len()));
@@ -270,7 +270,7 @@ impl MappingSet {
     }
 
     /// All-pairs reference implementation of [`MappingSet::maximal`]
-    /// (kept for the ablation benchmark and as a test oracle).
+    /// (kept as a test oracle).
     pub fn maximal_naive(&self) -> MappingSet {
         MappingSet::from_iter_mappings(
             self.iter()

@@ -1,19 +1,20 @@
-//! Shared workloads and query suites for the benchmark harness and the
-//! `experiments` driver.
+//! Shared workloads and query suites for the `experiments` driver and
+//! the `workloads` exporter.
 //!
 //! The paper is a theory paper: its "evaluation" is the complexity
-//! landscape of Section 7 plus the worked examples. The harness makes
-//! that landscape *measurable*:
+//! landscape of Section 7 plus the worked examples. The driver makes
+//! that landscape *measurable* (EXPERIMENTS.md, E1–E12), over the
+//! graphs and query suites defined here:
 //!
-//! * scaling of pattern evaluation per fragment (AF / AUF / AOF / SP /
-//!   USP) over growing social graphs,
-//! * cost of the NS operator and of NS-elimination (Theorem 5.1
-//!   blowup),
 //! * OPT vs NS on the paper's motivating optional-information
-//!   workloads (the Section 8 future-work question),
-//! * hardness-reduction instances: evaluation cost vs source-instance
-//!   size for Theorems 7.1–7.4,
-//! * engine ablations (reference vs indexed, maximal-answer variants).
+//!   workloads (the Section 8 future-work question, E12),
+//! * engine ablation, reference vs indexed, over one query per
+//!   fragment (AF / AUF / AOF / SP / USP, E12),
+//! * well-designed patterns as simple patterns (E8) and CONSTRUCT
+//!   invariance (E10) on the social and campus graphs.
+//!
+//! Performance of the program as a server and store is measured
+//! elsewhere, by `owql_bench` at 10^5 triples.
 
 use owql_algebra::pattern::Pattern;
 use owql_parser::parse_pattern;
@@ -48,8 +49,8 @@ pub fn campus(professors: usize) -> Graph {
     )
 }
 
-/// The per-fragment query suite used by the `eval_fragments` bench and
-/// experiment E11: one representative query per fragment of the
+/// The per-fragment query suite of experiment E12's engine ablation:
+/// one representative query per fragment of the
 /// paper's hierarchy, all over the social-graph vocabulary.
 pub fn fragment_suite() -> Vec<(&'static str, Pattern)> {
     let q = |text: &str| parse_pattern(text).expect("suite query parses");
@@ -104,146 +105,6 @@ pub fn opt_ns_pairs() -> Vec<(&'static str, Pattern, Pattern)> {
     ]
 }
 
-/// Shared churn workload for the `store_churn` bench and driver:
-/// interleaved writes and NS-query reads against a live `owql-store`.
-pub mod churn {
-    use crate::social;
-    use owql_algebra::pattern::Pattern;
-    use owql_parser::parse_pattern;
-    use owql_rdf::Triple;
-    use owql_store::{Store, StoreOptions};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// The read side of the workload: the paper's SP-style
-    /// optional-email query under closed-world maximal answers.
-    pub fn ns_query() -> Pattern {
-        parse_pattern(
-            "NS(((?p, was_born_in, Chile) UNION \
-               ((?p, was_born_in, Chile) AND (?p, email, ?e))))",
-        )
-        .expect("churn query parses")
-    }
-
-    /// A store seeded with the `people`-person social graph, tuned so
-    /// compaction fires a handful of times over a bench run.
-    pub fn seeded_store(people: usize) -> Store {
-        let store = Store::with_options(StoreOptions {
-            min_compact: 256,
-            compact_fraction: 0.2,
-            cache_capacity: 64,
-        });
-        let mut tx = store.begin();
-        tx.insert_graph(&social(people));
-        store.commit(tx);
-        store
-    }
-
-    /// Applies one write batch: `ops` interleaved inserts (new follow
-    /// edges, emails, birthplaces) and deletes of existing triples.
-    pub fn mutate(store: &Store, people: usize, rng: &mut StdRng, ops: usize) {
-        let mut tx = store.begin();
-        for _ in 0..ops {
-            let a = rng.gen_range(0..people);
-            let b = rng.gen_range(0..people);
-            let person = format!("person{a}");
-            let other = format!("person{b}");
-            let t = match rng.gen_range(0..4u8) {
-                0 => Triple::new(person.as_str(), "follows", other.as_str()),
-                1 => {
-                    let email = format!("person{a}@example.org");
-                    Triple::new(person.as_str(), "email", email.as_str())
-                }
-                2 => Triple::new(person.as_str(), "was_born_in", "Chile"),
-                _ => Triple::new(person.as_str(), "name", "Renamed"),
-            };
-            if rng.gen_bool(0.7) {
-                tx.insert(t);
-            } else {
-                tx.delete(t);
-            }
-        }
-        store.commit(tx);
-    }
-
-    /// One read/write round: a write batch followed by `reads` cached
-    /// NS queries. Returns the answer count (to keep work observable).
-    pub fn round(
-        store: &Store,
-        people: usize,
-        rng: &mut StdRng,
-        ops: usize,
-        reads: usize,
-    ) -> usize {
-        mutate(store, people, rng, ops);
-        let q = ns_query();
-        let mut total = 0;
-        for _ in 0..reads {
-            total += store.query(&q).len();
-        }
-        total
-    }
-
-    /// A deterministic RNG for the workload.
-    pub fn rng() -> StdRng {
-        StdRng::seed_from_u64(0x5702E)
-    }
-}
-
-/// Shared workload for the parallel-evaluation bench, driver, and CI
-/// smoke job: the large-graph UNION/NS shapes the `owql-exec` pool fans
-/// out (wide UNION spines, partitionable AND-spines, big
-/// subsumption-maximality inputs).
-pub mod par {
-    use crate::social;
-    use owql_algebra::pattern::Pattern;
-    use owql_rdf::Graph;
-
-    /// The social graph sized for the parallel workload.
-    pub fn graph(people: usize) -> Graph {
-        social(people)
-    }
-
-    /// The headline workload: NS over a wide UNION of per-country
-    /// optional-extension conjunctions — the paper's SP-fragment
-    /// "maximal answers over open-world options" query at scale. The
-    /// answer set layers `{p,c} ⊂ {p,c,e} ⊂ {p,c,e,n}`-style domains,
-    /// so subsumption-maximality dominates evaluation.
-    pub fn union_ns_query() -> Pattern {
-        Pattern::union_all(country_disjuncts()).ns()
-    }
-
-    /// The same wide UNION without the NS wrapper (merge-dominated).
-    pub fn wide_union_query() -> Pattern {
-        Pattern::union_all(country_disjuncts())
-    }
-
-    /// A partitionable AND-spine: a two-hop follows join hung with a
-    /// birthplace lookup — the candidate set fans out to thousands of
-    /// bindings that the pool splits into per-worker chunks.
-    pub fn spine_query() -> Pattern {
-        Pattern::t("?a", "follows", "?b")
-            .and(Pattern::t("?b", "follows", "?c"))
-            .and(Pattern::t("?a", "was_born_in", "?x"))
-    }
-
-    fn country_disjuncts() -> Vec<Pattern> {
-        let mut disjuncts = Vec::new();
-        for country in ["Chile", "Belgium", "Sweden"] {
-            let base = Pattern::t("?p", "was_born_in", country);
-            disjuncts.push(base.clone());
-            disjuncts.push(base.clone().and(Pattern::t("?p", "email", "?e")));
-            disjuncts.push(base.clone().and(Pattern::t("?p", "name", "?n")));
-            disjuncts.push(
-                base.clone()
-                    .and(Pattern::t("?p", "email", "?e"))
-                    .and(Pattern::t("?p", "name", "?n")),
-            );
-        }
-        disjuncts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,26 +133,6 @@ mod tests {
             let out = eval(&engine, &p);
             assert!(!out.is_empty(), "{name} produced nothing");
             assert_eq!(out, evaluate(&p, &g), "{name}");
-        }
-    }
-
-    #[test]
-    fn parallel_workload_queries_answer_and_agree() {
-        let g = par::graph(150);
-        let engine = Engine::new(&g);
-        let pool = Pool::new(4);
-        for (name, q) in [
-            ("union_ns", par::union_ns_query()),
-            ("wide_union", par::wide_union_query()),
-            ("spine", par::spine_query()),
-        ] {
-            let seq = eval(&engine, &q);
-            assert!(!seq.is_empty(), "{name} produced nothing");
-            let par = engine
-                .run(&q, &ExecOpts::parallel(), &pool)
-                .expect("unlimited budget cannot time out")
-                .mappings;
-            assert_eq!(par, seq, "{name}");
         }
     }
 

@@ -72,8 +72,8 @@ use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 
 /// Minimum candidate rows per dealt chunk of a partitioned spine step.
-/// The profiled EXPLAIN ANALYZE data behind the `spine` regression in
-/// BENCH_parallel.json showed small partitions paying more in chunk
+/// Profiled EXPLAIN ANALYZE runs of the `spine` query, which had
+/// regressed in parallel, showed small partitions paying more in chunk
 /// dealing + per-chunk dedup than the join they parallelize; capping
 /// the chunk count at `candidates / MIN_BINDINGS_PER_CHUNK` (sequential
 /// below two full chunks) recovers the sequential baseline on small

@@ -19,7 +19,7 @@
 //!   boundary. The same walk serves sequential, pool-parallel, traced
 //!   and sharded runs. Its results are cross-validated against the
 //!   reference evaluator by a large randomized test suite (and the
-//!   `engine_ablation` benchmark measures the gap).
+//!   engine ablation of experiment E12 measures the gap).
 //!
 //! CONSTRUCT evaluation (Section 6.1) lives in [`mod@construct`].
 //!

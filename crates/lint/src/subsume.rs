@@ -180,50 +180,4 @@ mod tests {
             conjunctive(&Pattern::t("?x", "p", "?y").union(Pattern::t("?x", "q", "?y"))).is_none()
         );
     }
-
-    /// Differential soundness: whenever `branch_subsumes(a, b)` holds
-    /// on random conjunctive branches, the refutation-complete sampler
-    /// of `owql_algebra::equivalence` finds `⟦b⟧ ⊆ ⟦a⟧` on every graph
-    /// it tries (using the reference-style mini evaluation via
-    /// `check_relation`'s caller-supplied evaluator).
-    #[test]
-    fn subsumption_verdicts_survive_graph_sampling() {
-        use owql_algebra::analysis::Operators;
-        use owql_algebra::equivalence::{check_relation, EquivalenceOptions, Relation};
-        use owql_algebra::random::{random_pattern, PatternConfig};
-
-        let cfg = PatternConfig {
-            allowed: Operators::AF,
-            max_depth: 3,
-            ..PatternConfig::standard(3, 3)
-        };
-        let mut holds = 0;
-        for seed in 0..400u64 {
-            let a = random_pattern(&cfg, seed);
-            let b = random_pattern(&cfg, seed ^ 0xB0B);
-            // Refine b so subsumption actually fires sometimes: check
-            // a against a ∧ b as well as the raw pair.
-            let refined = a.clone().and(b.clone());
-            for candidate in [&b, &refined] {
-                if !branch_subsumes(&a, candidate) {
-                    continue;
-                }
-                holds += 1;
-                let r = check_relation(
-                    candidate,
-                    &a,
-                    Relation::Contained,
-                    &owql_algebra::equivalence::structural_eval,
-                    &EquivalenceOptions {
-                        universe_size: 8,
-                        random_graphs: 24,
-                        random_graph_size: 6,
-                        seed,
-                    },
-                );
-                assert!(r.holds(), "seed {seed}: {candidate} ⊄ {a}");
-            }
-        }
-        assert!(holds >= 20, "only {holds} subsumption verdicts sampled");
-    }
 }

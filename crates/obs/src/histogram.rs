@@ -162,7 +162,7 @@ impl HistogramSnapshot {
     }
 
     /// The cumulative buckets as a JSON array (`le_s: null` = `+Inf`),
-    /// in the hand-rolled `BENCH_*.json` style.
+    /// written by hand like the rest of the crate's JSON.
     pub fn buckets_to_json(&self, indent: &str) -> String {
         let mut out = String::from("[");
         let mut first = true;

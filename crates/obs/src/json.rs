@@ -1,11 +1,9 @@
 //! A minimal hand-rolled JSON writer.
 //!
-//! The workspace is fully offline (no serde), and the existing
-//! machine-readable artifacts (`BENCH_store.json`,
-//! `BENCH_parallel.json`) are hand-formatted strings already; this
-//! module centralizes the two pieces that are easy to get wrong —
-//! string escaping and float formatting — so [`crate::Profile`] and the
-//! bench drivers emit valid JSON for any query text.
+//! The workspace is fully offline (no serde), so JSON is written by
+//! hand; this module centralizes the two pieces that are easy to get
+//! wrong — string escaping and float formatting — so [`crate::Profile`]
+//! and the rest of the stack emit valid JSON for any query text.
 
 /// Escapes `s` for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -32,7 +30,7 @@ pub fn string(s: &str) -> String {
 }
 
 /// Nanoseconds as a fractional-millisecond JSON number (3 decimals —
-/// microsecond resolution, matching the `BENCH_*.json` style).
+/// microsecond resolution).
 pub fn ns_as_ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }

@@ -5,7 +5,7 @@
 //! reports — dependency-free, like `owql-exec`, so every other crate
 //! can report into it.
 //!
-//! The stack before this crate was a black box: `BENCH_parallel.json`
+//! The stack before this crate was a black box: a parallel benchmark
 //! showed the `spine` workload *regressing* under parallelism and
 //! nothing could say why — no tracing, no per-operator timing, and the
 //! only metrics (`StoreMetrics`, `CacheStats`) were siloed per crate.
@@ -27,14 +27,13 @@
 //! * [`Profile`] — the unified snapshot: operator totals, the span
 //!   tree, NS pruning ratios, pool worker stats, and (optionally) the
 //!   store/cache counters folded in by `owql-store`, serialized to JSON
-//!   by a small hand-rolled writer ([`json`]) in the same style as the
-//!   `BENCH_*.json` artifacts.
+//!   by a small hand-rolled writer ([`json`]).
 //!
 //! Beyond per-query tracing, the crate is the stack's metrics layer:
 //!
 //! * [`Histogram`] — fixed-boundary log2 latency histograms with
 //!   lock-free atomic buckets, shared by the server, the store's
-//!   query/WAL/checkpoint paths, and the bench drivers so every
+//!   query/WAL/checkpoint paths and the `/metrics` exposition, so every
 //!   percentile in the repo buckets identically.
 //! * [`MetricsHub`] — the per-store accumulator: query latency,
 //!   per-operator wall time, WAL fsync and checkpoint histograms,

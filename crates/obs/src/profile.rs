@@ -4,8 +4,8 @@
 //! into: per-operator totals and the span tree (from the evaluator),
 //! NS pruning counters, pool worker stats (from `owql-exec`), and the
 //! store/cache counters (folded in by `owql-store`). It serializes to
-//! JSON in the same hand-rolled style as the `BENCH_*.json` artifacts,
-//! so CI can grep/jq it and trend it across PRs.
+//! hand-rolled JSON ([`crate::json`]), so CI can grep/jq it and trend
+//! it across PRs.
 
 use crate::json;
 use crate::recorder::{OpKind, Span};

@@ -18,7 +18,7 @@
 //!
 //! The reference evaluator deliberately does *not* use this module — it
 //! scans the graph exactly as the paper's semantics is written — which is
-//! what the `engine_ablation` benchmark measures.
+//! what experiment E12's engine ablation measures.
 
 use crate::dict::{IdRuns, IdView, TermDict};
 use crate::graph::Graph;

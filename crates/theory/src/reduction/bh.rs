@@ -19,7 +19,7 @@
 //! `7·|V|` pattern variables, i.e. a `2^(7|V|)`-mapping evaluation,
 //! which is the hardness phenomenon itself. [`exact_mk_instance`]
 //! builds the paper's literal `Mₖ` instance (structure-checked in
-//! tests; evaluated only in the benchmark harness for tiny graphs).
+//! tests; never evaluated — it enumerates `2^(7|V|)` assignments).
 
 use super::combine::combine;
 use super::dp::sat_unsat_instance;

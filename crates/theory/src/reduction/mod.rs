@@ -19,7 +19,7 @@
 //! engine's answer over the generated instance is compared with the
 //! DPLL oracle's answer on the source instance. (Evaluation cost is
 //! exponential in the formula size — the hardness is the point — so
-//! tests and benches use small formulas.)
+//! tests and experiment E11 use small formulas.)
 
 pub mod bh;
 pub mod combine;

@@ -9,8 +9,8 @@
 //!   equivalence in the general case.
 //! * [`ns_elimination`] — Theorem 5.1 / Lemma D.3: compiles any
 //!   NS–SPARQL pattern into an equivalent SPARQL pattern, at a
-//!   (necessarily) explosive size cost — the blowup is measured by the
-//!   `ns_elimination` benchmark (experiment E7).
+//!   (necessarily) explosive size cost — the blowup is measured by
+//!   experiment E7.
 //! * [`select_free`] — Definition F.1 / Proposition 6.7: the
 //!   SELECT-free version `P_sf` with the Lemma F.2 correspondence, and
 //!   the CONSTRUCT-level equivalence that removes SELECT from

@@ -24,8 +24,8 @@ use owql_algebra::pattern::Pattern;
 /// Replaces every `OPT` node by `NS(left UNION (left AND right))`,
 /// recursively. The result is OPT-free and subsumption-equivalent to
 /// the input on every graph; the left operand is duplicated, so the
-/// output can be exponentially larger in the OPT-nesting depth (this
-/// is measured by the `opt_vs_ns` benchmark).
+/// output can be exponentially larger in the OPT-nesting depth
+/// (experiment E12 times OPT against its NS phrasing).
 pub fn opt_to_ns(p: &Pattern) -> Pattern {
     match p {
         Pattern::Triple(t) => Pattern::Triple(*t),

@@ -13,10 +13,10 @@
 #   determinism   width-1 vs width-8 full-suite output diff
 #   differential  evaluator suites against the reference evaluator
 #   lint-smoke    analyzer over the clean + golden pattern corpora
-#   bench-smoke   quick bench drivers + perf gate + profile schema
+#   bench-smoke   owql_bench run --quick --trace (all five workloads, answers checked) + profile schema
 #   server-smoke  HTTP boot, live /v1 smoke, owql_bench log_mix gate, removed-API sweep
 #   obs-smoke     live server scrape: Prometheus + JSON /metrics, slow-query injection
-#   persist-smoke durable example, kill -9 recovery, recovery bench
+#   persist-smoke durable example, kill -9 recovery tests
 #   doc           rustdoc with -D warnings
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -77,7 +77,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter or inline path, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path or instrument, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -100,6 +100,12 @@ stage_lint_smoke() {
       || grep -rn 'Deprec''ation' crates/; then
     echo "a retired server adapter or the inline execution shape reappeared"; exit 1
   fi
+  # So are the instruments owql_bench superseded (drivers, criterion
+  # stub, their artifacts and gate) and the third evaluator.
+  if grep -rnE 'criter''ion::|criterion_gr''oup|check_be''nch|parallel_be''nch|store_ch''urn|store_rec''overy|BENCH_''(parallel|persist|store)|structural_e''val' \
+      crates/ tests/ examples/ scripts/ .github/; then
+    echo "a retired instrument or the structural evaluator reappeared"; exit 1
+  fi
   # Request-path hygiene, first step: routing and rendering answer
   # errors, they do not panic on them (their unit tests may).
   for f in crates/server/src/route.rs crates/server/src/render.rs; do
@@ -111,29 +117,21 @@ stage_lint_smoke() {
 }
 
 stage_bench_smoke() {
-  step "bench-smoke (quick drivers)"
-  cargo run --release -p owql-bench --bin store_churn -- --quick BENCH_store.json
+  step "bench-smoke (owql_bench run --quick --trace: every workload, answers checked, layer table)"
+  # `run` exits non-zero on any failed operation or correctness check;
+  # that exit status is the gate. Quick runs are never compared.
   mkdir -p target/ci-bench
-  cargo run --release -p owql-bench --bin parallel_bench -- --quick target/ci-bench/parallel_fresh_1.json
-  cargo run --release -p owql-bench --bin parallel_bench -- --quick target/ci-bench/parallel_fresh_2.json
-
-  step "bench gate (committed speedups + fresh sequential baselines)"
-  python3 scripts/check_bench.py BENCH_parallel.json \
-    --fresh target/ci-bench/parallel_fresh_1.json \
-    --fresh target/ci-bench/parallel_fresh_2.json
+  cargo run --release --offline --manifest-path owql_bench/Cargo.toml -- \
+    run --quick --trace > target/ci-bench/run.json
 
   step "profile-smoke (profiled query + schema check)"
-  cargo run --release --example profile_query -- PROFILE_query.json
+  cargo run --release --example profile_query -- target/ci-bench/PROFILE_query.json
   for key in '"profile"' '"operators"' '"ns"' '"pruned_fraction"' '"pool"' \
              '"spans"' '"store"' '"cache_hit_rate"' '"persist"' \
              '"columnar"' '"estimated_rows"' '"prunes"'; do
-    grep -q "$key" PROFILE_query.json || { echo "missing $key in PROFILE_query.json"; exit 1; }
+    grep -q "$key" target/ci-bench/PROFILE_query.json \
+      || { echo "missing $key in PROFILE_query.json"; exit 1; }
   done
-  for key in '"owql_threads"' '"hardware_threads"' '"trace_overhead"'; do
-    grep -q "$key" target/ci-bench/parallel_fresh_1.json \
-      || { echo "missing $key in parallel bench output"; exit 1; }
-  done
-  grep -q '"cache_hit_rate"' BENCH_store.json || { echo "missing cache_hit_rate in BENCH_store.json"; exit 1; }
   echo "profile schema OK"
 }
 
@@ -192,29 +190,12 @@ stage_obs_smoke() {
 }
 
 stage_persist_smoke() {
-  step "persist-smoke (durable example, kill -9 recovery, bench schema)"
+  step "persist-smoke (durable example, kill -9 recovery)"
   cargo run --release --example durable_store
-  cargo build --release -p owql-bench --bin store_recovery
-  local persist_dir
-  persist_dir=$(mktemp -d /tmp/owql-persist-smoke.XXXXXX)
-  rm -rf "$persist_dir"
-  : > /tmp/owql_writer.log
-  target/release/store_recovery --crash-writer "$persist_dir" > /tmp/owql_writer.log &
-  local writer_pid=$!
-  for _ in $(seq 1 200); do
-    grep -q '^committed 25$' /tmp/owql_writer.log && break
-    sleep 0.1
-  done
-  kill -9 "$writer_pid" 2>/dev/null || true
-  wait "$writer_pid" 2>/dev/null || true
-  grep -q '^committed 25$' /tmp/owql_writer.log || { echo "writer never confirmed epoch 25"; exit 1; }
-  target/release/store_recovery --verify "$persist_dir"
-  rm -rf "$persist_dir"
-  cargo run --release -p owql-bench --bin store_recovery -- --quick BENCH_persist.json
-  for key in '"commit_throughput"' '"fsync"' '"commits_per_sec"' '"checkpoint_ms"' \
-             '"cold_start"' '"wal_replay_ms"' '"segment_open_ms"'; do
-    grep -q "$key" BENCH_persist.json || { echo "missing $key in BENCH_persist.json"; exit 1; }
-  done
+  # Both tests SIGKILL a real writer process (this test binary, re-run
+  # as its ignored `crash_writer` test) and check recovery.
+  cargo test --release -q -p owql --test integration_persist -- \
+    killed_writer_recovers_to_last_committed_epoch repeated_crashes_accumulate_monotonically
   echo "persist smoke OK"
 }
 

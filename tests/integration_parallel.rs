@@ -189,6 +189,53 @@ fn parallel_evaluation_is_stable_under_concurrent_churn() {
     }
 }
 
+/// The large-graph shapes the pool fans out — NS over a wide UNION of
+/// per-country optional extensions (subsumption-maximality dominates),
+/// the same UNION without NS (merge-dominated), and a two-hop AND-spine
+/// big enough to be chunked — answer identically at width 4 and
+/// sequentially on a 150-person social graph.
+#[test]
+fn parallel_workload_queries_answer_and_agree() {
+    let g = owql::rdf::generate::social_network(
+        owql::rdf::generate::SocialOptions {
+            people: 150,
+            avg_follows: 4,
+            email_probability: 0.5,
+            birthplace_probability: 0.8,
+        },
+        0xBEEF,
+    );
+    let mut disjuncts = Vec::new();
+    for country in ["Chile", "Belgium", "Sweden"] {
+        let base = Pattern::t("?p", "was_born_in", country);
+        let email = || Pattern::t("?p", "email", "?e");
+        let name = || Pattern::t("?p", "name", "?n");
+        disjuncts.push(base.clone());
+        disjuncts.push(base.clone().and(email()));
+        disjuncts.push(base.clone().and(name()));
+        disjuncts.push(base.and(email()).and(name()));
+    }
+    let wide_union = Pattern::union_all(disjuncts);
+    let spine = Pattern::t("?a", "follows", "?b")
+        .and(Pattern::t("?b", "follows", "?c"))
+        .and(Pattern::t("?a", "was_born_in", "?x"));
+    let engine = Engine::new(&g);
+    let pool = Pool::new(4);
+    for (name, q) in [
+        ("union_ns", wide_union.clone().ns()),
+        ("wide_union", wide_union),
+        ("spine", spine),
+    ] {
+        let seq = run_with(&engine, &q, &ExecOpts::seq(), &Pool::sequential());
+        assert!(!seq.is_empty(), "{name} produced nothing");
+        assert_eq!(
+            run_with(&engine, &q, &ExecOpts::parallel(), &pool),
+            seq,
+            "{name}"
+        );
+    }
+}
+
 /// `OWQL_THREADS` controls `Pool::from_env`, and width 1 is the exact
 /// sequential engine — the determinism contract the CI job exercises.
 #[test]

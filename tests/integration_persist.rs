@@ -3,16 +3,18 @@
 //! recovery lands on the last fully-committed epoch — differentially
 //! against an in-memory reference store that saw the same mutations.
 //!
-//! (The third injection the design calls for — killing a writer
-//! *process* between WAL append and epoch publish — needs a child
-//! process and lives in `crates/bench/tests/persist_crash.rs`.)
+//! The third injection — `kill -9` of a writer *process* mid-commit
+//! loop — re-runs this test binary as the writer (the ignored
+//! `crash_writer` test) and SIGKILLs it.
 
 use owql_algebra::pattern::Pattern;
 use owql_rdf::term::triple;
 use owql_store::{segment_path, PersistConfig, Store, StoreOptions, WAL_FILE};
 use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("owql-persist-it-{name}-{}", std::process::id()));
@@ -228,4 +230,104 @@ fn post_recovery_commits_survive_the_next_reopen() {
     let recovered = open(&dir);
     assert_eq!(recovered.epoch(), 5);
     assert_differential(&recovered, &reference_up_to(5));
+}
+
+/// Names the crash writer's data directory; without it the writer
+/// returns at once.
+const CRASH_WRITER_DIR: &str = "OWQL_CRASH_WRITER_DIR";
+
+/// The child process of the `kill -9` tests, not a test of its own:
+/// commits `workload_triple(i)` forever with fsync on, printing
+/// `committed <epoch>` after each commit is durable. Epoch `i` ⇔
+/// triples `s1..si` are committed.
+#[test]
+#[ignore = "spawned by the kill -9 tests"]
+fn crash_writer() {
+    let Some(dir) = std::env::var_os(CRASH_WRITER_DIR) else {
+        return;
+    };
+    let store = Store::open(
+        dir,
+        StoreOptions::default(),
+        PersistConfig::default()
+            .checkpoint_every(0)
+            .inline_indexer(),
+    )
+    .expect("open store");
+    for i in store.epoch() + 1.. {
+        store.insert(workload_triple(i));
+        println!("committed {i}");
+    }
+}
+
+/// Re-runs this test binary as the crash writer on `dir`, SIGKILLs it
+/// once it has confirmed `min_commits` commits, and returns how many it
+/// confirmed.
+fn run_and_kill_writer(dir: &PathBuf, min_commits: u64) -> u64 {
+    let mut child = Command::new(std::env::current_exe().expect("own test binary"))
+        .args(["--exact", "crash_writer", "--ignored", "--nocapture"])
+        .env(CRASH_WRITER_DIR, dir)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn crash writer");
+    let stdout = child.stdout.take().expect("stdout piped");
+    let mut confirmed = 0u64;
+    for line in BufReader::new(stdout).lines() {
+        let line = line.expect("read writer stdout");
+        if let Some(n) = line.strip_prefix("committed ") {
+            confirmed = n.parse().expect("epoch number");
+        }
+        if confirmed >= min_commits {
+            break;
+        }
+    }
+    // SIGKILL: no destructors, no flushes — the real crash.
+    child.kill().expect("kill -9 writer");
+    let status = child.wait().expect("reap writer");
+    assert_eq!(status.signal(), Some(9), "writer died of SIGKILL");
+    confirmed
+}
+
+/// The headline durability test: recovery after `kill -9` lands on the
+/// last fully-committed epoch, with answers identical to an in-memory
+/// reference.
+#[test]
+fn killed_writer_recovers_to_last_committed_epoch() {
+    let dir = tmp_dir("kill9");
+    let confirmed = run_and_kill_writer(&dir, 50);
+    assert!(confirmed >= 50, "writer confirmed {confirmed} commits");
+    let store = open(&dir);
+    let epoch = store.epoch();
+    // Every confirmed commit was fsync'd before its epoch published;
+    // the kill may have cut an in-flight commit whose record was
+    // already durable, so epoch can exceed `confirmed` — never trail it.
+    assert!(
+        epoch >= confirmed,
+        "recovered epoch {epoch} lost confirmed commit {confirmed}"
+    );
+    assert_differential(&store, &reference_up_to(epoch));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Crash → recover → keep writing → crash again: epochs stay monotone
+/// across generations of writers and nothing committed is ever lost.
+#[test]
+fn repeated_crashes_accumulate_monotonically() {
+    let dir = tmp_dir("kill9-repeat");
+    let mut last_epoch = 0u64;
+    for round in 0..3 {
+        let confirmed = run_and_kill_writer(&dir, last_epoch + 20);
+        assert!(confirmed >= last_epoch + 20, "round {round}");
+        let store = open(&dir);
+        let epoch = store.epoch();
+        assert!(
+            epoch >= confirmed && epoch > last_epoch,
+            "round {round}: epoch {epoch}, confirmed {confirmed}, last {last_epoch}"
+        );
+        assert_eq!(store.len() as u64, epoch, "one distinct triple per epoch");
+        last_epoch = epoch;
+    }
+    assert_differential(&open(&dir), &reference_up_to(last_epoch));
+    let _ = std::fs::remove_dir_all(&dir);
 }

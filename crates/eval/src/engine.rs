@@ -23,7 +23,7 @@ use crate::columnar::{self, ShardSet};
 use crate::run::{EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_algebra::pattern::Pattern;
 use owql_exec::Pool;
-use owql_obs::Recorder;
+use owql_obs::{Profile, Recorder};
 use owql_rdf::{Graph, GraphIndex, SnapshotIndex, TripleLookup};
 
 /// An engine bound to one graph (or any [`TripleLookup`] backend — see
@@ -165,11 +165,13 @@ impl<I: TripleLookup> Engine<I> {
         } else {
             Recorder::disabled()
         };
-        rec.record_prunes(prunes);
         let mappings = columnar::run(&self.index, pattern, parallel, pool, shards, &rec, &budget)?;
         Ok(RunOutcome {
             mappings,
-            profile: opts.trace.then(|| rec.profile()),
+            profile: opts.trace.then(|| Profile {
+                prunes,
+                ..rec.profile()
+            }),
             prunes,
         })
     }

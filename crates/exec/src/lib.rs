@@ -37,4 +37,4 @@ mod chunk;
 mod pool;
 
 pub use chunk::chunk_ranges;
-pub use pool::{ExecStats, Pool};
+pub use pool::Pool;

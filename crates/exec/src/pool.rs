@@ -12,7 +12,6 @@ use crate::chunk::chunk_ranges;
 use owql_obs::Recorder;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -29,26 +28,14 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Cumulative counters exported by [`Pool::stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// `map` calls that spawned worker threads.
-    pub parallel_maps: u64,
-    /// `map` calls that ran inline (1 thread, ≤1 item, or nested).
-    pub inline_maps: u64,
-    /// Chunks executed by workers (parallel maps only).
-    pub tasks: u64,
-    /// Chunks a worker took from a sibling's deque.
-    pub steals: u64,
-}
-
 /// A scoped work-stealing thread pool of a fixed width.
 ///
 /// The pool owns no long-lived threads: every [`Pool::map`] spawns its
 /// workers inside a [`std::thread::scope`], so closures may borrow from
 /// the caller's stack freely and a returning `map` leaves nothing
 /// running. A `Pool` is `Sync` — one instance can serve any number of
-/// concurrent queries.
+/// concurrent queries. It keeps no counters of its own: map, chunk and
+/// steal counts go to the [`Recorder`] handed to [`Pool::map_profiled`].
 ///
 /// ```
 /// use owql_exec::Pool;
@@ -59,10 +46,6 @@ pub struct ExecStats {
 #[derive(Debug)]
 pub struct Pool {
     threads: usize,
-    parallel_maps: AtomicU64,
-    inline_maps: AtomicU64,
-    tasks: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl Pool {
@@ -70,10 +53,6 @@ impl Pool {
     pub fn new(threads: usize) -> Pool {
         Pool {
             threads: threads.max(1),
-            parallel_maps: AtomicU64::new(0),
-            inline_maps: AtomicU64::new(0),
-            tasks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         }
     }
 
@@ -113,16 +92,6 @@ impl Pool {
         self.threads
     }
 
-    /// Cumulative execution counters.
-    pub fn stats(&self) -> ExecStats {
-        ExecStats {
-            parallel_maps: self.parallel_maps.load(Ordering::Relaxed),
-            inline_maps: self.inline_maps.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-        }
-    }
-
     /// Applies `f` to every item, in input order, returning the results
     /// in input order.
     ///
@@ -136,41 +105,26 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.map_inner(items, f, None)
+        self.map_profiled(items, &Recorder::disabled(), f)
     }
 
-    /// [`Pool::map`] with per-worker observability: besides the pool's
-    /// own cumulative counters, each worker reports its busy wall time,
-    /// chunks executed, and chunks stolen into `recorder` (inline runs
-    /// count as inline maps there). A disabled recorder reduces this to
-    /// plain `map` — the worker loop doesn't even read the clock.
+    /// [`Pool::map`] with per-worker observability: each worker reports
+    /// its busy wall time, chunks executed, and chunks stolen into
+    /// `recorder` (inline runs count as inline maps there). A disabled
+    /// recorder reduces this to plain `map` — the worker loop doesn't
+    /// even read the clock.
     pub fn map_profiled<T, R, F>(&self, items: &[T], recorder: &Recorder, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.map_inner(items, f, Some(recorder))
-    }
-
-    fn map_inner<T, R, F>(&self, items: &[T], f: F, recorder: Option<&Recorder>) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let recording = recorder.is_some_and(Recorder::is_enabled);
+        let recording = recorder.is_enabled();
         if self.threads == 1 || items.len() < 2 || IN_WORKER.with(Cell::get) {
-            self.inline_maps.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = recorder {
-                rec.record_map_inline();
-            }
+            recorder.record_map_inline();
             return items.iter().map(f).collect();
         }
-        self.parallel_maps.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = recorder {
-            rec.record_map_parallel();
-        }
+        recorder.record_map_parallel();
 
         let workers = self.threads.min(items.len());
         let ranges = chunk_ranges(items.len(), workers * CHUNKS_PER_WORKER);
@@ -213,11 +167,7 @@ impl Pool {
                 .collect();
             for (me, handle) in handles.into_iter().enumerate() {
                 let (out, executed, stolen, busy_ns) = handle.join().expect("exec worker panicked");
-                self.tasks.fetch_add(executed, Ordering::Relaxed);
-                self.steals.fetch_add(stolen, Ordering::Relaxed);
-                if let Some(rec) = recorder {
-                    rec.record_worker(me, busy_ns, executed, stolen);
-                }
+                recorder.record_worker(me, busy_ns, executed, stolen);
                 for (i, r) in out {
                     results[i] = Some(r);
                 }
@@ -275,10 +225,11 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs_run_inline() {
         let pool = Pool::new(8);
-        let none: Vec<u32> = pool.map(&[] as &[u32], |&n| n);
+        let rec = Recorder::new();
+        let none: Vec<u32> = pool.map_profiled(&[] as &[u32], &rec, |&n| n);
         assert!(none.is_empty());
-        assert_eq!(pool.map(&[7u32], |&n| n + 1), vec![8]);
-        let stats = pool.stats();
+        assert_eq!(pool.map_profiled(&[7u32], &rec, |&n| n + 1), vec![8]);
+        let stats = rec.profile().pool;
         assert_eq!(stats.inline_maps, 2);
         assert_eq!(stats.parallel_maps, 0);
     }
@@ -289,14 +240,17 @@ mod tests {
         let grid: Vec<Vec<u32>> = (0..8)
             .map(|r| (0..8).map(|c| r * 8 + c).collect())
             .collect();
-        let sums = pool.map(&grid, |row| pool.map(row, |&c| c * 2).iter().sum::<u32>());
+        let rec = Recorder::new();
+        let sums = pool.map_profiled(&grid, &rec, |row| {
+            pool.map_profiled(row, &rec, |&c| c * 2).iter().sum::<u32>()
+        });
         let expected: Vec<u32> = grid
             .iter()
             .map(|row| row.iter().map(|&c| c * 2).sum())
             .collect();
         assert_eq!(sums, expected);
         // The outer call went parallel; the 8 inner calls all inlined.
-        let stats = pool.stats();
+        let stats = rec.profile().pool;
         assert_eq!(stats.parallel_maps, 1);
         assert_eq!(stats.inline_maps, 8);
     }
@@ -304,21 +258,22 @@ mod tests {
     #[test]
     fn every_chunk_is_executed_exactly_once() {
         let pool = Pool::new(3);
+        let rec = Recorder::new();
         let items: Vec<usize> = (0..100).collect();
-        let out = pool.map(&items, |&i| i);
+        let out = pool.map_profiled(&items, &rec, |&i| i);
         assert_eq!(out, items);
-        let stats = pool.stats();
         // 3 workers × 4 chunks per worker over 100 items.
-        assert_eq!(stats.tasks, 12);
+        assert_eq!(rec.profile().pool.chunks, 12);
     }
 
     #[test]
     fn sequential_pool_spawns_nothing() {
         let pool = Pool::sequential();
+        let rec = Recorder::new();
         let id = std::thread::current().id();
-        let seen = pool.map(&[0u8, 1, 2], |_| std::thread::current().id());
+        let seen = pool.map_profiled(&[0u8, 1, 2], &rec, |_| std::thread::current().id());
         assert!(seen.iter().all(|&t| t == id));
-        assert_eq!(pool.stats().parallel_maps, 0);
+        assert_eq!(rec.profile().pool.parallel_maps, 0);
     }
 
     #[test]
@@ -359,8 +314,6 @@ mod tests {
         let profile = rec.profile();
         assert_eq!(profile.pool.parallel_maps, 0);
         assert!(profile.pool.workers.is_empty());
-        // The pool's own counters still tick — only the recorder is off.
-        assert_eq!(pool.stats().parallel_maps, 1);
     }
 
     #[test]

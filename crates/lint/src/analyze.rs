@@ -23,6 +23,7 @@ use owql_algebra::analysis::{in_fragment, pattern_vars, Operators};
 use owql_algebra::pattern::Pattern;
 use owql_algebra::variable::Variable;
 use owql_algebra::well_designed::{well_designed_aof, well_designed_auof};
+use owql_obs::json;
 use owql_parser::{parse_pattern_spanned, ParseError, SpanNode};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -102,6 +103,30 @@ impl Analysis {
     /// the always-present FR001 classification note.
     pub fn worst_severity(&self) -> Option<Severity> {
         self.diagnostics.iter().map(|d| d.severity).max()
+    }
+
+    /// One JSON object — fragment, complexity, well-designedness, the
+    /// root binding lattice, and the diagnostics located in `input`:
+    /// the server's `/v1/lint` body and each entry of the CLI's
+    /// `--format json` output.
+    pub fn to_json(&self, input: &str) -> String {
+        let vars = |vars: &BTreeSet<Variable>| {
+            let rendered: Vec<String> = vars.iter().map(|v| json::string(&v.to_string())).collect();
+            rendered.join(", ")
+        };
+        let diagnostics: Vec<String> = self.diagnostics.iter().map(|d| d.to_json(input)).collect();
+        format!(
+            "{{\"fragment\": {}, \"complexity\": {}, \"well_designed\": {}, \
+             \"bindings\": {{\"certain\": [{}], \"possible\": [{}]}}, \
+             \"count\": {}, \"diagnostics\": [{}]}}",
+            json::string(&self.fragment.to_string()),
+            json::string(&self.complexity.to_string()),
+            json::string(self.well_designed.as_str()),
+            vars(&self.bindings.certain),
+            vars(&self.bindings.possible),
+            self.diagnostics.len(),
+            diagnostics.join(", "),
+        )
     }
 }
 

@@ -9,7 +9,8 @@
 //! Exit status: 2 on I/O or parse errors, 1 if any diagnostic reaches
 //! the `--deny` threshold (default `error`), 0 otherwise.
 
-use owql_lint::{analyze_source, json_string, Severity};
+use owql_lint::{analyze_source, Severity};
+use owql_obs::json;
 use owql_parser::line_col;
 use std::process::ExitCode;
 
@@ -30,12 +31,6 @@ fn usage() -> &'static str {
 /// `?x, ?y` — the binding-lattice footer rendering.
 fn join_vars(vars: &std::collections::BTreeSet<owql_algebra::Variable>) -> String {
     let rendered: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
-    rendered.join(", ")
-}
-
-/// `"?x", "?y"` — the JSON array body for a variable set.
-fn json_vars(vars: &std::collections::BTreeSet<owql_algebra::Variable>) -> String {
-    let rendered: Vec<String> = vars.iter().map(|v| json_string(&v.to_string())).collect();
     rendered.join(", ")
 }
 
@@ -141,22 +136,10 @@ fn main() -> ExitCode {
                 );
             }
             Format::Json => {
-                let diags: Vec<String> = analysis
-                    .diagnostics
-                    .iter()
-                    .map(|d| d.to_json(input))
-                    .collect();
-                json_entries.push(format!(
-                    "{{\"file\": {}, \"fragment\": {}, \"complexity\": {}, \"well_designed\": {}, \
-                     \"bindings\": {{\"certain\": [{}], \"possible\": [{}]}}, \"diagnostics\": [{}]}}",
-                    json_string(file),
-                    json_string(&analysis.fragment.to_string()),
-                    json_string(&analysis.complexity.to_string()),
-                    json_string(analysis.well_designed.as_str()),
-                    json_vars(&analysis.bindings.certain),
-                    json_vars(&analysis.bindings.possible),
-                    diags.join(", ")
-                ));
+                // The shared analysis object, led by the file name.
+                let analysis_json = analysis.to_json(input);
+                let body = analysis_json.strip_prefix('{').unwrap_or(&analysis_json);
+                json_entries.push(format!("{{\"file\": {}, {body}", json::string(file)));
             }
         }
 

@@ -181,7 +181,7 @@ impl Diagnostic {
             self.span.end,
             line,
             column,
-            json_string(&self.message)
+            owql_obs::json::string(&self.message)
         )
     }
 }
@@ -194,25 +194,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.rule, self.span, self.message
         )
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

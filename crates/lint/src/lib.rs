@@ -51,6 +51,6 @@ pub use analyze::{
 };
 pub use classify::{classify, ComplexityClass, Fragment};
 pub use dataflow::{fold_condition, must_bind, Bindings, Tri};
-pub use diagnostics::{json_string, Diagnostic, RuleId, Severity};
+pub use diagnostics::{Diagnostic, RuleId, Severity};
 pub use sat::{filter_satisfiable, Satisfiability};
 pub use subsume::{branch_subsumes, conjunctive, subsumes, ConjunctiveBranch};

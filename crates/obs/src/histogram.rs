@@ -4,8 +4,10 @@
 //! buckets whose upper bounds double from 1024 ns (~1 µs) to 2^37 ns
 //! (~137 s), plus one overflow bucket. Recording is one relaxed
 //! `fetch_add` into the matching bucket (found with bit arithmetic, no
-//! search) plus the `count`/`sum` atomics, so writers never contend on
-//! a lock and readers snapshot without stopping them.
+//! search) plus one into the `sum` atomic, so writers never contend on
+//! a lock and readers snapshot without stopping them. The observation
+//! count is the sum of the buckets, never a separate atomic, so a
+//! snapshot's `count` always equals its `+Inf` bucket.
 //!
 //! Fixed power-of-two boundaries mean every histogram in the process —
 //! query latency, per-operator wall time, WAL fsync, checkpoint
@@ -30,29 +32,18 @@ pub fn bucket_bound_ns(i: usize) -> u64 {
 }
 
 /// A lock-free fixed-boundary log2 latency histogram. See module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
     /// Per-bucket (non-cumulative) observation counts; the last slot is
     /// the overflow bucket (> largest finite bound).
     buckets: [AtomicU64; BUCKETS + 1],
-    count: AtomicU64,
     sum_ns: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
 }
 
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-        }
+        Histogram::default()
     }
 
     /// Index of the bucket that holds a `v`-nanosecond observation.
@@ -69,7 +60,6 @@ impl Histogram {
     /// Records one observation of `ns` nanoseconds.
     pub fn record_ns(&self, ns: u64) {
         self.buckets[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
@@ -80,7 +70,7 @@ impl Histogram {
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all recorded observations, in nanoseconds.
@@ -90,17 +80,19 @@ impl Histogram {
 
     /// A point-in-time copy of the bucket counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; BUCKETS + 1] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count(),
+            buckets,
+            count: buckets.iter().sum(),
             sum_ns: self.sum_ns(),
         }
     }
 }
 
-/// An owned, consistent-enough copy of a [`Histogram`]'s counters
-/// (buckets are read relaxed; concurrent writers may skew `count` by
-/// in-flight observations, never corrupt it).
+/// An owned copy of a [`Histogram`]'s counters. `count` is summed from
+/// the copied buckets, so it always equals the `+Inf` bucket; `sum_ns`
+/// is read separately and may skew by in-flight observations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Non-cumulative per-bucket counts; last slot is overflow.
@@ -159,39 +151,6 @@ impl HistogramSnapshot {
         } else {
             self.sum_ns as f64 / self.count as f64 / 1e6
         }
-    }
-
-    /// The cumulative buckets as a JSON array (`le_s: null` = `+Inf`),
-    /// written by hand like the rest of the crate's JSON.
-    pub fn buckets_to_json(&self, indent: &str) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        let mut prev = 0u64;
-        for (bound, cum) in self.cumulative() {
-            // Skip runs of empty leading/interior buckets to keep the
-            // artifact readable; always keep +Inf so count is visible.
-            if cum == prev && bound.is_some() {
-                continue;
-            }
-            prev = cum;
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let le = match bound {
-                Some(ns) => format!("{}", ns as f64 / 1e9),
-                None => "null".to_owned(),
-            };
-            out.push_str(&format!(
-                "\n{indent}  {{\"le_s\": {le}, \"cumulative\": {cum}}}"
-            ));
-        }
-        if first {
-            out.push(']');
-        } else {
-            out.push_str(&format!("\n{indent}]"));
-        }
-        out
     }
 }
 
@@ -274,11 +233,11 @@ mod tests {
     fn buckets_json_is_compact_and_ends_with_inf() {
         let h = Histogram::new();
         h.record_ns(1_000_000);
-        let text = h.snapshot().buckets_to_json("  ");
-        assert!(text.contains("\"le_s\": null"));
-        assert!(text.contains("\"cumulative\": 1"));
+        let family = crate::prometheus::Family::histogram("lat_seconds", "h", &h.snapshot());
+        let text = crate::prometheus::to_json(&[family], &[]);
+        assert!(text.contains("{\"le\": null, \"cumulative\": 1}"), "{text}");
         // Empty leading buckets are skipped.
-        assert!(!text.contains("\"cumulative\": 0,"));
+        assert!(!text.contains("\"cumulative\": 0"), "{text}");
     }
 
     #[test]
@@ -299,5 +258,30 @@ mod tests {
         }
         assert_eq!(h.count(), 4000);
         assert_eq!(h.snapshot().cumulative().last().expect("inf").1, 4000);
+    }
+
+    #[test]
+    fn snapshot_count_always_matches_the_inf_bucket() {
+        let (h, done) = (Histogram::new(), std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (h, done) = (&h, &done);
+                s.spawn(move || {
+                    for i in (0..).take_while(|_| !done.load(Ordering::Relaxed)) {
+                        h.record_ns((t * 7_919 + i) % 5_000_000);
+                    }
+                });
+            }
+            // 4 writers race one snapshotting reader.
+            let consistent = (0..2_000).all(|_| {
+                let snap = h.snapshot();
+                snap.cumulative().last().map(|&(_, cum)| cum) == Some(snap.count)
+            });
+            done.store(true, Ordering::Relaxed);
+            assert!(
+                consistent,
+                "a snapshot's +Inf bucket disagreed with its count"
+            );
+        });
     }
 }

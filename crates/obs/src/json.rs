@@ -2,12 +2,20 @@
 //!
 //! The workspace is fully offline (no serde), so JSON is written by
 //! hand; this module centralizes the two pieces that are easy to get
-//! wrong — string escaping and float formatting — so [`crate::Profile`]
-//! and the rest of the stack emit valid JSON for any query text.
+//! wrong — string escaping and float formatting — so [`crate::Profile`],
+//! the `/metrics` exposition, the server's response bodies and the
+//! linter all emit valid JSON for any query text. [`push_escaped`] is
+//! the workspace's one escape loop.
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` JSON-escaped, without the surrounding quotes.
+#[inline]
+pub fn push_escaped(out: &mut String, s: &str) {
+    // Overwhelmingly common case first: nothing to escape, straight
+    // copy. The scan and the copy read the same few bytes, still warm.
+    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -16,17 +24,21 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// A quoted, escaped JSON string literal.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    push_escaped(&mut out, s);
+    out.push('"');
+    out
 }
 
 /// Nanoseconds as a fractional-millisecond JSON number (3 decimals —
@@ -51,11 +63,11 @@ mod tests {
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(string("plain"), "\"plain\"");
+        assert_eq!(string("a\"b"), "\"a\\\"b\"");
+        assert_eq!(string("a\\b"), "\"a\\\\b\"");
+        assert_eq!(string("a\nb\tc"), "\"a\\nb\\tc\"");
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

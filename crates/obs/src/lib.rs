@@ -7,13 +7,13 @@
 //!
 //! The stack before this crate was a black box: a parallel benchmark
 //! showed the `spine` workload *regressing* under parallelism and
-//! nothing could say why — no tracing, no per-operator timing, and the
-//! only metrics (`StoreMetrics`, `CacheStats`) were siloed per crate.
-//! This crate closes that gap with three pieces:
+//! nothing could say why — no tracing, no per-operator timing. This
+//! crate closes that gap with three pieces:
 //!
 //! * [`Recorder`] — a thread-safe span/event sink: atomic counters for
-//!   the cheap event streams (NS pruning, pool chunk/steal counts) and
-//!   a mutex-guarded buffer of finished [`Span`]s. A **disabled**
+//!   the cheap event streams (NS pruning, columnar scans, pool map
+//!   counts), a per-worker list for pool chunk/steal counts, and a
+//!   mutex-guarded buffer of finished [`Span`]s. A **disabled**
 //!   recorder ([`Recorder::disabled`]) records nothing and skips all
 //!   clock reads, so an instrumented code path carrying one costs a
 //!   handful of predictable branches — measured to stay within noise of
@@ -25,11 +25,13 @@
 //!   show SPARQL cost is dominated by operator shape — this is the
 //!   granularity every perf PR needs to see.
 //! * [`Profile`] — the unified snapshot: operator totals, the span
-//!   tree, NS pruning ratios, pool worker stats, and (optionally) the
-//!   store/cache counters folded in by `owql-store`, serialized to JSON
-//!   by a small hand-rolled writer ([`json`]).
+//!   tree, NS pruning ratios, the optimizer's certified prunes, pool
+//!   worker stats, and (optionally) the store's own [`StoreMetrics`]
+//!   value, serialized to JSON by a small hand-rolled writer ([`json`]).
 //!
-//! Beyond per-query tracing, the crate is the stack's metrics layer:
+//! Beyond per-query tracing, the crate is the stack's one telemetry
+//! spine — every counter has exactly one home, and every output format
+//! one writer:
 //!
 //! * [`Histogram`] — fixed-boundary log2 latency histograms with
 //!   lock-free atomic buckets, shared by the server, the store's
@@ -37,9 +39,9 @@
 //!   percentile in the repo buckets identically.
 //! * [`MetricsHub`] — the per-store accumulator: query latency,
 //!   per-operator wall time, WAL fsync and checkpoint histograms,
-//!   an evaluator-run counter, and a ring-buffer [`SlowQuery`]
-//!   log.
-//! * [`prometheus`] — text-format (0.0.4) exposition writers backing
+//!   certified-prune counters, and a ring-buffer [`SlowQuery`] log.
+//! * [`prometheus`] — the exposition: each owner lists its families
+//!   once, and one walk renders them as Prometheus text or as JSON for
 //!   the server's `GET /metrics`.
 //!
 //! Producers: `Engine::run` with traced `ExecOpts` (and
@@ -60,7 +62,7 @@ pub mod recorder;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{MetricsHub, ShardMetrics, SlowQuery, MAX_SHARDS};
 pub use profile::{
-    ColumnarObs, NsObs, OperatorTotals, PersistObs, PoolObs, Profile, PruneObs, StoreObs,
-    WorkerStat,
+    CacheStats, ColumnarObs, NsObs, OperatorTotals, PersistMetrics, PoolObs, Profile, PruneObs,
+    StoreMetrics, WorkerStat,
 };
 pub use recorder::{OpKind, Recorder, Span, SpanId, SpanTimer};

@@ -6,8 +6,14 @@
 //! store/cache counters (folded in by `owql-store`). It serializes to
 //! hand-rolled JSON ([`crate::json`]), so CI can grep/jq it and trend
 //! it across PRs.
+//!
+//! The store's value structs — [`StoreMetrics`], [`PersistMetrics`],
+//! [`CacheStats`] — live here too (re-exported by `owql-store` under
+//! their old paths), so a profile carries them as they are instead of
+//! through a field-by-field mirror.
 
 use crate::json;
+use crate::prometheus::Family;
 use crate::recorder::{OpKind, Span};
 use std::fmt::Write as _;
 
@@ -22,6 +28,19 @@ pub struct OperatorTotals {
     pub rows_out: u64,
     /// Total wall time across those spans.
     pub elapsed_ns: u64,
+}
+
+impl OperatorTotals {
+    /// One JSON object: `op`, `count`, `rows_out`, `ms`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"op\": {}, \"count\": {}, \"rows_out\": {}, \"ms\": {}}}",
+            json::string(self.kind.as_str()),
+            self.count,
+            self.rows_out,
+            json::ns_as_ms(self.elapsed_ns)
+        )
+    }
 }
 
 /// NS (subsumption-maximality) pruning counters.
@@ -100,11 +119,16 @@ impl PruneObs {
         self.unsat_filters + self.subsumed_branches + self.opt_collapses
     }
 
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &PruneObs) {
-        self.unsat_filters += other.unsat_filters;
-        self.subsumed_branches += other.subsumed_branches;
-        self.opt_collapses += other.opt_collapses;
+    /// One JSON object: the three rule counts and their `total`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"unsat_filters\": {}, \"subsumed_branches\": {}, \"opt_collapses\": {}, \
+             \"total\": {}}}",
+            self.unsat_filters,
+            self.subsumed_branches,
+            self.opt_collapses,
+            self.total()
+        )
     }
 }
 
@@ -136,45 +160,34 @@ pub struct PoolObs {
     pub workers: Vec<WorkerStat>,
 }
 
-/// Store and query-cache counters, as folded in by `owql-store`
-/// (mirrors `StoreMetrics` + `CacheStats` without depending on them —
-/// this crate sits below the store in the dependency order).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StoreObs {
-    /// Store epoch the profiled query ran at.
-    pub epoch: u64,
-    /// Triples visible at that epoch.
-    pub triples: usize,
-    /// Triples in the shared base index.
-    pub base_len: usize,
-    /// Overlay size (`|adds| + |dels|`).
-    pub delta_len: usize,
-    /// Compactions performed so far.
-    pub compactions: u64,
-    /// Terms in the store-wide dictionary.
-    pub dict_terms: u64,
-    /// Dictionary interns that found an existing id.
-    pub dict_hits: u64,
-    /// Dictionary interns that assigned a fresh id.
-    pub dict_misses: u64,
-    /// Query-cache hits.
-    pub cache_hits: u64,
-    /// Query-cache misses.
-    pub cache_misses: u64,
-    /// Query-cache LRU evictions.
-    pub cache_evictions: u64,
-    /// Query-cache epoch invalidations.
-    pub cache_invalidations: u64,
-    /// `hits / (hits + misses)`.
-    pub cache_hit_rate: f64,
+/// Query-cache hit/miss/eviction counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that found no usable entry.
+    pub misses: u64,
+    /// Entries dropped to make room (LRU overflow).
+    pub evictions: u64,
+    /// Entries dropped because their epoch was stale.
+    pub invalidations: u64,
 }
 
-/// Durability counters, as folded in by `owql-store` when the store
-/// was opened on a data directory (mirrors the store's
-/// `PersistMetrics` without depending on it — same layering argument
-/// as [`StoreObs`]).
+impl CacheStats {
+    /// `hits / (hits + misses)`, or 0 when no lookups happened.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// Durability counters for a store opened on a data directory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PersistObs {
+pub struct PersistMetrics {
     /// Bytes currently in the write-ahead log.
     pub wal_bytes: u64,
     /// Commit records currently in the write-ahead log.
@@ -183,10 +196,75 @@ pub struct PersistObs {
     pub segment_generation: u64,
     /// Epoch watermark of the newest checkpoint (0 = none yet).
     pub last_checkpoint_epoch: u64,
-    /// Checkpoints taken since the store opened.
+    /// Checkpoints taken since this store opened.
     pub checkpoints: u64,
-    /// WAL records replayed when the store opened.
+    /// WAL records replayed when this store opened.
     pub recovery_replayed_records: u64,
+}
+
+/// Aggregate store state, for monitoring, profiles and the bench
+/// harness.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct StoreMetrics {
+    /// Current epoch.
+    pub epoch: u64,
+    /// Triples visible to a fresh snapshot.
+    pub len: usize,
+    /// Triples in the shared base index.
+    pub base_len: usize,
+    /// Overlay size (`|adds| + |dels|`).
+    pub delta_len: usize,
+    /// Compactions performed so far.
+    pub compactions: u64,
+    /// Terms in the store-wide dictionary (append-only across epochs).
+    pub dict_terms: usize,
+    /// Dictionary interns that found an existing id.
+    pub dict_hits: u64,
+    /// Dictionary interns that assigned a fresh id.
+    pub dict_misses: u64,
+    /// Query-cache counters.
+    pub cache: CacheStats,
+    /// Durability counters — `Some` iff the store persists to disk.
+    pub persist: Option<PersistMetrics>,
+}
+
+impl StoreMetrics {
+    /// The store's `/metrics` families: state gauges and cache
+    /// counters, plus the WAL gauge and checkpoint counter of a durable
+    /// store.
+    pub fn families(&self) -> Vec<Family> {
+        let mut families = vec![
+            Family::gauge("owql_store_epoch", "Current store epoch.", self.epoch),
+            Family::gauge(
+                "owql_store_triples",
+                "Triples visible to a fresh snapshot.",
+                self.len as u64,
+            ),
+            Family::counter(
+                "owql_store_cache_hits_total",
+                "Query-cache hits.",
+                self.cache.hits,
+            ),
+            Family::counter(
+                "owql_store_cache_misses_total",
+                "Query-cache misses.",
+                self.cache.misses,
+            ),
+        ];
+        if let Some(p) = &self.persist {
+            families.push(Family::gauge(
+                "owql_wal_records",
+                "Commit records currently in the write-ahead log.",
+                p.wal_records,
+            ));
+            families.push(Family::counter(
+                "owql_checkpoints_total",
+                "Checkpoints taken since this store opened.",
+                p.checkpoints,
+            ));
+        }
+        families
+    }
 }
 
 /// The unified observability snapshot. See the module docs.
@@ -212,10 +290,9 @@ pub struct Profile {
     pub spans: Vec<Span>,
     /// Spans discarded past the buffer cap.
     pub dropped_spans: u64,
-    /// Store/cache counters, when profiling through `owql-store`.
-    pub store: Option<StoreObs>,
-    /// Durability counters, when the store persists to a directory.
-    pub persist: Option<PersistObs>,
+    /// Store/cache (and, for a durable store, persist) counters, when
+    /// profiling through `owql-store`.
+    pub store: Option<StoreMetrics>,
 }
 
 impl Profile {
@@ -230,25 +307,8 @@ impl Profile {
         }
         let _ = writeln!(out, "  \"total_ms\": {},", json::ns_as_ms(self.total_ns));
 
-        out.push_str("  \"operators\": [");
-        for (i, op) in self.operators.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"op\": {}, \"count\": {}, \"rows_out\": {}, \"ms\": {}}}",
-                json::string(op.kind.as_str()),
-                op.count,
-                op.rows_out,
-                json::ns_as_ms(op.elapsed_ns)
-            );
-        }
-        out.push_str(if self.operators.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
+        let operators: Vec<String> = self.operators.iter().map(OperatorTotals::to_json).collect();
+        let _ = writeln!(out, "  \"operators\": {},", lines(&operators));
 
         let _ = writeln!(
             out,
@@ -272,15 +332,7 @@ impl Profile {
             self.columnar.dedup_skips
         );
 
-        let _ = writeln!(
-            out,
-            "  \"prunes\": {{\"unsat_filters\": {}, \"subsumed_branches\": {}, \
-             \"opt_collapses\": {}, \"total\": {}}},",
-            self.prunes.unsat_filters,
-            self.prunes.subsumed_branches,
-            self.prunes.opt_collapses,
-            self.prunes.total()
-        );
+        let _ = writeln!(out, "  \"prunes\": {},", self.prunes.to_json());
 
         let _ = write!(
             out,
@@ -303,38 +355,26 @@ impl Profile {
         }
         out.push_str("]},\n");
 
-        out.push_str("  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let rows_in = match s.rows_in {
-                Some(n) => n.to_string(),
-                None => "null".to_owned(),
-            };
-            let estimated = match s.estimated_rows {
-                Some(n) => n.to_string(),
-                None => "null".to_owned(),
-            };
-            let _ = write!(
-                out,
-                "\n    {{\"id\": {}, \"parent\": {}, \"op\": {}, \"label\": {}, \
-                 \"rows_in\": {}, \"rows_out\": {}, \"estimated_rows\": {}, \"ms\": {}}}",
-                s.id.0,
-                s.parent.0,
-                json::string(s.kind.as_str()),
-                json::string(&s.label),
-                rows_in,
-                s.rows_out,
-                estimated,
-                json::ns_as_ms(s.elapsed_ns)
-            );
-        }
-        out.push_str(if self.spans.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
+        let spans: Vec<String> = self
+            .spans
+            .iter()
+            .map(|s| {
+                let opt = |n: Option<u64>| n.map_or_else(|| "null".to_owned(), |n| n.to_string());
+                format!(
+                    "{{\"id\": {}, \"parent\": {}, \"op\": {}, \"label\": {}, \
+                     \"rows_in\": {}, \"rows_out\": {}, \"estimated_rows\": {}, \"ms\": {}}}",
+                    s.id.0,
+                    s.parent.0,
+                    json::string(s.kind.as_str()),
+                    json::string(&s.label),
+                    opt(s.rows_in),
+                    s.rows_out,
+                    opt(s.estimated_rows),
+                    json::ns_as_ms(s.elapsed_ns)
+                )
+            })
+            .collect();
+        let _ = writeln!(out, "  \"spans\": {},", lines(&spans));
         let _ = writeln!(out, "  \"dropped_spans\": {},", self.dropped_spans);
 
         match &self.store {
@@ -347,23 +387,23 @@ impl Profile {
                      \"cache_misses\": {}, \"cache_evictions\": {}, \
                      \"cache_invalidations\": {}, \"cache_hit_rate\": {}}},",
                     s.epoch,
-                    s.triples,
+                    s.len,
                     s.base_len,
                     s.delta_len,
                     s.compactions,
                     s.dict_terms,
                     s.dict_hits,
                     s.dict_misses,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_evictions,
-                    s.cache_invalidations,
-                    json::number(s.cache_hit_rate)
+                    s.cache.hits,
+                    s.cache.misses,
+                    s.cache.evictions,
+                    s.cache.invalidations,
+                    json::number(s.cache.hit_rate())
                 );
             }
             None => out.push_str("  \"store\": null,\n"),
         }
-        match &self.persist {
+        match self.store.as_ref().and_then(|s| s.persist) {
             Some(p) => {
                 let _ = writeln!(
                     out,
@@ -382,6 +422,15 @@ impl Profile {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// A JSON array with one element per line (`[]` when empty).
+fn lines(items: &[String]) -> String {
+    if items.is_empty() {
+        "[]".to_owned()
+    } else {
+        format!("[\n    {}\n  ]", items.join(",\n    "))
     }
 }
 
@@ -415,28 +464,29 @@ mod tests {
         let mut profile = rec.profile();
         profile.query = Some("(?x, p, ?y)".to_owned());
         profile.answers = Some(3);
-        profile.store = Some(StoreObs {
+        profile.store = Some(StoreMetrics {
             epoch: 2,
-            triples: 100,
+            len: 100,
             base_len: 90,
             delta_len: 10,
             compactions: 1,
             dict_terms: 42,
             dict_hits: 5,
             dict_misses: 42,
-            cache_hits: 3,
-            cache_misses: 2,
-            cache_evictions: 0,
-            cache_invalidations: 1,
-            cache_hit_rate: 0.6,
-        });
-        profile.persist = Some(PersistObs {
-            wal_bytes: 4096,
-            wal_records: 7,
-            segment_generation: 3,
-            last_checkpoint_epoch: 40,
-            checkpoints: 3,
-            recovery_replayed_records: 2,
+            cache: CacheStats {
+                hits: 3,
+                misses: 2,
+                evictions: 0,
+                invalidations: 1,
+            },
+            persist: Some(PersistMetrics {
+                wal_bytes: 4096,
+                wal_records: 7,
+                segment_generation: 3,
+                last_checkpoint_epoch: 40,
+                checkpoints: 3,
+                recovery_replayed_records: 2,
+            }),
         });
         profile
     }
@@ -472,40 +522,6 @@ mod tests {
         }
         // The quote inside the span label must be escaped.
         assert!(text.contains("scan \\\"?x\\\""));
-    }
-
-    #[test]
-    fn json_balances_braces_and_brackets() {
-        // A cheap structural sanity check (no JSON parser available):
-        // every brace/bracket outside string literals balances.
-        let text = sample_profile().to_json();
-        let (mut braces, mut brackets) = (0i64, 0i64);
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in text.chars() {
-            if in_string {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_string = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' => braces += 1,
-                '}' => braces -= 1,
-                '[' => brackets += 1,
-                ']' => brackets -= 1,
-                _ => {}
-            }
-            assert!(braces >= 0 && brackets >= 0);
-        }
-        assert_eq!(braces, 0);
-        assert_eq!(brackets, 0);
-        assert!(!in_string);
     }
 
     #[test]

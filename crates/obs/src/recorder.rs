@@ -4,15 +4,17 @@
 //! evaluation; operators allocate a [`SpanId`] before recursing into
 //! children (so children can name their parent), time themselves with a
 //! [`SpanTimer`], and push one finished [`Span`] each. Event streams
-//! that would be too hot for the span buffer — NS pruning counts, pool
-//! chunk/steal counters — go through plain atomics.
+//! that would be too hot for the span buffer — NS pruning counts,
+//! columnar scan counters, pool map counts — go through plain atomics;
+//! each parallel map's per-worker chunk/steal counts go into one list,
+//! which is also where the pool totals are summed from.
 //!
 //! A *disabled* recorder ([`Recorder::disabled`]) short-circuits every
 //! entry point before touching the clock, the id counter, or the span
 //! mutex: the instrumented code path then costs only the branch on
 //! [`Recorder::is_enabled`] per operator node.
 
-use crate::profile::{NsObs, OperatorTotals, PoolObs, Profile, PruneObs, WorkerStat};
+use crate::profile::{NsObs, OperatorTotals, PoolObs, Profile, WorkerStat};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,19 +58,11 @@ impl OpKind {
         OpKind::Ns,
     ];
 
-    /// This kind's position in [`OpKind::ALL`] — the index used by
-    /// per-operator histogram arrays in the metrics hub.
+    /// This kind's position in [`OpKind::ALL`] (its declaration order)
+    /// — the index used by per-operator histogram arrays in the metrics
+    /// hub.
     pub fn index(self) -> usize {
-        match self {
-            OpKind::And => 0,
-            OpKind::Scan => 1,
-            OpKind::Union => 2,
-            OpKind::Opt => 3,
-            OpKind::Minus => 4,
-            OpKind::Filter => 5,
-            OpKind::Select => 6,
-            OpKind::Ns => 7,
-        }
+        self as usize
     }
 
     /// The canonical (surface-syntax) name.
@@ -141,8 +135,9 @@ impl SpanTimer {
     }
 }
 
-/// The thread-safe span/event sink. See the module docs.
-#[derive(Debug)]
+/// The thread-safe span/event sink. See the module docs. The default
+/// recorder is the disabled one.
+#[derive(Debug, Default)]
 pub struct Recorder {
     enabled: bool,
     next_id: AtomicU64,
@@ -152,59 +147,27 @@ pub struct Recorder {
     ns_survivors: AtomicU64,
     inline_maps: AtomicU64,
     parallel_maps: AtomicU64,
-    chunks: AtomicU64,
-    steals: AtomicU64,
     workers: Mutex<Vec<WorkerStat>>,
     hint_hits: AtomicU64,
     hint_misses: AtomicU64,
     decoded_rows: AtomicU64,
     distinct_results: AtomicU64,
     dedup_skips: AtomicU64,
-    pruned_unsat_filters: AtomicU64,
-    pruned_subsumed_branches: AtomicU64,
-    pruned_opt_collapses: AtomicU64,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
 }
 
 impl Recorder {
-    fn with_enabled(enabled: bool) -> Recorder {
-        Recorder {
-            enabled,
-            next_id: AtomicU64::new(1),
-            spans: Mutex::new(Vec::new()),
-            dropped_spans: AtomicU64::new(0),
-            ns_candidates: AtomicU64::new(0),
-            ns_survivors: AtomicU64::new(0),
-            inline_maps: AtomicU64::new(0),
-            parallel_maps: AtomicU64::new(0),
-            chunks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            workers: Mutex::new(Vec::new()),
-            hint_hits: AtomicU64::new(0),
-            hint_misses: AtomicU64::new(0),
-            decoded_rows: AtomicU64::new(0),
-            distinct_results: AtomicU64::new(0),
-            dedup_skips: AtomicU64::new(0),
-            pruned_unsat_filters: AtomicU64::new(0),
-            pruned_subsumed_branches: AtomicU64::new(0),
-            pruned_opt_collapses: AtomicU64::new(0),
-        }
-    }
-
     /// A recording recorder.
     pub fn new() -> Recorder {
-        Recorder::with_enabled(true)
+        Recorder {
+            enabled: true,
+            ..Recorder::default()
+        }
     }
 
     /// A no-op recorder: every entry point returns immediately, no
     /// clock is read, nothing is stored.
     pub fn disabled() -> Recorder {
-        Recorder::with_enabled(false)
+        Recorder::default()
     }
 
     /// Whether this recorder stores anything.
@@ -218,7 +181,8 @@ impl Recorder {
         if !self.enabled {
             return SpanId::ROOT;
         }
-        SpanId(self.next_id.fetch_add(1, Ordering::Relaxed))
+        // Ids count from 1: 0 is `SpanId::ROOT`.
+        SpanId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Starts a clock (no-op when disabled).
@@ -307,8 +271,6 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.chunks.fetch_add(chunks, Ordering::Relaxed);
-        self.steals.fetch_add(steals, Ordering::Relaxed);
         self.workers
             .lock()
             .expect("obs worker buffer poisoned")
@@ -353,22 +315,6 @@ impl Recorder {
         }
     }
 
-    /// Accumulates the optimizer's certified-pruning counters: each
-    /// rewrite the lint dataflow pass proved answer-preserving before
-    /// the plan was handed to the engine (unsatisfiable FILTER
-    /// conjunctions, subsumed UNION branches, OPTs collapsed to AND).
-    pub fn record_prunes(&self, prunes: PruneObs) {
-        if !self.enabled || prunes.total() == 0 {
-            return;
-        }
-        self.pruned_unsat_filters
-            .fetch_add(prunes.unsat_filters, Ordering::Relaxed);
-        self.pruned_subsumed_branches
-            .fetch_add(prunes.subsumed_branches, Ordering::Relaxed);
-        self.pruned_opt_collapses
-            .fetch_add(prunes.opt_collapses, Ordering::Relaxed);
-    }
-
     /// A copy of the finished spans, in completion order.
     pub fn spans(&self) -> Vec<Span> {
         self.spans.lock().expect("obs span buffer poisoned").clone()
@@ -376,8 +322,10 @@ impl Recorder {
 
     /// Snapshots everything recorded so far into a [`Profile`]
     /// (operator totals aggregated from the span buffer, NS/pool
-    /// counters from the atomics). Store/cache metrics and the
-    /// query/answers header are left for the caller to fold in.
+    /// counters from the atomics, pool chunk/steal totals summed from
+    /// the per-worker list). Store/cache metrics, the optimizer's prune
+    /// counts and the query/answers header are left for the caller to
+    /// fold in.
     pub fn profile(&self) -> Profile {
         let spans = self.spans();
         let mut totals: Vec<OperatorTotals> = Vec::new();
@@ -419,15 +367,11 @@ impl Recorder {
             pool: PoolObs {
                 inline_maps: self.inline_maps.load(Ordering::Relaxed),
                 parallel_maps: self.parallel_maps.load(Ordering::Relaxed),
-                chunks: self.chunks.load(Ordering::Relaxed),
-                steals: self.steals.load(Ordering::Relaxed),
+                chunks: workers.iter().map(|w| w.chunks).sum(),
+                steals: workers.iter().map(|w| w.steals).sum(),
                 workers,
             },
-            prunes: PruneObs {
-                unsat_filters: self.pruned_unsat_filters.load(Ordering::Relaxed),
-                subsumed_branches: self.pruned_subsumed_branches.load(Ordering::Relaxed),
-                opt_collapses: self.pruned_opt_collapses.load(Ordering::Relaxed),
-            },
+            prunes: Default::default(),
             columnar: crate::profile::ColumnarObs {
                 fallbacks: 0,
                 hint_hits: self.hint_hits.load(Ordering::Relaxed),
@@ -439,7 +383,6 @@ impl Recorder {
             spans,
             dropped_spans: self.dropped_spans.load(Ordering::Relaxed),
             store: None,
-            persist: None,
         }
     }
 }
@@ -495,6 +438,11 @@ mod tests {
             .find(|o| o.kind == OpKind::And)
             .expect("and totals");
         assert_eq!(ands.count, 1);
+    }
+
+    #[test]
+    fn kind_index_is_position_in_all() {
+        assert!(OpKind::ALL.iter().enumerate().all(|(i, k)| k.index() == i));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Success bodies: the answer-set serializer with its per-thread
-//! scratch and body pool, and the `200` documents of `/v1/query`,
-//! `/v1/lint` and `/v1/explain`.
+//! scratch and body pool, and the `200` documents of `/v1/query` and
+//! `/v1/explain` (`/v1/lint` answers `owql_lint::Analysis::to_json`).
 
 use crate::http::Request;
 use owql_eval::EvalError;
@@ -8,38 +8,6 @@ use owql_obs::json;
 use owql_store::Store;
 use std::cell::RefCell;
 use std::fmt::Write as _;
-
-/// Appends `s` as a JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    push_json_escaped(out, s);
-    out.push('"');
-}
-
-/// Appends `s` JSON-escaped, without the surrounding quotes (the
-/// caller's skeleton supplies them).
-#[inline]
-fn push_json_escaped(out: &mut String, s: &str) {
-    // Overwhelmingly common case first: nothing to escape, straight
-    // copy. The scan and the copy read the same few bytes, still warm.
-    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= 0x20) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Span of one rendered row in the arena, with a sort accelerator:
 /// rows rendered under the same domain generation (`dom`) share their
@@ -133,7 +101,7 @@ fn mappings_json_into(out: &mut String, mappings: &owql_algebra::MappingSet) {
                     let name = var.name();
                     let mut seg = String::with_capacity(name.len() + 8);
                     seg.push_str(if j == 0 { "{" } else { "\", " });
-                    push_json_str(&mut seg, name);
+                    seg.push_str(&json::string(name));
                     seg.push_str(": \"");
                     segments.push(seg);
                 }
@@ -143,7 +111,7 @@ fn mappings_json_into(out: &mut String, mappings: &owql_algebra::MappingSet) {
             }
             for (j, (_, value)) in m.iter().enumerate() {
                 arena.push_str(&segments[j]);
-                push_json_escaped(arena, value.as_str());
+                json::push_escaped(arena, value.as_str());
             }
             arena.push_str(close);
             let end = arena.len() as u32;
@@ -248,33 +216,6 @@ fn query_success_body(outcome: &owql_store::QueryOutcome) -> String {
     body
 }
 
-/// The `200` body of `/v1/lint`. `bindings` is the
-/// root of the semantic dataflow lattice: which variables every answer
-/// certainly binds, and which any answer could possibly bind.
-pub(crate) fn lint_body(text: &str, analysis: &owql_lint::Analysis) -> String {
-    let diagnostics: Vec<String> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| d.to_json(text))
-        .collect();
-    let vars_json = |vars: &std::collections::BTreeSet<owql_algebra::Variable>| {
-        let rendered: Vec<String> = vars.iter().map(|v| json::string(&v.to_string())).collect();
-        format!("[{}]", rendered.join(", "))
-    };
-    format!(
-        "{{\"fragment\": {}, \"complexity\": {}, \"well_designed\": {}, \
-         \"bindings\": {{\"certain\": {}, \"possible\": {}}}, \
-         \"count\": {}, \"diagnostics\": [{}]}}\n",
-        json::string(&analysis.fragment.to_string()),
-        json::string(&analysis.complexity.to_string()),
-        json::string(analysis.well_designed.as_str()),
-        vars_json(&analysis.bindings.certain),
-        vars_json(&analysis.bindings.possible),
-        analysis.diagnostics.len(),
-        diagnostics.join(", "),
-    )
-}
-
 /// The `200` body of `/v1/explain`. With
 /// `optimize` set the certified-pruning optimizer rewrites the plan
 /// first — the EXPLAIN then shows what the engine would actually run,
@@ -299,13 +240,9 @@ pub(crate) fn explain_body(
     if let Some((optimized, obs)) = &prunes {
         let _ = write!(
             out,
-            ", \"optimized\": {}, \"prunes\": {{\"unsat_filters\": {}, \
-             \"subsumed_branches\": {}, \"opt_collapses\": {}, \"total\": {}}}",
+            ", \"optimized\": {}, \"prunes\": {}",
             json::string(&optimized.to_string()),
-            obs.unsat_filters,
-            obs.subsumed_branches,
-            obs.opt_collapses,
-            obs.total(),
+            obs.to_json(),
         );
     }
     out.push_str("}\n");

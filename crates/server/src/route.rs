@@ -4,11 +4,12 @@
 use crate::config::ServerConfig;
 use crate::http::Request;
 use crate::json as reqjson;
-use crate::metrics::{metrics_json, metrics_prometheus, ServerMetrics};
-use crate::render::{explain_body, lint_body, query_success_body_memo};
+use crate::metrics::{families, ServerMetrics};
+use crate::render::{explain_body, query_success_body_memo};
 use crate::reply::{ApiError, Reply};
 use owql_eval::{EvalError, ExecMode, ExecOpts};
 use owql_exec::Pool;
+use owql_obs::prometheus;
 use owql_parser::{parse_pattern, Span};
 use owql_store::{QueryRequest, Store};
 use std::sync::atomic::Ordering;
@@ -33,10 +34,13 @@ pub(crate) fn route(
         ("POST", "/v1/explain") => v1_explain(req, store, config),
         ("POST", "/v1/lint") => v1_lint(req),
         ("GET", "/metrics") => {
+            let families = families(store, metrics);
             if metrics_wants_json(req) {
-                Reply::json(200, metrics_json(store, metrics))
+                let slow = store.metrics_hub().slow_queries_json();
+                let body = prometheus::to_json(&families, &[("slow_queries", slow)]);
+                Reply::json(200, body)
             } else {
-                Reply::text(200, metrics_prometheus(store, metrics))
+                Reply::text(200, prometheus::to_text(&families))
             }
         }
         (_, "/v1/healthz" | "/v1/query" | "/v1/explain" | "/v1/lint" | "/metrics") => {
@@ -141,7 +145,7 @@ fn v1_lint(req: &Request) -> Reply {
         return ApiError::bad_request("\"pattern\" must not be empty").reply();
     }
     match owql_lint::analyze_source(text) {
-        Ok(analysis) => Reply::json(200, lint_body(text, &analysis)),
+        Ok(analysis) => Reply::json(200, format!("{}\n", analysis.to_json(text))),
         Err(e) => ApiError::new(400, "parse_error", e.to_string())
             .with_span(e.offset, e.line, e.column)
             .reply(),
@@ -403,7 +407,7 @@ mod tests {
         let json = fixture.get("/metrics?format=json");
         assert_eq!(json.status, 200);
         assert_eq!(json.content_type, "application/json");
-        assert!(json.body.starts_with("{\"server\": "), "{}", json.body);
+        assert!(json.body.starts_with("{\n\"owql_"), "{}", json.body);
     }
 
     /// `"slow_ms": 0` forces every query into the slow-query log, which
@@ -419,11 +423,8 @@ mod tests {
 
         let reply = fixture.get("/metrics?format=json");
         assert_eq!(reply.status, 200);
-        assert!(
-            reply.body.contains("\"slow_queries_total\": 1"),
-            "{}",
-            reply.body
-        );
+        let total = "threshold.\", \"samples\": [{\"labels\": {}, \"value\": 1}]}";
+        assert!(reply.body.contains(total), "{}", reply.body);
         assert!(reply.body.contains("(?x, p, ?y)"), "{}", reply.body);
         let prom = fixture.get("/metrics");
         assert!(

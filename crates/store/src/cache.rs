@@ -19,30 +19,9 @@ use owql_algebra::pattern::Pattern;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Hit/miss/eviction counters, exposed for the bench harness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found no usable entry.
-    pub misses: u64,
-    /// Entries dropped to make room (LRU overflow).
-    pub evictions: u64,
-    /// Entries dropped because their epoch was stale.
-    pub invalidations: u64,
-}
-
-impl CacheStats {
-    /// `hits / (hits + misses)`, or 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// Hit/miss/eviction counters (defined in `owql-obs`, which profiles
+/// and `/metrics` render them from).
+pub use owql_obs::CacheStats;
 
 #[derive(Debug)]
 struct Entry {

@@ -31,7 +31,7 @@ use owql_algebra::mapping_set::MappingSet;
 use owql_algebra::pattern::Pattern;
 use owql_eval::{Engine, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_exec::Pool;
-use owql_obs::{MetricsHub, PersistObs, Profile, ShardMetrics, SlowQuery, StoreObs};
+use owql_obs::{MetricsHub, Profile, ShardMetrics, SlowQuery};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
 use owql_rdf::{
     shard_rows, Graph, GraphIndex, IdRuns, SnapshotIndex, TermDict, Triple, TripleLookup,
@@ -201,47 +201,9 @@ pub struct CheckpointSummary {
     pub wal_records_dropped: u64,
 }
 
-/// Durability counters for a store opened with [`Store::open`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PersistMetrics {
-    /// Bytes currently in the write-ahead log.
-    pub wal_bytes: u64,
-    /// Commit records currently in the write-ahead log.
-    pub wal_records: u64,
-    /// Newest segment generation on disk (0 = none yet).
-    pub segment_generation: u64,
-    /// Epoch watermark of the newest checkpoint (0 = none yet).
-    pub last_checkpoint_epoch: u64,
-    /// Checkpoints taken since this store opened.
-    pub checkpoints: u64,
-    /// WAL records replayed when this store opened.
-    pub recovery_replayed_records: u64,
-}
-
-/// Aggregate store state, for monitoring and the bench harness.
-#[derive(Clone, Debug)]
-pub struct StoreMetrics {
-    /// Current epoch.
-    pub epoch: u64,
-    /// Triples visible to a fresh snapshot.
-    pub len: usize,
-    /// Triples in the shared base index.
-    pub base_len: usize,
-    /// Overlay size (`|adds| + |dels|`).
-    pub delta_len: usize,
-    /// Compactions performed so far.
-    pub compactions: u64,
-    /// Terms in the store-wide dictionary (append-only across epochs).
-    pub dict_terms: usize,
-    /// Dictionary interns that found an existing id.
-    pub dict_hits: u64,
-    /// Dictionary interns that assigned a fresh id.
-    pub dict_misses: u64,
-    /// Query-cache counters.
-    pub cache: CacheStats,
-    /// Durability counters — `Some` iff the store persists to disk.
-    pub persist: Option<PersistMetrics>,
-}
+/// The store's counter value structs (defined in `owql-obs`, which
+/// profiles and `/metrics` render them from).
+pub use owql_obs::{PersistMetrics, StoreMetrics};
 
 /// Wake/shutdown flags for the background indexer thread.
 #[derive(Debug, Default)]
@@ -252,7 +214,8 @@ struct IndexerSignal {
 
 /// Everything the durable side of a store shares with its background
 /// indexer: the open WAL, the data directory, counters mirrored into
-/// atomics so `metrics()` never touches the WAL lock.
+/// atomics so `metrics()` never touches the WAL lock. The checkpoint
+/// count is the hub's checkpoint histogram count.
 #[derive(Debug)]
 struct PersistState {
     dir: PathBuf,
@@ -262,7 +225,6 @@ struct PersistState {
     wal_bytes: AtomicU64,
     segment_generation: AtomicU64,
     last_checkpoint_epoch: AtomicU64,
-    checkpoints: AtomicU64,
     recovery: RecoveryReport,
     /// The owning store's metrics hub, shared so checkpoints running on
     /// the background indexer thread land in the same histograms.
@@ -280,7 +242,7 @@ impl PersistState {
             wal_records: self.wal_records.load(Ordering::SeqCst),
             segment_generation: self.segment_generation.load(Ordering::SeqCst),
             last_checkpoint_epoch: self.last_checkpoint_epoch.load(Ordering::SeqCst),
-            checkpoints: self.checkpoints.load(Ordering::SeqCst),
+            checkpoints: self.hub.checkpoint.count(),
             recovery_replayed_records: self.recovery.replayed_records,
         }
     }
@@ -327,7 +289,6 @@ fn run_checkpoint(
         .segment_generation
         .store(generation, Ordering::SeqCst);
     persist.last_checkpoint_epoch.store(epoch, Ordering::SeqCst);
-    persist.checkpoints.fetch_add(1, Ordering::SeqCst);
     owql_persist::prune_segments(&persist.dir, persist.config.keep_segments.max(1))?;
 
     // The WAL must still cover everything past the oldest retained
@@ -686,7 +647,7 @@ impl Store {
             })),
             cache: QueryCache::new(opts.cache_capacity),
             opts,
-            hub: Arc::new(MetricsHub::new()),
+            hub: Arc::new(MetricsHub::default()),
             persist: None,
             indexer: Mutex::new(None),
             shards: Mutex::new(None),
@@ -751,7 +712,7 @@ impl Store {
         let report = recovered.report;
         let wal_records = recovered.wal.records();
         let wal_bytes = recovered.wal.bytes();
-        let hub = Arc::new(MetricsHub::new());
+        let hub = Arc::new(MetricsHub::default());
         let persist = Arc::new(PersistState {
             dir,
             config: config.clone(),
@@ -760,7 +721,6 @@ impl Store {
             wal_bytes: AtomicU64::new(wal_bytes),
             segment_generation: AtomicU64::new(report.segment_generation),
             last_checkpoint_epoch: AtomicU64::new(report.segment_epoch),
-            checkpoints: AtomicU64::new(0),
             recovery: report,
             hub: hub.clone(),
             checkpoint_lock: Mutex::new(()),
@@ -1054,11 +1014,7 @@ impl Store {
         let started = Instant::now();
         let outcome = self.query_request_inner(req, pool)?;
         let elapsed = started.elapsed();
-        self.hub.queries_total.fetch_add(1, Ordering::Relaxed);
         self.hub.query_latency.record(elapsed);
-        if !outcome.cache_hit {
-            self.hub.columnar_runs.fetch_add(1, Ordering::Relaxed);
-        }
         self.hub.observe_prunes(outcome.prunes);
         if let Some(profile) = &outcome.profile {
             self.hub.observe_spans(&profile.spans);
@@ -1067,8 +1023,15 @@ impl Store {
             if elapsed >= threshold {
                 // The static plan is re-derived here rather than carried
                 // through the outcome: only queries that cross the
-                // threshold pay for the rendering.
-                let plan = self.snapshot().engine().explain(&req.pattern).to_string();
+                // threshold pay for the rendering (and, when the request
+                // was optimized, for re-running the optimizer, so the
+                // plan shown is the one that ran).
+                let pattern = if req.opts.optimize {
+                    owql_eval::optimize(&req.pattern)
+                } else {
+                    req.pattern.clone()
+                };
+                let plan = self.snapshot().engine().explain(&pattern).to_string();
                 self.hub.record_slow_query(SlowQuery {
                     query: req.pattern.to_string(),
                     epoch: outcome.epoch,
@@ -1097,40 +1060,35 @@ impl Store {
     ) -> Result<QueryOutcome, EvalError> {
         owql_eval::check_admission(&req.pattern, &req.opts)?;
         let snapshot = self.snapshot();
-        if req.opts.cache {
-            let key = cache_key(&req.pattern);
-            if let Some(hit) = self.cache.lookup(&key, snapshot.epoch()) {
-                let profile = req.opts.trace.then(|| Profile {
+        let key = req.opts.cache.then(|| cache_key(&req.pattern));
+        let hit = key
+            .as_ref()
+            .and_then(|k| self.cache.lookup(k, snapshot.epoch()));
+        let mut outcome = match hit {
+            Some(hit) => QueryOutcome {
+                profile: req.opts.trace.then(|| Profile {
                     query: Some(req.pattern.to_string()),
                     answers: Some(hit.len() as u64),
-                    store: Some(self.observe()),
-                    persist: self.observe_persist(),
                     ..Profile::default()
-                });
-                return Ok(QueryOutcome {
-                    mappings: hit,
-                    profile,
-                    epoch: snapshot.epoch(),
-                    cache_hit: true,
-                    prunes: owql_obs::PruneObs::default(),
-                });
+                }),
+                mappings: hit,
+                epoch: snapshot.epoch(),
+                cache_hit: true,
+                prunes: owql_obs::PruneObs::default(),
+            },
+            None => {
+                let outcome = self.eval_snapshot(&snapshot, req, pool)?;
+                if let Some(key) = key {
+                    let answers = outcome.mappings.clone();
+                    self.cache.store(key, snapshot.epoch(), answers);
+                }
+                outcome
             }
-            let mut outcome = self.eval_snapshot(&snapshot, req, pool)?;
-            self.cache
-                .store(key, snapshot.epoch(), outcome.mappings.clone());
-            if let Some(p) = outcome.profile.as_mut() {
-                p.store = Some(self.observe());
-                p.persist = self.observe_persist();
-            }
-            Ok(outcome)
-        } else {
-            let mut outcome = self.eval_snapshot(&snapshot, req, pool)?;
-            if let Some(p) = outcome.profile.as_mut() {
-                p.store = Some(self.observe());
-                p.persist = self.observe_persist();
-            }
-            Ok(outcome)
+        };
+        if let Some(p) = outcome.profile.as_mut() {
+            p.store = Some(self.metrics());
         }
+        Ok(outcome)
     }
 
     /// Evaluates `req` against `snapshot`, scattering over the
@@ -1194,14 +1152,15 @@ impl Store {
 
     /// The store's cross-query metrics hub: latency histograms
     /// (query / per-operator / WAL fsync / checkpoint), the
-    /// evaluator-run counter, and the slow-query ring buffer. Shared
-    /// (`Arc`) with the background indexer; the HTTP server renders it
-    /// on `GET /metrics`.
+    /// certified-prune counters, and the slow-query ring buffer. Shared
+    /// (`Arc`) with the background indexer; the HTTP server renders its
+    /// families, then [`StoreMetrics::families`], on `GET /metrics`.
     pub fn metrics_hub(&self) -> Arc<MetricsHub> {
         self.hub.clone()
     }
 
-    /// Aggregate state for monitoring.
+    /// Aggregate state for monitoring — also the `"store"` (and
+    /// `"persist"`) section of a traced [`Profile`].
     pub fn metrics(&self) -> StoreMetrics {
         let inner = self.inner.read().expect("store lock poisoned");
         StoreMetrics {
@@ -1228,40 +1187,6 @@ impl Store {
     /// Durability counters — `Some` iff the store persists to disk.
     pub fn persist_metrics(&self) -> Option<PersistMetrics> {
         self.persist.as_deref().map(PersistState::metrics)
-    }
-
-    /// The durability counters folded into the obs taxonomy — the
-    /// `"persist"` section of a [`Profile`].
-    pub fn observe_persist(&self) -> Option<PersistObs> {
-        self.persist_metrics().map(|m| PersistObs {
-            wal_bytes: m.wal_bytes,
-            wal_records: m.wal_records,
-            segment_generation: m.segment_generation,
-            last_checkpoint_epoch: m.last_checkpoint_epoch,
-            checkpoints: m.checkpoints,
-            recovery_replayed_records: m.recovery_replayed_records,
-        })
-    }
-
-    /// The store's counters folded into the obs taxonomy — the
-    /// `"store"` section of a [`Profile`].
-    pub fn observe(&self) -> StoreObs {
-        let m = self.metrics();
-        StoreObs {
-            epoch: m.epoch,
-            triples: m.len,
-            base_len: m.base_len,
-            delta_len: m.delta_len,
-            compactions: m.compactions,
-            dict_terms: m.dict_terms as u64,
-            dict_hits: m.dict_hits,
-            dict_misses: m.dict_misses,
-            cache_hits: m.cache.hits,
-            cache_misses: m.cache.misses,
-            cache_evictions: m.cache.evictions,
-            cache_invalidations: m.cache.invalidations,
-            cache_hit_rate: m.cache.hit_rate(),
-        }
     }
 }
 
@@ -1471,8 +1396,8 @@ mod tests {
         let profile = out.profile.expect("traced request has a profile");
         assert!(profile.spans.is_empty());
         let obs = profile.store.expect("store section");
-        assert_eq!(obs.cache_hits, 1);
-        assert_eq!(obs.cache_misses, 1);
+        assert_eq!(obs.cache.hits, 1);
+        assert_eq!(obs.cache.misses, 1);
     }
 
     /// A zero deadline surfaces as `EvalError::Timeout` from the store
@@ -1576,10 +1501,10 @@ mod tests {
         assert!(!profile.spans.is_empty());
         let obs = profile.store.expect("store section");
         assert_eq!(obs.epoch, store.epoch());
-        assert_eq!(obs.triples, 3);
-        assert_eq!(obs.cache_hits, 1);
-        assert_eq!(obs.cache_misses, 1);
-        assert!((obs.cache_hit_rate - 0.5).abs() < 1e-9);
+        assert_eq!(obs.len, 3);
+        assert_eq!(obs.cache.hits, 1);
+        assert_eq!(obs.cache.misses, 1);
+        assert!((obs.cache.hit_rate() - 0.5).abs() < 1e-9);
         let json = profile.to_json();
         assert!(json.contains("\"cache_hit_rate\": 0.500"));
 
@@ -1667,12 +1592,17 @@ mod tests {
         }
         let hub = store.metrics_hub();
         assert!(hub.shards.queries_total.load(Ordering::Relaxed) >= 3);
-        assert!(hub.shards.scatters_total.load(Ordering::Relaxed) >= 3);
+        assert!(hub.shards.scatters() >= 3);
     }
 
-    /// Every served query lands in the hub: the total counter, the
-    /// latency histogram, and — when the evaluator actually ran — the
-    /// run counter.
+    /// The store's hub families in Prometheus text format.
+    fn hub_text(store: &Store) -> String {
+        owql_obs::prometheus::to_text(&store.metrics_hub().families(store.cache_stats().hits))
+    }
+
+    /// Every served query lands in the hub: the latency histogram,
+    /// whose count is the served-query total, and — when the evaluator
+    /// actually ran — the run count (served minus cache hits).
     #[test]
     fn metrics_hub_counts_queries_and_columnar_runs() {
         let store = Store::from_graph(&graph_from(&[("a", "p", "b"), ("b", "p", "c")]));
@@ -1680,13 +1610,10 @@ mod tests {
         let p = Pattern::t("?x", "p", "?y");
         store.query(&p); // miss → evaluated
         store.query(&p); // cache hit → still counted, no engine ran
-        assert_eq!(hub.queries_total.load(Ordering::Relaxed), 2);
+        assert!(hub_text(&store).contains("\nowql_queries_total 2\n"));
         assert_eq!(hub.query_latency.snapshot().count, 2);
-        assert_eq!(
-            hub.columnar_runs.load(Ordering::Relaxed),
-            1,
-            "one engine run, one cache hit"
-        );
+        // One engine run, one cache hit.
+        assert!(hub_text(&store).contains("\nowql_columnar_runs_total 1\n"));
 
         // An uncached request — here a fully ground one — runs the
         // evaluator again.
@@ -1695,8 +1622,8 @@ mod tests {
             .query_request(&req, &Pool::sequential())
             .expect(NO_BUDGET);
         assert_eq!(out.mappings, MappingSet::unit());
-        assert_eq!(hub.columnar_runs.load(Ordering::Relaxed), 2);
-        assert_eq!(hub.queries_total.load(Ordering::Relaxed), 3);
+        assert!(hub_text(&store).contains("\nowql_columnar_runs_total 2\n"));
+        assert!(hub_text(&store).contains("\nowql_queries_total 3\n"));
     }
 
     /// A traced query folds its spans into the per-operator histograms.
@@ -1758,6 +1685,33 @@ mod tests {
         );
         store.query_request(&fast, &pool).expect(NO_BUDGET);
         assert_eq!(hub.slow_queries_total.load(Ordering::Relaxed), 2);
+    }
+
+    /// An optimized request's slow-query capture shows the plan that
+    /// ran: the duplicate UNION branch the optimizer pruned is absent.
+    #[test]
+    fn slow_query_plan_is_the_optimized_plan() {
+        let store = Store::from_graph(&graph_from(&[("a", "p", "b"), ("b", "p", "c")]));
+        let hub = store.metrics_hub();
+        let branch = Pattern::t("?x", "p", "?y");
+        let p = branch.clone().union(branch);
+        for optimize in [false, true] {
+            let opts = ExecOpts::builder()
+                .cache(false)
+                .optimize(optimize)
+                .slow_query(Some(std::time::Duration::ZERO))
+                .build();
+            let req = QueryRequest::with_opts(p.clone(), opts);
+            let out = store
+                .query_request(&req, &Pool::sequential())
+                .expect(NO_BUDGET);
+            assert_eq!(out.prunes.subsumed_branches, u64::from(optimize));
+        }
+        let slow = hub.slow_queries();
+        assert_eq!(slow.len(), 2);
+        assert_eq!(slow[0].plan.matches("scan").count(), 2, "{}", slow[0].plan);
+        assert!(!slow[1].plan.contains("union"), "plan: {}", slow[1].plan);
+        assert_eq!(slow[1].plan.matches("scan").count(), 1, "{}", slow[1].plan);
     }
 
     fn tmp_dir(name: &str) -> PathBuf {

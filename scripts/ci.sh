@@ -77,7 +77,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path or instrument, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument or metrics mirror, one JSON escaper, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -105,6 +105,16 @@ stage_lint_smoke() {
   if grep -rnE 'criter''ion::|criterion_gr''oup|check_be''nch|parallel_be''nch|store_ch''urn|store_rec''overy|BENCH_''(parallel|persist|store)|structural_e''val' \
       crates/ tests/ examples/ scripts/ .github/; then
     echo "a retired instrument or the structural evaluator reappeared"; exit 1
+  fi
+  # One telemetry spine: every counter has one home and every format one
+  # writer, so the store/persist mirrors, the pool's own counters, the
+  # recorder's prune copy and the extra JSON escapers stay gone.
+  if grep -rnE 'Store''Obs|Persist''Obs|observe_pers''ist|Exec''Stats|record_pr''unes|push_json_esc''aped|json_st''ring' \
+      crates/ tests/ examples/ scripts/; then
+    echo "a retired metrics mirror, duplicate counter or JSON escaper reappeared"; exit 1
+  fi
+  if [[ "$(grep -rnF '\\u{:04''x}' crates/ --include='*.rs' | wc -l)" -ne 1 ]]; then
+    echo "expected exactly one JSON string escape loop under crates/"; exit 1
   fi
   # Request-path hygiene, first step: routing and rendering answer
   # errors, they do not panic on them (their unit tests may).

@@ -7,12 +7,15 @@ Drives real HTTP against a running serve example:
    `"slow_ms": 0` (threshold zero => every query is "slow"), the CI
    injection hook for the slow-query ring buffer;
 2. scrapes `GET /metrics` (Prometheus text) and schema-checks it: the
-   content type, `# TYPE`/`# HELP` pairs for the core families,
-   cumulative bucket monotonicity ending at `_count`, exactly one
-   `+Inf` bucket per histogram, and counter values consistent with the
-   queries just sent;
-3. scrapes `GET /metrics?format=json` and asserts the hub section
-   carries histograms and that the injected slow query was captured
+   content type, `# TYPE`/`# HELP` pairs for the core families, and for
+   every series of every histogram family (each labelled
+   `owql_operator_latency_seconds{op=...}` included) cumulative bucket
+   monotonicity ending in exactly one `+Inf` bucket equal to its
+   `_count`, plus counter values consistent with the queries just sent;
+3. scrapes `GET /metrics?format=json` — the same family list keyed by
+   family name, plus `"slow_queries"` — and asserts every text family
+   is a JSON key of the same type, every histogram sample's `+Inf`
+   bucket equals its `count`, and the injected slow query was captured
    with its pattern text, plan, and per-operator totals.
 
 Usage: scripts/obs_smoke.py HOST:PORT
@@ -73,25 +76,41 @@ def samples(text, name):
     return out
 
 
+def labels(key, name):
+    """The label set of sample `key` of metric `name`, without braces."""
+    rest = key[len(name):]
+    return rest[1:-1] if rest.startswith("{") else ""
+
+
 def check_histogram(text, name):
-    """Cumulative `le` buckets must be monotone, end in one `+Inf`, and
-    agree with the `_count` sample."""
-    buckets = samples(text, name + "_bucket")
-    check(buckets, f"{name} has no buckets")
-    values = [v for _, v in buckets]
+    """Every series of histogram `name`: cumulative `le` buckets must be
+    monotone and end in exactly one `+Inf` bucket that equals the
+    series' `_count` sample. Returns the summed count."""
+    series = {}
+    for key, value in samples(text, name + "_bucket"):
+        rest, le = labels(key, name + "_bucket").rsplit('le="', 1)
+        series.setdefault(rest.rstrip(","), []).append((le[:-1], value))
+    counts = {labels(k, name + "_count"): v for k, v in samples(text, name + "_count")}
     check(
-        all(a <= b for a, b in zip(values, values[1:])),
-        f"{name} buckets are not cumulative-monotone: {values}",
+        set(series) == set(counts),
+        f"{name}: bucket series {sorted(series)} != _count series {sorted(counts)}",
     )
-    inf = [(k, v) for k, v in buckets if 'le="+Inf"' in k]
-    check(len(inf) == 1, f"{name} must expose exactly one +Inf bucket")
-    count = samples(text, name + "_count")
-    check(count, f"{name} has no _count sample")
-    check(
-        inf[0][1] == count[0][1],
-        f"{name} +Inf bucket {inf[0][1]} != _count {count[0][1]}",
-    )
-    return count[0][1]
+    for label, buckets in series.items():
+        values = [v for _, v in buckets]
+        check(
+            all(a <= b for a, b in zip(values, values[1:])),
+            f"{name}{{{label}}} buckets are not cumulative-monotone: {values}",
+        )
+        infs = [le for le, _ in buckets if le == "+Inf"]
+        check(
+            len(infs) == 1 and buckets[-1][0] == "+Inf",
+            f"{name}{{{label}}} must end in exactly one +Inf bucket",
+        )
+        check(
+            values[-1] == counts[label],
+            f"{name}{{{label}}} +Inf bucket {values[-1]} != _count {counts[label]}",
+        )
+    return sum(counts.values())
 
 
 def main(addr):
@@ -122,12 +141,17 @@ def main(addr):
         queries_total >= N_QUERIES + 1,
         f"owql_queries_total {queries_total} < {N_QUERIES + 1} queries sent",
     )
+    types = dict(
+        line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE ")
+    )
+    for family, kind in types.items():
+        if kind == "histogram":
+            check_histogram(text, family)
     latency_count = check_histogram(text, "owql_query_latency_seconds")
     check(
         latency_count == queries_total,
         f"latency _count {latency_count} != owql_queries_total {queries_total}",
     )
-    check_histogram(text, "owql_wal_fsync_seconds")
     check(
         samples(text, "owql_slow_queries_total")[0][1] >= 1,
         "slow_ms=0 injection did not increment owql_slow_queries_total",
@@ -146,13 +170,26 @@ def main(addr):
         f"wrong JSON content type: {content_type!r}",
     )
     doc = json.loads(text)
-    hub = doc.get("hub")
-    check(hub is not None, "JSON /metrics has no hub section")
+    for family, kind in types.items():
+        check(family in doc, f"JSON /metrics has no {family} family")
+        check(
+            doc[family]["type"] == kind,
+            f"JSON {family} type {doc[family]['type']!r} != text type {kind!r}",
+        )
+        if kind != "histogram":
+            continue
+        for sample in doc[family]["samples"]:
+            inf = sample["buckets"][-1]
+            check(
+                inf["le"] is None and inf["cumulative"] == sample["count"],
+                f"JSON {family} {sample['labels']}: +Inf bucket {inf} != count {sample['count']}",
+            )
+    latency = doc["owql_query_latency_seconds"]["samples"][0]
     check(
-        "histogram_buckets" in json.dumps(hub["query_latency"]),
-        "hub query_latency carries no histogram_buckets",
+        latency["count"] >= latency_count,
+        f"JSON latency count {latency['count']} < text count {latency_count}",
     )
-    slow = hub.get("slow_queries", [])
+    slow = doc.get("slow_queries", [])
     check(slow, "slow-query ring buffer is empty after slow_ms=0 injection")
     captured = slow[-1]
     check(

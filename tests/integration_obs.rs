@@ -139,6 +139,54 @@ proptest! {
     }
 }
 
+/// `Profile::to_json` is one well-formed JSON document, both for a full
+/// profile (a traced, optimized, parallel query over a durable store)
+/// and for an empty one.
+#[test]
+fn profile_json_parses_full_and_empty() {
+    use owql::server::json::{parse, JsonValue};
+
+    let empty = parse(&Profile::default().to_json()).expect("empty profile parses");
+    for key in ["store", "persist"] {
+        assert_eq!(empty.get(key), Some(&JsonValue::Null), "{key}");
+    }
+    assert_eq!(empty.get("spans"), Some(&JsonValue::Arr(Vec::new())));
+
+    let dir = std::env::temp_dir().join(format!("owql-obs-profile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persist = owql::store::PersistConfig::default()
+        .no_fsync()
+        .inline_indexer();
+    let store = Store::open(&dir, StoreOptions::default(), persist).expect("open durable");
+    let mut tx = store.begin();
+    for i in 0..40 {
+        let (s, o) = (format!("s{i}"), format!("s{}", (i + 1) % 40));
+        tx.insert(Triple::new(s.as_str(), "p", o.as_str()));
+    }
+    store.commit(tx);
+    store.checkpoint().expect("checkpoint");
+    let p = parse_pattern("(((?x, p, ?y) AND (?y, p, ?z)) UNION ((?x, p, ?y) AND (?y, p, ?z)))");
+    let opts = ExecOpts::parallel().uncached().traced().optimized();
+    let request = QueryRequest::with_opts(p.expect("valid pattern"), opts);
+    let out = store
+        .query_request(&request, &Pool::new(2))
+        .expect("no deadline");
+    let text = out.profile.expect("traced run has a profile").to_json();
+    let doc = parse(&text).unwrap_or_else(|e| panic!("invalid profile JSON ({e}):\n{text}"));
+    assert_eq!(doc.get("answers"), Some(&JsonValue::Num(40.0)));
+    let field = |section: &str, key: &str| doc.get(section)?.get(key).cloned();
+    let count = |section: &str, key: &str| field(section, key)?.as_u64();
+    assert_eq!(count("prunes", "subsumed_branches"), Some(1), "{text}");
+    assert_eq!(count("store", "triples"), Some(40), "{text}");
+    assert_eq!(count("persist", "checkpoints"), Some(1), "{text}");
+    assert!(matches!(field("pool", "workers"), Some(JsonValue::Arr(_))));
+    let Some(JsonValue::Arr(spans)) = doc.get("spans") else {
+        panic!("spans is not an array:\n{text}");
+    };
+    assert!(spans.iter().all(|s| s.get("estimated_rows").is_some()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `explain_analyze` reports observed (not estimated) cardinalities:
 /// its root output equals the answer count and its SCAN steps chain
 /// rows through the join.

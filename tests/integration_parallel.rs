@@ -252,6 +252,10 @@ fn width_one_pool_is_sequential_fallback() {
             run_with(&engine, &p, &ExecOpts::seq(), &Pool::sequential())
         );
     }
-    let stats = pool.stats();
+    let rec = Recorder::new();
+    let items: Vec<u32> = (0..64).collect();
+    assert_eq!(pool.map_profiled(&items, &rec, |&n| n + 1)[63], 64);
+    let stats = rec.profile().pool;
     assert_eq!(stats.parallel_maps, 0, "width-1 pool must never spawn");
+    assert_eq!(stats.inline_maps, 1);
 }

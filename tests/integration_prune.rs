@@ -201,8 +201,7 @@ fn certified_prunes_fire_and_preserve_answers() {
     assert!(hub.pruned_opt_collapses.load(Ordering::Relaxed) > 0);
 
     // ... and the Prometheus rendering exposes them per rule.
-    let mut out = String::new();
-    hub.render_prometheus(&mut out);
+    let out = owql::obs::prometheus::to_text(&hub.families(store.cache_stats().hits));
     for rule in ["FL003", "UN002", "BD001"] {
         let sample = format!("owql_lint_prunes_total{{rule=\"{rule}\"}}");
         let line = out

@@ -7,6 +7,7 @@
 //! graceful shutdown draining in-flight requests.
 
 use owql_rdf::Triple;
+use owql_server::json::{parse, JsonValue};
 use owql_server::{decode_chunked, Server, ServerConfig};
 use owql_store::Store;
 use std::io::{Read, Write};
@@ -195,6 +196,36 @@ fn json_u64(body: &str, field: &str) -> u64 {
         .expect("integer field")
 }
 
+/// Scrapes `GET /metrics?format=json`, parsing the whole document.
+fn scrape_json(addr: SocketAddr) -> JsonValue {
+    let (status, head, body) = send(addr, "GET", "/metrics?format=json", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        head.to_ascii_lowercase()
+            .contains("content-type: application/json"),
+        "{head}"
+    );
+    parse(&body).unwrap_or_else(|e| panic!("invalid /metrics JSON ({e}): {body}"))
+}
+
+/// The summed value of `family`'s scalar samples in a scraped JSON
+/// exposition.
+fn sample_sum(doc: &JsonValue, family: &str) -> u64 {
+    let Some(JsonValue::Arr(samples)) = doc.get(family).and_then(|f| f.get("samples")) else {
+        panic!("no {family} family in {doc:?}");
+    };
+    let value = |s: &JsonValue| s.get("value").and_then(JsonValue::as_u64);
+    samples
+        .iter()
+        .map(|s| value(s).expect("scalar sample"))
+        .sum()
+}
+
+/// `sample_sum` over a fresh scrape.
+fn scrape(addr: SocketAddr, family: &str) -> u64 {
+    sample_sum(&scrape_json(addr), family)
+}
+
 fn seeded_store(n: usize) -> Arc<Store> {
     let store = Arc::new(Store::new());
     for i in 0..n {
@@ -233,11 +264,14 @@ fn healthz_metrics_and_basic_query() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"plan\""), "{body}");
 
-    let (status, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert_eq!(status, 200);
-    assert!(json_u64(&body, "responses_2xx") >= 5, "{body}");
-    assert!(body.contains("\"cache_hits\""), "{body}");
-    assert!(body.contains("\"hub\""), "{body}");
+    let doc = scrape_json(addr);
+    // Every response so far was a 2xx.
+    assert!(
+        sample_sum(&doc, "owql_server_responses_total") >= 5,
+        "{doc:?}"
+    );
+    assert!(sample_sum(&doc, "owql_store_cache_hits_total") >= 1);
+    assert!(matches!(doc.get("slow_queries"), Some(JsonValue::Arr(_))));
 
     // The default rendering is Prometheus text exposition.
     let (status, head, body) = send(addr, "GET", "/metrics", "");
@@ -319,10 +353,24 @@ fn v1_surface_speaks_json_envelopes() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"code\": \"bad_request\""), "{body}");
 
-    // Explain and lint ride the same envelope.
-    let (status, _, body) = send(addr, "POST", "/v1/explain", r#"{"pattern": "(?x, p, ?y)"}"#);
+    // Explain and lint ride the same envelope; an optimized explain is
+    // one JSON document carrying the plan that runs and its prunes.
+    let body = envelope(r#"{"optimize": true}"#, "((?x, p, ?y) UNION (?x, p, ?y))");
+    let (status, _, body) = send(addr, "POST", "/v1/explain", &body);
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"plan\""), "{body}");
+    let doc = parse(&body).unwrap_or_else(|e| panic!("invalid explain JSON ({e}): {body}"));
+    assert_eq!(doc.get("answers").and_then(JsonValue::as_u64), Some(5));
+    assert!(doc.get("plan").and_then(JsonValue::as_str).is_some());
+    let optimized = doc.get("optimized").and_then(JsonValue::as_str);
+    assert_eq!(optimized, Some("(?x, p, ?y)"), "{body}");
+    for (key, count) in [("subsumed_branches", 1), ("unsat_filters", 0), ("total", 1)] {
+        let value = doc.get("prunes").and_then(|p| p.get(key));
+        assert_eq!(
+            value.and_then(JsonValue::as_u64),
+            Some(count),
+            "{key}: {body}"
+        );
+    }
     let (status, _, body) = send(
         addr,
         "POST",
@@ -338,6 +386,88 @@ fn v1_surface_speaks_json_envelopes() {
     assert!(body.contains("\"code\": \"not_found\""), "{body}");
 
     server.shutdown();
+}
+
+/// The golden exposition test: a durable, sharded store with traffic
+/// exposes exactly today's family set, in order, one header each, and
+/// the JSON rendering carries every text family under its name with the
+/// same type (plus `"slow_queries"`).
+#[test]
+fn both_metrics_renderings_walk_one_family_list() {
+    let dir = std::env::temp_dir().join(format!("owql-golden-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persist = owql_store::PersistConfig::default()
+        .no_fsync()
+        .inline_indexer();
+    let store = Store::open(&dir, owql_store::StoreOptions::default(), persist).expect("open");
+    for i in 0..6 {
+        store.insert(Triple::new(&format!("s{i}"), "p", &format!("o{i}")));
+    }
+    store.checkpoint().expect("checkpoint");
+    let config = ServerConfig::builder().workers(2).shards(2).build();
+    let server = Server::start(Arc::new(store), config).expect("start");
+    let addr = server.addr();
+    let traced = r#"{"mode": "parallel", "cache": false, "trace": true, "slow_ms": 0}"#;
+    for pattern in ["(?x, p, ?y)", "((?x, p, ?y) UNION (?x, q, ?y))"] {
+        assert_eq!(query(addr, traced, pattern).0, 200);
+    }
+
+    let (_, _, text) = send(addr, "GET", "/metrics", "");
+    let types: Vec<(&str, &str)> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    let expected = [
+        ("owql_queries_total", "counter"),
+        ("owql_query_latency_seconds", "histogram"),
+        ("owql_operator_latency_seconds", "histogram"),
+        ("owql_columnar_runs_total", "counter"),
+        ("owql_wal_fsync_seconds", "histogram"),
+        ("owql_checkpoint_seconds", "histogram"),
+        ("owql_slow_queries_total", "counter"),
+        ("owql_lint_prunes_total", "counter"),
+        ("owql_sharded_queries_total", "counter"),
+        ("owql_shard_fanout", "histogram"),
+        ("owql_shard_tasks_total", "counter"),
+        ("owql_shard_rows_total", "counter"),
+        ("owql_server_accepted_total", "counter"),
+        ("owql_server_responses_total", "counter"),
+        ("owql_server_shed_total", "counter"),
+        ("owql_server_timeouts_total", "counter"),
+        ("owql_server_panics_total", "counter"),
+        ("owql_server_in_flight", "gauge"),
+        ("owql_server_queue_depth", "gauge"),
+        ("owql_server_ready_events_total", "counter"),
+        ("owql_server_connections_open", "gauge"),
+        ("owql_server_keepalive_reuses_total", "counter"),
+        ("owql_server_pipelined_requests_total", "counter"),
+        ("owql_server_chunked_responses_total", "counter"),
+        ("owql_store_epoch", "gauge"),
+        ("owql_store_triples", "gauge"),
+        ("owql_store_cache_hits_total", "counter"),
+        ("owql_store_cache_misses_total", "counter"),
+        ("owql_wal_records", "gauge"),
+        ("owql_checkpoints_total", "counter"),
+    ];
+    assert_eq!(types, expected, "{text}");
+    assert_eq!(text.matches("# HELP ").count(), expected.len(), "{text}");
+
+    let doc = scrape_json(addr);
+    let JsonValue::Obj(members) = &doc else {
+        panic!("/metrics JSON is not an object: {doc:?}");
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    let names: Vec<&str> = expected.iter().map(|(name, _)| *name).collect();
+    assert_eq!(keys, [names, vec!["slow_queries"]].concat());
+    for (name, kind) in expected {
+        let family = doc.get(name).and_then(|f| f.get("type"));
+        assert_eq!(family.and_then(JsonValue::as_str), Some(kind), "{name}");
+    }
+    assert!(sample_sum(&doc, "owql_checkpoints_total") >= 1);
+    assert!(sample_sum(&doc, "owql_sharded_queries_total") >= 2);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -370,9 +500,9 @@ fn pipelined_requests_answer_in_order_on_one_socket() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"o3\""), "{body}");
 
-    let (_, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert!(json_u64(&body, "pipelined_requests_total") >= 1, "{body}");
-    assert!(json_u64(&body, "keepalive_reuses_total") >= 3, "{body}");
+    let doc = scrape_json(addr);
+    assert!(sample_sum(&doc, "owql_server_pipelined_requests_total") >= 1);
+    assert!(sample_sum(&doc, "owql_server_keepalive_reuses_total") >= 3);
 
     server.shutdown();
 }
@@ -407,8 +537,7 @@ fn large_result_sets_stream_chunked_and_decode() {
     let (status, _, body) = client.read_response();
     assert_eq!(status, 200, "{body}");
 
-    let (_, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert!(json_u64(&body, "chunked_responses_total") >= 1, "{body}");
+    assert!(scrape(addr, "owql_server_chunked_responses_total") >= 1);
 
     server.shutdown();
 }
@@ -484,8 +613,7 @@ fn admission_ceiling_sheds_over_class_queries_with_diagnostic_body() {
     );
     assert_eq!(status, 429);
 
-    let (_, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert!(json_u64(&body, "shed_total") >= 4, "{body}");
+    assert!(scrape(addr, "owql_server_shed_total") >= 4);
 
     server.shutdown();
 }
@@ -556,8 +684,7 @@ fn deadline_exceeded_maps_to_504_without_poisoning_workers() {
         assert_eq!(json_u64(&body, "count"), 8);
     }
 
-    let (_, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert!(json_u64(&body, "timeouts_total") >= 3, "{body}");
+    assert!(scrape(addr, "owql_server_timeouts_total") >= 3);
 
     server.shutdown();
 }
@@ -612,8 +739,7 @@ fn full_queue_sheds_with_429_and_the_connection_survives() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_u64(&body, "count"), 400);
 
-    let (_, _, body) = send(addr, "GET", "/metrics?format=json", "");
-    assert!(json_u64(&body, "shed_total") >= 1, "{body}");
+    assert!(scrape(addr, "owql_server_shed_total") >= 1);
 
     server.shutdown();
 }

@@ -169,10 +169,7 @@ fn spine_queries_take_the_scatter_gather_path() {
         patterns.len() as u64,
         "every spine query must take the sharded path"
     );
-    assert!(
-        hub.shards.scatters_total.load(Ordering::Relaxed) > 0,
-        "scatter rounds must be recorded"
-    );
+    assert!(hub.shards.scatters() > 0, "scatter rounds must be recorded");
     let tasks: u64 = hub
         .shards
         .shard_tasks

@@ -27,8 +27,9 @@ use crate::mapping::Mapping;
 use crate::mapping_set::MappingSet;
 use crate::variable::Variable;
 use owql_exec::Pool;
-use owql_rdf::{TermDict, TermId, NO_TERM};
+use owql_rdf::{FxHashMap, FxHasher, TermDict, TermId, NO_TERM};
 use std::collections::{HashMap, HashSet};
+use std::hash::Hasher;
 
 /// Maximum frame width the columnar representation supports (domain
 /// masks are single `u64`s).
@@ -234,29 +235,61 @@ impl IdMappingSet {
         self.data = out;
     }
 
-    /// `Ω₁ ⋈ Ω₂`: the unions of every compatible pair (nested loop,
-    /// smaller side outer, like the term-level join).
-    pub fn join(&self, other: &IdMappingSet) -> IdMappingSet {
+    /// Calls `pair(i, j)` for every compatible pair (row `i` of `self`,
+    /// row `j` of `other`): the one kernel under the three operators
+    /// below. Both sides are hash-partitioned on the key, the columns
+    /// bound in every row of both, where compatible rows must agree. The
+    /// chained table is built on the smaller side and probed with the
+    /// larger; every candidate still gets the full check, which covers
+    /// collisions and the possibly-unbound columns. An empty key makes
+    /// one bucket: the nested loop.
+    fn compatible_pairs(&self, other: &IdMappingSet, mut pair: impl FnMut(usize, usize)) {
         debug_assert_eq!(self.width, other.width);
-        let (outer, inner) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
+        let key: Vec<usize> = (0..self.width)
+            .filter(|&c| self.rows().chain(other.rows()).all(|r| r[c] != NO_TERM))
+            .collect();
+        let hash = |row: &[TermId]| {
+            let mut h = FxHasher::default();
+            key.iter().for_each(|&c| h.write_u64(row[c]));
+            h.finish()
         };
-        let mut out = IdMappingSet::new(self.width);
-        let mut merged = vec![NO_TERM; self.width];
-        for a in outer.rows() {
-            for b in inner.rows() {
-                if rows_compatible(a, b) {
-                    for (m, (&x, &y)) in merged.iter_mut().zip(a.iter().zip(b)) {
-                        // Compatible columns differ only when one side
-                        // is unbound, so bitwise-or is exactly µ₁ ∪ µ₂.
-                        *m = x | y;
-                    }
-                    out.push_row(&merged);
-                }
+        let swapped = self.len() > other.len();
+        let (build, probe) = if swapped {
+            (other, self)
+        } else {
+            (self, other)
+        };
+        let mut heads: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut next = vec![u32::MAX; build.len()];
+        for (j, row) in build.rows().enumerate() {
+            if let Some(older) = heads.insert(hash(row), j as u32) {
+                next[j] = older;
             }
         }
+        for (i, a) in probe.rows().enumerate() {
+            let mut j = heads.get(&hash(a)).copied().unwrap_or(u32::MAX);
+            while j != u32::MAX {
+                let b = j as usize;
+                if rows_compatible(a, build.row(b)) {
+                    let (l, r) = if swapped { (i, b) } else { (b, i) };
+                    pair(l, r);
+                }
+                j = next[b];
+            }
+        }
+    }
+
+    /// Appends `µ₁ ∪ µ₂` for compatible rows `a`, `b`: compatible
+    /// columns differ only when one side is unbound, so bitwise-or is
+    /// exactly the union.
+    fn push_union(&mut self, a: &[TermId], b: &[TermId]) {
+        self.data.extend(a.iter().zip(b).map(|(&x, &y)| x | y));
+    }
+
+    /// `Ω₁ ⋈ Ω₂`: the unions of every compatible pair.
+    pub fn join(&self, other: &IdMappingSet) -> IdMappingSet {
+        let mut out = IdMappingSet::new(self.width);
+        self.compatible_pairs(other, |i, j| out.push_union(self.row(i), other.row(j)));
         out.sort_dedup();
         out
     }
@@ -264,22 +297,27 @@ impl IdMappingSet {
     /// `Ω₁ ∖ Ω₂`: rows of `self` incompatible with every row of
     /// `other`.
     pub fn difference(&self, other: &IdMappingSet) -> IdMappingSet {
-        debug_assert_eq!(self.width, other.width);
+        let mut matched = vec![false; self.len()];
+        self.compatible_pairs(other, |i, _| matched[i] = true);
         let mut out = IdMappingSet::new(self.width);
-        for a in self.rows() {
-            if other.rows().all(|b| !rows_compatible(a, b)) {
-                out.push_row(a);
-            }
+        for (row, _) in self.rows().zip(&matched).filter(|(_, &m)| !m) {
+            out.push_row(row);
         }
         // `self` is already sorted + distinct; filtering preserves that.
         out
     }
 
-    /// Left outer join: `(Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂)`.
+    /// Left outer join `(Ω₁ ⋈ Ω₂) ∪ (Ω₁ ∖ Ω₂)`, in one kernel pass.
     pub fn left_outer_join(&self, other: &IdMappingSet) -> IdMappingSet {
-        let mut out = self.join(other);
-        let diff = self.difference(other);
-        out.data.extend_from_slice(&diff.data);
+        let mut out = IdMappingSet::new(self.width);
+        let mut matched = vec![false; self.len()];
+        self.compatible_pairs(other, |i, j| {
+            matched[i] = true;
+            out.push_union(self.row(i), other.row(j));
+        });
+        for (row, _) in self.rows().zip(&matched).filter(|(_, &m)| !m) {
+            out.push_row(row);
+        }
         out.sort_dedup();
         out
     }

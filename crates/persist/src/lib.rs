@@ -49,9 +49,11 @@ pub struct PersistConfig {
     /// OS may still hold them in the page cache at crash time) for
     /// commit throughput; recovery correctness is unaffected.
     pub fsync: bool,
-    /// Checkpoint automatically once the WAL holds this many records
-    /// (`0` disables auto-checkpointing; `Store::checkpoint` still
-    /// works).
+    /// Checkpoint automatically once this many records have been
+    /// committed since the newest checkpoint (`0` disables
+    /// auto-checkpointing; `Store::checkpoint` still works). The WAL
+    /// itself may hold up to about `keep_segments` times as many, since
+    /// it is truncated only behind the oldest retained generation.
     pub checkpoint_wal_records: u64,
     /// Run auto-checkpoints on a background indexer thread (fresh
     /// commits keep landing in the in-memory delta while the segment

@@ -247,6 +247,17 @@ impl PersistState {
         }
     }
 
+    /// `true` once `checkpoint_wal_records` records have been committed
+    /// since the newest checkpoint. Every record is one epoch, so that
+    /// count is an epoch difference. The WAL's own length is the wrong
+    /// measure: it still holds the records behind the older retained
+    /// generations, which would re-trigger on the next commit.
+    fn checkpoint_due(&self, epoch: u64) -> bool {
+        let threshold = self.config.checkpoint_wal_records;
+        let since = epoch.saturating_sub(self.last_checkpoint_epoch.load(Ordering::SeqCst));
+        threshold > 0 && since >= threshold
+    }
+
     fn wake_indexer(&self) {
         let mut signal = self.signal.lock().expect("indexer signal poisoned");
         signal.wake = true;
@@ -329,10 +340,17 @@ fn indexer_loop(inner: Arc<RwLock<StoreInner>>, persist: Arc<PersistState>) {
         }
         signal.wake = false;
         drop(signal);
-        // A failed background checkpoint is not fatal: the WAL still
-        // holds every commit, so durability is unaffected — the next
-        // threshold crossing (or a manual checkpoint) retries.
-        let _ = run_checkpoint(&inner, &persist);
+        // Commits that land while a checkpoint runs wake the indexer
+        // against the old watermark; re-check against the new one so
+        // they do not buy a back-to-back checkpoint.
+        let epoch = inner.read().expect("store lock poisoned").epoch;
+        if persist.checkpoint_due(epoch) {
+            // A failed background checkpoint is not fatal: the WAL
+            // still holds every commit, so durability is unaffected —
+            // the next threshold crossing (or a manual checkpoint)
+            // retries.
+            let _ = run_checkpoint(&inner, &persist);
+        }
         signal = persist.signal.lock().expect("indexer signal poisoned");
     }
 }
@@ -903,8 +921,7 @@ impl Store {
 
         // Phase 4 — maybe checkpoint (outside the write lock).
         if let Some(p) = &self.persist {
-            let threshold = p.config.checkpoint_wal_records;
-            if threshold > 0 && p.wal_records.load(Ordering::SeqCst) >= threshold {
+            if p.checkpoint_due(summary.epoch) {
                 if p.config.background_indexer {
                     p.wake_indexer();
                 } else {
@@ -1851,8 +1868,82 @@ mod tests {
         }
         let m = store.persist_metrics().expect("metrics");
         assert!(m.checkpoints >= 2, "threshold 5 over 12 commits: {m:?}");
-        assert!(m.wal_records < 5, "WAL stays bounded: {m:?}");
+        // The default keeps 2 generations, so the WAL also keeps the
+        // records between them: bounded by 2 × threshold.
+        assert!(m.wal_records < 10, "WAL stays bounded: {m:?}");
         assert_eq!(store.len(), 12);
+    }
+
+    /// With 2 retained generations the WAL never drops below the
+    /// threshold after a checkpoint, so a WAL-length trigger fired
+    /// checkpoints in back-to-back pairs; counting records since the
+    /// newest checkpoint fires exactly once per threshold.
+    #[test]
+    fn auto_checkpoint_fires_once_per_threshold_with_two_generations() {
+        const N: u64 = 4;
+        let dir = tmp_dir("auto-pairs");
+        let config = PersistConfig {
+            keep_segments: 2,
+            ..PersistConfig::default()
+                .no_fsync()
+                .checkpoint_every(N)
+                .inline_indexer()
+        };
+        {
+            let store = Store::open(&dir, StoreOptions::default(), config.clone()).expect("open");
+            for i in 0..3 * N {
+                let s = format!("s{i}");
+                store.insert(triple(s.as_str(), "p", "o"));
+            }
+            let m = store.persist_metrics().expect("metrics");
+            assert_eq!(m.checkpoints, 3, "{m:?}");
+            assert_eq!(m.last_checkpoint_epoch, 3 * N);
+        }
+        let store = Store::open(&dir, StoreOptions::default(), config).expect("reopen");
+        assert_eq!(store.epoch(), 3 * N);
+        assert_eq!(store.len(), 3 * N as usize);
+    }
+
+    /// The background indexer re-checks the threshold when it wakes: a
+    /// wake left by a commit that landed during the previous checkpoint
+    /// does not write a second segment right behind it.
+    #[test]
+    fn background_indexer_ignores_a_stale_wake() {
+        const N: u64 = 4;
+        let dir = tmp_dir("auto-stale-wake");
+        let config = PersistConfig::default().no_fsync().checkpoint_every(N);
+        {
+            let store = Store::open(&dir, StoreOptions::default(), config).expect("open");
+            for i in 0..=N {
+                let s = format!("s{i}");
+                store.insert(triple(s.as_str(), "p", "o"));
+                if i + 1 == N {
+                    wait_for(|| store.persist_metrics().expect("metrics").checkpoints == 1);
+                }
+            }
+            // Commit N + 1 is below the threshold again; wake the
+            // indexer as such a commit does while a checkpoint runs.
+            let p = store.persist.as_deref().expect("durable");
+            p.wake_indexer();
+            wait_for(|| !p.signal.lock().expect("indexer signal poisoned").wake);
+        } // drop joins the indexer after the iteration it started
+        let store = Store::open(&dir, StoreOptions::default(), test_persist()).expect("reopen");
+        let report = store.recovery_report().expect("report");
+        assert_eq!(report.segment_generation, 1, "{report:?}");
+        assert_eq!(report.replayed_records, 1);
+        assert_eq!(store.len(), N as usize + 1);
+    }
+
+    /// Polls `done` for up to 5 s (the background indexer runs on its
+    /// own thread).
+    fn wait_for(done: impl Fn() -> bool) {
+        for _ in 0..1000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        panic!("timed out waiting for the background indexer");
     }
 
     /// Durable stores time every WAL append and checkpoint into the

@@ -54,10 +54,13 @@ stage_differential() {
   step "differential: the one evaluator vs the reference evaluator"
   # There is one production evaluator and one oracle; these suites hold
   # every store/parallel/sharded configuration of the former to the
-  # latter's answers.
+  # latter's answers. One level down, owql-algebra's proptest_id_mapping
+  # holds the columnar pair kernel (join, difference, left outer join)
+  # to the term-level MappingSet operations the oracle is built from.
   cargo test -q -p owql \
     --test integration_columnar --test integration_store --test integration_parallel \
     --test integration_sharded --test integration_prune
+  cargo test -q -p owql-algebra
   cargo test -q -p owql-rdf --test proptest_dict
   echo "differential OK"
 }

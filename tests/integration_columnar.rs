@@ -112,6 +112,83 @@ fn columnar_matches_reference_on_store_snapshots() {
     }
 }
 
+/// The laws the OPT fast path rests on, checked on `Engine::run`:
+/// `P1 OPT P2 ≡s NS(P1 UNION (P1 AND P2))` (both directions of `⊑`;
+/// plain `≡` fails when the left operand carries subsumed answers, see
+/// DESIGN §6), `NS(NS(P)) = NS(P)`, and OPT equal to the reference.
+fn assert_opt_laws<I: TripleLookup>(engine: &Engine<I>, graph: &Graph, p1: &Pattern, p2: &Pattern) {
+    let seq = Pool::sequential();
+    let opt = p1.clone().opt(p2.clone());
+    let ns = p1.clone().union(p1.clone().and(p2.clone())).ns();
+    let (got_opt, got_ns) = (
+        run_with(engine, &opt, &seq, false),
+        run_with(engine, &ns, &seq, false),
+    );
+    assert!(got_opt.subsumed_by(&got_ns), "OPT ⋢ NS phrasing: {opt}");
+    assert!(got_ns.subsumed_by(&got_opt), "NS phrasing ⋢ OPT: {opt}");
+    assert_eq!(
+        run_with(engine, &ns.clone().ns(), &seq, false),
+        got_ns,
+        "NS(NS(P)) ≠ NS(P): {ns}"
+    );
+    assert_eq!(
+        got_opt,
+        evaluate(&opt, graph),
+        "OPT diverged from the reference: {opt}"
+    );
+}
+
+/// The OPT laws over random pattern pairs on churned snapshots, plus a
+/// left operand whose rows bind different columns.
+#[test]
+fn opt_laws_hold_on_store_snapshots() {
+    let cfg = pattern_config();
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0_4000 ^ seed);
+        let store = Store::with_options(StoreOptions {
+            min_compact: 8,
+            compact_fraction: 0.3,
+            cache_capacity: 0,
+        });
+        churn(&store, &mut rng, 50);
+        let snapshot = store.snapshot();
+        let (engine, graph) = (snapshot.engine(), snapshot.to_graph());
+        for k in 0..4u64 {
+            let p1 = random_pattern(&cfg, seed * 1009 + 2 * k);
+            let p2 = random_pattern(&cfg, seed * 1009 + 2 * k + 1);
+            assert_opt_laws(&engine, &graph, &p1, &p2);
+        }
+    }
+    // A heterogeneous left operand: only `a` has a `q`, so `?z` is bound
+    // in one row of the inner OPT. Against `(?y, r, ?z)` the outer OPT
+    // shares {?y, ?z} but its key is {?y}; `z2` must be rejected by the
+    // per-row check, and `e` survives through the difference.
+    let graph: Graph = [
+        ("a", "p", "b"),
+        ("c", "p", "d"),
+        ("e", "p", "f"),
+        ("a", "q", "z1"),
+        ("b", "r", "z1"),
+        ("b", "r", "z2"),
+        ("d", "r", "w"),
+    ]
+    .into_iter()
+    .map(|(s, p, o)| Triple::new(s, p, o))
+    .collect();
+    let engine = Engine::new(&graph);
+    let inner = Pattern::t("?x", "p", "?y").opt(Pattern::t("?x", "q", "?z"));
+    for right in [Pattern::t("?y", "r", "?w"), Pattern::t("?y", "r", "?z")] {
+        assert_opt_laws(&engine, &graph, &inner, &right);
+    }
+    let got = run_with(
+        &engine,
+        &inner.opt(Pattern::t("?y", "r", "?z")),
+        &Pool::sequential(),
+        false,
+    );
+    assert_eq!(got.len(), 3, "{got:?}");
+}
+
 /// Parallel columnar evaluation agrees with the reference evaluator at
 /// every pool width, including widths that trigger chunked extends.
 #[test]

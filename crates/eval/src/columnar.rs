@@ -1,12 +1,19 @@
-//! The evaluator: one columnar, dictionary-encoded walker for `⟦P⟧G`.
+//! The execute phase: one columnar, dictionary-encoded walker for `⟦P⟧G`.
 //!
-//! Every [`TripleLookup`] backend serves an [`IdView`] (a term
-//! dictionary plus id-encoded SPO/POS/OSP sorted runs, for a store
-//! snapshot overlaid with an add tier and a deletion set), and [`run`]
-//! evaluates the whole pattern over [`IdMappingSet`] tables:
-//! binary-searched run scans, id-merge AND-spine joins, word-compare
-//! compatibility for `OPT`/`MINUS`, and bitmask-grouped NS maximality.
-//! Terms are decoded exactly once, at the result boundary.
+//! Every [`TripleLookup`](owql_rdf::TripleLookup) backend serves an
+//! [`IdView`] (a term dictionary plus id-encoded SPO/POS/OSP sorted
+//! runs, for a store snapshot overlaid with an add tier and a deletion
+//! set), and [`run`] walks a [`Plan`] built against that view over
+//! [`IdMappingSet`] tables: binary-searched run scans, id-merge
+//! AND-spine joins, word-compare compatibility for `OPT`/`MINUS`, and
+//! bitmask-grouped NS maximality. Terms are decoded exactly once, at
+//! the result boundary.
+//!
+//! The plan phase ([`crate::plan`]) fixed the variable frame, compiled
+//! the triples and conditions to ids, and ordered every spine's steps;
+//! this walk follows that plan and chooses nothing but the order in
+//! which a spine's non-triple conjuncts are joined into its seed
+//! (smallest first, by their actual sizes).
 //!
 //! This is the only production implementation of the semantics.
 //! Sequential, pool-parallel, traced and sharded runs are all the same
@@ -19,17 +26,13 @@
 //! **Totality.** A fully ground pattern has an empty variable frame;
 //! its tables are padded to one never-bound column, so the answer is
 //! the one-row table (`{µ∅}`) or the empty one (`∅`) and no operator
-//! needs a special case. The one input the walker refuses is a pattern
-//! with more than [`WIDTH_LIMIT`] distinct variables (domain masks are
-//! single words): [`run`] returns [`EvalError::TooManyVariables`]
-//! before touching the index.
+//! needs a special case.
 //!
 //! **Native tracing.** The evaluator carries an [`owql_obs::Recorder`]
-//! seam: every operator records one span (kind, label, observed
-//! input/output rows), every spine step records a `SCAN` span whose
-//! `estimated_rows` is seeded from the constant-only [`IdView`] run
-//! cardinality (the same statistic the greedy join order uses — the
-//! estimated-vs-observed feed for the future cost-based planner), and
+//! seam: every plan operator records one span (kind, label, observed
+//! input/output rows), every spine step records a `SCAN` span with the
+//! label and `estimated_rows` of the plan step it runs — so EXPLAIN
+//! ANALYZE shows the plan's estimate next to the observed rows — and
 //! the event counters — galloping-scan hint hits/misses, dict decode
 //! rows, `Repr::Distinct` results, homogeneous-domain dedup skips —
 //! flow through the recorder's columnar atomics. A *disabled* recorder
@@ -41,15 +44,14 @@
 //! ([`owql_rdf::shard::shard_rows`]) and one [`Pool`] per shard — two
 //! steps of the walk fan out, and nothing else changes:
 //!
-//! * **AND spines** scatter their *first* scan: the coordinator picks
-//!   the first triple pattern with the usual greedy heuristic, then
-//!   every shard extends the seed table against its **shard-local**
+//! * **AND spines** scatter their *first* step: every shard extends the
+//!   seed table by the plan's first step against its **shard-local**
 //!   runs only. Because the shards partition the live rows disjointly
 //!   by subject id, the per-shard partial tables are disjoint; each
-//!   shard then continues the remaining join chain against the
-//!   **global** view on its own pool, and the coordinator merges by
-//!   concatenation + sort/dedup. Only the first scan is partitioned, so
-//!   no cross-shard join pair is ever lost.
+//!   shard then runs the remaining steps against the **global** view on
+//!   its own pool, and the coordinator merges by concatenation +
+//!   sort/dedup. Only the first scan is partitioned, so no cross-shard
+//!   join pair is ever lost.
 //! * **UNION spines** fan their disjuncts out round-robin across the
 //!   shard pools (each disjunct evaluated whole against the global
 //!   view), merged with set semantics at the coordinator.
@@ -60,15 +62,13 @@
 //! the deletion mask all derive from one [`IdView`], so a scatter
 //! never mixes epochs.
 
+use crate::plan::{IdPos, IdTriple, Node, Plan, Spine, Step};
 use crate::run::{EvalBudget, EvalError, BUDGET_CHECK_STRIDE};
-use owql_algebra::analysis::pattern_vars;
-use owql_algebra::id_mapping::{IdMapping, IdMappingSet, VarFrame, WIDTH_LIMIT};
-use owql_algebra::normal_form::union_spine;
-use owql_algebra::{Condition, MappingSet, Pattern, TermPattern, TriplePattern, Variable};
+use owql_algebra::id_mapping::{IdMapping, IdMappingSet, VarFrame};
+use owql_algebra::MappingSet;
 use owql_exec::{chunk_ranges, Pool};
 use owql_obs::{OpKind, Recorder, ShardMetrics, SpanId};
-use owql_rdf::{FxHashSet, IdRuns, IdView, TermId, TripleLookup, NO_TERM};
-use std::collections::BTreeSet;
+use owql_rdf::{FxHashSet, IdRuns, IdView, TermId, NO_TERM};
 use std::sync::atomic::Ordering;
 
 /// Minimum candidate rows per dealt chunk of a partitioned spine step.
@@ -79,69 +79,6 @@ use std::sync::atomic::Ordering;
 /// below two full chunks) recovers the sequential baseline on small
 /// spines while leaving genuinely wide spines fanned out.
 const MIN_BINDINGS_PER_CHUNK: usize = 4096;
-
-/// One triple-pattern position, id-compiled against the frame and
-/// dictionary.
-#[derive(Clone, Copy, Debug)]
-enum IdPos {
-    /// A constant that is interned — matches exactly this id.
-    Const(TermId),
-    /// A constant absent from the dictionary — matches nothing.
-    Missing,
-    /// A variable at this frame column.
-    Var(usize),
-}
-
-/// An id-compiled triple pattern.
-#[derive(Clone, Copy, Debug)]
-struct IdTriple {
-    pos: [IdPos; 3],
-}
-
-impl IdTriple {
-    /// `true` iff some constant cannot match (the pattern is empty).
-    fn unsatisfiable(&self) -> bool {
-        self.pos.iter().any(|p| matches!(p, IdPos::Missing))
-    }
-
-    /// Bitmask of the frame columns this pattern's variables occupy.
-    fn var_mask(&self) -> u64 {
-        self.pos.iter().fold(0u64, |m, p| match p {
-            IdPos::Var(c) => m | (1 << c),
-            _ => m,
-        })
-    }
-}
-
-/// A [`Condition`] compiled onto frame columns and term ids.
-#[derive(Clone, Debug)]
-enum IdCond {
-    Always,
-    Never,
-    Bound(usize),
-    EqConst(usize, TermId),
-    EqVar(usize, usize),
-    Not(Box<IdCond>),
-    And(Box<IdCond>, Box<IdCond>),
-    Or(Box<IdCond>, Box<IdCond>),
-}
-
-impl IdCond {
-    fn satisfied_by(&self, row: &[TermId]) -> bool {
-        match self {
-            IdCond::Always => true,
-            IdCond::Never => false,
-            IdCond::Bound(c) => row[*c] != NO_TERM,
-            // An unbound slot is 0 and real ids start at 1, so the
-            // plain compare also encodes "bound and equal".
-            IdCond::EqConst(c, id) => row[*c] == *id,
-            IdCond::EqVar(a, b) => row[*a] != NO_TERM && row[*a] == row[*b],
-            IdCond::Not(r) => !r.satisfied_by(row),
-            IdCond::And(a, b) => a.satisfied_by(row) && b.satisfied_by(row),
-            IdCond::Or(a, b) => a.satisfied_by(row) || b.satisfied_by(row),
-        }
-    }
-}
 
 /// The scatter-gather scan source: disjoint subject-hash partitions of
 /// the evaluated snapshot's live rows, one pool per shard, and the
@@ -171,40 +108,31 @@ struct Columnar<'a> {
     shards: Option<ShardSet<'a>>,
 }
 
-/// The part of a spine's state its remaining steps share.
+/// The part of a spine's state its steps share.
 #[derive(Clone, Copy)]
 struct SpineState {
-    /// Columns bound so far — the join-order heuristic's input.
-    bound_mask: u64,
     /// Whether each step must re-establish set semantics.
     dedup: bool,
     /// The spine's own span; per-step `SCAN` spans cite it as parent.
     span: SpanId,
 }
 
-/// Evaluates `⟦pattern⟧` over `index`, decoding to terms at the end.
-/// With `shards`, spine seed scans and UNION disjuncts scatter over
-/// them; `pool` is then the coordinator's.
-pub(crate) fn run<I: TripleLookup>(
-    index: &I,
-    pattern: &Pattern,
+/// Executes `plan` over `view` — the view it was planned against —
+/// decoding to terms at the end. With `shards`, spine seed scans and
+/// UNION disjuncts scatter over them; `pool` is then the coordinator's.
+pub(crate) fn run(
+    plan: &Plan,
+    view: IdView<'_>,
     parallel: bool,
     pool: &Pool,
     shards: Option<ShardSet<'_>>,
     rec: &Recorder,
     budget: &EvalBudget,
 ) -> Result<MappingSet, EvalError> {
-    let vars = pattern_vars(pattern);
-    let count = vars.len();
-    let frame = VarFrame::new(vars).ok_or(EvalError::TooManyVariables {
-        count,
-        limit: WIDTH_LIMIT,
-    })?;
-    let view = index.id_view();
     let dels = view.del_rows();
     let ctx = Columnar {
         view,
-        frame: &frame,
+        frame: &plan.frame,
         dels: (!dels.is_empty()).then_some(&dels),
         pool,
         parallel,
@@ -215,12 +143,12 @@ pub(crate) fn run<I: TripleLookup>(
     if let Some(m) = shards.and_then(|s| s.metrics) {
         m.queries_total.fetch_add(1, Ordering::Relaxed);
     }
-    let table = ctx.eval(pattern, SpanId::ROOT)?;
+    let table = ctx.eval(&plan.root, SpanId::ROOT)?;
     // `decode` emits provably distinct rows, so the resulting
     // `MappingSet` keeps the `Repr::Distinct` fast path and never
     // builds a hash set.
     rec.record_columnar_decode(table.len() as u64, true);
-    Ok(table.decode(&frame, view.dict))
+    Ok(table.decode(&plan.frame, view.dict))
 }
 
 impl Columnar<'_> {
@@ -241,104 +169,57 @@ impl Columnar<'_> {
         }
     }
 
-    fn compile_triple(&self, t: TriplePattern) -> IdTriple {
-        let compile = |tp: TermPattern| match tp {
-            TermPattern::Iri(iri) => match self.view.dict.lookup(iri) {
-                Some(id) => IdPos::Const(id),
-                None => IdPos::Missing,
-            },
-            TermPattern::Var(v) => IdPos::Var(self.col(v)),
-        };
-        IdTriple {
-            pos: [compile(t.s), compile(t.p), compile(t.o)],
-        }
-    }
-
-    fn compile_cond(&self, r: &Condition) -> IdCond {
-        match r {
-            Condition::True => IdCond::Always,
-            Condition::False => IdCond::Never,
-            Condition::Bound(v) => IdCond::Bound(self.col(*v)),
-            Condition::EqConst(v, c) => match self.view.dict.lookup(*c) {
-                // A never-interned constant equals no binding.
-                None => IdCond::Never,
-                Some(id) => IdCond::EqConst(self.col(*v), id),
-            },
-            Condition::EqVar(a, b) => IdCond::EqVar(self.col(*a), self.col(*b)),
-            Condition::Not(r) => IdCond::Not(Box::new(self.compile_cond(r))),
-            Condition::And(a, b) => IdCond::And(
-                Box::new(self.compile_cond(a)),
-                Box::new(self.compile_cond(b)),
-            ),
-            Condition::Or(a, b) => IdCond::Or(
-                Box::new(self.compile_cond(a)),
-                Box::new(self.compile_cond(b)),
-            ),
-        }
-    }
-
-    fn col(&self, v: Variable) -> usize {
-        self.frame
-            .col(v)
-            .expect("frame covers every pattern variable")
-    }
-
-    /// One algebra node: evaluates the operator and records its span
-    /// under `parent`. With a disabled recorder the `begin`/`timer`
-    /// calls return immediately and the label is never formatted.
-    fn eval(&self, pattern: &Pattern, parent: SpanId) -> Result<IdMappingSet, EvalError> {
+    /// One plan operator: evaluates it and records its span under
+    /// `parent`. With a disabled recorder the `begin`/`timer` calls
+    /// return immediately and the label is never formatted.
+    fn eval(&self, node: &Node, parent: SpanId) -> Result<IdMappingSet, EvalError> {
         self.budget.check()?;
         let rec = self.rec;
         let id = rec.begin();
         let timer = rec.timer();
-        let (rows_in, out) = match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => self.eval_spine(pattern, id)?,
-            Pattern::Opt(a, b) => {
+        let (rows_in, out) = match node {
+            Node::Spine(spine) => self.eval_spine(spine, id)?,
+            Node::LeftOuterJoin(a, b) => {
                 let left = self.eval(a, id)?;
                 let right = self.eval(b, id)?;
                 (Some(left.len() as u64), left.left_outer_join(&right))
             }
-            Pattern::Union(..) if self.parallel || self.shards.is_some() => {
-                let disjuncts = union_spine(pattern);
+            Node::Union(disjuncts) => {
                 let parts = match self.shards {
                     // Each disjunct runs whole against the global view,
                     // dealt round-robin over the shard pools.
                     Some(shards) => scoped_map(disjuncts.len(), |i| {
                         self.on_pool(&shards.pools[i % shards.pools.len()])
-                            .eval(disjuncts[i], id)
+                            .eval(&disjuncts[i], id)
                     }),
-                    None => self
-                        .pool
-                        .map_profiled(&disjuncts, rec, |d| self.eval(d, id)),
+                    None if self.parallel => {
+                        self.pool.map_profiled(disjuncts, rec, |d| self.eval(d, id))
+                    }
+                    // Left to right, merged by one sort below: a
+                    // pairwise fold would re-sort the growing prefix
+                    // once per disjunct.
+                    None => disjuncts.iter().map(|d| self.eval(d, id)).collect(),
                 };
                 (None, self.gather(parts)?)
             }
-            Pattern::Union(a, b) => {
-                let left = self.eval(a, id)?;
-                (None, left.union(&self.eval(b, id)?))
-            }
-            Pattern::Select(vars, p) => {
-                let keep: Vec<bool> = (0..self.width())
-                    .map(|c| self.frame.vars().get(c).is_some_and(|v| vars.contains(v)))
-                    .collect();
+            Node::Project(p, keep) => {
                 let inner = self.eval(p, id)?;
-                (Some(inner.len() as u64), inner.project(&keep))
+                (Some(inner.len() as u64), inner.project(keep))
             }
-            Pattern::Filter(p, r) => {
-                let cond = self.compile_cond(r);
+            Node::Filter(p, _, cond) => {
                 let mut inner = self.eval(p, id)?;
                 let rows_in = inner.len() as u64;
                 inner.retain(|row| cond.satisfied_by(row));
                 (Some(rows_in), inner)
             }
-            Pattern::Ns(p) => {
+            Node::MaximalAnswers(p) => {
                 let inner = self.eval(p, id)?;
                 let candidates = inner.len() as u64;
                 let out = inner.maximal(self.parallel.then_some(self.pool));
                 rec.record_ns(candidates, out.len() as u64);
                 (Some(candidates), out)
             }
-            Pattern::Minus(a, b) => {
+            Node::Difference(a, b) => {
                 let left = self.eval(a, id)?;
                 (Some(left.len() as u64), left.difference(&self.eval(b, id)?))
             }
@@ -347,38 +228,14 @@ impl Columnar<'_> {
             rec.record_span(
                 id,
                 parent,
-                op_kind(pattern),
-                &self.op_label(pattern),
+                node.kind(),
+                &node.label(self.frame),
                 rows_in,
                 out.len() as u64,
                 &timer,
             );
         }
         Ok(out)
-    }
-
-    /// The human-readable span label for one operator node. Only
-    /// called when the recorder is enabled, so the formatting cost
-    /// stays off the untraced hot path.
-    fn op_label(&self, pattern: &Pattern) -> String {
-        match pattern {
-            Pattern::Triple(_) | Pattern::And(..) => {
-                let (triples, others) = spine_parts(pattern);
-                format!("columnar {}", spine_label(triples.len(), others.len()))
-            }
-            Pattern::Union(..) if self.parallel || self.shards.is_some() => {
-                format!(
-                    "union of {} disjuncts (columnar)",
-                    union_spine(pattern).len()
-                )
-            }
-            Pattern::Union(..) => "union (columnar)".to_owned(),
-            Pattern::Opt(..) => "left outer join (columnar)".to_owned(),
-            Pattern::Minus(..) => "difference (columnar)".to_owned(),
-            Pattern::Select(vars, _) => format!("{} (columnar)", project_label(vars)),
-            Pattern::Filter(_, r) => format!("filter {r} (columnar)"),
-            Pattern::Ns(_) => "maximal answers (columnar)".to_owned(),
-        }
     }
 
     /// Concatenates the partial tables of a fan-out and restores set
@@ -405,29 +262,24 @@ impl Columnar<'_> {
     }
 
     /// The `AND`-spine: evaluate the non-triple conjuncts, join them
-    /// smallest-first as the seed, then extend with the triple patterns
-    /// greedily (fewest-unbound-columns, then scan cardinality) via
-    /// binary-searched run scans — scattered over the shard set when
-    /// there is one. `span` is this spine's own span id. Returns the
-    /// seeded candidate count (the spine span's `rows_in`) with the
-    /// result.
+    /// smallest-first as the seed, then extend it by the plan's steps
+    /// in order via binary-searched run scans — scattered over the
+    /// shard set when there is one. `span` is this spine's own span id.
+    /// Returns the seeded candidate count (the spine span's `rows_in`)
+    /// with the result.
     fn eval_spine(
         &self,
-        pattern: &Pattern,
+        spine: &Spine,
         span: SpanId,
     ) -> Result<(Option<u64>, IdMappingSet), EvalError> {
-        let (triples, others) = spine_parts(pattern);
         let w = self.width();
-        let compiled: Vec<(IdTriple, TriplePattern)> = triples
-            .iter()
-            .map(|&t| (self.compile_triple(t), t))
-            .collect();
-        if compiled.iter().any(|(c, _)| c.unsatisfiable()) {
+        if spine.unsatisfiable {
             // Some constant was never interned: that conjunct — and
             // with it the whole AND — matches nothing.
             return Ok((Some(0), IdMappingSet::new(w)));
         }
-        let mut sub: Vec<IdMappingSet> = others
+        let mut sub: Vec<IdMappingSet> = spine
+            .others
             .iter()
             .map(|p| self.eval(p, span))
             .collect::<Result<_, _>>()?;
@@ -444,13 +296,6 @@ impl Columnar<'_> {
             acc
         };
         let seeded = Some(seed.len() as u64);
-        // The ordering heuristic's bound set: columns bound in the
-        // first seed row.
-        let bound_mask = if seed.is_empty() {
-            0
-        } else {
-            IdMapping::new(seed.row(0)).domain_mask()
-        };
         // When every seed row has the same domain, extending distinct
         // rows yields distinct rows (the differing bound column
         // persists, and differing scan matches differ in some variable
@@ -458,70 +303,54 @@ impl Columnar<'_> {
         // per-step dedup can be skipped. Heterogeneous seeds (an OPT or
         // UNION conjunct) keep the dedup: overwritten-free extension
         // can then collide across rows with different domains.
-        let homogeneous = seed
-            .rows()
-            .all(|r| IdMapping::new(r).domain_mask() == bound_mask);
-        if homogeneous && !compiled.is_empty() {
+        let domain = |r: &[TermId]| IdMapping::new(r).domain_mask();
+        let first = seed.rows().next().map_or(0, domain);
+        let homogeneous = seed.rows().all(|r| domain(r) == first);
+        if homogeneous && !spine.steps.is_empty() {
             self.rec.record_columnar_dedup_skip();
         }
         let state = SpineState {
-            bound_mask,
             dedup: !homogeneous,
             span,
         };
-        let out = match self.shards {
-            Some(shards) if !compiled.is_empty() && !seed.is_empty() => {
-                self.scatter(shards, &seed, compiled, state)?
-            }
-            _ => self.join_chain(seed, compiled, state)?,
+        let out = match (self.shards, spine.steps.split_first()) {
+            (Some(shards), Some((first, rest))) if !seed.is_empty() => self
+                .gather(scoped_map(shards.runs.len(), |k| {
+                    self.shard_chain(shards, k, &seed, first, rest, state)
+                }))?,
+            _ => self.join_chain(seed, &spine.steps, state)?,
         };
         Ok((seeded, out))
     }
 
-    /// Extends `current` by every pattern of `remaining`, greedily
-    /// ordered, against this context's view.
+    /// Extends `current` by every step of `steps`, in order, against
+    /// this context's view; stops early once no row is left.
     fn join_chain(
         &self,
         mut current: IdMappingSet,
-        mut remaining: Vec<(IdTriple, TriplePattern)>,
-        mut state: SpineState,
+        steps: &[Step],
+        state: SpineState,
     ) -> Result<IdMappingSet, EvalError> {
-        while !remaining.is_empty() && !current.is_empty() {
+        for step in steps {
+            if current.is_empty() {
+                break;
+            }
             self.budget.check()?;
-            let step = remaining.swap_remove(self.pick_next(&remaining, state.bound_mask));
             current = self.scan_step(&current, step, state)?;
-            state.bound_mask |= step.0.var_mask();
         }
         Ok(current)
     }
 
-    /// The scattered spine: the greedy first step runs once per shard
-    /// against that shard's local runs, and each shard finishes the
-    /// chain on its own pool.
-    fn scatter(
-        &self,
-        shards: ShardSet<'_>,
-        seed: &IdMappingSet,
-        mut remaining: Vec<(IdTriple, TriplePattern)>,
-        mut state: SpineState,
-    ) -> Result<IdMappingSet, EvalError> {
-        let first = remaining.swap_remove(self.pick_next(&remaining, state.bound_mask));
-        state.bound_mask |= first.0.var_mask();
-        self.gather(scoped_map(shards.runs.len(), |k| {
-            self.shard_chain(shards, k, seed, first, remaining.clone(), state)
-        }))
-    }
-
-    /// One shard's chain: seed-extend against the shard-local runs,
-    /// then complete the remaining joins against the global view on the
-    /// shard's own pool.
+    /// One shard's chain: extend the seed by the first step against the
+    /// shard-local runs, then run the remaining steps against the
+    /// global view on the shard's own pool.
     fn shard_chain(
         &self,
         shards: ShardSet<'_>,
         k: usize,
         seed: &IdMappingSet,
-        first: (IdTriple, TriplePattern),
-        remaining: Vec<(IdTriple, TriplePattern)>,
+        first: &Step,
+        rest: &[Step],
         state: SpineState,
     ) -> Result<IdMappingSet, EvalError> {
         let global = self.on_pool(&shards.pools[k.min(shards.pools.len() - 1)]);
@@ -533,7 +362,7 @@ impl Columnar<'_> {
             ..global
         };
         let current = local.scan_step(seed, first, state)?;
-        let out = global.join_chain(current, remaining, state)?;
+        let out = global.join_chain(current, rest, state)?;
         if let Some(m) = shards.metrics {
             m.record_shard_task(k, out.len() as u64);
         }
@@ -541,57 +370,30 @@ impl Columnar<'_> {
     }
 
     /// One spine step with its `SCAN` span: input candidates in,
-    /// extended rows out, the planner-side estimate alongside.
+    /// extended rows out, the plan step's label and estimate alongside.
     fn scan_step(
         &self,
         current: &IdMappingSet,
-        (t, tp): (IdTriple, TriplePattern),
+        step: &Step,
         state: SpineState,
     ) -> Result<IdMappingSet, EvalError> {
         let rec = self.rec;
         let id = rec.begin();
         let timer = rec.timer();
-        let out = self.extend(current, t, state.dedup)?;
+        let out = self.extend(current, step.ids, state.dedup)?;
         if rec.is_enabled() {
             rec.record_span_est(
                 id,
                 state.span,
                 OpKind::Scan,
-                &format!("{tp} via {} (columnar)", crate::plan::access_path(tp)),
+                &step.label(),
                 Some(current.len() as u64),
                 out.len() as u64,
-                Some(self.scan_estimate(t) as u64),
+                Some(step.estimated_rows as u64),
                 &timer,
             );
         }
         Ok(out)
-    }
-
-    /// The planner-side output estimate for one scan step: the
-    /// constant-only run cardinality upper bound (a pair of binary
-    /// searches per run — no rows are touched). [`Columnar::pick_next`]
-    /// orders the join by it and every `SCAN` span reports it, so
-    /// EXPLAIN ANALYZE shows estimated vs observed rows.
-    fn scan_estimate(&self, t: IdTriple) -> usize {
-        let key_of = |p: IdPos| match p {
-            IdPos::Const(id) => Some(id),
-            _ => None,
-        };
-        self.view
-            .cardinality_upper(key_of(t.pos[0]), key_of(t.pos[1]), key_of(t.pos[2]))
-    }
-
-    /// Greedy choice: fewest variable columns not yet bound, breaking
-    /// ties by the constant-only scan cardinality.
-    fn pick_next(&self, triples: &[(IdTriple, TriplePattern)], bound_mask: u64) -> usize {
-        let key = |t: IdTriple| {
-            let unbound = (t.var_mask() & !bound_mask).count_ones();
-            (unbound, self.scan_estimate(t))
-        };
-        // `min_by_key` keeps the first of equal keys.
-        (0..triples.len())
-            .min_by_key(|&i| key(triples[i].0))
-            .unwrap_or(0)
     }
 
     /// One spine step: extend every row of `current` with every run
@@ -736,57 +538,6 @@ fn scoped_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
             .map(|h| h.join().expect("scatter worker panicked"))
             .collect()
     })
-}
-
-/// Maps an algebra node to its obs taxonomy kind (flattened
-/// `AND`-spines — including bare triple patterns — account as `AND`;
-/// individual spine steps are recorded separately as `SCAN`).
-fn op_kind(p: &Pattern) -> OpKind {
-    match p {
-        Pattern::Triple(_) | Pattern::And(..) => OpKind::And,
-        Pattern::Union(..) => OpKind::Union,
-        Pattern::Opt(..) => OpKind::Opt,
-        Pattern::Minus(..) => OpKind::Minus,
-        Pattern::Filter(..) => OpKind::Filter,
-        Pattern::Select(..) => OpKind::Select,
-        Pattern::Ns(_) => OpKind::Ns,
-    }
-}
-
-fn spine_label(scans: usize, subpatterns: usize) -> String {
-    if subpatterns == 0 {
-        format!("index join: {scans} scans")
-    } else {
-        format!("index join: {scans} scans + {subpatterns} subpatterns")
-    }
-}
-
-fn project_label(vars: &BTreeSet<Variable>) -> String {
-    let names: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
-    format!("project {{{}}}", names.join(", "))
-}
-
-/// Splits an `AND`-spine into its triple-pattern leaves and the other
-/// conjunct sub-patterns.
-fn spine_parts(p: &Pattern) -> (Vec<TriplePattern>, Vec<&Pattern>) {
-    fn flatten<'a>(
-        p: &'a Pattern,
-        triples: &mut Vec<TriplePattern>,
-        others: &mut Vec<&'a Pattern>,
-    ) {
-        match p {
-            Pattern::And(a, b) => {
-                flatten(a, triples, others);
-                flatten(b, triples, others);
-            }
-            Pattern::Triple(t) => triples.push(*t),
-            other => others.push(other),
-        }
-    }
-    let mut triples = Vec::new();
-    let mut others = Vec::new();
-    flatten(p, &mut triples, &mut others);
-    (triples, others)
 }
 
 #[cfg(test)]

@@ -6,9 +6,11 @@
 //! pool-parallel scheduling, span tracing, the static optimizer, a
 //! cooperative deadline, an admission ceiling — is selected by an
 //! [`ExecOpts`] value, not by the method name. Every run goes through
-//! one prelude (admission → optimize → recorder) and then the one
-//! evaluator (`columnar.rs`); [`Engine::run_sharded`] differs only
-//! in handing that evaluator a shard set to scatter over.
+//! one prelude (admission → optimize → plan → recorder) and then the
+//! one evaluator (`columnar.rs`), which executes the [`Plan`] the
+//! prelude built; [`Engine::run_sharded`] differs only in handing that
+//! evaluator a shard set to scatter over. [`Engine::explain`] is the
+//! prelude's plan phase alone.
 //!
 //! Answers are held to exact agreement with
 //! [`crate::reference::evaluate`] by the randomized differential tests
@@ -20,6 +22,7 @@
 //! [`EvalError::Timeout`] instead of hanging.
 
 use crate::columnar::{self, ShardSet};
+use crate::plan::Plan;
 use crate::run::{EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_algebra::pattern::Pattern;
 use owql_exec::Pool;
@@ -80,10 +83,13 @@ impl<I: TripleLookup> Engine<I> {
         &self.index
     }
 
-    /// Renders the evaluation strategy for `pattern` as a query plan
-    /// (see [`crate::plan`]).
-    pub fn explain(&self, pattern: &Pattern) -> crate::plan::Plan {
-        crate::plan::plan(pattern, &self.index)
+    /// EXPLAIN: runs the plan phase alone and returns the [`Plan`] a
+    /// run of `pattern` would execute — step order, access paths and
+    /// estimates (see [`crate::plan`]). Fails only on a pattern with
+    /// more than 64 distinct variables
+    /// ([`EvalError::TooManyVariables`]).
+    pub fn explain(&self, pattern: &Pattern) -> Result<Plan, EvalError> {
+        Plan::build(pattern.clone(), self.index.id_view())
     }
 
     /// Evaluates `⟦P⟧G` under `opts` — THE entry point; every other
@@ -141,7 +147,7 @@ impl<I: TripleLookup> Engine<I> {
     }
 
     /// The shared body of [`Engine::run`] and [`Engine::run_sharded`]:
-    /// admission → optimize → recorder → evaluate.
+    /// admission → optimize → plan → recorder → execute.
     fn run_on(
         &self,
         pattern: &Pattern,
@@ -152,20 +158,19 @@ impl<I: TripleLookup> Engine<I> {
     ) -> Result<RunOutcome, EvalError> {
         crate::run::check_admission(pattern, opts)?;
         let budget = EvalBudget::from_opts(opts);
-        let mut prunes = owql_obs::PruneObs::default();
-        let optimized;
-        let pattern = if opts.optimize {
-            (optimized, prunes) = crate::optimize::optimize_with_stats(pattern);
-            &optimized
+        let (pattern, prunes) = if opts.optimize {
+            crate::optimize::optimize_with_stats(pattern)
         } else {
-            pattern
+            (pattern.clone(), owql_obs::PruneObs::default())
         };
+        let view = self.index.id_view();
+        let plan = Plan::build(pattern, view)?;
         let rec = if opts.trace {
             Recorder::new()
         } else {
             Recorder::disabled()
         };
-        let mappings = columnar::run(&self.index, pattern, parallel, pool, shards, &rec, &budget)?;
+        let mappings = columnar::run(&plan, view, parallel, pool, shards, &rec, &budget)?;
         Ok(RunOutcome {
             mappings,
             profile: opts.trace.then(|| Profile {
@@ -173,6 +178,7 @@ impl<I: TripleLookup> Engine<I> {
                 ..rec.profile()
             }),
             prunes,
+            plan,
         })
     }
 
@@ -183,7 +189,7 @@ impl<I: TripleLookup> Engine<I> {
     /// deadline, so the only possible error is
     /// [`EvalError::TooManyVariables`]. (See
     /// [`crate::plan::AnnotatedPlan`] for the rendered shape;
-    /// [`Engine::explain`] stays the purely static EXPLAIN.)
+    /// [`Engine::explain`] returns the plan without running it.)
     pub fn explain_analyze(
         &self,
         pattern: &Pattern,

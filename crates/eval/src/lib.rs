@@ -16,8 +16,11 @@
 //!   binary-searched ranges of id-sorted SPO/POS/OSP runs, `AND`-spines
 //!   are greedy selectivity-ordered joins with bindings propagating
 //!   into later scans, and terms are decoded once at the result
-//!   boundary. The same walk serves sequential, pool-parallel, traced
-//!   and sharded runs. Its results are cross-validated against the
+//!   boundary. A run plans once ([`plan::Plan`]: frame, id-compiled
+//!   patterns, step order and estimates) and then executes that plan;
+//!   [`Engine::explain`] returns the plan without executing it. The
+//!   same walk serves sequential, pool-parallel, traced and sharded
+//!   runs. Its results are cross-validated against the
 //!   reference evaluator by a large randomized test suite (and the
 //!   engine ablation of experiment E12 measures the gap).
 //!
@@ -42,7 +45,7 @@ pub mod run;
 pub use construct::construct;
 pub use engine::Engine;
 pub use optimize::{optimize, optimize_with_stats};
-pub use plan::{AnnotatedNode, AnnotatedPlan, Plan};
+pub use plan::{AnnotatedNode, AnnotatedPlan, Plan, Spine, Step};
 pub use reference::evaluate;
 pub use run::{
     check_admission, EvalBudget, EvalError, ExecMode, ExecOpts, ExecOptsBuilder, RunOutcome,

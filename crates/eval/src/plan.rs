@@ -1,144 +1,423 @@
-//! Query plans: a static EXPLAIN for the indexed engine.
+//! Query plans: the plan phase of the columnar walker.
 //!
-//! [`Engine::explain`](crate::engine::Engine) renders the strategy the
-//! engine will take for a pattern: flattened `AND`-spines with the
-//! greedy join order and per-step index access paths and cardinality
-//! estimates, and the operator tree above them. Purely informational —
-//! the engine re-derives the order at run time with live binding
-//! information — but estimates come from the same index, so the
-//! printed order matches the executed one on constant-only statistics.
+//! [`Plan`] is built once per query, before any row is touched. Building
+//! it fixes the variable frame (refusing more than [`WIDTH_LIMIT`]
+//! variables), compiles every triple pattern and FILTER condition to
+//! term ids against the snapshot's dictionary, orders each `AND`-spine's
+//! scan steps greedily — fewest columns not yet bound, then the smallest
+//! estimate — and records each step's access path and estimate, the
+//! [`IdView::cardinality_upper`] of its constants. The execute phase
+//! (`columnar.rs`) walks this plan, never the pattern, and every `SCAN`
+//! span it records carries the label and estimate of the step it runs.
+//! [`Engine::explain`](crate::Engine::explain) stops after this phase,
+//! so EXPLAIN prints the plan that runs.
+//!
+//! A spine's starting bound set is static: the columns its non-triple
+//! conjuncts certainly bind ([`owql_lint::Bindings`]). One choice is
+//! left to run time — those conjuncts are joined into the spine's seed
+//! smallest-first by their actual sizes — and the rendered plan says so.
 
-use owql_algebra::pattern::{Pattern, TriplePattern};
-use owql_algebra::Variable;
-use owql_rdf::TripleLookup;
-use std::collections::BTreeSet;
+use crate::run::EvalError;
+use owql_algebra::analysis::pattern_vars;
+use owql_algebra::id_mapping::{VarFrame, WIDTH_LIMIT};
+use owql_algebra::normal_form::union_spine;
+use owql_algebra::pattern::{Pattern, TermPattern, TriplePattern};
+use owql_algebra::{Condition, Variable};
+use owql_obs::OpKind;
+use owql_rdf::{IdView, TermId, NO_TERM};
 use std::fmt;
 
-/// A node of a query plan.
-#[derive(Clone, Debug)]
-pub enum Plan {
-    /// One step of an index nested-loop join.
-    TripleScan {
-        /// The triple pattern scanned.
-        pattern: TriplePattern,
-        /// The index access path chosen when only constants are known.
-        access_path: &'static str,
-        /// Constant-only cardinality estimate from the index.
-        estimated_rows: usize,
-    },
-    /// A flattened `AND`-spine: `steps` in execution order, then
-    /// `others` (non-triple conjuncts) hash-joined in.
-    IndexJoin {
-        /// Triple-scan steps in the greedy order.
-        steps: Vec<Plan>,
-        /// Recursively planned non-triple conjuncts.
-        others: Vec<Plan>,
-    },
-    /// Left-outer-join (`OPT`).
-    LeftOuterJoin(Box<Plan>, Box<Plan>),
-    /// Union.
-    Union(Box<Plan>, Box<Plan>),
-    /// Difference (`MINUS`).
-    Difference(Box<Plan>, Box<Plan>),
-    /// Filter.
-    Filter(Box<Plan>, String),
-    /// Projection.
-    Project(Box<Plan>, Vec<Variable>),
-    /// Maximal answers (`NS`).
-    MaximalAnswers(Box<Plan>),
+/// One triple-pattern position, id-compiled against the frame and
+/// dictionary.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum IdPos {
+    /// A constant that is interned — matches exactly this id.
+    Const(TermId),
+    /// A constant absent from the dictionary — matches nothing.
+    Missing,
+    /// A variable at this frame column.
+    Var(usize),
 }
 
-impl Plan {
-    fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        for _ in 0..depth {
-            write!(f, "  ")?;
+/// An id-compiled triple pattern.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct IdTriple {
+    pub(crate) pos: [IdPos; 3],
+}
+
+impl IdTriple {
+    /// `true` iff some constant cannot match (the pattern is empty).
+    fn unsatisfiable(&self) -> bool {
+        self.pos.iter().any(|p| matches!(p, IdPos::Missing))
+    }
+
+    /// Bitmask of the frame columns this pattern's variables occupy.
+    fn var_mask(&self) -> u64 {
+        self.pos.iter().fold(0u64, |m, p| match p {
+            IdPos::Var(c) => m | (1 << c),
+            _ => m,
+        })
+    }
+}
+
+/// A [`Condition`] compiled onto frame columns and term ids.
+#[derive(Clone, Debug)]
+pub(crate) enum IdCond {
+    Always,
+    Never,
+    Bound(usize),
+    EqConst(usize, TermId),
+    EqVar(usize, usize),
+    Not(Box<IdCond>),
+    And(Box<IdCond>, Box<IdCond>),
+    Or(Box<IdCond>, Box<IdCond>),
+}
+
+impl IdCond {
+    pub(crate) fn satisfied_by(&self, row: &[TermId]) -> bool {
+        match self {
+            IdCond::Always => true,
+            IdCond::Never => false,
+            IdCond::Bound(c) => row[*c] != NO_TERM,
+            // An unbound slot is 0 and real ids start at 1, so the
+            // plain compare also encodes "bound and equal".
+            IdCond::EqConst(c, id) => row[*c] == *id,
+            IdCond::EqVar(a, b) => row[*a] != NO_TERM && row[*a] == row[*b],
+            IdCond::Not(r) => !r.satisfied_by(row),
+            IdCond::And(a, b) => a.satisfied_by(row) && b.satisfied_by(row),
+            IdCond::Or(a, b) => a.satisfied_by(row) || b.satisfied_by(row),
+        }
+    }
+}
+
+/// One scan step of an `AND`-spine: planned here, run as one `SCAN`
+/// span that carries this step's [`Step::label`] and `estimated_rows`.
+#[derive(Clone, Debug)]
+pub struct Step {
+    /// The triple pattern scanned.
+    pub pattern: TriplePattern,
+    /// The index access path its constants select.
+    pub access_path: &'static str,
+    /// Upper bound on the rows the pattern matches: the constant-only
+    /// run cardinality of base plus add tier, deletions not subtracted
+    /// (0 when a constant is not in the dictionary).
+    pub estimated_rows: usize,
+    pub(crate) ids: IdTriple,
+}
+
+impl Step {
+    /// The label of the `SCAN` span that runs this step.
+    pub fn label(&self) -> String {
+        format!("{} via {}", self.pattern, self.access_path)
+    }
+}
+
+/// A flattened `AND`-spine: the non-triple conjuncts that seed it, then
+/// its scan steps in run order.
+#[derive(Clone, Debug)]
+pub struct Spine {
+    pub(crate) others: Vec<Node>,
+    /// The scan steps, in the order they run.
+    pub steps: Vec<Step>,
+    /// Some step has a constant the dictionary has never seen, so the
+    /// spine matches nothing: neither its steps nor its (unplanned)
+    /// non-triple conjuncts run.
+    pub(crate) unsatisfiable: bool,
+}
+
+/// One operator of a [`Plan`].
+#[derive(Clone, Debug)]
+pub(crate) enum Node {
+    Spine(Spine),
+    LeftOuterJoin(Box<Node>, Box<Node>),
+    /// The disjuncts of a `UNION` spine, in pattern order.
+    Union(Vec<Node>),
+    Difference(Box<Node>, Box<Node>),
+    /// The condition as written (for labels) and id-compiled.
+    Filter(Box<Node>, Condition, IdCond),
+    /// The kept frame columns.
+    Project(Box<Node>, Vec<bool>),
+    MaximalAnswers(Box<Node>),
+}
+
+impl Node {
+    /// The obs taxonomy kind of this operator's span.
+    pub(crate) fn kind(&self) -> OpKind {
+        match self {
+            Node::Spine(_) => OpKind::And,
+            Node::Union(_) => OpKind::Union,
+            Node::LeftOuterJoin(..) => OpKind::Opt,
+            Node::Difference(..) => OpKind::Minus,
+            Node::Filter(..) => OpKind::Filter,
+            Node::Project(..) => OpKind::Select,
+            Node::MaximalAnswers(_) => OpKind::Ns,
+        }
+    }
+
+    /// The label of this operator's span.
+    pub(crate) fn label(&self, frame: &VarFrame) -> String {
+        match self {
+            Node::Spine(s) => match s.others.len() {
+                0 => format!("index join: {} steps", s.steps.len()),
+                m => format!("index join: {} steps + {m} subpatterns", s.steps.len()),
+            },
+            Node::Union(ds) => format!("union of {} disjuncts", ds.len()),
+            Node::LeftOuterJoin(..) => "left outer join".to_owned(),
+            Node::Difference(..) => "difference".to_owned(),
+            Node::Filter(_, r, _) => format!("filter {r}"),
+            Node::Project(_, keep) => {
+                let names: Vec<String> = frame
+                    .vars()
+                    .iter()
+                    .zip(keep)
+                    .filter(|(_, &k)| k)
+                    .map(|(v, _)| v.to_string())
+                    .collect();
+                format!("project {{{}}}", names.join(", "))
+            }
+            Node::MaximalAnswers(_) => "maximal answers".to_owned(),
+        }
+    }
+
+    fn children(&self) -> Vec<&Node> {
+        match self {
+            Node::Spine(s) => s.others.iter().collect(),
+            Node::Union(ds) => ds.iter().collect(),
+            Node::LeftOuterJoin(a, b) | Node::Difference(a, b) => vec![a.as_ref(), b.as_ref()],
+            Node::Filter(p, ..) | Node::Project(p, _) | Node::MaximalAnswers(p) => vec![p.as_ref()],
+        }
+    }
+
+    fn fmt_at(&self, f: &mut fmt::Formatter<'_>, frame: &VarFrame, depth: usize) -> fmt::Result {
+        indent(f, depth)?;
+        writeln!(f, "{}", self.label(frame))?;
+        let Node::Spine(spine) = self else {
+            return self
+                .children()
+                .iter()
+                .try_for_each(|c| c.fmt_at(f, frame, depth + 1));
+        };
+        if spine.unsatisfiable {
+            indent(f, depth + 1)?;
+            writeln!(f, "matches nothing: a constant is not in the dictionary")?;
+        }
+        if !spine.others.is_empty() {
+            indent(f, depth + 1)?;
+            writeln!(f, "seed, joined smallest first at run time:")?;
+        }
+        for o in &spine.others {
+            o.fmt_at(f, frame, depth + 2)?;
+        }
+        for s in &spine.steps {
+            indent(f, depth + 1)?;
+            writeln!(f, "scan {} (~{} rows)", s.label(), s.estimated_rows)?;
         }
         Ok(())
     }
+}
 
-    fn fmt_at(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        Plan::indent(f, depth)?;
-        match self {
-            Plan::TripleScan {
-                pattern,
-                access_path,
-                estimated_rows,
-            } => writeln!(
-                f,
-                "scan {pattern} via {access_path} (~{estimated_rows} rows)"
-            ),
-            Plan::IndexJoin { steps, others } => {
-                writeln!(f, "index nested-loop join")?;
-                for s in steps {
-                    s.fmt_at(f, depth + 1)?;
-                }
-                for o in others {
-                    Plan::indent(f, depth + 1)?;
-                    writeln!(f, "hash-join with:")?;
-                    o.fmt_at(f, depth + 2)?;
-                }
-                Ok(())
-            }
-            Plan::LeftOuterJoin(a, b) => {
-                writeln!(f, "left outer join (OPT)")?;
-                a.fmt_at(f, depth + 1)?;
-                b.fmt_at(f, depth + 1)
-            }
-            Plan::Union(a, b) => {
-                writeln!(f, "union")?;
-                a.fmt_at(f, depth + 1)?;
-                b.fmt_at(f, depth + 1)
-            }
-            Plan::Difference(a, b) => {
-                writeln!(f, "difference (MINUS)")?;
-                a.fmt_at(f, depth + 1)?;
-                b.fmt_at(f, depth + 1)
-            }
-            Plan::Filter(p, cond) => {
-                writeln!(f, "filter {cond}")?;
-                p.fmt_at(f, depth + 1)
-            }
-            Plan::Project(p, vars) => {
-                write!(f, "project {{")?;
-                for (i, v) in vars.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                writeln!(f, "}}")?;
-                p.fmt_at(f, depth + 1)
-            }
-            Plan::MaximalAnswers(p) => {
-                writeln!(f, "maximal answers (NS)")?;
-                p.fmt_at(f, depth + 1)
-            }
+/// The plan of one query: the output of the plan phase and the input
+/// of the execute phase. `Display` renders it (EXPLAIN); nothing else
+/// formats it.
+#[derive(Clone, Debug)]
+pub struct Plan {
+    pattern: Pattern,
+    pub(crate) frame: VarFrame,
+    pub(crate) root: Node,
+}
+
+impl Plan {
+    /// The plan phase: plans `pattern` against `view`, whose dictionary
+    /// the compiled ids and whose runs the estimates come from. Fails
+    /// only on a pattern with more than [`WIDTH_LIMIT`] variables.
+    pub(crate) fn build(pattern: Pattern, view: IdView<'_>) -> Result<Plan, EvalError> {
+        let vars = pattern_vars(&pattern);
+        let count = vars.len();
+        let frame = VarFrame::new(vars).ok_or(EvalError::TooManyVariables {
+            count,
+            limit: WIDTH_LIMIT,
+        })?;
+        let root = Planner {
+            view,
+            frame: &frame,
         }
+        .node(&pattern);
+        Ok(Plan {
+            pattern,
+            frame,
+            root,
+        })
     }
 
-    /// Number of plan nodes.
-    pub fn size(&self) -> usize {
-        match self {
-            Plan::TripleScan { .. } => 1,
-            Plan::IndexJoin { steps, others } => {
-                1 + steps.iter().map(Plan::size).sum::<usize>()
-                    + others.iter().map(Plan::size).sum::<usize>()
+    /// The pattern this plan evaluates (the optimized one when the run
+    /// asked for the optimizer).
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
+    }
+
+    /// Every `AND`-spine, in the pre-order the sequential walk starts
+    /// them (a spine before its seed's spines, operands left to right).
+    pub fn spines(&self) -> Vec<&Spine> {
+        fn walk<'a>(node: &'a Node, out: &mut Vec<&'a Spine>) {
+            if let Node::Spine(s) = node {
+                out.push(s);
             }
-            Plan::LeftOuterJoin(a, b) | Plan::Union(a, b) | Plan::Difference(a, b) => {
-                1 + a.size() + b.size()
+            for c in node.children() {
+                walk(c, out);
             }
-            Plan::Filter(p, _) | Plan::Project(p, _) | Plan::MaximalAnswers(p) => 1 + p.size(),
         }
+        let mut out = Vec::new();
+        walk(&self.root, &mut out);
+        out
+    }
+
+    /// Number of plan nodes (operators plus scan steps).
+    pub fn size(&self) -> usize {
+        fn size(node: &Node) -> usize {
+            let steps = match node {
+                Node::Spine(s) => s.steps.len(),
+                _ => 0,
+            };
+            1 + steps + node.children().into_iter().map(size).sum::<usize>()
+        }
+        size(&self.root)
     }
 }
 
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_at(f, 0)
+        self.root.fmt_at(f, &self.frame, 0)
     }
 }
 
-pub(crate) fn access_path(t: TriplePattern) -> &'static str {
+fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+    for _ in 0..depth {
+        write!(f, "  ")?;
+    }
+    Ok(())
+}
+
+/// The plan phase's compile context.
+struct Planner<'a> {
+    view: IdView<'a>,
+    frame: &'a VarFrame,
+}
+
+impl Planner<'_> {
+    fn node(&self, p: &Pattern) -> Node {
+        let node = |q: &Pattern| Box::new(self.node(q));
+        match p {
+            Pattern::Triple(_) | Pattern::And(..) => Node::Spine(self.spine(p)),
+            Pattern::Opt(a, b) => Node::LeftOuterJoin(node(a), node(b)),
+            Pattern::Union(..) => {
+                Node::Union(union_spine(p).into_iter().map(|d| self.node(d)).collect())
+            }
+            Pattern::Minus(a, b) => Node::Difference(node(a), node(b)),
+            Pattern::Filter(q, r) => Node::Filter(node(q), r.clone(), self.cond(r)),
+            Pattern::Select(vars, q) => {
+                let keep = (0..self.frame.width().max(1))
+                    .map(|c| self.frame.vars().get(c).is_some_and(|v| vars.contains(v)))
+                    .collect();
+                Node::Project(node(q), keep)
+            }
+            Pattern::Ns(q) => Node::MaximalAnswers(node(q)),
+        }
+    }
+
+    /// Orders the spine's steps greedily from the columns its
+    /// non-triple conjuncts certainly bind: fewest columns not yet
+    /// bound, ties broken by the smaller estimate, then by pattern
+    /// order.
+    fn spine(&self, p: &Pattern) -> Spine {
+        let (mut triples, mut others) = (Vec::new(), Vec::new());
+        spine_parts(p, &mut triples, &mut others);
+        let mut remaining: Vec<Step> = triples.into_iter().map(|t| self.step(t)).collect();
+        if remaining.iter().any(|s| s.ids.unsatisfiable()) {
+            return Spine {
+                others: Vec::new(),
+                steps: remaining,
+                unsatisfiable: true,
+            };
+        }
+        let mut bound = others.iter().fold(0u64, |m, o| {
+            owql_lint::Bindings::of(o)
+                .certain
+                .iter()
+                .filter_map(|v| self.frame.col(*v))
+                .fold(m, |m, c| m | (1 << c))
+        });
+        let mut steps = Vec::with_capacity(remaining.len());
+        while !remaining.is_empty() {
+            let key = |s: &Step| ((s.ids.var_mask() & !bound).count_ones(), s.estimated_rows);
+            // `min_by_key` keeps the first of equal keys.
+            let next = (0..remaining.len())
+                .min_by_key(|&i| key(&remaining[i]))
+                .unwrap_or(0);
+            let step = remaining.swap_remove(next);
+            bound |= step.ids.var_mask();
+            steps.push(step);
+        }
+        Spine {
+            others: others.into_iter().map(|o| self.node(o)).collect(),
+            steps,
+            unsatisfiable: false,
+        }
+    }
+
+    fn step(&self, t: TriplePattern) -> Step {
+        let compile = |tp: TermPattern| match tp {
+            TermPattern::Iri(iri) => self
+                .view
+                .dict
+                .lookup(iri)
+                .map_or(IdPos::Missing, IdPos::Const),
+            TermPattern::Var(v) => IdPos::Var(self.col(v)),
+        };
+        let ids = IdTriple {
+            pos: [compile(t.s), compile(t.p), compile(t.o)],
+        };
+        let [s, p, o] = ids.pos.map(|p| match p {
+            IdPos::Const(id) => Some(id),
+            _ => None,
+        });
+        Step {
+            pattern: t,
+            access_path: access_path(t),
+            estimated_rows: if ids.unsatisfiable() {
+                0
+            } else {
+                self.view.cardinality_upper(s, p, o)
+            },
+            ids,
+        }
+    }
+
+    fn cond(&self, r: &Condition) -> IdCond {
+        match r {
+            Condition::True => IdCond::Always,
+            Condition::False => IdCond::Never,
+            Condition::Bound(v) => IdCond::Bound(self.col(*v)),
+            // A never-interned constant equals no binding.
+            Condition::EqConst(v, c) => self
+                .view
+                .dict
+                .lookup(*c)
+                .map_or(IdCond::Never, |id| IdCond::EqConst(self.col(*v), id)),
+            Condition::EqVar(a, b) => IdCond::EqVar(self.col(*a), self.col(*b)),
+            Condition::Not(r) => IdCond::Not(Box::new(self.cond(r))),
+            Condition::And(a, b) => IdCond::And(Box::new(self.cond(a)), Box::new(self.cond(b))),
+            Condition::Or(a, b) => IdCond::Or(Box::new(self.cond(a)), Box::new(self.cond(b))),
+        }
+    }
+
+    fn col(&self, v: Variable) -> usize {
+        self.frame
+            .col(v)
+            .expect("frame covers every pattern variable")
+    }
+}
+
+fn access_path(t: TriplePattern) -> &'static str {
     match (
         t.s.as_iri().is_some(),
         t.p.as_iri().is_some(),
@@ -155,58 +434,26 @@ pub(crate) fn access_path(t: TriplePattern) -> &'static str {
     }
 }
 
-/// Builds the plan for `pattern` against `index` — the logic mirrors
-/// the engine's spine flattening and greedy ordering. Works against any
-/// [`TripleLookup`] backend (a full [`owql_rdf::GraphIndex`] or a store
-/// snapshot's delta overlay).
-pub fn plan<I: TripleLookup>(pattern: &Pattern, index: &I) -> Plan {
-    match pattern {
-        Pattern::Triple(_) | Pattern::And(..) => {
-            let mut triples = Vec::new();
-            let mut others = Vec::new();
-            flatten(pattern, &mut triples, &mut others);
-            // Replay the greedy order statically.
-            let mut bound: BTreeSet<Variable> = BTreeSet::new();
-            let mut steps = Vec::new();
-            while !triples.is_empty() {
-                let mut best = 0;
-                let mut best_key = (usize::MAX, usize::MAX);
-                for (i, t) in triples.iter().enumerate() {
-                    let unbound = t.vars().iter().filter(|v| !bound.contains(v)).count();
-                    let card = index.cardinality(t.s.as_iri(), t.p.as_iri(), t.o.as_iri());
-                    if (unbound, card) < best_key {
-                        best_key = (unbound, card);
-                        best = i;
-                    }
-                }
-                let t = triples.swap_remove(best);
-                bound.extend(t.vars());
-                steps.push(Plan::TripleScan {
-                    pattern: t,
-                    access_path: access_path(t),
-                    estimated_rows: index.cardinality(t.s.as_iri(), t.p.as_iri(), t.o.as_iri()),
-                });
-            }
-            let others = others.into_iter().map(|p| plan(p, index)).collect();
-            Plan::IndexJoin { steps, others }
+/// Splits an `AND`-spine into its triple-pattern leaves and the other
+/// conjunct sub-patterns.
+fn spine_parts<'a>(
+    p: &'a Pattern,
+    triples: &mut Vec<TriplePattern>,
+    others: &mut Vec<&'a Pattern>,
+) {
+    match p {
+        Pattern::And(a, b) => {
+            spine_parts(a, triples, others);
+            spine_parts(b, triples, others);
         }
-        Pattern::Opt(a, b) => {
-            Plan::LeftOuterJoin(Box::new(plan(a, index)), Box::new(plan(b, index)))
-        }
-        Pattern::Union(a, b) => Plan::Union(Box::new(plan(a, index)), Box::new(plan(b, index))),
-        Pattern::Minus(a, b) => {
-            Plan::Difference(Box::new(plan(a, index)), Box::new(plan(b, index)))
-        }
-        Pattern::Filter(p, r) => Plan::Filter(Box::new(plan(p, index)), r.to_string()),
-        Pattern::Select(v, p) => {
-            Plan::Project(Box::new(plan(p, index)), v.iter().copied().collect())
-        }
-        Pattern::Ns(p) => Plan::MaximalAnswers(Box::new(plan(p, index))),
+        Pattern::Triple(t) => triples.push(*t),
+        other => others.push(other),
     }
 }
 
 /// One node of an EXPLAIN ANALYZE tree: the *observed* counterpart of
-/// [`Plan`], rebuilt from the spans an instrumented run recorded.
+/// a [`Plan`] operator, rebuilt from the spans an instrumented run
+/// recorded.
 #[derive(Clone, Debug)]
 pub struct AnnotatedNode {
     /// Operator kind (obs taxonomy; index nested-loop steps are `SCAN`).
@@ -217,6 +464,8 @@ pub struct AnnotatedNode {
     pub rows_in: Option<u64>,
     /// Observed output cardinality.
     pub rows_out: u64,
+    /// The plan's estimate, on scan steps.
+    pub estimated_rows: Option<u64>,
     /// Observed wall time.
     pub elapsed_ns: u64,
     /// Child operators, in evaluation order.
@@ -230,11 +479,14 @@ impl AnnotatedNode {
     }
 
     fn fmt_at(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-        Plan::indent(f, depth)?;
+        indent(f, depth)?;
         write!(f, "{} {}", self.kind, self.label)?;
         match self.rows_in {
             Some(rows_in) => write!(f, "  [rows: {} -> {}", rows_in, self.rows_out)?,
             None => write!(f, "  [rows: {}", self.rows_out)?,
+        }
+        if let Some(est) = self.estimated_rows {
+            write!(f, " (~{est} est.)")?;
         }
         writeln!(f, ", {:.3} ms]", self.elapsed_ns as f64 / 1e6)?;
         for c in &self.children {
@@ -248,9 +500,10 @@ impl AnnotatedNode {
 /// counts and wall times per node, as returned by
 /// [`Engine::explain_analyze`](crate::engine::Engine::explain_analyze).
 ///
-/// Where [`Plan`] prints *estimated* cardinalities from the index, this
-/// prints what the run actually produced — the tool for spotting a join
-/// step that exploded or an NS filter that pruned nothing.
+/// Where [`Plan`] prints the estimates the plan was ordered by, this
+/// prints what the run actually produced next to them — the tool for
+/// spotting a join step that exploded or an NS filter that pruned
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct AnnotatedPlan {
     /// Final answer count of the profiled run.
@@ -305,6 +558,7 @@ pub fn annotate(spans: &[owql_obs::Span], answers: usize) -> AnnotatedPlan {
             label: s.label.clone(),
             rows_in: s.rows_in,
             rows_out: s.rows_out,
+            estimated_rows: s.estimated_rows,
             elapsed_ns: s.elapsed_ns,
             children: pending.remove(&s.id.0).unwrap_or_default(),
         };
@@ -321,20 +575,8 @@ pub fn annotate(spans: &[owql_obs::Span], answers: usize) -> AnnotatedPlan {
     }
 }
 
-fn flatten<'a>(p: &'a Pattern, triples: &mut Vec<TriplePattern>, others: &mut Vec<&'a Pattern>) {
-    match p {
-        Pattern::And(a, b) => {
-            flatten(a, triples, others);
-            flatten(b, triples, others);
-        }
-        Pattern::Triple(t) => triples.push(*t),
-        other => others.push(other),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::engine::Engine;
     use owql_parser::parse_pattern;
     use owql_rdf::generate;
@@ -345,21 +587,14 @@ mod tests {
         let g = generate::star("hub", "spoke", 50);
         let engine = Engine::new(&g);
         let p = parse_pattern("((?x, spoke, ?y) AND (hub, spoke, ?x))").unwrap();
-        let plan = engine.explain(&p);
-        match &plan {
-            Plan::IndexJoin { steps, others } => {
-                assert!(others.is_empty());
-                assert_eq!(steps.len(), 2);
-                // The constant-subject scan goes first (fewer unbound vars).
-                match &steps[0] {
-                    Plan::TripleScan { access_path, .. } => {
-                        assert_eq!(*access_path, "SP index")
-                    }
-                    other => panic!("expected scan, got {other:?}"),
-                }
-            }
-            other => panic!("expected join, got {other:?}"),
-        }
+        let plan = engine.explain(&p).expect("narrow pattern");
+        let spines = plan.spines();
+        assert_eq!(spines.len(), 1);
+        assert!(spines[0].others.is_empty());
+        let steps = &spines[0].steps;
+        assert_eq!(steps.len(), 2);
+        // The constant-subject scan goes first (fewer unbound vars).
+        assert_eq!(steps[0].access_path, "SP index");
     }
 
     #[test]
@@ -371,15 +606,15 @@ mod tests {
               ((?x, p2, ?w) MINUS (?w, p3, ?v))) FILTER bound(?x))))",
         )
         .unwrap();
-        let text = engine.explain(&p).to_string();
+        let text = engine.explain(&p).expect("narrow pattern").to_string();
         for needle in [
-            "maximal answers (NS)",
+            "maximal answers",
             "project {?x}",
             "filter bound(?x)",
-            "union",
-            "left outer join (OPT)",
-            "difference (MINUS)",
-            "scan",
+            "union of 2 disjuncts",
+            "left outer join",
+            "difference",
+            "scan (?x, p0, ?y) via P index",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -390,13 +625,9 @@ mod tests {
         let g = generate::star("hub", "spoke", 10);
         let engine = Engine::new(&g);
         let p = parse_pattern("(hub, spoke, ?x)").unwrap();
-        match engine.explain(&p) {
-            Plan::IndexJoin { steps, .. } => match &steps[0] {
-                Plan::TripleScan { estimated_rows, .. } => assert_eq!(*estimated_rows, 10),
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        }
+        let plan = engine.explain(&p).expect("narrow pattern");
+        assert_eq!(plan.spines()[0].steps[0].estimated_rows, 10);
+        assert!(plan.to_string().contains("(~10 rows)"), "{plan}");
     }
 
     #[test]
@@ -416,12 +647,13 @@ mod tests {
         assert_eq!(root.children[0].rows_out, 10);
         assert_eq!(root.children[1].rows_in, Some(10));
         assert_eq!(root.children[1].rows_out, 100);
+        assert_eq!(root.children[1].estimated_rows, Some(10));
         let text = analyzed.to_string();
         for needle in [
             "EXPLAIN ANALYZE",
             "answers: 100",
             "SCAN",
-            "rows: 10 -> 100",
+            "rows: 10 -> 100 (~10 est.)",
             "ms]",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -453,6 +685,7 @@ mod tests {
         let g = generate::uniform(10, 3, 3, 3, 2);
         let engine = Engine::new(&g);
         let p = parse_pattern("((?a, p0, ?b) AND (?b, p1, ?c))").unwrap();
-        assert_eq!(engine.explain(&p).size(), 3); // join + 2 scans
+        // join + 2 scans
+        assert_eq!(engine.explain(&p).expect("narrow pattern").size(), 3);
     }
 }

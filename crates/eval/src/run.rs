@@ -331,6 +331,9 @@ pub struct RunOutcome {
     /// engine saw the plan (all-zero unless [`ExecOpts::optimize`] was
     /// set and a lint-proven prune fired).
     pub prunes: owql_obs::PruneObs,
+    /// The plan that ran: the one [`Engine::explain`](crate::Engine::explain)
+    /// returns for the same (optimized) pattern and snapshot.
+    pub plan: crate::plan::Plan,
 }
 
 /// How many candidate rows a spine step extends between deadline

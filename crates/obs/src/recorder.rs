@@ -113,8 +113,8 @@ pub struct Span {
     /// Observed output cardinality.
     pub rows_out: u64,
     /// Planner-side output estimate, where the operator has one (scan
-    /// steps seed it from `IdRuns` cardinality; structural nodes
-    /// don't). Feed for the future cost-based planner: estimated vs
+    /// steps carry their plan step's `IdRuns` cardinality bound;
+    /// structural nodes don't). Feed for the future cost-based planner: estimated vs
     /// observed rows per operator, from the engine that actually runs.
     pub estimated_rows: Option<u64>,
     /// Observed wall time.

@@ -1,15 +1,20 @@
 //! Triple-pattern indexes over a graph.
 //!
-//! [`GraphIndex`] materializes the six access paths a triple-pattern scan
-//! can take (by subject, predicate, object, and each pair), so that the
-//! indexed evaluation engine answers a pattern with bound positions in
-//! time proportional to the number of matches rather than to `|G|`.
+//! [`GraphIndex`] materializes the six term-level access paths a
+//! triple-pattern lookup can take (by subject, predicate, object, and
+//! each pair), answering a pattern with bound positions in time
+//! proportional to the number of matches rather than to `|G|`, next to
+//! the id-encoded sorted runs ([`IdRuns`]) the evaluation engine scans.
+//! The engine's planner and walker read only the runs: neither the
+//! evaluator nor the optimizer asks the term-level maps for matches or
+//! cardinalities.
 //!
 //! Two additions serve the live-update store (`owql-store`):
 //!
-//! * [`TripleLookup`] abstracts the lookup surface the evaluation engine
-//!   needs (`matching` / `cardinality` / `contains`), so the engine runs
-//!   unmodified over any index-shaped backend;
+//! * [`TripleLookup`] abstracts the lookup surface every backend serves:
+//!   the id view the evaluation engine plans and runs on (`id_view`),
+//!   plus term-level `matching` / `contains` for materializing and
+//!   checking the visible graph;
 //! * [`SnapshotIndex`] is a *delta-aware* lookup: an immutable
 //!   `Arc`-shared base [`GraphIndex`] overlaid with a small set of added
 //!   and deleted triples. Lookups merge base hits with the overlay, so a
@@ -26,21 +31,18 @@ use crate::term::{Iri, Triple};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// The triple-pattern lookup surface the indexed evaluation engine
-/// consumes. `None` in a position means "any value".
+/// The triple-pattern lookup surface of an index-shaped backend. `None`
+/// in a position means "any value".
 ///
-/// Implementors must answer consistently: `cardinality` equals
-/// `matching(..).len()`, and `contains` agrees with a fully-ground
-/// `matching`. (`SnapshotIndex` and `GraphIndex` are cross-checked by
-/// tests below.)
+/// The evaluation engine plans and runs on [`TripleLookup::id_view`]
+/// alone; `matching` and `contains` serve graph materialization and
+/// tests. Implementors must answer consistently: `contains` agrees
+/// with a fully-ground `matching`, and the id view covers exactly the
+/// triples `matching(None, None, None)` returns. (`SnapshotIndex` and
+/// `GraphIndex` are cross-checked by tests below.)
 pub trait TripleLookup {
     /// The triples matching a pattern with optionally bound positions.
     fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple>;
-
-    /// Number of matches for the pattern (exact for both implementations
-    /// in this crate; the join-order optimizer uses it as a cardinality
-    /// estimate).
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize;
 
     /// Membership test for a fully ground triple.
     fn contains(&self, t: &Triple) -> bool;
@@ -270,32 +272,11 @@ impl GraphIndex {
             (None, None, None) => self.all.clone(),
         }
     }
-
-    /// Estimated number of matches for a pattern (exact for this
-    /// implementation; used by the join-order optimizer as a cardinality
-    /// estimate).
-    pub fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        static EMPTY: Vec<Triple> = Vec::new();
-        match (s, p, o) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.contains(&Triple { s, p, o })),
-            (Some(s), Some(p), None) => self.by_sp.get(&(s, p)).unwrap_or(&EMPTY).len(),
-            (None, Some(p), Some(o)) => self.by_po.get(&(p, o)).unwrap_or(&EMPTY).len(),
-            (Some(s), None, Some(o)) => self.by_so.get(&(s, o)).unwrap_or(&EMPTY).len(),
-            (Some(s), None, None) => self.by_s.get(&s).unwrap_or(&EMPTY).len(),
-            (None, Some(p), None) => self.by_p.get(&p).unwrap_or(&EMPTY).len(),
-            (None, None, Some(o)) => self.by_o.get(&o).unwrap_or(&EMPTY).len(),
-            (None, None, None) => self.all.len(),
-        }
-    }
 }
 
 impl TripleLookup for GraphIndex {
     fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
         GraphIndex::matching(self, s, p, o)
-    }
-
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        GraphIndex::cardinality(self, s, p, o)
     }
 
     fn contains(&self, t: &Triple) -> bool {
@@ -385,21 +366,6 @@ impl SnapshotIndex {
                 .copied(),
         )
     }
-
-    /// Number of deleted triples a pattern lookup must mask out.
-    fn dels_matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        if self.dels.is_empty() {
-            return 0;
-        }
-        self.dels
-            .iter()
-            .filter(|t| {
-                s.is_none_or(|s| t.s == s)
-                    && p.is_none_or(|p| t.p == p)
-                    && o.is_none_or(|o| t.o == o)
-            })
-            .count()
-    }
 }
 
 impl TripleLookup for SnapshotIndex {
@@ -410,11 +376,6 @@ impl TripleLookup for SnapshotIndex {
         }
         out.extend(self.adds.matching(s, p, o));
         out
-    }
-
-    fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        self.base.cardinality(s, p, o) - self.dels_matching(s, p, o)
-            + self.adds.cardinality(s, p, o)
     }
 
     fn contains(&self, t: &Triple) -> bool {
@@ -503,24 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_matches_matching_len() {
-        let i = idx();
-        let terms = [
-            None,
-            Some(Iri::new("a")),
-            Some(Iri::new("p")),
-            Some(Iri::new("b")),
-        ];
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    assert_eq!(i.cardinality(s, p, o), i.matching(s, p, o).len());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_graph_index() {
         let i = GraphIndex::build(&Graph::new());
         assert!(i.is_empty());
@@ -564,21 +507,21 @@ mod tests {
                     got.sort();
                     want.sort();
                     assert_eq!(got, want);
-                    assert_eq!(incremental.cardinality(s, p, o), want.len());
                 }
             }
         }
     }
 
     /// Removing a triple fully cleans its access-path entries (no empty
-    /// buckets linger to distort cardinalities).
+    /// buckets linger).
     #[test]
     fn remove_cleans_all_paths() {
         let mut idx = GraphIndex::default();
         idx.insert(triple("a", "p", "b"));
         idx.remove(&triple("a", "p", "b"));
         assert!(idx.is_empty());
-        assert_eq!(idx.cardinality(Some(Iri::new("a")), None, None), 0);
+        assert_eq!(idx.matching(Some(Iri::new("a")), None, None).len(), 0);
+        assert!(idx.id_runs().is_empty());
         assert_eq!(idx.matching(None, Some(Iri::new("p")), None).len(), 0);
     }
 
@@ -650,11 +593,6 @@ mod tests {
                         got.sort();
                         want.sort();
                         assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
-                        assert_eq!(
-                            TripleLookup::cardinality(&snap, s, p, o),
-                            want.len(),
-                            "cardinality ({s:?}, {p:?}, {o:?})"
-                        );
                     }
                 }
             }

@@ -3,9 +3,7 @@
 //! `/v1/explain` (`/v1/lint` answers `owql_lint::Analysis::to_json`).
 
 use crate::http::Request;
-use owql_eval::EvalError;
 use owql_obs::json;
-use owql_store::Store;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 
@@ -216,37 +214,29 @@ fn query_success_body(outcome: &owql_store::QueryOutcome) -> String {
     body
 }
 
-/// The `200` body of `/v1/explain`. With
-/// `optimize` set the certified-pruning optimizer rewrites the plan
-/// first — the EXPLAIN then shows what the engine would actually run,
-/// and a `"prunes"` section reports which lint-proven rewrites fired.
-/// The run has no deadline, so the only error is an over-wide pattern.
-pub(crate) fn explain_body(
-    store: &Store,
-    pattern: &owql_algebra::Pattern,
-    optimize: bool,
-) -> Result<String, EvalError> {
-    let snapshot = store.snapshot();
-    let prunes = optimize.then(|| owql_eval::optimize_with_stats(pattern));
-    let pattern = prunes.as_ref().map(|(p, _)| p).unwrap_or(pattern);
-    let plan = snapshot.engine().explain_analyze(pattern)?;
+/// The `200` body of `/v1/explain`: the traced run's EXPLAIN ANALYZE
+/// tree under `"plan"`. With `optimized` set it adds the pattern the
+/// plan evaluated and the certified prunes the optimizer applied.
+pub(crate) fn explain_body(outcome: &owql_store::QueryOutcome, optimized: bool) -> String {
+    let spans = outcome.profile.as_ref().map_or(&[][..], |p| &p.spans[..]);
+    let analyzed = owql_eval::plan::annotate(spans, outcome.mappings.len());
     let mut out = format!(
         "{{\"epoch\": {}, \"answers\": {}, \"total_ms\": {}, \"plan\": {}",
-        snapshot.epoch(),
-        plan.answers,
-        json::ns_as_ms(plan.total_ns),
-        json::string(&plan.to_string()),
+        outcome.epoch,
+        analyzed.answers,
+        json::ns_as_ms(analyzed.total_ns),
+        json::string(&analyzed.to_string()),
     );
-    if let Some((optimized, obs)) = &prunes {
+    if let (true, Some(plan)) = (optimized, &outcome.plan) {
         let _ = write!(
             out,
             ", \"optimized\": {}, \"prunes\": {}",
-            json::string(&optimized.to_string()),
-            obs.to_json(),
+            json::string(&plan.pattern().to_string()),
+            outcome.prunes.to_json(),
         );
     }
     out.push_str("}\n");
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub(crate) fn route(
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => v1_healthz(req, store, ready),
         ("POST", "/v1/query") => v1_query(req, store, pool, config, metrics),
-        ("POST", "/v1/explain") => v1_explain(req, store, config),
+        ("POST", "/v1/explain") => v1_explain(req, store, pool, config, metrics),
         ("POST", "/v1/lint") => v1_lint(req),
         ("GET", "/metrics") => {
             let families = families(store, metrics);
@@ -91,14 +91,45 @@ fn v1_query(
     let request = QueryRequest::with_opts(pattern, opts);
     match store.query_request(&request, pool) {
         Ok(outcome) => Reply::json(200, query_success_body_memo(req, &outcome)),
-        Err(e @ EvalError::Timeout { .. }) => {
+        Err(e) => eval_error_reply(e, &request, metrics),
+    }
+}
+
+/// `POST /v1/explain`: JSON envelope in, EXPLAIN ANALYZE out. The
+/// request runs through the same store entry point as `/v1/query` —
+/// deadline, admission ceiling, optimizer, shards — traced and
+/// uncached; the body reports the plan that ran, annotated with what
+/// the run observed. Errors answer the `/v1/query` envelopes.
+fn v1_explain(
+    req: &Request,
+    store: &Store,
+    pool: &Pool,
+    config: &ServerConfig,
+    metrics: &ServerMetrics,
+) -> Reply {
+    let (pattern, opts) = match v1_parse_input(req, config) {
+        Ok(parsed) => parsed,
+        Err(e) => return e.reply(),
+    };
+    let request = QueryRequest::with_opts(pattern, opts.traced().uncached());
+    match store.query_request(&request, pool) {
+        Ok(outcome) => Reply::json(200, explain_body(&outcome, opts.optimize)),
+        Err(e) => eval_error_reply(e, &request, metrics),
+    }
+}
+
+/// The error envelope of a failed evaluation, shared by `/v1/query`
+/// and `/v1/explain`.
+fn eval_error_reply(e: EvalError, request: &QueryRequest, metrics: &ServerMetrics) -> Reply {
+    match e {
+        e @ EvalError::Timeout { .. } => {
             metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
             ApiError::new(504, "timeout", e.to_string()).reply()
         }
         // Admission shed: no Retry-After — retrying the same query
         // cannot succeed. The machine-readable AD001 diagnostic rides
         // as a sibling of the envelope.
-        Err(e @ EvalError::AdmissionDenied { .. }) => {
+        e @ EvalError::AdmissionDenied { .. } => {
             metrics.shed_total.fetch_add(1, Ordering::Relaxed);
             let text = request.pattern.to_string();
             let diagnostic = owql_lint::Diagnostic::new(
@@ -111,23 +142,9 @@ fn v1_query(
                 .with_diagnostic(diagnostic.to_json(&text))
                 .reply()
         }
-        Err(e @ EvalError::TooManyVariables { .. }) => ApiError::bad_request(e.to_string()).reply(),
+        e @ EvalError::TooManyVariables { .. } => ApiError::bad_request(e.to_string()).reply(),
         #[allow(unreachable_patterns)] // EvalError is #[non_exhaustive]
-        Err(e) => ApiError::new(500, "internal", e.to_string()).reply(),
-    }
-}
-
-/// `POST /v1/explain`: JSON envelope in, EXPLAIN ANALYZE out. Honors
-/// `opts.optimize`: the plan shown (and run) is then the optimized
-/// one, with the certified prune counts reported alongside it.
-fn v1_explain(req: &Request, store: &Store, config: &ServerConfig) -> Reply {
-    let (pattern, opts) = match v1_parse_input(req, config) {
-        Ok(parsed) => parsed,
-        Err(e) => return e.reply(),
-    };
-    match explain_body(store, &pattern, opts.optimize) {
-        Ok(body) => Reply::json(200, body),
-        Err(e) => ApiError::bad_request(e.to_string()).reply(),
+        e => ApiError::new(500, "internal", e.to_string()).reply(),
     }
 }
 

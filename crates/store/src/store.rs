@@ -91,6 +91,9 @@ pub struct QueryOutcome {
     /// (all-zero unless the request asked for optimization and a
     /// lint-proven prune fired; cache hits run no optimizer).
     pub prunes: owql_obs::PruneObs,
+    /// The plan the evaluation ran; `None` on a cache hit, which runs
+    /// nothing.
+    pub plan: Option<owql_eval::Plan>,
 }
 
 /// Tuning knobs for a [`Store`].
@@ -489,6 +492,7 @@ impl Snapshot {
             epoch: self.epoch,
             cache_hit: false,
             prunes: out.prunes,
+            plan: Some(out.plan),
         }
     }
 
@@ -1038,17 +1042,12 @@ impl Store {
         }
         if let Some(threshold) = req.opts.slow_query {
             if elapsed >= threshold {
-                // The static plan is re-derived here rather than carried
-                // through the outcome: only queries that cross the
-                // threshold pay for the rendering (and, when the request
-                // was optimized, for re-running the optimizer, so the
-                // plan shown is the one that ran).
-                let pattern = if req.opts.optimize {
-                    owql_eval::optimize(&req.pattern)
-                } else {
-                    req.pattern.clone()
-                };
-                let plan = self.snapshot().engine().explain(&pattern).to_string();
+                // The outcome carries the plan that ran; only queries
+                // that cross the threshold pay for rendering it.
+                let plan = outcome
+                    .plan
+                    .as_ref()
+                    .map_or_else(|| "cache hit".to_owned(), ToString::to_string);
                 self.hub.record_slow_query(SlowQuery {
                     query: req.pattern.to_string(),
                     epoch: outcome.epoch,
@@ -1092,6 +1091,7 @@ impl Store {
                 epoch: snapshot.epoch(),
                 cache_hit: true,
                 prunes: owql_obs::PruneObs::default(),
+                plan: None,
             },
             None => {
                 let outcome = self.eval_snapshot(&snapshot, req, pool)?;
@@ -1729,6 +1729,62 @@ mod tests {
         assert_eq!(slow[0].plan.matches("scan").count(), 2, "{}", slow[0].plan);
         assert!(!slow[1].plan.contains("union"), "plan: {}", slow[1].plan);
         assert_eq!(slow[1].plan.matches("scan").count(), 1, "{}", slow[1].plan);
+    }
+
+    /// The slow-query log shows the plan that ran, not a re-planned
+    /// one: on a store with deletes over its base, the entry's scan lines
+    /// are the traced run's SCAN spans — label and estimate, in order —
+    /// and a cache hit, which runs nothing, logs `cache hit`.
+    #[test]
+    fn slow_query_plan_is_the_plan_that_ran() {
+        let store = Store::from_graph(&graph_from(&[
+            ("a", "p", "b"),
+            ("b", "p", "c"),
+            ("c", "p", "d"),
+            ("d", "p", "e"),
+            ("a", "q", "c"),
+        ]));
+        store.delete(&triple("b", "p", "c"));
+        store.delete(&triple("c", "p", "d"));
+        store.insert(triple("e", "p", "f"));
+        assert!(store.snapshot().index().delta_len() > 0);
+        let hub = store.metrics_hub();
+        let p = Pattern::t("?x", "p", "?y")
+            .and(Pattern::t("?y", "p", "?z"))
+            .and(Pattern::t("?x", "q", "?w"));
+        let req = QueryRequest::with_opts(
+            p,
+            ExecOpts::seq()
+                .traced()
+                .with_slow_query(std::time::Duration::ZERO),
+        );
+        let out = store
+            .query_request(&req, &Pool::sequential())
+            .expect(NO_BUDGET);
+        let mut spans = out.profile.expect("traced").spans;
+        spans.sort_by_key(|s| s.id);
+        let ran: Vec<String> = spans
+            .iter()
+            .filter(|s| s.kind == owql_obs::OpKind::Scan)
+            .map(|s| {
+                let est = s.estimated_rows.expect("scan estimate");
+                format!("scan {} (~{est} rows)", s.label)
+            })
+            .collect();
+        assert_eq!(ran.len(), 3, "{ran:?}");
+        let logged = &hub.slow_queries()[0].plan;
+        let scans: Vec<&str> = logged
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("scan "))
+            .collect();
+        assert_eq!(scans, ran, "logged plan:\n{logged}");
+
+        let hit = store
+            .query_request(&req, &Pool::sequential())
+            .expect(NO_BUDGET);
+        assert!(hit.cache_hit && hit.plan.is_none());
+        assert_eq!(hub.slow_queries()[1].plan, "cache hit");
     }
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -36,12 +36,13 @@ fn main() {
     .unwrap();
 
     // ------------------------------------------------------------------
-    // 2. EXPLAIN vs EXPLAIN ANALYZE: the static plan prints index
-    //    estimates; the analyzed plan prints what the run actually did.
+    // 2. EXPLAIN vs EXPLAIN ANALYZE: EXPLAIN is the plan a run executes
+    //    (step order, access paths, estimates); EXPLAIN ANALYZE runs it
+    //    and prints what each operator observed next to the estimates.
     // ------------------------------------------------------------------
     let snapshot = store.snapshot();
-    println!("EXPLAIN (static, estimated):");
-    println!("{}", snapshot.engine().explain(&p));
+    println!("EXPLAIN (the plan, estimated):");
+    println!("{}", snapshot.engine().explain(&p).expect("narrow pattern"));
     println!("{}", snapshot.explain_analyze(&p).expect("narrow pattern"));
 
     // ------------------------------------------------------------------

@@ -98,7 +98,10 @@ fn handle(line: &str, graph: &mut Graph) -> bool {
     }
     if let Some(text) = line.strip_prefix(":explain ") {
         match parse_pattern(text) {
-            Ok(p) => print!("{}", Engine::new(graph).explain(&p)),
+            Ok(p) => match Engine::new(graph).explain(&p) {
+                Ok(plan) => print!("{plan}"),
+                Err(e) => println!("{e}"),
+            },
             Err(e) => println!("{e}"),
         }
         return true;

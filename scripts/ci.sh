@@ -80,7 +80,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument or metrics mirror, one JSON escaper, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror or plan replay, one JSON escaper, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -115,6 +115,15 @@ stage_lint_smoke() {
   if grep -rnE 'Store''Obs|Persist''Obs|observe_pers''ist|Exec''Stats|record_pr''unes|push_json_esc''aped|json_st''ring' \
       crates/ tests/ examples/ scripts/; then
     echo "a retired metrics mirror, duplicate counter or JSON escaper reappeared"; exit 1
+  fi
+  # One planner: join order and estimates come from the columnar
+  # walker's plan phase alone, so the term-level replay and the
+  # term-level cardinality it read stay gone.
+  if grep -rnE 'dels_match''ing|plan::pl''an\(' crates/ tests/ examples/ scripts/ \
+      || grep -nE 'fn cardin''ality' crates/rdf/src/index.rs \
+      || grep -rlE 'trait TripleLook''up' crates/ --include='*.rs' \
+        | xargs -r sed -n '/trait TripleLook''up/,/^}/p' | grep -nE 'fn cardin''ality'; then
+    echo "the term-level plan replay or its cardinality statistic reappeared"; exit 1
   fi
   if [[ "$(grep -rnF '\\u{:04''x}' crates/ --include='*.rs' | wc -l)" -ne 1 ]]; then
     echo "expected exactly one JSON string escape loop under crates/"; exit 1

@@ -9,7 +9,10 @@
 
 use owql::algebra::analysis::Operators;
 use owql::algebra::random::{random_pattern, PatternConfig};
+use owql::eval::Plan;
+use owql::obs::OpKind;
 use owql::prelude::*;
+use owql::rdf::shard_rows;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -509,4 +512,412 @@ fn over_wide_pattern_is_a_typed_error_from_the_store() {
         }
         assert_eq!(store.query(&Pattern::t("?x", "p", "b")).len(), 1);
     }
+}
+
+/// A planned step or a `SCAN` span: `(label, estimated_rows)`.
+type ScanKey = (String, u64);
+
+/// What one `AND` span recorded: its seeded candidate count and its
+/// `SCAN` children in span-id order, with their output rows.
+struct SpineRun {
+    seeded: Option<u64>,
+    scans: Vec<(ScanKey, u64)>,
+}
+
+/// How a run's spine spans must line up with the plan's spines.
+#[derive(Clone, Copy, Debug)]
+enum Walk {
+    /// One spine at a time, in plan pre-order (sequential runs).
+    Sequential,
+    /// Spines in any order (fanned-out UNIONs allocate span ids
+    /// concurrently), each still a chain of its plan's steps.
+    Parallel,
+    /// Shards scan the first step each and finish the chain on their
+    /// own, so a spine's scans interleave: each must be a planned step,
+    /// and the first must be the plan's first.
+    Sharded,
+}
+
+fn planned_spines(plan: &Plan) -> Vec<Vec<ScanKey>> {
+    plan.spines()
+        .iter()
+        .map(|s| {
+            s.steps
+                .iter()
+                .map(|st| (st.label(), st.estimated_rows as u64))
+                .collect()
+        })
+        .collect()
+}
+
+fn spine_runs(profile: &Profile) -> Vec<SpineRun> {
+    let mut spans: Vec<_> = profile.spans.iter().collect();
+    spans.sort_by_key(|s| s.id);
+    spans
+        .iter()
+        .filter(|s| s.kind == OpKind::And)
+        .map(|and| SpineRun {
+            seeded: and.rows_in,
+            scans: spans
+                .iter()
+                .filter(|s| s.kind == OpKind::Scan && s.parent == and.id)
+                .map(|s| {
+                    let est = s
+                        .estimated_rows
+                        .expect("every SCAN span carries an estimate");
+                    ((s.label.clone(), est), s.rows_out)
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// `true` iff `run` is what executing the planned `steps` under `walk`
+/// can record. A chain stops early only once a step leaves no row (or
+/// the seed is empty), so a shorter run must end there.
+fn fits(steps: &[ScanKey], run: &SpineRun, walk: Walk) -> bool {
+    let stopped = || {
+        run.scans
+            .last()
+            .map_or(run.seeded == Some(0), |(_, rows)| *rows == 0)
+    };
+    match walk {
+        Walk::Sharded => match run.scans.first() {
+            None => steps.is_empty() || run.seeded == Some(0),
+            Some((first, _)) => {
+                steps.first() == Some(first) && run.scans.iter().all(|(key, _)| steps.contains(key))
+            }
+        },
+        Walk::Sequential | Walk::Parallel => {
+            run.scans.len() <= steps.len()
+                && run
+                    .scans
+                    .iter()
+                    .zip(steps)
+                    .all(|((key, _), step)| key == step)
+                && (run.scans.len() == steps.len() || stopped())
+        }
+    }
+}
+
+/// Every spine span of `profile` is the run of one spine of `plan`, and
+/// every planned spine ran once.
+fn assert_spans_follow_plan(plan: &Plan, profile: &Profile, walk: Walk, what: &str) {
+    let planned = planned_spines(plan);
+    let mut runs = spine_runs(profile);
+    assert_eq!(runs.len(), planned.len(), "{what}: spine count\n{plan}");
+    if let Walk::Sequential = walk {
+        for (i, (steps, run)) in planned.iter().zip(&runs).enumerate() {
+            assert!(
+                fits(steps, run, walk),
+                "{what}: spine {i} ran {:?}, planned {steps:?}\n{plan}",
+                run.scans
+            );
+        }
+        return;
+    }
+    // Longest runs first: the runs a shorter one could also fit are
+    // its extensions, so a greedy match never strands a later run.
+    runs.sort_by_key(|r| std::cmp::Reverse(r.scans.len()));
+    let mut unused: Vec<&Vec<ScanKey>> = planned.iter().collect();
+    for run in &runs {
+        let Some(i) = unused.iter().position(|steps| fits(steps, run, walk)) else {
+            panic!(
+                "{what}: {walk:?} spine ran {:?}, which no planned spine fits\n{plan}",
+                run.scans
+            );
+        };
+        unused.swap_remove(i);
+    }
+}
+
+/// Runs `p` traced under `opts` and checks the run against EXPLAIN:
+/// `explain` of the pattern the run planned (the optimized one, when
+/// `opts` asks for it) is the plan the run reports, and the run's SCAN
+/// spans are that plan's steps, labels and estimates.
+fn assert_explain_is_the_run<I: TripleLookup>(
+    engine: &Engine<I>,
+    p: &Pattern,
+    opts: ExecOpts,
+    pool: &Pool,
+    what: &str,
+) {
+    let out = engine
+        .run(p, &opts.traced(), pool)
+        .expect("unlimited budget cannot time out");
+    let explained = engine.explain(out.plan.pattern()).expect("narrow pattern");
+    assert_eq!(explained.to_string(), out.plan.to_string(), "{what}");
+    let walk = match opts.mode {
+        ExecMode::Parallel if pool.threads() > 1 => Walk::Parallel,
+        _ => Walk::Sequential,
+    };
+    let profile = out.profile.expect("traced run has a profile");
+    assert_spans_follow_plan(&explained, &profile, walk, what);
+}
+
+/// EXPLAIN is the plan that ran: on random NS-SPARQL+MINUS patterns
+/// over churned snapshots with deletes, at pool widths 1, 2 and 8 in
+/// sequential and parallel mode, every spine's SCAN spans are the
+/// explained steps — pattern, access path and estimate — in order.
+#[test]
+fn explain_is_the_plan_that_ran() {
+    let cfg = pattern_config();
+    let pools: Vec<Pool> = [1, 2, 8].into_iter().map(Pool::new).collect();
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0_5000 ^ seed);
+        let store = Store::with_options(StoreOptions {
+            min_compact: 8,
+            compact_fraction: 0.3,
+            cache_capacity: 0,
+        });
+        churn(&store, &mut rng, 50);
+        let snapshot = store.snapshot();
+        let engine = snapshot.engine();
+        for pattern_seed in 0..6u64 {
+            let p = random_pattern(&cfg, seed * 541 + pattern_seed);
+            for pool in &pools {
+                for opts in [ExecOpts::seq(), ExecOpts::parallel()] {
+                    let what = format!(
+                        "seed {seed}, width {}, {:?}, pattern {p}",
+                        pool.threads(),
+                        opts.mode
+                    );
+                    assert_explain_is_the_run(&engine, &p, opts, pool, &what);
+                }
+            }
+        }
+    }
+}
+
+/// The benchmark's analytic suites (OPT and NS) as text.
+const SUITE: [&str; 9] = [
+    "((?p, was_born_in, Chile) OPT (?p, email, ?e))",
+    "(((?p, name, ?n) OPT (?p, email, ?e)) OPT (?p, was_born_in, ?c))",
+    "(((?p, was_born_in, Chile) OPT (?p, email, ?e)) OPT (?p, name, ?n))",
+    "NS(((?p, was_born_in, Chile) UNION ((?p, was_born_in, Chile) AND (?p, email, ?e))))",
+    "NS((((?p, name, ?n) UNION ((?p, name, ?n) AND (?p, email, ?e))) UNION \
+     (((?p, name, ?n) AND (?p, was_born_in, ?c)) UNION \
+     (((?p, name, ?n) AND (?p, email, ?e)) AND (?p, was_born_in, ?c)))))",
+    "NS((((?p, was_born_in, Chile) UNION ((?p, was_born_in, Chile) AND (?p, email, ?e))) UNION \
+     (((?p, was_born_in, Chile) AND (?p, name, ?n)) UNION \
+     (((?p, was_born_in, Chile) AND (?p, email, ?e)) AND (?p, name, ?n)))))",
+    concat!("NS(", wide_union!(), ")"),
+    wide_union!(),
+    "(((?a, follows, ?b) AND (?b, follows, ?c)) AND (?a, was_born_in, ?x))",
+];
+
+/// The benchmark's wide UNION: per country, the birthplace alone, with
+/// the email, with the name, with both.
+macro_rules! wide_union {
+    () => {
+        "((((((((((((?p, was_born_in, Chile) UNION \
+         ((?p, was_born_in, Chile) AND (?p, email, ?e))) UNION \
+         ((?p, was_born_in, Chile) AND (?p, name, ?n))) UNION \
+         (((?p, was_born_in, Chile) AND (?p, email, ?e)) AND (?p, name, ?n))) UNION \
+         (?p, was_born_in, Belgium)) UNION \
+         ((?p, was_born_in, Belgium) AND (?p, email, ?e))) UNION \
+         ((?p, was_born_in, Belgium) AND (?p, name, ?n))) UNION \
+         (((?p, was_born_in, Belgium) AND (?p, email, ?e)) AND (?p, name, ?n))) UNION \
+         (?p, was_born_in, Sweden)) UNION \
+         ((?p, was_born_in, Sweden) AND (?p, email, ?e))) UNION \
+         ((?p, was_born_in, Sweden) AND (?p, name, ?n))) UNION \
+         (((?p, was_born_in, Sweden) AND (?p, email, ?e)) AND (?p, name, ?n)))"
+    };
+}
+use wide_union;
+
+/// The benchmark's query-log mix templates as text; `{C}` and `{D}`
+/// are person constants.
+const TEMPLATES: [&str; 20] = [
+    "({C}, follows, ?x)",
+    "(?x, follows, {C})",
+    "({C}, name, ?n)",
+    "({C}, was_born_in, ?c)",
+    "({C}, email, ?e)",
+    "({C}, ?p, ?o)",
+    "(?s, ?p, {C})",
+    "(({C}, follows, ?x) AND ({C}, name, ?n))",
+    "(({C}, follows, ?x) AND (?x, name, ?n))",
+    "((({C}, follows, ?x) AND (?x, follows, ?y)) AND (?y, name, ?n))",
+    "((({C}, name, ?n) AND ({C}, was_born_in, ?c)) AND ({C}, follows, ?x))",
+    "((({C}, follows, ?x) AND (?x, was_born_in, ?c)) FILTER (?c = Chile))",
+    "(((?x, follows, {C}) AND (?x, was_born_in, ?c)) FILTER (!(?c = Sweden)))",
+    "(({C}, follows, ?x) OPT (?x, email, ?e))",
+    "(({C}, name, ?n) OPT ({C}, email, ?e))",
+    "((({C}, follows, ?x) OPT (?x, email, ?e)) OPT (?x, was_born_in, ?c))",
+    "(({C}, follows, ?x) UNION (?x, follows, {C}))",
+    "((({C}, email, ?v) UNION ({C}, name, ?v)) UNION ({C}, was_born_in, ?v))",
+    "(({C}, follows, ?x) UNION ({D}, follows, ?x))",
+    "NS((({C}, follows, ?x) UNION (({C}, follows, ?x) AND (?x, email, ?e))))",
+];
+
+/// The benchmark's queries on a small social network: the suites as
+/// the analytic workloads send them (unoptimized) and the mix as
+/// `log_mix` sends it (optimized), at the constants of a few people.
+fn benchmark_queries() -> Vec<(Pattern, ExecOpts)> {
+    let mut out: Vec<(Pattern, ExecOpts)> = SUITE
+        .iter()
+        .map(|text| (parse_pattern(text).expect("suite query"), ExecOpts::seq()))
+        .collect();
+    for (c, d) in [(0, 1), (3, 4), (17, 2)] {
+        for template in TEMPLATES {
+            let text = template
+                .replace("{C}", &format!("person{c}"))
+                .replace("{D}", &format!("person{d}"));
+            let p = parse_pattern(&text).expect("mix template");
+            out.push((p, ExecOpts::seq().optimized()));
+        }
+    }
+    out
+}
+
+fn social_store() -> Store {
+    let graph = owql::rdf::generate::social_network(
+        owql::rdf::generate::SocialOptions {
+            people: 120,
+            avg_follows: 4,
+            email_probability: 0.5,
+            birthplace_probability: 0.8,
+        },
+        1,
+    );
+    Store::from_graph(&graph)
+}
+
+/// EXPLAIN is the plan that ran on every query the benchmark sends.
+#[test]
+fn explain_is_the_plan_that_ran_on_the_benchmark_queries() {
+    let store = social_store();
+    let snapshot = store.snapshot();
+    let engine = snapshot.engine();
+    let pools: Vec<Pool> = [1, 2, 8].into_iter().map(Pool::new).collect();
+    for (p, opts) in benchmark_queries() {
+        for pool in &pools {
+            for mode in [ExecMode::Seq, ExecMode::Parallel] {
+                let opts = ExecOpts { mode, ..opts };
+                let what = format!("width {}, {mode:?}, {p}", pool.threads());
+                assert_explain_is_the_run(&engine, &p, opts, pool, &what);
+            }
+        }
+    }
+}
+
+/// Sharded runs at 2 and 8 shards scan only planned steps: every SCAN
+/// span's label and estimate is a step of its spine's plan (the
+/// scattered first step included — it reports the plan's estimate, not
+/// one re-taken against a shard's runs).
+#[test]
+fn sharded_scans_are_plan_steps() {
+    let cfg = pattern_config();
+    let mut cases: Vec<(Store, Vec<(Pattern, ExecOpts)>)> =
+        vec![(social_store(), benchmark_queries())];
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0_6000 ^ seed);
+        let store = Store::with_options(StoreOptions {
+            min_compact: 8,
+            compact_fraction: 0.3,
+            cache_capacity: 0,
+        });
+        churn(&store, &mut rng, 50);
+        let patterns = (0..6u64)
+            .map(|k| (random_pattern(&cfg, seed * 733 + k), ExecOpts::seq()))
+            .collect();
+        cases.push((store, patterns));
+    }
+    for (store, patterns) in &cases {
+        let snapshot = store.snapshot();
+        let engine = snapshot.engine();
+        for shards in [2usize, 8] {
+            let runs = shard_rows(&engine.index().id_view(), shards);
+            let pools: Vec<Pool> = (0..shards).map(|_| Pool::new(1)).collect();
+            for (p, opts) in patterns {
+                let out = engine
+                    .run_sharded(p, &opts.traced(), &runs, &pools, None)
+                    .expect("unlimited budget cannot time out");
+                let explained = engine.explain(out.plan.pattern()).expect("narrow pattern");
+                assert_eq!(explained.to_string(), out.plan.to_string(), "{p}");
+                let profile = out.profile.expect("traced run has a profile");
+                let what = format!("{shards} shards, {p}");
+                assert_spans_follow_plan(&explained, &profile, Walk::Sharded, &what);
+            }
+        }
+    }
+}
+
+/// The scan labels and estimates a traced sequential run of `p`
+/// recorded for its outermost spine, in span-id order.
+fn traced_scans<I: TripleLookup>(engine: &Engine<I>, p: &Pattern) -> Vec<ScanKey> {
+    let out = engine
+        .run(p, &ExecOpts::seq().traced(), &Pool::sequential())
+        .expect("unlimited budget cannot time out");
+    let profile = out.profile.expect("traced run has a profile");
+    let outer = spine_runs(&profile).swap_remove(0);
+    outer.scans.into_iter().map(|(key, _)| key).collect()
+}
+
+/// A spine seeded by a non-triple conjunct starts from the columns that
+/// conjunct certainly binds: `?c` is bound by the UNION, so the step
+/// sharing it goes first — in EXPLAIN and in the run alike (EXPLAIN
+/// used to ignore the conjunct and list `(?a, p, ?b)` first).
+#[test]
+fn seeded_spine_is_explained_in_run_order() {
+    let graph: Graph = [
+        ("a1", "p", "b1"),
+        ("a2", "p", "b2"),
+        ("b1", "q", "c1"),
+        ("b2", "q", "c2"),
+        ("b3", "q", "c3"),
+        ("c1", "r", "k"),
+        ("c2", "r", "k"),
+    ]
+    .into_iter()
+    .map(|(s, p, o)| Triple::new(s, p, o))
+    .collect();
+    let engine = Engine::new(&graph);
+    let p = parse_pattern("(((?a, p, ?b) AND (?b, q, ?c)) AND ((?c, r, k) UNION (?c, r, k)))")
+        .expect("pattern parses");
+    let plan = engine.explain(&p).expect("narrow pattern");
+    let want: Vec<ScanKey> = vec![
+        ("(?b, q, ?c) via P index".to_owned(), 3),
+        ("(?a, p, ?b) via P index".to_owned(), 2),
+    ];
+    assert_eq!(planned_spines(&plan)[0], want, "{plan}");
+    assert_eq!(traced_scans(&engine, &p), want);
+    assert!(
+        plan.to_string()
+            .contains("seed, joined smallest first at run time"),
+        "{plan}"
+    );
+}
+
+/// Estimates are the run's statistic: on a compacted store with 6 of 10
+/// `(?, p, o)` triples deleted, EXPLAIN and the SCAN span both report
+/// the 10-row run upper bound (EXPLAIN used to print the term-level
+/// count of 4).
+#[test]
+fn estimates_on_a_store_with_deletes_are_the_runs() {
+    let store = Store::with_options(StoreOptions {
+        cache_capacity: 0,
+        ..StoreOptions::default()
+    });
+    let mut tx = store.begin();
+    for i in 0..10 {
+        tx.insert(Triple::new(&format!("s{i}"), "p", "o"));
+    }
+    store.commit(tx);
+    store.force_compact();
+    let mut tx = store.begin();
+    for i in 0..6 {
+        tx.delete(Triple::new(&format!("s{i}"), "p", "o"));
+    }
+    store.commit(tx);
+    let snapshot = store.snapshot();
+    assert_eq!(snapshot.len(), 4);
+    let engine = snapshot.engine();
+    let p = Pattern::t("?s", "p", "o");
+    let plan = engine.explain(&p).expect("narrow pattern");
+    let want: Vec<ScanKey> = vec![("(?s, p, o) via PO index".to_owned(), 10)];
+    assert_eq!(planned_spines(&plan)[0], want, "{plan}");
+    assert!(plan.to_string().contains("(~10 rows)"), "{plan}");
+    assert_eq!(traced_scans(&engine, &p), want);
 }

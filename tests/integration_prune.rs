@@ -231,7 +231,10 @@ fn explain_shows_the_pruned_plan() {
         "expected the empty marker, got {optimized}"
     );
     let engine = store.snapshot().engine();
-    let plan = engine.explain(&optimized).to_string();
+    let plan = engine
+        .explain(&optimized)
+        .expect("narrow pattern")
+        .to_string();
     assert!(
         plan.contains("filter false"),
         "EXPLAIN must show the pruned plan, got:\n{plan}"

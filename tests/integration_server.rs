@@ -689,6 +689,58 @@ fn deadline_exceeded_maps_to_504_without_poisoning_workers() {
     server.shutdown();
 }
 
+/// `POST /v1/explain` runs through the same entry point as
+/// `/v1/query`, so a request deadline bounds it: `"deadline_ms": 0` is
+/// a `504` timeout envelope, and the worker answers the next explain.
+#[test]
+fn explain_honors_the_request_deadline() {
+    let server = Server::start(seeded_store(8), ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    let explain = |opts: &str| {
+        let body = envelope(opts, "((?x, p, ?y) AND (?y, q, ?z))");
+        let (status, _, body) = send(addr, "POST", "/v1/explain", &body);
+        (status, body)
+    };
+    for opts in [
+        r#"{"deadline_ms": 0}"#,
+        r#"{"deadline_ms": 0, "mode": "parallel"}"#,
+    ] {
+        let (status, body) = explain(opts);
+        assert_eq!(status, 504, "{opts}: {body}");
+        assert_envelope(&body, "timeout");
+        assert!(body.contains("deadline"), "{body}");
+    }
+    let (status, body) = explain("{}");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"plan\""), "{body}");
+    assert!(scrape(addr, "owql_server_timeouts_total") >= 2);
+    server.shutdown();
+}
+
+/// `POST /v1/explain` is admitted like `/v1/query`: under an NP
+/// ceiling an over-class pattern is a `429 admission_denied` with the
+/// AD001 diagnostic, never evaluated.
+#[test]
+fn explain_honors_the_admission_ceiling() {
+    let config = ServerConfig::builder()
+        .admission_ceiling(Some(owql_lint::ComplexityClass::Np))
+        .build();
+    let server = Server::start(seeded_store(3), config).expect("start");
+    let addr = server.addr();
+    let body = envelope("{}", "NS(((?x, p, ?y) OPT (?y, p, ?z)))");
+    let (status, _, body) = send(addr, "POST", "/v1/explain", &body);
+    assert_eq!(status, 429, "{body}");
+    assert_envelope(&body, "admission_denied");
+    assert!(body.contains("\"rule\": \"AD001\""), "{body}");
+    assert!(body.contains("above the configured NP ceiling"), "{body}");
+    assert!(scrape(addr, "owql_server_shed_total") >= 1);
+
+    let body = envelope("{}", "(?x, p, ?y)");
+    let (status, _, body) = send(addr, "POST", "/v1/explain", &body);
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
 #[test]
 fn full_queue_sheds_with_429_and_the_connection_survives() {
     let server = Server::start(

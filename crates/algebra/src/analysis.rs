@@ -156,37 +156,6 @@ fn collect_vars(p: &Pattern, out: &mut BTreeSet<Variable>) {
     }
 }
 
-/// The *certainly bound* variables of a pattern: variables bound in
-/// every answer, over every graph.
-///
-/// A sound under-approximation used by the filter-pushdown optimizer
-/// (pushing `FILTER R` below an `AND` is only meaning-preserving when
-/// the receiving operand certainly binds `var(R)`):
-///
-/// * triple `t` → `var(t)`
-/// * `AND` → union of both sides
-/// * `UNION` → intersection
-/// * `OPT` / `MINUS` → left side
-/// * `FILTER` / `NS` → operand
-/// * `SELECT V` → operand ∩ `V`
-pub fn certainly_bound_vars(p: &Pattern) -> BTreeSet<Variable> {
-    match p {
-        Pattern::Triple(t) => t.vars(),
-        Pattern::And(a, b) => {
-            let mut out = certainly_bound_vars(a);
-            out.extend(certainly_bound_vars(b));
-            out
-        }
-        Pattern::Union(a, b) => certainly_bound_vars(a)
-            .intersection(&certainly_bound_vars(b))
-            .copied()
-            .collect(),
-        Pattern::Opt(a, _) | Pattern::Minus(a, _) => certainly_bound_vars(a),
-        Pattern::Filter(q, _) | Pattern::Ns(q) => certainly_bound_vars(q),
-        Pattern::Select(v, q) => certainly_bound_vars(q).intersection(v).copied().collect(),
-    }
-}
-
 /// `I(P)`: every IRI mentioned in the pattern (triple patterns and
 /// filter constants).
 pub fn pattern_iris(p: &Pattern) -> BTreeSet<Iri> {
@@ -477,22 +446,6 @@ mod tests {
         assert_ne!(v, Variable::new("__f0"));
         let w = f.fresh();
         assert_ne!(v, w);
-    }
-
-    #[test]
-    fn certainly_bound_computation() {
-        // OPT: only the mandatory side is certain.
-        let p = Pattern::t("?x", "a", "b").opt(Pattern::t("?x", "c", "?y"));
-        assert_eq!(certainly_bound_vars(&p), vset(&["x"]));
-        // UNION: intersection.
-        let u = Pattern::t("?x", "a", "?y").union(Pattern::t("?x", "c", "?z"));
-        assert_eq!(certainly_bound_vars(&u), vset(&["x"]));
-        // SELECT: intersected with the projection.
-        let s = Pattern::t("?x", "a", "?y").select(["?y"]);
-        assert_eq!(certainly_bound_vars(&s), vset(&["y"]));
-        // AND: union of both sides.
-        let a = Pattern::t("?x", "a", "b").and(Pattern::t("?y", "c", "d"));
-        assert_eq!(certainly_bound_vars(&a), vset(&["x", "y"]));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   `MINUS` operator of Appendix D,
 //! * [`ConstructQuery`] — `CONSTRUCT H WHERE P` queries (Section 6),
 //! * fragment analysis ([`analysis`]), well-designedness
-//!   ([`well_designed`]), and the UNION / fixed-domain normal forms of
-//!   Appendix D ([`normal_form`]).
+//!   ([`well_designed`]), the UNION / fixed-domain normal forms of
+//!   Appendix D ([`normal_form`]), and the OPT normal form with the
+//!   Proposition 5.6 pattern-tree translation ([`pattern_tree`]) — the
+//!   one copy the optimizer and the theory toolkit share.
 
 pub mod analysis;
 pub mod condition;
@@ -32,6 +34,7 @@ pub mod mapping;
 pub mod mapping_set;
 pub mod normal_form;
 pub mod pattern;
+pub mod pattern_tree;
 pub mod random;
 pub mod variable;
 pub mod well_designed;

@@ -18,6 +18,7 @@ fn eval_seq(engine: &Engine, p: &owql_algebra::Pattern) -> owql_algebra::Mapping
         .expect("unlimited budget cannot time out")
         .mappings
 }
+use owql_algebra::pattern_tree::wd_to_simple;
 use owql_logic::coloring::{chromatic_number, UGraph};
 use owql_logic::dpll::solve_formula;
 use owql_logic::Formula;
@@ -26,7 +27,6 @@ use owql_rdf::{datasets, ntriples};
 use owql_theory::checks::{self, CheckOptions};
 use owql_theory::reduction::{bh, construct_np, dp, pnp, sat_gadget};
 use owql_theory::rewrite::ns_elimination::blowup_series;
-use owql_theory::rewrite::pattern_tree::wd_to_simple;
 use owql_theory::synthesis::{synthesize_aufs, SynthesisOptions, SynthesisOutcome};
 use owql_theory::witness;
 use std::time::Instant;

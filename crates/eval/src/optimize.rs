@@ -13,8 +13,8 @@
 //!    module, Prop D.1: it grows the tree, so the optimizer skips it).
 //! 4. **Filter pushdown** — `(P₁ AND P₂) FILTER R → (P₁ FILTER R) AND
 //!    P₂` when `var(R)` is *certainly bound* by `P₁`
-//!    ([`owql_algebra::analysis::certainly_bound_vars`]), shrinking
-//!    join inputs before the join.
+//!    ([`owql_lint::Bindings::of`]), shrinking join inputs before the
+//!    join.
 //! 5. **Projection fusion** — `SELECT V (SELECT W P) → SELECT (V∩W) P`;
 //!    `SELECT V P → P` when `var(P) ⊆ V`.
 //! 6. **NS idempotence** — `NS(NS(P)) → NS(P)` (maximality is
@@ -24,14 +24,16 @@
 //!    establishes that every pattern in these fragments is
 //!    subsumption-free, so taking maximal answers is the identity.
 //! 8. **OPT normal form** — `(P₁ OPT P₂) AND P₃ → (P₁ AND P₃) OPT P₂`
-//!    and `P₁ AND (P₂ OPT P₃) → (P₁ AND P₂) OPT P₃`, lifting OPTs
-//!    above ANDs so the AND-spine flattening of the engine sees the
-//!    full join spine. These equivalences hold only on *well-designed*
-//!    patterns (Pérez, Arenas, Gutierrez, TODS 2009), so the rewrite
-//!    runs only when the `owql-lint` analyzer proves the pattern
-//!    well-designed ([`owql_lint::well_designedness`]), per UNION
-//!    disjunct for the AUOF case — the analyzer verdict consumed as a
-//!    plan hint.
+//!    and `P₁ AND (P₂ OPT P₃) → (P₁ AND P₂) OPT P₃` lift OPTs above
+//!    ANDs, so the AND-spine flattening of the engine sees the full
+//!    join spine; `(P₁ OPT P₂) FILTER R → (P₁ FILTER R) OPT P₂` floats
+//!    a FILTER to the mandatory core when the core's triples bind
+//!    `var(R)`. These equivalences hold only on *well-designed*
+//!    patterns (Pérez, Arenas, Gutierrez, TODS 2009). The rule is
+//!    [`owql_algebra::pattern_tree::opt_normal_form`], applied to each
+//!    top-level UNION disjunct; a disjunct it refuses (not
+//!    well-designed, or a FILTER over optional variables) is kept
+//!    unchanged.
 //!
 //! On top of the shrink rules, [`optimize_with_stats`] runs one
 //! **certified pruning** pass driven by the `owql-lint`
@@ -61,13 +63,13 @@
 //! `owql_lint_prunes_total`.
 //!
 //! The optimizer is purely syntactic and terminates: each pass either
-//! strictly shrinks the tree, is applied once bottom-up, or (rule 8)
-//! strictly decreases the number of ANDs above an OPT.
+//! strictly shrinks the tree or is applied once bottom-up (rule 8 is a
+//! single recursive pass).
 
 use owql_algebra::analysis::{in_fragment, pattern_vars, triple_patterns, Operators};
 use owql_algebra::condition::Condition;
 use owql_algebra::pattern::Pattern;
-use owql_algebra::well_designed::well_designed_aof;
+use owql_algebra::pattern_tree::opt_normal_form;
 use owql_lint::{branch_subsumes, filter_satisfiable, must_bind, Bindings, Satisfiability};
 use owql_obs::PruneObs;
 
@@ -176,53 +178,15 @@ impl FuseFilters for Pattern {
     }
 }
 
-/// One bottom-up OPT-normal-form pass (rule 8). Only called on
-/// subtrees the analyzer proved well-designed, where the two lift
-/// rules are sound equivalences.
-fn opt_nf_pass(p: &Pattern) -> Pattern {
+/// Rule 8: OPT normal form per top-level UNION disjunct. A disjunct
+/// [`opt_normal_form`] refuses is returned unchanged.
+fn opt_normal_form_per_disjunct(p: &Pattern) -> Pattern {
     match p {
-        Pattern::And(a, b) => {
-            let a = opt_nf_pass(a);
-            let b = opt_nf_pass(b);
-            if let Pattern::Opt(p1, p2) = a {
-                // (P₁ OPT P₂) AND P₃ → (P₁ AND P₃) OPT P₂
-                p1.and(b).opt(*p2)
-            } else if let Pattern::Opt(p2, p3) = b {
-                // P₁ AND (P₂ OPT P₃) → (P₁ AND P₂) OPT P₃
-                a.and(*p2).opt(*p3)
-            } else {
-                a.and(b)
-            }
+        Pattern::Union(a, b) => {
+            opt_normal_form_per_disjunct(a).union(opt_normal_form_per_disjunct(b))
         }
-        Pattern::Opt(a, b) => opt_nf_pass(a).opt(opt_nf_pass(b)),
-        Pattern::Filter(q, r) => opt_nf_pass(q).filter(r.clone()),
-        other => other.clone(),
+        other => opt_normal_form(other).unwrap_or_else(|_| other.clone()),
     }
-}
-
-/// Rewrites a pattern the analyzer proved well-designed (AOF, or AUOF
-/// per top-level UNION disjunct) into OPT normal form. Conservative on
-/// both ends: a subtree that fails `well_designed_aof` is returned
-/// unchanged, and a rewrite step whose result would not stay
-/// well-designed is discarded.
-fn opt_normal_form(p: &Pattern) -> Pattern {
-    if let Pattern::Union(a, b) = p {
-        return opt_normal_form(a).union(opt_normal_form(b));
-    }
-    if well_designed_aof(p).is_err() {
-        return p.clone();
-    }
-    let mut current = p.clone();
-    // Each effective pass lifts at least one OPT past an AND, so the
-    // pattern size bounds the number of passes.
-    for _ in 0..p.size() {
-        let next = opt_nf_pass(&current);
-        if next == current || well_designed_aof(&next).is_err() {
-            break;
-        }
-        current = next;
-    }
-    current
 }
 
 /// The shrink rules (1–7) to a fixpoint (bounded number of passes;
@@ -415,20 +379,17 @@ fn prune(p: &Pattern, obs: &mut PruneObs) -> Pruned {
 /// Pass order: shrink rules to a fixpoint (so the prune analysis sees
 /// folded conditions and fused filters), one certified-pruning pass,
 /// shrink again (pruning may expose new shrink opportunities, e.g. a
-/// UNION reduced to one branch under an elidable NS), then — when the
-/// analyzer proves the result well-designed — the OPT-normal-form
-/// lift followed by a final shrink of the lifted tree.
+/// UNION reduced to one branch under an elidable NS), then the OPT
+/// normal form (rule 8) followed, if it changed anything, by a final
+/// shrink of the rewritten tree.
 pub fn optimize_with_stats(p: &Pattern) -> (Pattern, PruneObs) {
     let mut obs = PruneObs::default();
     let mut current = shrink_fixpoint(p);
     current = prune(&current, &mut obs).pattern;
     current = shrink_fixpoint(&current);
-    if matches!(
-        owql_lint::well_designedness(&current),
-        owql_lint::WellDesignedVerdict::Aof | owql_lint::WellDesignedVerdict::Auof
-    ) {
-        current = opt_normal_form(&current);
-        current = shrink_fixpoint(&current);
+    let normal = opt_normal_form_per_disjunct(&current);
+    if normal != current {
+        current = shrink_fixpoint(&normal);
     }
     (current, obs)
 }
@@ -446,6 +407,7 @@ mod tests {
     use crate::reference::evaluate;
     use owql_algebra::analysis::operators;
     use owql_algebra::random::{random_pattern, PatternConfig};
+    use owql_algebra::well_designed::well_designed_aof;
     use owql_rdf::graph::graph_from;
 
     #[test]
@@ -668,6 +630,51 @@ mod tests {
         let other = Pattern::t("?u", "e", "?v");
         let p = disjunct.union(other.clone());
         assert_eq!(optimize(&p), t1.and(t3).opt(t2).union(other));
+    }
+
+    #[test]
+    fn filter_floats_past_opt_to_the_mandatory_core() {
+        // ((?x,a,?w) OPT (?x,c,?y)) FILTER (?w = b) →
+        // ((?x,a,?w) FILTER (?w = b)) OPT (?x,c,?y): the core's triple
+        // binds ?w, so the filter may run before the outer join.
+        let core = Pattern::t("?x", "a", "?w");
+        let optional = Pattern::t("?x", "c", "?y");
+        let r = Condition::eq_const("w", "b");
+        let p = core.clone().opt(optional.clone()).filter(r.clone());
+        let o = optimize(&p);
+        assert_eq!(o, core.filter(r).opt(optional));
+        let g = graph_from(&[
+            ("1", "a", "b"),
+            ("1", "c", "2"),
+            ("2", "a", "z"),
+            ("3", "a", "b"),
+        ]);
+        assert_eq!(evaluate(&p, &g), evaluate(&o, &g));
+    }
+
+    #[test]
+    fn refused_disjunct_is_kept_unchanged() {
+        // Example 3.3's shape is not well designed, so `opt_normal_form`
+        // refuses it and the optimizer keeps it exactly; the
+        // well-designed sibling disjunct is still normalized.
+        let bad = Pattern::t("?X", "a", "Chile")
+            .and(Pattern::t("?Y", "a", "Chile").opt(Pattern::t("?Y", "b", "?X")));
+        assert!(opt_normal_form(&bad).is_err());
+        let t1 = Pattern::t("?x", "a", "b");
+        let t2 = Pattern::t("?x", "c", "?y");
+        let t3 = Pattern::t("?x", "d", "?z");
+        let good = t1.clone().opt(t2.clone()).and(t3.clone());
+        let p = bad.clone().union(good);
+        let o = optimize(&p);
+        assert_eq!(o, bad.union(t1.and(t3).opt(t2)));
+        let g = graph_from(&[
+            ("1", "a", "Chile"),
+            ("2", "a", "Chile"),
+            ("2", "b", "1"),
+            ("1", "a", "b"),
+            ("1", "d", "4"),
+        ]);
+        assert_eq!(evaluate(&p, &g), evaluate(&o, &g));
     }
 
     /// Rule 8 on random well-designed AOF patterns: semantics are

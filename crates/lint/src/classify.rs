@@ -1,9 +1,10 @@
 //! Fragment and complexity classification.
 //!
 //! [`classify`] places a pattern into the most specific of the paper's
-//! query languages, mirroring `owql_theory::fragments::classify`
-//! decision-for-decision but depending only on `owql-algebra` (the
-//! agreement is property-tested in `tests/integration_lint.rs`).
+//! query languages. It is the workspace's one classifier: the
+//! analyzer and the theory toolkit both call it. Its
+//! weak-monotonicity guarantee is checked against the bounded
+//! semantic checker in `tests/integration_fragments.rs`.
 //! [`Fragment::complexity`] then maps the language to the complexity
 //! class the paper proves for its evaluation problem:
 //!
@@ -28,10 +29,10 @@ use owql_algebra::well_designed::{well_designed_aof, well_designed_auof};
 use std::fmt;
 use std::str::FromStr;
 
-/// The paper's query languages, as the analyzer reports them. Mirrors
-/// `owql_theory::fragments::QueryLanguage`, with the USP languages
-/// additionally carrying their disjunct count (the `k` of
-/// `USP–SPARQLₖ`, which fixes the Boolean-hierarchy level).
+/// The paper's query languages, ordered roughly by the
+/// containment/expressiveness structure it establishes. The USP
+/// languages carry their disjunct count (the `k` of `USP–SPARQLₖ`,
+/// which fixes the Boolean-hierarchy level).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Fragment {
     /// `SPARQL[AF]` — conjunctive queries with filters.
@@ -76,8 +77,9 @@ impl Fragment {
         }
     }
 
-    /// `true` iff membership alone guarantees weak monotonicity —
-    /// mirrors `QueryLanguage::guarantees_weak_monotonicity`.
+    /// `true` iff membership alone guarantees weak monotonicity
+    /// (every language of the paper's design except raw SPARQL /
+    /// NS–SPARQL).
     pub fn guarantees_weak_monotonicity(self) -> bool {
         !matches!(self, Fragment::Sparql | Fragment::NsSparql)
     }
@@ -194,10 +196,9 @@ fn usp_disjunct_count(p: &Pattern) -> Option<usize> {
 }
 
 /// Places a pattern into the most specific language of the paper's
-/// hierarchy — the same preference order as the theory crate's
-/// classifier: OPT-free monotone fragments first, then
-/// well-designedness, then the NS-based languages, then the
-/// catch-alls.
+/// hierarchy. Preference order: the OPT-free monotone fragments first
+/// (they are the strongest guarantee), then well-designedness, then
+/// the NS-based languages, then the catch-alls.
 pub fn classify(p: &Pattern) -> Fragment {
     let ops = operators(p);
     if ops.within(Operators::AF) {

@@ -7,11 +7,9 @@
 //! * [`Bindings::possible`] — variables bound in **some** answer of
 //!   `P`, over some graph (a sound over-approximation).
 //!
-//! Before this module existed, `analyze.rs` and the optimizer each
-//! recomputed their own ad-hoc versions of these sets (`pattern_vars`
-//! as a loose "possible", `certainly_bound_vars` as "certain").
-//! [`Bindings::of`] is now the single definition both consume, and it
-//! is strictly more precise on both ends:
+//! [`Bindings::of`] is the single definition the analyzer and the
+//! optimizer consume, and it is more precise than the purely
+//! syntactic sets on both ends:
 //!
 //! * `possible` only contains variables a triple pattern or projection
 //!   can actually *bind* — a variable mentioned solely inside a FILTER
@@ -222,6 +220,16 @@ mod tests {
         let m = Pattern::t("?x", "a", "b").minus(Pattern::t("?x", "c", "?y"));
         let b = Bindings::of(&m);
         assert_eq!(b.possible, vset(&["x"]));
+        // SELECT: intersected with the projection on both ends.
+        let s = Pattern::t("?x", "a", "?y").select(["?y"]);
+        let b = Bindings::of(&s);
+        assert_eq!(b.certain, vset(&["y"]));
+        assert_eq!(b.possible, vset(&["y"]));
+        // AND: union of both sides on both ends.
+        let a = Pattern::t("?x", "a", "b").and(Pattern::t("?y", "c", "d"));
+        let b = Bindings::of(&a);
+        assert_eq!(b.certain, vset(&["x", "y"]));
+        assert_eq!(b.possible, vset(&["x", "y"]));
     }
 
     #[test]
@@ -277,12 +285,11 @@ mod tests {
         assert_eq!(fold_condition(&Condition::bound("z").not(), &b), Tri::True);
     }
 
-    /// `certain ⊆ possible` on every node of random patterns, and the
-    /// lattice refines the old ad-hoc sets (`certainly_bound_vars ⊆
-    /// certain`, `possible ⊆ pattern_vars`).
+    /// `certain ⊆ possible ⊆ pattern_vars` on random patterns: the
+    /// lattice never claims a binding the paper's `var(P)` lacks.
     #[test]
     fn lattice_refines_the_ad_hoc_sets_on_random_patterns() {
-        use owql_algebra::analysis::{certainly_bound_vars, pattern_vars, Operators};
+        use owql_algebra::analysis::{pattern_vars, Operators};
         use owql_algebra::random::{random_pattern, PatternConfig};
         let cfg = PatternConfig {
             allowed: Operators::NS_SPARQL.with(Operators::MINUS),
@@ -293,10 +300,6 @@ mod tests {
             let p = random_pattern(&cfg, seed);
             let b = Bindings::of(&p);
             assert!(b.certain.is_subset(&b.possible), "seed {seed}: {p}");
-            assert!(
-                certainly_bound_vars(&p).is_subset(&b.certain),
-                "seed {seed}: {p}"
-            );
             assert!(b.possible.is_subset(&pattern_vars(&p)), "seed {seed}: {p}");
         }
     }

@@ -1,6 +1,6 @@
-//! The paper's named query languages as membership checkers and a
-//! classifier (Definitions 5.3 and 5.7, plus the Section 8 projection
-//! extension).
+//! The paper's named query languages (Definitions 5.3 and 5.7, plus
+//! the Section 8 projection extension): the constructions between
+//! them.
 //!
 //! * a **simple pattern** (Definition 5.3) is `NS(P)` with
 //!   `P ∈ SPARQL[AUFS]` — the language SP–SPARQL;
@@ -13,140 +13,13 @@
 //!   monotonicity (checked by the `projected_usp_is_weakly_monotone` test).
 //!
 //! Every pattern in these languages is weakly monotone by construction
-//! (Corollary 5.9 territory); the classifier [`classify`] places an
-//! arbitrary pattern into the most specific language of the paper's
-//! hierarchy.
+//! (Corollary 5.9 territory). The classifier that places a pattern
+//! into the most specific language is `owql_lint::classify`; this
+//! module holds [`aufs_to_usp`], the constructive half of
+//! Proposition 5.8.
 
-use owql_algebra::analysis::{in_fragment, operators, Operators};
+use owql_algebra::analysis::{in_fragment, Operators};
 use owql_algebra::pattern::Pattern;
-use owql_algebra::well_designed::{well_designed_aof, well_designed_auof};
-use std::fmt;
-
-/// `true` iff `p` is a simple pattern: `NS(Q)` with `Q ∈ SPARQL[AUFS]`
-/// (Definition 5.3).
-pub fn is_simple_pattern(p: &Pattern) -> bool {
-    match p {
-        Pattern::Ns(q) => in_fragment(q, Operators::AUFS),
-        _ => false,
-    }
-}
-
-/// `true` iff `p` is an ns-pattern: a union of simple patterns
-/// (Definition 5.7). A single simple pattern counts (n = 1).
-pub fn is_ns_pattern(p: &Pattern) -> bool {
-    p.disjuncts().iter().all(|d| is_simple_pattern(d))
-}
-
-/// Number of disjuncts if `p` is an ns-pattern — the `k` of
-/// `USP–SPARQLₖ` (Theorem 7.2) — and `None` otherwise.
-pub fn usp_disjunct_count(p: &Pattern) -> Option<usize> {
-    if is_ns_pattern(p) {
-        Some(p.disjuncts().len())
-    } else {
-        None
-    }
-}
-
-/// `true` iff `p` is in the Section 8 projection extension:
-/// an ns-pattern, optionally under one top-level `SELECT`.
-pub fn is_projected_ns_pattern(p: &Pattern) -> bool {
-    match p {
-        Pattern::Select(_, q) => is_ns_pattern(q),
-        other => is_ns_pattern(other),
-    }
-}
-
-/// The query languages of the paper, ordered roughly by the
-/// containment/expressiveness structure it establishes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryLanguage {
-    /// `SPARQL[AF]` — conjunctive queries with filters.
-    Af,
-    /// `SPARQL[AUF]` — the monotone CONSTRUCT fragment's pattern
-    /// language (Corollary 6.8).
-    Auf,
-    /// `SPARQL[AUFS]` — the interpolation target (Theorem 4.1).
-    Aufs,
-    /// Well-designed `SPARQL[AOF]` (Definition 3.4).
-    WellDesignedAof,
-    /// Union of well-designed `SPARQL[AOF]` patterns (Section 3.3).
-    WellDesignedAuof,
-    /// SP–SPARQL: simple patterns (Definition 5.3).
-    SpSparql,
-    /// USP–SPARQL: ns-patterns (Definition 5.7).
-    UspSparql,
-    /// USP–SPARQL under one top-level projection (Section 8).
-    ProjectedUspSparql,
-    /// Plain SPARQL (no NS), outside the guaranteed-weakly-monotone
-    /// languages.
-    Sparql,
-    /// Full NS–SPARQL.
-    NsSparql,
-}
-
-impl QueryLanguage {
-    /// `true` iff membership alone guarantees weak monotonicity
-    /// (every language of the paper's design except raw SPARQL /
-    /// NS–SPARQL).
-    pub fn guarantees_weak_monotonicity(self) -> bool {
-        !matches!(self, QueryLanguage::Sparql | QueryLanguage::NsSparql)
-    }
-}
-
-impl fmt::Display for QueryLanguage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            QueryLanguage::Af => "SPARQL[AF]",
-            QueryLanguage::Auf => "SPARQL[AUF]",
-            QueryLanguage::Aufs => "SPARQL[AUFS]",
-            QueryLanguage::WellDesignedAof => "well-designed SPARQL[AOF]",
-            QueryLanguage::WellDesignedAuof => "union of well-designed SPARQL[AOF]",
-            QueryLanguage::SpSparql => "SP-SPARQL",
-            QueryLanguage::UspSparql => "USP-SPARQL",
-            QueryLanguage::ProjectedUspSparql => "SELECT over USP-SPARQL",
-            QueryLanguage::Sparql => "SPARQL",
-            QueryLanguage::NsSparql => "NS-SPARQL",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// Places a pattern into the most specific language of the hierarchy.
-///
-/// Preference order: the OPT-free monotone fragments first (they are
-/// the strongest guarantee), then well-designedness, then the NS-based
-/// languages, then the catch-alls.
-pub fn classify(p: &Pattern) -> QueryLanguage {
-    let ops = operators(p);
-    if ops.within(Operators::AF) {
-        return QueryLanguage::Af;
-    }
-    if ops.within(Operators::AUF) {
-        return QueryLanguage::Auf;
-    }
-    if ops.within(Operators::AUFS) {
-        return QueryLanguage::Aufs;
-    }
-    if well_designed_aof(p).is_ok() {
-        return QueryLanguage::WellDesignedAof;
-    }
-    if well_designed_auof(p).is_ok() {
-        return QueryLanguage::WellDesignedAuof;
-    }
-    if is_simple_pattern(p) {
-        return QueryLanguage::SpSparql;
-    }
-    if is_ns_pattern(p) {
-        return QueryLanguage::UspSparql;
-    }
-    if is_projected_ns_pattern(p) {
-        return QueryLanguage::ProjectedUspSparql;
-    }
-    if ops.within(Operators::SPARQL) {
-        return QueryLanguage::Sparql;
-    }
-    QueryLanguage::NsSparql
-}
 
 /// The containment half of Proposition 5.8, constructively:
 /// every `SPARQL[AUFS]` pattern is *equivalent* (plain `≡`, not just
@@ -178,91 +51,72 @@ pub fn aufs_to_usp(p: &Pattern) -> Result<Pattern, owql_algebra::normal_form::No
 mod tests {
     use super::*;
     use crate::checks::{self, CheckOptions};
+    use owql_lint::{classify, Fragment};
     use owql_parser::parse_pattern;
 
     fn q(text: &str) -> Pattern {
         parse_pattern(text).unwrap()
     }
 
+    /// An ns-pattern: SP–SPARQL (one disjunct) or USP–SPARQL.
+    fn is_ns_pattern(p: &Pattern) -> bool {
+        matches!(classify(p), Fragment::SpSparql | Fragment::UspSparql { .. })
+    }
+
     #[test]
     fn simple_pattern_recognition() {
-        assert!(is_simple_pattern(&q("NS((?x, a, b))")));
-        assert!(is_simple_pattern(&q(
-            "NS(((?x, a, b) UNION (SELECT {?x} WHERE ((?x, a, b) AND (?x, c, ?y)))))"
-        )));
+        assert_eq!(classify(&q("NS((?x, a, b))")), Fragment::SpSparql);
+        assert_eq!(
+            classify(&q(
+                "NS(((?x, a, b) UNION (SELECT {?x} WHERE ((?x, a, b) AND (?x, c, ?y)))))"
+            )),
+            Fragment::SpSparql
+        );
         // OPT inside the NS body disqualifies.
-        assert!(!is_simple_pattern(&q("NS(((?x, a, b) OPT (?x, c, ?y)))")));
+        assert_eq!(
+            classify(&q("NS(((?x, a, b) OPT (?x, c, ?y)))")),
+            Fragment::NsSparql
+        );
         // No NS at the root disqualifies.
-        assert!(!is_simple_pattern(&q("(?x, a, b)")));
+        assert_eq!(classify(&q("(?x, a, b)")), Fragment::Af);
         // Nested NS disqualifies (body must be AUFS).
-        assert!(!is_simple_pattern(&q("NS(NS((?x, a, b)))")));
+        assert_eq!(classify(&q("NS(NS((?x, a, b)))")), Fragment::NsSparql);
     }
 
     #[test]
     fn ns_pattern_recognition() {
-        assert!(is_ns_pattern(&q("(NS((?x, a, b)) UNION NS((?x, c, ?y)))")));
         assert_eq!(
-            usp_disjunct_count(&q("(NS((?x, a, b)) UNION NS((?x, c, ?y)))")),
-            Some(2)
+            classify(&q("(NS((?x, a, b)) UNION NS((?x, c, ?y)))")),
+            Fragment::UspSparql { disjuncts: 2 }
         );
-        assert_eq!(usp_disjunct_count(&q("NS((?x, a, b))")), Some(1));
+        // A single simple pattern is an ns-pattern with n = 1; the
+        // classifier reports the more specific SP–SPARQL.
+        assert!(is_ns_pattern(&q("NS((?x, a, b))")));
         assert_eq!(
-            usp_disjunct_count(&q("((?x, a, b) UNION NS((?x, c, ?y)))")),
-            None
+            classify(&q("((?x, a, b) UNION NS((?x, c, ?y)))")),
+            Fragment::NsSparql
         );
     }
 
     #[test]
     fn projection_extension_recognition() {
-        assert!(is_projected_ns_pattern(&q(
-            "(SELECT {?x} WHERE (NS((?x, a, ?y)) UNION NS((?x, b, ?z))))"
-        )));
-        assert!(!is_projected_ns_pattern(&q(
-            "(SELECT {?x} WHERE ((?x, a, ?y) OPT (?y, b, ?z)))"
-        )));
-    }
-
-    #[test]
-    fn classifier_hierarchy() {
-        let cases = [
-            ("((?x, a, b) AND (?x, c, ?y))", QueryLanguage::Af),
-            ("((?x, a, b) UNION (?x, c, ?y))", QueryLanguage::Auf),
-            (
-                "(SELECT {?x} WHERE ((?x, a, b) UNION (?x, c, ?y)))",
-                QueryLanguage::Aufs,
-            ),
-            (
-                "((?x, a, b) OPT (?x, c, ?y))",
-                QueryLanguage::WellDesignedAof,
-            ),
-            (
-                "(((?x, a, b) OPT (?x, c, ?y)) UNION ((?z, d, e) OPT (?z, f, ?w)))",
-                QueryLanguage::WellDesignedAuof,
-            ),
-            (
-                "NS(((?x, a, b) UNION (?x, c, ?y)))",
-                QueryLanguage::SpSparql,
-            ),
-            (
-                "(NS((?x, a, b)) UNION NS((?x, c, ?y)))",
-                QueryLanguage::UspSparql,
-            ),
-            (
-                "((?X, a, Chile) AND ((?Y, a, Chile) OPT (?Y, b, ?X)))",
-                QueryLanguage::Sparql,
-            ),
-            ("NS(((?x, a, b) OPT (?x, c, ?y)))", QueryLanguage::NsSparql),
-        ];
-        for (text, expected) in cases {
-            assert_eq!(classify(&q(text)), expected, "{text}");
-        }
+        assert_eq!(
+            classify(&q(
+                "(SELECT {?x} WHERE (NS((?x, a, ?y)) UNION NS((?x, b, ?z))))"
+            )),
+            Fragment::ProjectedUspSparql { disjuncts: 2 }
+        );
+        assert_eq!(
+            classify(&q("(SELECT {?x} WHERE ((?x, a, ?y) OPT (?y, b, ?z)))")),
+            Fragment::Sparql
+        );
     }
 
     #[test]
     fn weak_monotonicity_guarantee_flags() {
-        assert!(QueryLanguage::SpSparql.guarantees_weak_monotonicity());
-        assert!(QueryLanguage::WellDesignedAof.guarantees_weak_monotonicity());
-        assert!(!QueryLanguage::Sparql.guarantees_weak_monotonicity());
+        assert!(Fragment::SpSparql.guarantees_weak_monotonicity());
+        assert!(Fragment::WellDesignedAof.guarantees_weak_monotonicity());
+        assert!(!Fragment::Sparql.guarantees_weak_monotonicity());
     }
 
     /// Every language with the guarantee flag actually passes the
@@ -345,7 +199,7 @@ mod tests {
             "(SELECT {?x} WHERE (NS(((?x, a, b) UNION ((?x, a, b) AND (?x, c, ?y)))) \
                    UNION NS((?x, d, ?z))))",
         );
-        assert!(is_projected_ns_pattern(&p));
+        assert!(matches!(classify(&p), Fragment::ProjectedUspSparql { .. }));
         assert!(checks::weakly_monotone(&p, &opts).holds());
     }
 }

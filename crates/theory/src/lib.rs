@@ -10,10 +10,13 @@
 //!   engines against an independent semantics (experiment E6).
 //! * [`rewrite`] — the constructive transformations: `OPT → NS`
 //!   (Section 5.1), NS-elimination (Theorem 5.1 / Lemma D.3), the
-//!   SELECT-free version (Definition F.1 / Proposition 6.7),
-//!   well-designed pattern trees and the `wd → SP–SPARQL` translation
-//!   (Proposition 5.6), and the weakly-monotone-core construction for
-//!   monotone CONSTRUCT queries (Lemma 6.5).
+//!   SELECT-free version (Definition F.1 / Proposition 6.7), and the
+//!   weakly-monotone-core construction for monotone CONSTRUCT queries
+//!   (Lemma 6.5). Well-designed pattern trees and the
+//!   `wd → SP–SPARQL` translation (Proposition 5.6) live in
+//!   `owql_algebra::pattern_tree`.
+//! * [`fragments`] — the AUFS → USP–SPARQL construction of
+//!   Proposition 5.8. The language classifier is `owql_lint::classify`.
 //! * [`checks`] — bounded-exhaustive and randomized semantic checkers
 //!   for weak monotonicity, monotonicity, subsumption-freeness, and
 //!   CONSTRUCT monotonicity. The properties are undecidable in general

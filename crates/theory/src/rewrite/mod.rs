@@ -15,16 +15,17 @@
 //!   SELECT-free version `P_sf` with the Lemma F.2 correspondence, and
 //!   the CONSTRUCT-level equivalence that removes SELECT from
 //!   `CONSTRUCT[AUFS]`.
-//! * [`pattern_tree`] — Proposition 5.6: well-designed `SPARQL[AOF]`
-//!   patterns compile into *simple* patterns (one top-level NS over a
-//!   UNION of AND/FILTER branches) via well-designed pattern trees.
 //! * [`construct_core`] — Lemma 6.3 (`CONSTRUCT H WHERE P ≡
 //!   CONSTRUCT H WHERE NS(P)`) and the Lemma 6.5 construction that
 //!   rewrites any CONSTRUCT query into one whose pattern is weakly
 //!   monotone, preserving equivalence whenever the query is monotone.
+//!
+//! The Proposition 5.6 translation of well-designed patterns into
+//! simple patterns (`wd_to_simple`) lives beside well-designedness in
+//! `owql_algebra::pattern_tree`, where the optimizer shares its OPT
+//! normal form.
 
 pub mod construct_core;
 pub mod ns_elimination;
 pub mod opt_to_ns;
-pub mod pattern_tree;
 pub mod select_free;

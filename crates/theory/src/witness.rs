@@ -237,7 +237,7 @@ mod tests {
         use owql_algebra::equivalence::{check_relation, EquivalenceOptions, Relation};
         let p = theorem_3_5_pattern();
         let sp = theorem_3_5_sp_equivalent();
-        assert!(crate::fragments::is_simple_pattern(&sp));
+        assert_eq!(owql_lint::classify(&sp), owql_lint::Fragment::SpSparql);
         let r = check_relation(
             &p,
             &sp,
@@ -259,7 +259,7 @@ mod tests {
         use owql_algebra::equivalence::{check_relation, EquivalenceOptions, Relation};
         let p = theorem_3_6_pattern();
         let sp = theorem_3_6_sp_equivalent();
-        assert!(crate::fragments::is_simple_pattern(&sp));
+        assert_eq!(owql_lint::classify(&sp), owql_lint::Fragment::SpSparql);
         let r = check_relation(
             &p,
             &sp,
@@ -279,7 +279,10 @@ mod tests {
         // No SP–SPARQL pattern can do this: simple patterns are
         // subsumption-free.
         let p = proposition_5_8_witness();
-        assert!(crate::fragments::is_ns_pattern(&p));
+        assert!(matches!(
+            owql_lint::classify(&p),
+            owql_lint::Fragment::UspSparql { .. }
+        ));
         let g = graph_from(&[("1", "a", "b"), ("1", "c", "2")]);
         let out = evaluate(&p, &g);
         assert_eq!(out.len(), 2);
@@ -293,7 +296,7 @@ mod tests {
         // No SPARQL[AUFS] pattern can do this: that fragment is
         // monotone.
         let p = proposition_5_8_nonmonotone_disjunct();
-        assert!(crate::fragments::is_simple_pattern(&p));
+        assert_eq!(owql_lint::classify(&p), owql_lint::Fragment::SpSparql);
         let r = checks::monotone(&p, &CheckOptions::default());
         assert!(!r.holds());
         assert!(checks::weakly_monotone(&p, &CheckOptions::default()).holds());

@@ -15,10 +15,10 @@
 //! Run with: `cargo run --example monotonicity_audit`
 
 use owql::algebra::analysis::operators;
+use owql::algebra::pattern_tree::wd_to_simple;
 use owql::algebra::well_designed::well_designed_aof;
 use owql::prelude::*;
 use owql::theory::checks::{monotone, subsumption_free, weakly_monotone, CheckOptions};
-use owql::theory::rewrite::pattern_tree::wd_to_simple;
 use owql::theory::synthesis::{synthesize_aufs, SynthesisOptions, SynthesisOutcome};
 
 fn audit(name: &str, text: &str, opts: &CheckOptions) {

@@ -18,10 +18,10 @@
 //! :quit                  exit
 //! ```
 
+use owql::lint::classify;
 use owql::prelude::*;
 use owql::rdf::{ntriples, stats::GraphStats};
 use owql::theory::checks::{monotone, subsumption_free, weakly_monotone, CheckOptions};
-use owql::theory::fragments::classify;
 use std::io::{self, BufRead, Write};
 
 fn default_graph() -> Graph {

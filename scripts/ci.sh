@@ -80,7 +80,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror or plan replay, one JSON escaper, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror, plan replay, mirror classifier or second OPT normal form, one JSON escaper, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -124,6 +124,15 @@ stage_lint_smoke() {
       || grep -rlE 'trait TripleLook''up' crates/ --include='*.rs' \
         | xargs -r sed -n '/trait TripleLook''up/,/^}/p' | grep -nE 'fn cardin''ality'; then
     echo "the term-level plan replay or its cardinality statistic reappeared"; exit 1
+  fi
+  # One copy of the paper's pattern theory: one fragment classifier
+  # (owql_lint::classify) and one OPT normal form
+  # (owql_algebra::pattern_tree), so the theory crate's mirror
+  # classifier, the optimizer's lift loop and the syntactic
+  # certainly-bound set stay gone.
+  if grep -rnE 'QueryLang''uage|opt_nf_p''ass|certainly_bound_v''ars|fragments::class''ify|rewrite::pattern_t''ree' \
+      crates/ tests/ examples/ scripts/; then
+    echo "a second fragment classifier, OPT normal form or certainty set reappeared"; exit 1
   fi
   if [[ "$(grep -rnF '\\u{:04''x}' crates/ --include='*.rs' | wc -l)" -ne 1 ]]; then
     echo "expected exactly one JSON string escape loop under crates/"; exit 1

@@ -2,12 +2,12 @@
 //! engines → checkers, across crates.
 
 use owql::algebra::analysis::{in_fragment, operators, Operators};
+use owql::algebra::pattern_tree::wd_to_simple;
 use owql::prelude::*;
 use owql::rdf::generate;
 use owql::theory::checks::{self, CheckOptions};
 use owql::theory::rewrite::ns_elimination::eliminate_ns;
 use owql::theory::rewrite::opt_to_ns::opt_to_ns;
-use owql::theory::rewrite::pattern_tree::wd_to_simple;
 
 /// Sequential evaluation through the unified entry point.
 fn eval(engine: &Engine, p: &Pattern) -> MappingSet {

@@ -6,11 +6,12 @@
 
 use owql::algebra::analysis::Operators;
 use owql::algebra::equivalence::{check_relation, EquivalenceOptions, EquivalenceResult, Relation};
+use owql::algebra::pattern_tree::wd_to_simple;
+use owql::algebra::random::{random_pattern, PatternConfig};
+use owql::lint::classify;
 use owql::prelude::*;
 use owql::theory::checks::{self, CheckOptions};
-use owql::theory::fragments::{classify, is_ns_pattern, is_simple_pattern, QueryLanguage};
 use owql::theory::rewrite::opt_to_ns::opt_to_ns;
-use owql::theory::rewrite::pattern_tree::wd_to_simple;
 
 fn quick() -> CheckOptions {
     CheckOptions {
@@ -27,10 +28,43 @@ fn quick() -> CheckOptions {
 fn wd_translation_lands_in_sp_sparql() {
     let wd = parse_pattern("(((?p, was_born_in, Chile) OPT (?p, email, ?e)) OPT (?p, name, ?n))")
         .unwrap();
-    assert_eq!(classify(&wd), QueryLanguage::WellDesignedAof);
+    assert_eq!(classify(&wd), Fragment::WellDesignedAof);
     let simple = wd_to_simple(&wd).unwrap();
-    assert!(is_simple_pattern(&simple));
-    assert_eq!(classify(&simple), QueryLanguage::SpSparql);
+    assert_eq!(classify(&simple), Fragment::SpSparql);
+}
+
+/// Proposition 5.6 verified on random well-designed patterns: the
+/// simple-pattern translation is equivalent on random graphs.
+#[test]
+fn random_wd_equivalence() {
+    let cfg = PatternConfig {
+        allowed: Operators::AOF,
+        max_depth: 3,
+        ..PatternConfig::standard(3, 4)
+    };
+    let mut tested = 0;
+    for seed in 0..400u64 {
+        let p = random_pattern(&cfg, seed);
+        let Ok(simple) = wd_to_simple(&p) else {
+            continue;
+        };
+        tested += 1;
+        for gseed in 0..3u64 {
+            let g = owql::rdf::generate::uniform(18, 4, 4, 4, seed * 3 + gseed).union(
+                &owql::rdf::graph::graph_from(&[
+                    ("i0", "i1", "i2"),
+                    ("i1", "i2", "i3"),
+                    ("i3", "i2", "i1"),
+                ]),
+            );
+            assert_eq!(
+                evaluate(&p, &g),
+                evaluate(&simple, &g),
+                "seed {seed}: {p} vs {simple}"
+            );
+        }
+    }
+    assert!(tested > 40, "too few well-designed samples: {tested}");
 }
 
 /// OPT→NS on a union of well-designed patterns lands in (a language
@@ -40,8 +74,7 @@ fn wd_union_translates_to_usp() {
     let p1 = parse_pattern("((?p, was_born_in, Chile) OPT (?p, email, ?e))").unwrap();
     let p2 = parse_pattern("((?p, was_born_in, Belgium) OPT (?p, name, ?n))").unwrap();
     let usp = wd_to_simple(&p1).unwrap().union(wd_to_simple(&p2).unwrap());
-    assert!(is_ns_pattern(&usp));
-    assert_eq!(classify(&usp), QueryLanguage::UspSparql);
+    assert_eq!(classify(&usp), Fragment::UspSparql { disjuncts: 2 });
     // Equivalent to the original union.
     let original = p1.union(p2);
     let r = check_relation(
@@ -79,6 +112,37 @@ fn guarantee_flags_are_honest() {
             assert!(wm, "language {lang} promised weak monotonicity for {text}");
         }
     }
+}
+
+/// The classifier's guarantee checked against the semantics: whenever
+/// `classify` promises weak monotonicity, the bounded checker cannot
+/// refute it, on seeded random patterns. The AOF generator supplies
+/// well-designed patterns, which the NS–SPARQL one rarely produces.
+#[test]
+fn guaranteed_fragments_are_weakly_monotone_on_random_patterns() {
+    const SEEDS: u64 = 600;
+    let mut guaranteed = 0;
+    for ops in [Operators::AOF, Operators::NS_SPARQL] {
+        let cfg = PatternConfig::standard(3, 3)
+            .with_operators(ops)
+            .with_depth(3);
+        for seed in 0..SEEDS {
+            let p = random_pattern(&cfg, seed);
+            let lang = classify(&p);
+            if !lang.guarantees_weak_monotonicity() {
+                continue;
+            }
+            guaranteed += 1;
+            assert!(
+                checks::weakly_monotone(&p, &quick()).holds(),
+                "seed {seed}: {lang} promised weak monotonicity for {p}"
+            );
+        }
+    }
+    assert!(
+        guaranteed >= SEEDS / 2,
+        "only {guaranteed} guaranteed samples"
+    );
 }
 
 /// The §6.2 easy direction: a CONSTRUCT query over a weakly-monotone

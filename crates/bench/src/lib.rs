@@ -110,9 +110,8 @@ mod tests {
     use super::*;
     use owql_eval::{evaluate, Engine, ExecOpts};
     use owql_exec::Pool;
-    use owql_rdf::GraphIndex;
 
-    fn eval(engine: &Engine<GraphIndex>, p: &Pattern) -> owql_algebra::MappingSet {
+    fn eval(engine: &Engine, p: &Pattern) -> owql_algebra::MappingSet {
         engine
             .run(p, &ExecOpts::seq(), &Pool::sequential())
             .expect("unlimited budget cannot time out")

@@ -83,8 +83,7 @@ pub mod prelude {
     pub use owql_obs::{Profile, Recorder};
     pub use owql_parser::{parse_construct, parse_pattern, parse_pattern_spanned};
     pub use owql_rdf::{
-        Graph, GraphIndex, IdRuns, IdView, Iri, SnapshotIndex, TermDict, TermId, Triple,
-        TripleLookup, NO_TERM,
+        Graph, IdRuns, IdView, Iri, SnapshotIndex, TermDict, TermId, Triple, NO_TERM,
     };
     pub use owql_server::{Server, ServerConfig};
     pub use owql_store::{QueryOutcome, QueryRequest, Snapshot, Store, StoreOptions};

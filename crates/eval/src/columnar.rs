@@ -1,9 +1,9 @@
 //! The execute phase: one columnar, dictionary-encoded walker for `⟦P⟧G`.
 //!
-//! Every [`TripleLookup`](owql_rdf::TripleLookup) backend serves an
+//! The engine's [`SnapshotIndex`](owql_rdf::SnapshotIndex) serves an
 //! [`IdView`] (a term dictionary plus id-encoded SPO/POS/OSP sorted
-//! runs, for a store snapshot overlaid with an add tier and a deletion
-//! set), and [`run`] walks a [`Plan`] built against that view over
+//! runs, for a store snapshot overlaid with an add tier and a set of
+//! deleted rows), and [`run`] walks a [`Plan`] built against that view over
 //! [`IdMappingSet`] tables: binary-searched run scans, id-merge
 //! AND-spine joins, word-compare compatibility for `OPT`/`MINUS`, and
 //! bitmask-grouped NS maximality. Terms are decoded exactly once, at
@@ -68,7 +68,7 @@ use owql_algebra::id_mapping::{IdMapping, IdMappingSet, VarFrame};
 use owql_algebra::MappingSet;
 use owql_exec::{chunk_ranges, Pool};
 use owql_obs::{OpKind, Recorder, ShardMetrics, SpanId};
-use owql_rdf::{FxHashSet, IdRuns, IdView, TermId, NO_TERM};
+use owql_rdf::{IdRuns, IdView, TermId, NO_TERM};
 use std::sync::atomic::Ordering;
 
 /// Minimum candidate rows per dealt chunk of a partitioned spine step.
@@ -96,9 +96,6 @@ pub(crate) struct ShardSet<'a> {
 struct Columnar<'a> {
     view: IdView<'a>,
     frame: &'a VarFrame,
-    /// The snapshot's deletion set, id-encoded once up front (`None`
-    /// when nothing is deleted, so the scan loop skips the probe).
-    dels: Option<&'a FxHashSet<[TermId; 3]>>,
     pool: &'a Pool,
     parallel: bool,
     /// The span/event sink — disabled outside traced runs, in which
@@ -129,11 +126,9 @@ pub(crate) fn run(
     rec: &Recorder,
     budget: &EvalBudget,
 ) -> Result<MappingSet, EvalError> {
-    let dels = view.del_rows();
     let ctx = Columnar {
         view,
         frame: &plan.frame,
-        dels: (!dels.is_empty()).then_some(&dels),
         pool,
         parallel,
         rec,
@@ -358,7 +353,6 @@ impl Columnar<'_> {
         // partition time), so the local context needs no deletion mask.
         let local = Columnar {
             view: IdView::plain(self.view.dict, &shards.runs[k]),
-            dels: None,
             ..global
         };
         let current = local.scan_step(seed, first, state)?;
@@ -492,7 +486,7 @@ impl Columnar<'_> {
                 hint_hits += 1;
             }
             let mut emit = |matched: [TermId; 3]| {
-                if self.dels.is_some_and(|dels| dels.contains(&matched)) {
+                if self.view.dels.is_some_and(|dels| dels.contains(&matched)) {
                     return;
                 }
                 let start = data.len();
@@ -545,9 +539,9 @@ mod tests {
     use crate::{evaluate, Engine, ExecOpts};
     use owql_exec::Pool;
     use owql_parser::parse_pattern;
-    use owql_rdf::{shard_rows, GraphIndex, Triple, TripleLookup};
+    use owql_rdf::{shard_rows, Graph, Triple};
 
-    fn social() -> GraphIndex {
+    fn social() -> Graph {
         let mut triples = Vec::new();
         for i in 0..20u32 {
             triples.push(Triple::new(
@@ -559,13 +553,13 @@ mod tests {
                 triples.push(Triple::new(&format!("p{i}"), "age", &format!("{}", 20 + i)));
             }
         }
-        GraphIndex::from_triples(triples)
+        triples.into_iter().collect()
     }
 
     /// The scattered walk over `shards` partitions answers exactly like
     /// the reference evaluator.
     fn sharded_matches_reference(pattern: &str, shards: usize) {
-        let engine = Engine::with_index(social());
+        let engine = Engine::new(&social());
         let pattern = parse_pattern(pattern).expect("pattern parses");
         let expected = evaluate(&pattern, &engine.index().to_graph());
         let runs = shard_rows(&engine.index().id_view(), shards);

@@ -1,8 +1,8 @@
 //! The evaluation engine's front door.
 //!
-//! [`Engine`] binds a [`TripleLookup`] backend — a [`GraphIndex`], or
-//! the live [`SnapshotIndex`] of `owql-store` — and [`Engine::run`] is
-//! the single entry point: the execution strategy — sequential or
+//! [`Engine`] binds a [`SnapshotIndex`] — built from a graph, or a live
+//! snapshot of `owql-store` — and [`Engine::run`] is the single entry
+//! point: the execution strategy — sequential or
 //! pool-parallel scheduling, span tracing, the static optimizer, a
 //! cooperative deadline, an admission ceiling — is selected by an
 //! [`ExecOpts`] value, not by the method name. Every run goes through
@@ -27,11 +27,10 @@ use crate::run::{EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_algebra::pattern::Pattern;
 use owql_exec::Pool;
 use owql_obs::{Profile, Recorder};
-use owql_rdf::{Graph, GraphIndex, SnapshotIndex, TripleLookup};
+use owql_rdf::{Graph, SnapshotIndex};
 
-/// An engine bound to one graph (or any [`TripleLookup`] backend — see
-/// [`Engine::for_snapshot`] for evaluation over the live snapshots of
-/// `owql-store`).
+/// An engine bound to one graph's index (see [`Engine::for_snapshot`]
+/// for evaluation over the live snapshots of `owql-store`).
 ///
 /// ```
 /// use owql_algebra::pattern::Pattern;
@@ -45,41 +44,33 @@ use owql_rdf::{Graph, GraphIndex, SnapshotIndex, TripleLookup};
 /// assert_eq!(out.mappings.len(), 3);
 /// ```
 #[derive(Debug)]
-pub struct Engine<I: TripleLookup = GraphIndex> {
-    index: I,
+pub struct Engine {
+    index: SnapshotIndex,
 }
 
 impl Engine {
-    /// Builds the engine (and its indexes) for `graph`.
+    /// Builds the engine (and its index) for `graph`.
     pub fn new(graph: &Graph) -> Engine {
-        Engine {
-            index: GraphIndex::build(graph),
-        }
+        Engine::with_index(SnapshotIndex::from_graph(graph))
     }
-}
 
-impl Engine<SnapshotIndex> {
     /// Binds the engine to a store snapshot: the same operators run
-    /// over the snapshot's base index merged with its delta overlay, so
+    /// over the snapshot's base runs merged with its delta overlay, so
     /// live data is queried without any index rebuild.
     ///
     /// `owql_store::Snapshot` derefs to [`SnapshotIndex`], so this
     /// accepts `&snapshot` directly.
-    pub fn for_snapshot(snapshot: &SnapshotIndex) -> Engine<SnapshotIndex> {
-        Engine {
-            index: snapshot.clone(),
-        }
+    pub fn for_snapshot(snapshot: &SnapshotIndex) -> Engine {
+        Engine::with_index(snapshot.clone())
     }
-}
 
-impl<I: TripleLookup> Engine<I> {
-    /// Wraps an already-built lookup backend.
-    pub fn with_index(index: I) -> Engine<I> {
+    /// Wraps an already-built index.
+    pub fn with_index(index: SnapshotIndex) -> Engine {
         Engine { index }
     }
 
     /// Access to the underlying index.
-    pub fn index(&self) -> &I {
+    pub fn index(&self) -> &SnapshotIndex {
         &self.index
     }
 
@@ -238,7 +229,7 @@ mod tests {
     const NO_BUDGET: &str = "unlimited budget cannot time out";
 
     /// Sequential `run` shorthand for the tests below.
-    fn eval<I: TripleLookup>(engine: &Engine<I>, p: &Pattern) -> MappingSet {
+    fn eval(engine: &Engine, p: &Pattern) -> MappingSet {
         engine
             .run(p, &ExecOpts::seq(), &Pool::sequential())
             .expect(NO_BUDGET)
@@ -246,7 +237,7 @@ mod tests {
     }
 
     /// Parallel `run` shorthand.
-    fn eval_par<I: TripleLookup>(engine: &Engine<I>, p: &Pattern, pool: &Pool) -> MappingSet {
+    fn eval_par(engine: &Engine, p: &Pattern, pool: &Pool) -> MappingSet {
         engine
             .run(p, &ExecOpts::parallel(), pool)
             .expect(NO_BUDGET)
@@ -365,10 +356,10 @@ mod tests {
     }
 
     /// A default index carries an (empty) dictionary, so it evaluates
-    /// like any other backend: every constant is un-interned.
+    /// like any other: every constant is un-interned.
     #[test]
     fn default_index_evaluates() {
-        let engine = Engine::with_index(GraphIndex::default());
+        let engine = Engine::with_index(SnapshotIndex::default());
         assert!(eval(&engine, &Pattern::t("?x", "p", "?y")).is_empty());
         assert!(eval(&engine, &Pattern::t("a", "p", "b")).is_empty());
         let mixed = Pattern::t("a", "p", "b")

@@ -13,8 +13,9 @@
 //! - **Binary index segments** ([`segment`]) — an immutable snapshot
 //!   file per checkpoint generation: a sorted term dictionary plus
 //!   SPO/POS/OSP runs of fixed-width id rows, written via temp-file +
-//!   rename with header and body CRCs. A loaded [`Segment`] answers
-//!   triple-pattern lookups straight off the file's sorted runs.
+//!   rename with header and body CRCs. A loaded [`Segment`] is its
+//!   term table and SPO run, which a reopening store turns into its
+//!   dictionary and base id runs without re-interning a term.
 //! - **Recovery** ([`recover`]) — load the newest segment that
 //!   validates (walking back over corrupt generations), replay the WAL
 //!   records past its epoch watermark, report what happened.

@@ -28,9 +28,13 @@
 //!
 //! Because the dictionary is sorted, numeric id comparison equals
 //! lexicographic term comparison, and each run is one contiguous
-//! sorted array — every triple-pattern shape ([`Segment::matching`])
-//! is a binary-searched **contiguous range** of exactly one run, which is why predicate-bound scans (the
-//! dominant shape in practical SPARQL logs) are sequential reads.
+//! sorted array — the layout of the in-memory `owql_rdf::IdRuns`,
+//! where every triple-pattern shape is a binary-searched contiguous
+//! range of exactly one run. A loaded [`Segment`] keeps the term table
+//! and the SPO run; a reopening store seeds its dictionary from the
+//! table (`id = rank + 1`) and rebuilds its base runs from the SPO run,
+//! so nothing is re-interned. The POS and OSP runs are checked on load
+//! through the body CRC alone.
 //!
 //! Segments are written to a temp file, fsync'd, then renamed into
 //! place (and the directory fsync'd): a crash mid-write leaves a
@@ -38,7 +42,7 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_parent_dir;
-use owql_rdf::{Graph, GraphIndex, Iri, Triple};
+use owql_rdf::{Iri, Triple};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
@@ -169,24 +173,21 @@ pub fn write_segment(
     Ok(path)
 }
 
-/// A loaded, validated segment: the graph snapshot at its epoch.
-/// Triple patterns can be looked up in place off the sorted runs; the
-/// evaluator runs on the [`GraphIndex`] a store decodes it into
-/// ([`Segment::to_graph_index`]), which carries the id state the
-/// engine needs.
+/// A loaded, validated segment: the graph snapshot at its epoch, as
+/// its sorted term table and its SPO run of term ranks.
 #[derive(Clone, Debug)]
 pub struct Segment {
     generation: u64,
     epoch: u64,
     terms: Vec<Iri>,
     spo: Vec<[u32; 3]>,
-    pos: Vec<[u32; 3]>,
-    osp: Vec<[u32; 3]>,
 }
 
 impl Segment {
     /// Loads and fully validates the segment at `path` (magic,
-    /// version, both CRCs, structural bounds).
+    /// version, both CRCs, structural bounds). The header CRC is not a
+    /// MAC, so every header count is bounds-checked against the body
+    /// before it sizes an allocation or a split.
     pub fn load(path: &Path) -> Result<Segment, SegmentError> {
         let bytes = std::fs::read(path)?;
         if bytes.len() < HEADER_LEN {
@@ -218,12 +219,18 @@ impl Segment {
         let runs_bytes = triple_count
             .checked_mul(36)
             .ok_or_else(|| corrupt("triple count overflows"))?;
-        if body.len() != terms_bytes + runs_bytes {
+        if terms_bytes.checked_add(runs_bytes) != Some(body.len()) {
             return Err(corrupt(format!(
                 "body is {} bytes, expected {} (dictionary) + {} (runs)",
                 body.len(),
                 terms_bytes,
                 runs_bytes
+            )));
+        }
+        // Every term carries a 4-byte length prefix.
+        if term_count > terms_bytes / 4 {
+            return Err(corrupt(format!(
+                "{term_count} terms cannot fit in a {terms_bytes}-byte dictionary"
             )));
         }
 
@@ -246,37 +253,30 @@ impl Segment {
         if at != terms_bytes {
             return Err(corrupt("dictionary has trailing bytes"));
         }
+        // Rank ids are only meaningful over a sorted, distinct table.
+        if terms.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("dictionary is not sorted and distinct"));
+        }
 
-        let read_run = |which: usize| -> Result<Vec<[u32; 3]>, SegmentError> {
-            let start = which * triple_count * 12;
-            let mut run = Vec::with_capacity(triple_count);
-            for row in 0..triple_count {
-                let at = start + row * 12;
-                let mut ids = [0u32; 3];
-                for (slot, id) in ids.iter_mut().enumerate() {
-                    let off = at + slot * 4;
-                    *id = u32::from_le_bytes(runs[off..off + 4].try_into().expect("4"));
-                    if *id as usize >= term_count {
-                        return Err(corrupt(format!(
-                            "row {row} references term {id} of {term_count}"
-                        )));
-                    }
+        // The SPO run comes first; POS and OSP follow it.
+        let mut spo = Vec::with_capacity(triple_count);
+        for (row, bytes) in runs[..triple_count * 12].chunks_exact(12).enumerate() {
+            let mut ids = [0u32; 3];
+            for (id, b) in ids.iter_mut().zip(bytes.chunks_exact(4)) {
+                *id = u32::from_le_bytes(b.try_into().expect("4"));
+                if *id as usize >= term_count {
+                    return Err(corrupt(format!(
+                        "row {row} references term {id} of {term_count}"
+                    )));
                 }
-                run.push(ids);
             }
-            Ok(run)
-        };
-        let spo = read_run(0)?;
-        let pos = read_run(1)?;
-        let osp = read_run(2)?;
-        let generation = parse_generation(path).unwrap_or(0);
+            spo.push(ids);
+        }
         Ok(Segment {
-            generation,
+            generation: parse_generation(path).unwrap_or(0),
             epoch,
             terms,
             spo,
-            pos,
-            osp,
         })
     }
 
@@ -300,132 +300,16 @@ impl Segment {
     /// The term dictionary: lexicographically sorted, id = rank. A
     /// recovering store seeds its in-memory `TermDict` from this table
     /// (`TermDict::from_sorted_terms` assigns `rank + 1`, reserving `0`
-    /// for "unbound"), so segment-resident triples re-index with zero
-    /// dictionary misses.
+    /// for "unbound"), so the SPO run becomes its base rows by adding
+    /// one to every id, with zero dictionary misses.
     pub fn terms(&self) -> &[Iri] {
         &self.terms
     }
 
-    /// Resolves a term to its dictionary id (rank), if present.
-    fn term_id(&self, iri: Iri) -> Option<u32> {
-        self.terms.binary_search(&iri).ok().map(|at| at as u32)
-    }
-
-    /// The contiguous row range of `run` whose first `key.len()`
-    /// components equal `key`.
-    fn prefix_range(run: &[[u32; 3]], key: &[u32]) -> (usize, usize) {
-        let lo = run.partition_point(|row| row[..key.len()] < *key);
-        let hi = run.partition_point(|row| row[..key.len()] <= *key);
-        (lo, hi)
-    }
-
-    /// Iterates the triples in SPO order.
-    pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(move |&[s, p, o]| Triple {
-            s: self.terms[s as usize],
-            p: self.terms[p as usize],
-            o: self.terms[o as usize],
-        })
-    }
-
-    /// Materializes the snapshot as a hash-indexed [`GraphIndex`] (the
-    /// store's in-memory base representation).
-    pub fn to_graph_index(&self) -> GraphIndex {
-        GraphIndex::from_triples(self.triples())
-    }
-
-    /// Resolves one run row back to a triple. `order` says which
-    /// permutation the run stores.
-    fn row_triple(&self, row: [u32; 3], order: RunOrder) -> Triple {
-        let [a, b, c] = row;
-        let (s, p, o) = match order {
-            RunOrder::Spo => (a, b, c),
-            RunOrder::Pos => (c, a, b),
-            RunOrder::Osp => (b, c, a),
-        };
-        Triple {
-            s: self.terms[s as usize],
-            p: self.terms[p as usize],
-            o: self.terms[o as usize],
-        }
-    }
-
-    /// Picks the run + prefix key answering a pattern shape, such that
-    /// the matches are exactly one contiguous range. Returns `None`
-    /// when some bound term is not in the dictionary (no matches).
-    fn plan(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Option<(RunOrder, Vec<u32>)> {
-        let sid = match s {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        let pid = match p {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        let oid = match o {
-            Some(iri) => Some(self.term_id(iri)?),
-            None => None,
-        };
-        Some(match (sid, pid, oid) {
-            (Some(s), Some(p), Some(o)) => (RunOrder::Spo, vec![s, p, o]),
-            (Some(s), Some(p), None) => (RunOrder::Spo, vec![s, p]),
-            (Some(s), None, None) => (RunOrder::Spo, vec![s]),
-            (None, Some(p), Some(o)) => (RunOrder::Pos, vec![p, o]),
-            (None, Some(p), None) => (RunOrder::Pos, vec![p]),
-            (Some(s), None, Some(o)) => (RunOrder::Osp, vec![o, s]),
-            (None, None, Some(o)) => (RunOrder::Osp, vec![o]),
-            (None, None, None) => (RunOrder::Spo, Vec::new()),
-        })
-    }
-
-    fn run(&self, order: RunOrder) -> &[[u32; 3]] {
-        match order {
-            RunOrder::Spo => &self.spo,
-            RunOrder::Pos => &self.pos,
-            RunOrder::Osp => &self.osp,
-        }
-    }
-}
-
-/// Which permutation a run stores its rows in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RunOrder {
-    Spo,
-    Pos,
-    Osp,
-}
-
-impl Segment {
-    /// The triples matching a pattern with optionally bound positions
-    /// (`None` means "any value").
-    pub fn matching(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
-        let Some((order, key)) = self.plan(s, p, o) else {
-            return Vec::new();
-        };
-        let run = self.run(order);
-        let (lo, hi) = Segment::prefix_range(run, &key);
-        run[lo..hi]
-            .iter()
-            .map(|&row| self.row_triple(row, order))
-            .collect()
-    }
-
-    /// Number of matches for the pattern.
-    pub fn cardinality(&self, s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> usize {
-        let Some((order, key)) = self.plan(s, p, o) else {
-            return 0;
-        };
-        let (lo, hi) = Segment::prefix_range(self.run(order), &key);
-        hi - lo
-    }
-
-    /// Membership test for a fully ground triple.
-    pub fn contains(&self, t: &Triple) -> bool {
-        let Some((_, key)) = self.plan(Some(t.s), Some(t.p), Some(t.o)) else {
-            return false;
-        };
-        let key = [key[0], key[1], key[2]];
-        self.spo.binary_search(&key).is_ok()
+    /// The SPO run: `[s, p, o]` rows of term ranks (indexes into
+    /// [`Segment::terms`]), sorted and distinct.
+    pub fn spo(&self) -> &[[u32; 3]] {
+        &self.spo
     }
 
     /// Number of triples in the segment.
@@ -436,11 +320,6 @@ impl Segment {
     /// `true` iff the segment holds no triple.
     pub fn is_empty(&self) -> bool {
         self.spo.is_empty()
-    }
-
-    /// Materializes the segment's triples as a [`Graph`].
-    pub fn to_graph(&self) -> Graph {
-        self.triples().collect()
     }
 }
 
@@ -525,12 +404,24 @@ mod tests {
     use super::*;
     use owql_rdf::graph::graph_from;
     use owql_rdf::term::triple;
+    use owql_rdf::Graph;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("owql-seg-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
+    }
+
+    /// The segment's triples in SPO order, decoded through its term
+    /// table.
+    fn decoded(segment: &Segment) -> impl Iterator<Item = Triple> + '_ {
+        let term = |rank: u32| segment.terms()[rank as usize];
+        segment.spo().iter().map(move |&[s, p, o]| Triple {
+            s: term(s),
+            p: term(p),
+            o: term(o),
+        })
     }
 
     fn sample() -> Vec<Triple> {
@@ -556,45 +447,28 @@ mod tests {
         assert_eq!(segment.len(), triples.len());
         let mut want = triples.clone();
         want.sort();
-        assert_eq!(segment.triples().collect::<Vec<_>>(), want);
-        assert_eq!(segment.to_graph_index().all(), &want[..]);
+        assert_eq!(decoded(&segment).collect::<Vec<_>>(), want);
     }
 
-    /// The segment answers every pattern shape exactly like a
-    /// from-scratch `GraphIndex` over the same triples — the scan-seam
-    /// parity that lets the engine run straight off the file.
+    /// The loaded SPO run is the rank encoding of the sorted, distinct
+    /// input: id order is term order, so a store seeding its dictionary
+    /// from the term table (id = rank + 1) rebuilds its base runs from
+    /// this run without re-interning.
     #[test]
-    fn lookup_parity_with_graph_index() {
-        let dir = tmp("parity");
-        let triples = sample();
-        let path = write_segment(&dir, 1, 1, &triples).expect("write");
+    fn spo_run_is_the_rank_encoding() {
+        let dir = tmp("ranks");
+        let path = write_segment(&dir, 1, 1, &sample()).expect("write");
         let segment = Segment::load(&path).expect("load");
-        let reference = GraphIndex::from_triples(triples.iter().copied());
-
-        let terms: Vec<Option<Iri>> = [None]
-            .into_iter()
-            .chain(["a", "b", "c", "d", "p", "q", "zz"].map(|t| Some(Iri::new(t))))
+        let terms = segment.terms();
+        assert!(terms.windows(2).all(|w| w[0] < w[1]));
+        assert!(segment.spo().windows(2).all(|w| w[0] < w[1]));
+        let rank = |t: Iri| terms.binary_search(&t).expect("in the table") as u32;
+        let mut want: Vec<[u32; 3]> = sample()
+            .iter()
+            .map(|t| [rank(t.s), rank(t.p), rank(t.o)])
             .collect();
-        for &s in &terms {
-            for &p in &terms {
-                for &o in &terms {
-                    let mut got = segment.matching(s, p, o);
-                    let mut want = reference.matching(s, p, o);
-                    got.sort();
-                    want.sort();
-                    assert_eq!(got, want, "pattern ({s:?}, {p:?}, {o:?})");
-                    assert_eq!(
-                        segment.cardinality(s, p, o),
-                        want.len(),
-                        "cardinality ({s:?}, {p:?}, {o:?})"
-                    );
-                }
-            }
-        }
-        for t in &triples {
-            assert!(segment.contains(t));
-        }
-        assert!(!segment.contains(&triple("zz", "p", "b")));
+        want.sort_unstable();
+        assert_eq!(segment.spo(), &want[..]);
     }
 
     #[test]
@@ -607,7 +481,7 @@ mod tests {
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.len(), sample().len());
         assert_eq!(
-            segment.to_graph(),
+            decoded(&segment).collect::<Graph>(),
             graph_from(&[
                 ("a", "p", "b"),
                 ("a", "p", "c"),
@@ -626,7 +500,58 @@ mod tests {
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.len(), 0);
         assert_eq!(segment.term_count(), 0);
-        assert!(segment.matching(None, None, None).is_empty());
+        assert!(segment.is_empty());
+    }
+
+    /// A crafted file whose CRCs were recomputed (a CRC is no MAC) is
+    /// rejected as corrupt, never a crash: a term count too large to
+    /// allocate, counts whose byte total wraps around to the body
+    /// length, and a term table out of order.
+    #[test]
+    fn crafted_header_counts_are_rejected() {
+        let dir = tmp("crafted");
+        let path = write_segment(&dir, 1, 5, &sample()).expect("write");
+        let clean = std::fs::read(&path).expect("read");
+        let body_len = (clean.len() - HEADER_LEN) as u64;
+        let forge = |fields: &[(usize, u64)]| {
+            let mut bytes = clean.clone();
+            for &(at, value) in fields {
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            let crc = crc32(&bytes[0..52]);
+            bytes[52..56].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("write forged");
+            Segment::load(&path)
+        };
+        let huge_terms = forge(&[(32, 1 << 58)]);
+        assert!(
+            matches!(huge_terms, Err(SegmentError::Corrupt(_))),
+            "{huge_terms:?}"
+        );
+        // 36 × triple_count exceeds the body, and terms_bytes is the
+        // wrapped difference, so the unchecked sum equals the body length.
+        let triple_count = body_len / 36 + 1;
+        let terms_bytes = body_len.wrapping_sub(36 * triple_count);
+        let wrapped = forge(&[(24, triple_count), (40, terms_bytes)]);
+        assert!(
+            matches!(wrapped, Err(SegmentError::Corrupt(_))),
+            "{wrapped:?}"
+        );
+        // A term table out of order, under recomputed CRCs: ranks would
+        // no longer be ids in string order.
+        let mut unsorted = clean.clone();
+        let first = HEADER_LEN + 4; // the text of the one-byte term "a"
+        unsorted.swap(first, first + 5); // … swapped with "b"
+        let body_crc = crc32(&unsorted[HEADER_LEN..]);
+        unsorted[48..52].copy_from_slice(&body_crc.to_le_bytes());
+        let header_crc = crc32(&unsorted[0..52]);
+        unsorted[52..56].copy_from_slice(&header_crc.to_le_bytes());
+        std::fs::write(&path, &unsorted).expect("write forged");
+        let err = Segment::load(&path).expect_err("unsorted dictionary");
+        assert!(err.to_string().contains("sorted"), "{err}");
+
+        std::fs::write(&path, &clean).expect("restore");
+        assert!(Segment::load(&path).is_ok());
     }
 
     /// Any single flipped bit anywhere in the file is caught by a CRC

@@ -3,14 +3,15 @@
 //! - WAL framing: arbitrary commit records survive append → replay,
 //!   and replaying an arbitrarily truncated log yields a clean prefix
 //!   of the appended records (never garbage, never reordering).
-//! - Segment codec: arbitrary triple sets survive write → load, and
-//!   the loaded segment answers **all eight** triple-pattern shapes
-//!   (each of s/p/o bound or free — exercising the SPO, POS, and OSP
-//!   runs plus their prefix ranges) exactly like an in-memory
-//!   `GraphIndex` over the same triples.
+//! - Segment codec: arbitrary triple sets survive write → reopen, and
+//!   the reopened store's index answers **all eight** triple-pattern
+//!   shapes (each of s/p/o bound or free — exercising the SPO, POS and
+//!   OSP runs plus their prefix ranges) exactly like a naive filter
+//!   over the input triples.
 
-use owql_persist::{replay_bytes, write_segment, CommitRecord, Segment, Wal, WalOp};
-use owql_rdf::{GraphIndex, Iri, Triple};
+use owql_persist::{replay_bytes, write_segment, CommitRecord, PersistConfig, Segment, Wal, WalOp};
+use owql_rdf::{Graph, Iri, Triple};
+use owql_store::{Store, StoreOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -117,11 +118,12 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Segment write → load is lossless (modulo sort + dedup, which is
-    /// the segment's canonical form), and every one of the eight triple
-    /// pattern shapes answers exactly like the in-memory index — this
-    /// exercises all three sorted runs (SPO, POS, OSP) and their
-    /// prefix-range binary searches.
+    /// Segment write → `Store::open` is lossless (modulo sort + dedup,
+    /// the segment's canonical form): the reopened graph is the input,
+    /// and the id view built from the segment — the dictionary seeded
+    /// from its term table, the base runs rebuilt from its SPO run —
+    /// answers every one of the eight triple-pattern shapes like the
+    /// naive filter.
     #[test]
     fn segment_codec_roundtrip_and_scan_equivalence(
         triples in proptest::collection::vec(arb_triple(), 0..60),
@@ -133,13 +135,14 @@ proptest! {
         let segment = Segment::load(&owql_persist::segment_path(&dir, 1)).expect("load");
         prop_assert_eq!(segment.epoch(), epoch);
 
-        let reference = GraphIndex::from_triples(triples.clone());
-        prop_assert_eq!(
-            segment.to_graph_index().all(),
-            reference.all(),
-            "round-trip"
-        );
+        let config = PersistConfig::default().no_fsync().checkpoint_every(0).inline_indexer();
+        let store = Store::open(&dir, StoreOptions::default(), config).expect("reopen");
+        prop_assert_eq!(store.epoch(), epoch);
+        prop_assert_eq!(store.to_graph(), triples.iter().copied().collect::<Graph>(), "round-trip");
 
+        let snapshot = store.snapshot();
+        let view = snapshot.id_view();
+        let term = |id| view.dict.resolve(id).expect("interned");
         // Probe terms: some present, some absent.
         let mut probes: Vec<Option<Iri>> = vec![None, Some(Iri::new("zzz-absent"))];
         if let Some(t) = triples.first() {
@@ -147,27 +150,42 @@ proptest! {
             probes.push(Some(t.p));
             probes.push(Some(t.o));
         }
-        for s in &probes {
-            for p in &probes {
-                for o in &probes {
-                    // `matching` leaves result order unspecified (each
-                    // index walks a different run), so compare as sets.
-                    let mut got = segment.matching(*s, *p, *o);
-                    let mut want = reference.matching(*s, *p, *o);
-                    got.sort();
-                    want.sort();
+        for &s in &probes {
+            for &p in &probes {
+                for &o in &probes {
+                    let want = naive_scan(&triples, s, p, o);
+                    // A constant the dictionary never saw matches nothing.
+                    let id = |t: Option<Iri>| t.map(|t| view.dict.lookup(t));
+                    let (is, ip, io) = (id(s), id(p), id(o));
+                    let mut got: Vec<Triple> = if [is, ip, io].contains(&Some(None)) {
+                        Vec::new()
+                    } else {
+                        view.rows(is.flatten(), ip.flatten(), io.flatten())
+                            .map(|[s, p, o]| Triple { s: term(s), p: term(p), o: term(o) })
+                            .collect()
+                    };
+                    got.sort_unstable();
                     prop_assert_eq!(&got, &want, "pattern ({s:?},{p:?},{o:?})");
-                    prop_assert_eq!(
-                        segment.cardinality(*s, *p, *o),
-                        want.len(),
-                        "cardinality ({s:?},{p:?},{o:?})"
-                    );
                 }
             }
         }
-        for t in &triples {
-            prop_assert!(segment.contains(t));
-        }
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The reference scan (the filter `proptest_dict` checks the id runs
+/// against): the input triples matching the pattern, sorted and
+/// distinct.
+fn naive_scan(triples: &[Triple], s: Option<Iri>, p: Option<Iri>, o: Option<Iri>) -> Vec<Triple> {
+    let mut out: Vec<Triple> = triples
+        .iter()
+        .filter(|t| {
+            s.is_none_or(|s| t.s == s) && p.is_none_or(|p| t.p == p) && o.is_none_or(|o| t.o == o)
+        })
+        .copied()
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }

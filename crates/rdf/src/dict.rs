@@ -45,6 +45,16 @@ struct DictInner {
     terms: Vec<Iri>,
 }
 
+impl DictInner {
+    fn encode(&self, t: &Triple) -> Option<[TermId; 3]> {
+        Some([
+            *self.ids.get(&t.s)?,
+            *self.ids.get(&t.p)?,
+            *self.ids.get(&t.o)?,
+        ])
+    }
+}
+
 /// Append-only, thread-safe term dictionary.
 ///
 /// Interning is a read-locked hash probe on the hit path and a
@@ -133,20 +143,19 @@ impl TermDict {
         f(&self.inner.read().unwrap().terms)
     }
 
+    /// The `[s, p, o]` id row of `t` under one read lock, or `None` if
+    /// any of its terms was never interned. Does not intern (the probe
+    /// of a membership test or a delete: a triple over a never-seen
+    /// term is in no index).
+    pub fn encode(&self, t: &Triple) -> Option<[TermId; 3]> {
+        self.inner.read().unwrap().encode(t)
+    }
+
     /// Encodes each triple of `triples` as an `[s, p, o]` id row under
     /// one read lock. Returns `None` if any term is not interned.
     pub fn encode_all(&self, triples: &[Triple]) -> Option<Vec<[TermId; 3]>> {
         let inner = self.inner.read().unwrap();
-        triples
-            .iter()
-            .map(|t| {
-                Some([
-                    *inner.ids.get(&t.s)?,
-                    *inner.ids.get(&t.p)?,
-                    *inner.ids.get(&t.o)?,
-                ])
-            })
-            .collect()
+        triples.iter().map(|t| inner.encode(t)).collect()
     }
 
     /// Number of interned terms.
@@ -234,36 +243,18 @@ impl IdRuns {
         for t in terms {
             dict.intern(t);
         }
-        let rows = dict
-            .encode_all(triples)
-            .expect("all terms were just interned");
-        let mut runs = IdRuns {
-            spo: rows,
-            pos: Vec::new(),
-            osp: Vec::new(),
-        };
-        runs.spo.sort_unstable();
-        runs.spo.dedup();
-        runs.pos = runs
-            .spo
-            .iter()
-            .map(|&r| RunOrder::Pos.from_spo(r))
-            .collect();
-        runs.pos.sort_unstable();
-        runs.osp = runs
-            .spo
-            .iter()
-            .map(|&r| RunOrder::Osp.from_spo(r))
-            .collect();
-        runs.osp.sort_unstable();
-        runs
+        IdRuns::from_spo_rows(
+            dict.encode_all(triples)
+                .expect("all terms were just interned"),
+        )
     }
 
     /// Builds the three runs from already-encoded `[s, p, o]` id rows
-    /// (sorted or not, duplicates tolerated). This is the shard
-    /// partitioner's constructor: the rows were id-encoded by an
-    /// existing dictionary, so no interning happens here and the ids
-    /// stay comparable across every shard built from the same dict.
+    /// (sorted or not, duplicates tolerated). The rows were id-encoded
+    /// by an existing dictionary, so no interning happens here and the
+    /// ids stay comparable across every run set built from the same
+    /// dict — the constructor of the shard partitioner, the store's
+    /// compaction fold and a reopened segment's base.
     pub fn from_spo_rows(rows: Vec<[TermId; 3]>) -> IdRuns {
         let mut runs = IdRuns {
             spo: rows,
@@ -289,8 +280,8 @@ impl IdRuns {
 
     /// Inserts one `[s, p, o]` id row into all three runs; returns
     /// `true` if it was new. `O(n)` per run (binary search + shift) —
-    /// sized for the store's bounded delta overlays, like
-    /// `GraphIndex::insert`.
+    /// sized for the store's bounded add tier, not for bulk loads (use
+    /// [`IdRuns::from_spo_rows`]).
     pub fn insert(&mut self, row: [TermId; 3]) -> bool {
         match self.spo.binary_search(&row) {
             Ok(_) => false,
@@ -456,9 +447,9 @@ fn partition_from(run: &[[TermId; 3]], from: usize, pred: impl Fn(&[TermId; 3]) 
 
 /// The borrowed id-scan surface an evaluation engine consumes: a
 /// dictionary plus base runs, optionally overlaid with delta runs
-/// (sharing the *same* dictionary) and a set of deleted base triples.
+/// (sharing the *same* dictionary) and a set of deleted base rows.
 ///
-/// Exposed through `TripleLookup::id_view`.
+/// Exposed through `SnapshotIndex::id_view`.
 #[derive(Clone, Copy, Debug)]
 pub struct IdView<'a> {
     /// The shared dictionary every id in `base`/`adds` was assigned by.
@@ -467,8 +458,9 @@ pub struct IdView<'a> {
     pub base: &'a IdRuns,
     /// Sorted runs over added triples (disjoint from the base), if any.
     pub adds: Option<&'a IdRuns>,
-    /// Base triples deleted since the base was built, if any.
-    pub dels: Option<&'a HashSet<Triple>>,
+    /// `[s, p, o]` rows of base triples deleted since the base was
+    /// built, if any.
+    pub dels: Option<&'a FxHashSet<[TermId; 3]>>,
 }
 
 impl<'a> IdView<'a> {
@@ -482,19 +474,25 @@ impl<'a> IdView<'a> {
         }
     }
 
-    /// The deletion set encoded as id rows (empty if there are no
-    /// deletions). Deleted triples are always base triples, so every
-    /// term resolves.
-    pub fn del_rows(&self) -> FxHashSet<[TermId; 3]> {
-        let Some(dels) = self.dels else {
-            return FxHashSet::default();
-        };
-        let rows: Vec<Triple> = dels.iter().copied().collect();
-        self.dict
-            .encode_all(&rows)
-            .expect("deleted triples are base triples, so their terms are interned")
-            .into_iter()
-            .collect()
+    /// The live `[s, p, o]` rows matching a pattern with optionally
+    /// bound positions: base matches minus deletions, then add-tier
+    /// matches. Each tier yields its rows in its run's sorted order.
+    pub fn rows(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> impl Iterator<Item = [TermId; 3]> + 'a {
+        let dels = self.dels;
+        let (base, base_order) = self.base.scan(s, p, o);
+        let adds = self.adds.map(|adds| adds.scan(s, p, o));
+        base.iter()
+            .map(move |&row| base_order.to_spo(row))
+            .filter(move |row| dels.is_none_or(|dels| !dels.contains(row)))
+            .chain(
+                adds.into_iter()
+                    .flat_map(|(rows, order)| rows.iter().map(move |&row| order.to_spo(row))),
+            )
     }
 
     /// Upper bound on the rows matching a pattern (ignores deletions —

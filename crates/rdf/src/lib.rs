@@ -16,7 +16,9 @@
 //! * [`Iri`] — globally interned identifiers with `O(1)` equality/hash,
 //! * [`Triple`] — a subject/predicate/object record,
 //! * [`Graph`] — a finite set of triples with set-algebra helpers,
-//! * [`index::GraphIndex`] — SPO/POS/OSP indexes for fast pattern matching,
+//! * [`TermDict`], [`IdRuns`] and [`SnapshotIndex`] — the term
+//!   dictionary, the id-encoded SPO/POS/OSP runs every pattern shape is
+//!   a range of, and the one triple index built from them,
 //! * [`ntriples`] — a line-oriented reader/writer for an N-Triples-like
 //!   exchange format,
 //! * [`generate`] — seeded synthetic workload generators used by the
@@ -38,6 +40,6 @@ pub mod turtle;
 pub use dict::{IdRuns, IdView, RunOrder, TermDict, TermId, NO_TERM};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
-pub use index::{GraphIndex, SnapshotIndex, TripleLookup};
+pub use index::SnapshotIndex;
 pub use shard::{shard_of, shard_rows};
 pub use term::{Iri, Triple};

@@ -34,19 +34,9 @@ pub fn shard_of(s: TermId, n: usize) -> usize {
 /// [`shard_of`] on the subject id. Deleted base rows are filtered out
 /// here, so per-shard scans need no deletion mask.
 pub fn shard_rows(view: &IdView<'_>, n: usize) -> Vec<IdRuns> {
-    let dels = view.del_rows();
     let mut buckets: Vec<Vec<[TermId; 3]>> = (0..n).map(|_| Vec::new()).collect();
-    let mut scatter = |rows: &[[TermId; 3]]| {
-        for &row in rows {
-            if !dels.is_empty() && dels.contains(&row) {
-                continue;
-            }
-            buckets[shard_of(row[0], n)].push(row);
-        }
-    };
-    scatter(view.base.spo());
-    if let Some(adds) = view.adds {
-        scatter(adds.spo());
+    for row in view.rows(None, None, None) {
+        buckets[shard_of(row[0], n)].push(row);
     }
     buckets.into_iter().map(IdRuns::from_spo_rows).collect()
 }
@@ -55,6 +45,7 @@ pub fn shard_rows(view: &IdView<'_>, n: usize) -> Vec<IdRuns> {
 mod tests {
     use super::*;
     use crate::dict::TermDict;
+    use crate::fx::FxHashSet;
     use crate::term::Triple;
     use std::collections::HashSet;
 
@@ -106,16 +97,7 @@ mod tests {
     #[test]
     fn deleted_rows_are_excluded() {
         let (dict, runs) = sample_runs();
-        let full: Vec<Triple> = {
-            // Reconstruct one triple to delete: resolve the first row.
-            let row = runs.spo()[0];
-            vec![Triple::new(
-                dict.resolve(row[0]).unwrap(),
-                dict.resolve(row[1]).unwrap(),
-                dict.resolve(row[2]).unwrap(),
-            )]
-        };
-        let dels: HashSet<Triple> = full.into_iter().collect();
+        let dels: FxHashSet<[TermId; 3]> = [runs.spo()[0]].into_iter().collect();
         let view = IdView {
             dict: &dict,
             base: &runs,
@@ -125,5 +107,6 @@ mod tests {
         let shards = shard_rows(&view, 2);
         let total: usize = shards.iter().map(IdRuns::len).sum();
         assert_eq!(total, runs.len() - 1);
+        assert!(shards.iter().all(|s| !s.contains(runs.spo()[0])));
     }
 }

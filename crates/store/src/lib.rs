@@ -11,11 +11,12 @@
 //!   open-world `AND`/`UNION`, maximal answers under closed-world
 //!   `NS`) while writers keep committing — answers never shift under
 //!   a running query.
-//! - **Incremental indexing** — mutations land in a small delta
-//!   overlay ([`owql_rdf::SnapshotIndex`]: base minus net-deletes plus
-//!   net-adds); once the overlay outgrows a threshold, compaction
-//!   folds it into a fresh base [`owql_rdf::GraphIndex`]. No full
-//!   rebuild per write.
+//! - **Incremental indexing** — the store's one index is an
+//!   [`owql_rdf::SnapshotIndex`]: a term dictionary, id-encoded base
+//!   runs, and a small overlay of net-added and net-deleted id rows
+//!   that every mutation lands in. Once the overlay outgrows a
+//!   threshold, compaction folds it into fresh base runs over id rows
+//!   alone (no term is re-interned). No full rebuild per write.
 //! - **Epoch-keyed query cache** — [`Store::query`] canonicalizes the
 //!   pattern (UNION normal form where tractable, see [`cache_key`])
 //!   and caches `MappingSet` results keyed by `(pattern, epoch)`. A

@@ -1,18 +1,20 @@
 //! The versioned, concurrent triple store.
 //!
-//! A [`Store`] holds an immutable `Arc`-shared base [`GraphIndex`] plus
-//! a small mutable overlay (net-added and net-deleted triples) and an
-//! ordered delta log. Mutations are batched into [`Transaction`]s;
-//! committing a batch that changes anything bumps a monotonically
-//! increasing **epoch**. Readers take [`Snapshot`]s — three `Arc`
-//! clones — and evaluate queries against them while writers proceed;
+//! A [`Store`] holds one [`SnapshotIndex`] — a term dictionary, an
+//! immutable `Arc`-shared base of id runs, and a small overlay of
+//! net-added and net-deleted id rows — plus an ordered delta log.
+//! Mutations are batched into [`Transaction`]s; committing a batch that
+//! changes anything bumps a monotonically increasing **epoch**. Readers
+//! take [`Snapshot`]s — four `Arc` clones — and evaluate queries
+//! against them while writers proceed;
 //! a snapshot keeps answering from the state it captured forever
 //! (epoch isolation).
 //!
 //! When the overlay outgrows `max(min_compact, compact_fraction ×
-//! |base|)`, the commit folds it into a fresh base index (**delta
-//! compaction**) — replacing the seed's full `O(|G|)` index rebuild on
-//! *every* `Engine::new` with an amortized, threshold-driven one.
+//! |base|)`, the commit folds it into a fresh base over id rows
+//! (**delta compaction**, [`SnapshotIndex::compacted`]) — replacing a
+//! full `O(|G|)` index rebuild on every change with an amortized,
+//! threshold-driven one that never re-interns a term.
 //!
 //! ## Durability (`owql-persist`)
 //!
@@ -33,10 +35,8 @@ use owql_eval::{Engine, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_exec::Pool;
 use owql_obs::{MetricsHub, Profile, ShardMetrics, SlowQuery};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
-use owql_rdf::{
-    shard_rows, Graph, GraphIndex, IdRuns, SnapshotIndex, TermDict, Triple, TripleLookup,
-};
-use std::collections::{HashMap, HashSet};
+use owql_rdf::{shard_rows, Graph, IdRuns, SnapshotIndex, TermDict, TermId, Triple};
+use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -288,15 +288,14 @@ fn run_checkpoint(
     // epochs stay in the WAL until the *next* checkpoint).
     let (epoch, index) = {
         let inner = inner.read().expect("store lock poisoned");
-        (inner.epoch, inner.snapshot_index())
+        (inner.epoch, inner.index.clone())
     };
     if epoch == persist.last_checkpoint_epoch.load(Ordering::SeqCst)
         && persist.segment_generation.load(Ordering::SeqCst) > 0
     {
         return Ok(None); // nothing committed since the last checkpoint
     }
-    let graph = index.to_graph();
-    let triples: Vec<Triple> = graph.iter().copied().collect();
+    let triples = index.triples();
     let generation = persist.segment_generation.load(Ordering::SeqCst) + 1;
     owql_persist::write_segment(&persist.dir, generation, epoch, &triples)?;
     persist
@@ -360,16 +359,9 @@ fn indexer_loop(inner: Arc<RwLock<StoreInner>>, persist: Arc<PersistState>) {
 
 #[derive(Debug)]
 struct StoreInner {
-    /// The store-wide term dictionary. Append-only: ids survive
-    /// compactions and epochs, and both `base` and `adds` encode their
-    /// id runs with it, so a snapshot's merged `id_view` is built
-    /// without re-encoding.
-    dict: Arc<TermDict>,
-    base: Arc<GraphIndex>,
-    /// Net additions (disjoint from `base`), incrementally indexed.
-    adds: Arc<GraphIndex>,
-    /// Net deletions (subset of `base`).
-    dels: Arc<HashSet<Triple>>,
+    /// The one triple index. Its dictionary is store-wide and
+    /// append-only: ids survive compactions and epochs.
+    index: SnapshotIndex,
     epoch: u64,
     /// Ordered mutation log since the last compaction.
     log: Vec<LogEntry>,
@@ -377,48 +369,35 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    fn visible(&self, t: &Triple) -> bool {
-        (self.base.contains(t) && !self.dels.contains(t)) || self.adds.contains(t)
+    fn new(index: SnapshotIndex, epoch: u64) -> StoreInner {
+        StoreInner {
+            index,
+            epoch,
+            log: Vec::new(),
+            compactions: 0,
+        }
     }
 
-    fn snapshot_index(&self) -> SnapshotIndex {
-        SnapshotIndex::new(self.base.clone(), self.adds.clone(), self.dels.clone())
-    }
-
-    /// Applies one op to the overlay, recording it in the delta log
-    /// under `epoch`. Returns `true` iff the op changed the store.
+    /// Applies one op to the index overlay, recording it in the delta
+    /// log under `epoch`. Returns `true` iff the op changed the store.
     /// Shared by the live commit path and WAL replay on `open`.
     fn apply_op(&mut self, op: DeltaOp, epoch: u64) -> bool {
         let changed = match op {
-            DeltaOp::Insert(t) => {
-                if self.visible(&t) {
-                    false
-                } else if self.dels.contains(&t) {
-                    // Re-insert of a base triple: cancel the delete.
-                    Arc::make_mut(&mut self.dels).remove(&t);
-                    true
-                } else {
-                    Arc::make_mut(&mut self.adds).insert(t);
-                    true
-                }
-            }
-            DeltaOp::Delete(t) => {
-                if !self.visible(&t) {
-                    false
-                } else if self.adds.contains(&t) {
-                    // Delete of an uncompacted add: cancel the add.
-                    Arc::make_mut(&mut self.adds).remove(&t);
-                    true
-                } else {
-                    Arc::make_mut(&mut self.dels).insert(t);
-                    true
-                }
-            }
+            DeltaOp::Insert(t) => self.index.insert(t),
+            DeltaOp::Delete(t) => self.index.delete(&t),
         };
         if changed {
             self.log.push(LogEntry { epoch, op });
         }
         changed
+    }
+
+    /// Folds the overlay into a fresh base over id rows; every
+    /// surviving triple keeps its ids. Called under the write lock.
+    fn compact(&mut self) {
+        self.index = self.index.compacted();
+        self.log.clear();
+        self.compactions += 1;
     }
 }
 
@@ -445,7 +424,7 @@ impl Snapshot {
     }
 
     /// An evaluation engine bound to this snapshot.
-    pub fn engine(&self) -> Engine<SnapshotIndex> {
+    pub fn engine(&self) -> Engine {
         Engine::for_snapshot(&self.index)
     }
 
@@ -503,21 +482,6 @@ impl Snapshot {
         pattern: &Pattern,
     ) -> Result<owql_eval::AnnotatedPlan, EvalError> {
         self.engine().explain_analyze(pattern)
-    }
-
-    /// Materializes the visible triples.
-    pub fn to_graph(&self) -> Graph {
-        self.index.to_graph()
-    }
-
-    /// Number of visible triples.
-    pub fn len(&self) -> usize {
-        TripleLookup::len(&self.index)
-    }
-
-    /// `true` iff nothing is visible.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -656,17 +620,13 @@ impl Store {
 
     /// An empty store with explicit options.
     pub fn with_options(opts: StoreOptions) -> Self {
-        let dict = Arc::new(TermDict::new());
+        Store::with_index(SnapshotIndex::default(), opts)
+    }
+
+    /// An in-memory store over `index` at epoch 0.
+    fn with_index(index: SnapshotIndex, opts: StoreOptions) -> Self {
         Store {
-            inner: Arc::new(RwLock::new(StoreInner {
-                base: Arc::new(GraphIndex::default().with_dict(dict.clone())),
-                adds: Arc::new(GraphIndex::default().with_dict(dict.clone())),
-                dels: Arc::new(HashSet::new()),
-                dict,
-                epoch: 0,
-                log: Vec::new(),
-                compactions: 0,
-            })),
+            inner: Arc::new(RwLock::new(StoreInner::new(index, 0))),
             cache: QueryCache::new(opts.cache_capacity),
             opts,
             hub: Arc::new(MetricsHub::default()),
@@ -698,27 +658,18 @@ impl Store {
         let recovered = owql_persist::recover(&dir)?;
 
         // Seed the term dictionary straight from the segment's
-        // rank-sorted term table: every segment triple then re-indexes
-        // with dictionary *hits* only (zero re-interning on recovery).
-        let (dict, base, watermark) = match &recovered.segment {
+        // rank-sorted term table (id = rank + 1), so the segment's SPO
+        // run is the base's rows once every id is shifted by one: no
+        // term is decoded, re-interned or re-encoded on recovery.
+        let mut inner = match &recovered.segment {
             Some(seg) => {
                 let dict = Arc::new(TermDict::from_sorted_terms(seg.terms()));
-                let base = GraphIndex::from_triples_with_dict(seg.triples(), dict.clone());
-                (dict, base, seg.epoch())
+                let id = |rank: u32| TermId::from(rank) + 1;
+                let rows = seg.spo().iter().map(|&[s, p, o]| [id(s), id(p), id(o)]);
+                let base = IdRuns::from_spo_rows(rows.collect());
+                StoreInner::new(SnapshotIndex::new(dict, base), seg.epoch())
             }
-            None => {
-                let dict = Arc::new(TermDict::new());
-                (dict.clone(), GraphIndex::default().with_dict(dict), 0)
-            }
-        };
-        let mut inner = StoreInner {
-            base: Arc::new(base),
-            adds: Arc::new(GraphIndex::default().with_dict(dict.clone())),
-            dels: Arc::new(HashSet::new()),
-            dict,
-            epoch: watermark,
-            log: Vec::new(),
-            compactions: 0,
+            None => StoreInner::new(SnapshotIndex::default(), 0),
         };
         for record in &recovered.replay {
             for op in &record.ops {
@@ -798,15 +749,7 @@ impl Store {
 
     /// A store seeded with `graph` as its base index (epoch 0).
     pub fn from_graph(graph: &Graph) -> Self {
-        let store = Store::new();
-        {
-            let mut inner = store.inner.write().expect("store lock poisoned");
-            inner.base = Arc::new(GraphIndex::from_triples_with_dict(
-                graph.iter().copied(),
-                inner.dict.clone(),
-            ));
-        }
-        store
+        Store::with_index(SnapshotIndex::from_graph(graph), StoreOptions::default())
     }
 
     /// Current epoch (bumped by every state-changing commit).
@@ -816,8 +759,7 @@ impl Store {
 
     /// Number of currently visible triples.
     pub fn len(&self) -> usize {
-        let inner = self.inner.read().expect("store lock poisoned");
-        inner.base.len() - inner.dels.len() + inner.adds.len()
+        self.inner.read().expect("store lock poisoned").index.len()
     }
 
     /// `true` iff no triple is visible.
@@ -825,12 +767,12 @@ impl Store {
         self.len() == 0
     }
 
-    /// Takes a point-in-time snapshot (three `Arc` clones — `O(1)`).
+    /// Takes a point-in-time snapshot (four `Arc` clones — `O(1)`).
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.read().expect("store lock poisoned");
         Snapshot {
             epoch: inner.epoch,
-            index: inner.snapshot_index(),
+            index: inner.index.clone(),
         }
     }
 
@@ -870,7 +812,10 @@ impl Store {
                 DeltaOp::Insert(t) => (t, true),
                 DeltaOp::Delete(t) => (t, false),
             };
-            let currently = staged.get(&t).copied().unwrap_or_else(|| inner.visible(&t));
+            let currently = staged
+                .get(&t)
+                .copied()
+                .unwrap_or_else(|| inner.index.contains(&t));
             if currently != wanted {
                 effective.push(op);
                 staged.insert(t, wanted);
@@ -955,45 +900,24 @@ impl Store {
     /// Folds the delta into a fresh base if the compaction policy says
     /// so; called under the write lock.
     fn maybe_compact(&self, inner: &mut StoreInner) -> bool {
-        let delta_len = inner.adds.len() + inner.dels.len();
         let threshold = self
             .opts
             .min_compact
-            .max((self.opts.compact_fraction * inner.base.len() as f64) as usize);
-        if delta_len <= threshold {
+            .max((self.opts.compact_fraction * inner.index.base_len() as f64) as usize);
+        if inner.index.delta_len() <= threshold {
             return false;
         }
-        self.compact_inner(inner);
+        inner.compact();
         true
     }
 
-    fn compact_inner(&self, inner: &mut StoreInner) {
-        // Fold the overlay into a fresh base, re-encoded with the
-        // store-wide dictionary (ids are append-only, so every
-        // surviving triple keeps the ids it already had).
-        let folded = GraphIndex::from_triples_with_dict(
-            inner
-                .base
-                .all()
-                .iter()
-                .filter(|t| !inner.dels.contains(t))
-                .chain(inner.adds.all().iter())
-                .copied(),
-            inner.dict.clone(),
-        );
-        inner.base = Arc::new(folded);
-        inner.adds = Arc::new(GraphIndex::default().with_dict(inner.dict.clone()));
-        inner.dels = Arc::new(HashSet::new());
-        inner.log.clear();
-        inner.compactions += 1;
-    }
-
     /// Forces a compaction regardless of the policy (no epoch change —
-    /// the visible graph is identical before and after).
+    /// the visible graph, and every term id, is identical before and
+    /// after).
     pub fn force_compact(&self) {
         let mut inner = self.inner.write().expect("store lock poisoned");
-        if inner.adds.len() + inner.dels.len() > 0 {
-            self.compact_inner(&mut inner);
+        if inner.index.delta_len() > 0 {
+            inner.compact();
         }
     }
 
@@ -1180,15 +1104,16 @@ impl Store {
     /// `"persist"`) section of a traced [`Profile`].
     pub fn metrics(&self) -> StoreMetrics {
         let inner = self.inner.read().expect("store lock poisoned");
+        let dict = inner.index.dict();
         StoreMetrics {
             epoch: inner.epoch,
-            len: inner.base.len() - inner.dels.len() + inner.adds.len(),
-            base_len: inner.base.len(),
-            delta_len: inner.adds.len() + inner.dels.len(),
+            len: inner.index.len(),
+            base_len: inner.index.base_len(),
+            delta_len: inner.index.delta_len(),
             compactions: inner.compactions,
-            dict_terms: inner.dict.len(),
-            dict_hits: inner.dict.hits(),
-            dict_misses: inner.dict.misses(),
+            dict_terms: dict.len(),
+            dict_hits: dict.hits(),
+            dict_misses: dict.misses(),
             cache: self.cache.stats(),
             persist: self.persist.as_deref().map(PersistState::metrics),
         }
@@ -1198,7 +1123,12 @@ impl Store {
     /// snapshot this store hands out). Ids are append-only: once a term
     /// has an id, it keeps it across commits and compactions.
     pub fn dict(&self) -> Arc<TermDict> {
-        self.inner.read().expect("store lock poisoned").dict.clone()
+        self.inner
+            .read()
+            .expect("store lock poisoned")
+            .index
+            .dict()
+            .clone()
     }
 
     /// Durability counters — `Some` iff the store persists to disk.
@@ -1212,6 +1142,7 @@ mod tests {
     use super::*;
     use owql_rdf::graph::graph_from;
     use owql_rdf::term::triple;
+    use owql_rdf::Iri;
 
     fn small_opts() -> StoreOptions {
         StoreOptions {
@@ -1306,17 +1237,46 @@ mod tests {
 
     #[test]
     fn force_compact_preserves_visible_graph_and_epoch() {
-        let store = Store::new();
-        store.insert(triple("a", "p", "b"));
+        let store = Store::from_graph(&graph_from(&[("a", "p", "b"), ("x", "q", "y")]));
+        store.insert(triple("a", "p", "b2"));
         store.insert(triple("c", "p", "d"));
         store.delete(&triple("a", "p", "b"));
         let graph = store.to_graph();
         let epoch = store.epoch();
+        let dict = store.dict();
+        let ids: Vec<_> = dict.with_terms(|terms| terms.to_vec());
+        let live_rows = |snap: &Snapshot| {
+            let mut rows: Vec<_> = snap.id_view().rows(None, None, None).collect();
+            rows.sort_unstable();
+            rows
+        };
+        let before = live_rows(&store.snapshot());
         store.force_compact();
         assert_eq!(store.to_graph(), graph);
         assert_eq!(store.epoch(), epoch);
         assert_eq!(store.metrics().delta_len, 0);
         assert!(store.history().is_empty());
+        // Every term keeps its id, and the live rows are the same rows.
+        assert!(Arc::ptr_eq(&store.dict(), &dict));
+        assert_eq!(dict.with_terms(|terms| terms.to_vec()), ids);
+        let after = store.snapshot();
+        assert_eq!(after.id_view().base.spo(), &before[..]);
+        assert_eq!(live_rows(&after), before);
+    }
+
+    /// Deleting a triple over a term the store never saw changes
+    /// nothing and interns nothing.
+    #[test]
+    fn delete_of_unseen_terms_interns_nothing() {
+        let store = Store::from_graph(&graph_from(&[("a", "p", "b")]));
+        let terms = store.dict().len();
+        let mut tx = store.begin();
+        tx.delete(triple("a", "p", "never_seen"))
+            .delete(triple("never", "seen", "either"));
+        assert_eq!(store.commit(tx).applied, 0);
+        assert_eq!(store.epoch(), 0);
+        assert_eq!(store.dict().len(), terms);
+        assert_eq!(store.dict().lookup(Iri::new("never_seen")), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! semantics transcribed) over the same visible graph, across
 //! sequential and parallel modes, live snapshots with deletes, and
 //! dictionary growth over commits — plus deterministic coverage of the
-//! corners that make the walker total: fully ground patterns, backends
-//! assembled from differently-encoded parts, and the 64-variable limit.
+//! corners that make the walker total: fully ground patterns, joins
+//! across the base/overlay boundary, and the 64-variable limit.
 
 use owql::algebra::analysis::Operators;
 use owql::algebra::random::{random_pattern, PatternConfig};
@@ -15,15 +15,8 @@ use owql::prelude::*;
 use owql::rdf::shard_rows;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
-use std::sync::Arc;
 
-fn run_with<I: TripleLookup>(
-    engine: &Engine<I>,
-    p: &Pattern,
-    pool: &Pool,
-    parallel: bool,
-) -> MappingSet {
+fn run_with(engine: &Engine, p: &Pattern, pool: &Pool, parallel: bool) -> MappingSet {
     let opts = if parallel {
         ExecOpts::parallel()
     } else {
@@ -119,7 +112,7 @@ fn columnar_matches_reference_on_store_snapshots() {
 /// `P1 OPT P2 ≡s NS(P1 UNION (P1 AND P2))` (both directions of `⊑`;
 /// plain `≡` fails when the left operand carries subsumed answers, see
 /// DESIGN §6), `NS(NS(P)) = NS(P)`, and OPT equal to the reference.
-fn assert_opt_laws<I: TripleLookup>(engine: &Engine<I>, graph: &Graph, p1: &Pattern, p2: &Pattern) {
+fn assert_opt_laws(engine: &Engine, graph: &Graph, p1: &Pattern, p2: &Pattern) {
     let seq = Pool::sequential();
     let opt = p1.clone().opt(p2.clone());
     let ns = p1.clone().union(p1.clone().and(p2.clone())).ns();
@@ -443,21 +436,24 @@ fn ground_patterns_are_total_at_every_width_and_shard_count() {
     }
 }
 
-/// A snapshot whose base and delta were indexed on *different*
-/// dictionaries is re-homed onto one by `SnapshotIndex::new`, so joins
-/// that cross the base/delta boundary compare ids of one encoding.
+/// A snapshot whose joins cross the base/overlay boundary: the add
+/// tier's new terms (`k`) get ids after every base term, out of string
+/// order, and a deleted base row sits beside them — one dictionary
+/// encodes both tiers, so the joins compare ids of one encoding.
 #[test]
-fn snapshot_over_mixed_dictionaries_evaluates() {
-    // Interning orders differ: `z0` sorts last in the base but the
-    // delta's private dictionary hands its terms the low ids.
-    let base = GraphIndex::from_triples([
-        Triple::new("a", "p", "b"),
-        Triple::new("b", "p", "z0"),
-        Triple::new("z0", "q", "a"),
-    ]);
-    let adds = GraphIndex::from_triples([Triple::new("z0", "p", "k"), Triple::new("k", "q", "b")]);
-    let dels: HashSet<Triple> = [Triple::new("a", "p", "b")].into_iter().collect();
-    let snapshot = SnapshotIndex::new(Arc::new(base), Arc::new(adds), Arc::new(dels));
+fn snapshot_overlay_joins_across_tiers() {
+    let mut snapshot = SnapshotIndex::from_graph(
+        &[
+            Triple::new("a", "p", "b"),
+            Triple::new("b", "p", "z0"),
+            Triple::new("z0", "q", "a"),
+        ]
+        .into_iter()
+        .collect(),
+    );
+    assert!(snapshot.insert(Triple::new("z0", "p", "k")));
+    assert!(snapshot.insert(Triple::new("k", "q", "b")));
+    assert!(snapshot.delete(&Triple::new("a", "p", "b")));
     let graph = snapshot.to_graph();
     assert_eq!(graph.len(), 4);
     let engine = Engine::with_index(snapshot);
@@ -635,8 +631,8 @@ fn assert_spans_follow_plan(plan: &Plan, profile: &Profile, walk: Walk, what: &s
 /// `explain` of the pattern the run planned (the optimized one, when
 /// `opts` asks for it) is the plan the run reports, and the run's SCAN
 /// spans are that plan's steps, labels and estimates.
-fn assert_explain_is_the_run<I: TripleLookup>(
-    engine: &Engine<I>,
+fn assert_explain_is_the_run(
+    engine: &Engine,
     p: &Pattern,
     opts: ExecOpts,
     pool: &Pool,
@@ -846,7 +842,7 @@ fn sharded_scans_are_plan_steps() {
 
 /// The scan labels and estimates a traced sequential run of `p`
 /// recorded for its outermost spine, in span-id order.
-fn traced_scans<I: TripleLookup>(engine: &Engine<I>, p: &Pattern) -> Vec<ScanKey> {
+fn traced_scans(engine: &Engine, p: &Pattern) -> Vec<ScanKey> {
     let out = engine
         .run(p, &ExecOpts::seq().traced(), &Pool::sequential())
         .expect("unlimited budget cannot time out");

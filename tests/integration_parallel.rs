@@ -11,12 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Runs `p` through the unified entry point with the given options.
-fn run_with<I: TripleLookup + Sync>(
-    engine: &Engine<I>,
-    p: &Pattern,
-    opts: &ExecOpts,
-    pool: &Pool,
-) -> MappingSet {
+fn run_with(engine: &Engine, p: &Pattern, opts: &ExecOpts, pool: &Pool) -> MappingSet {
     engine
         .run(p, opts, pool)
         .expect("unlimited budget cannot time out")

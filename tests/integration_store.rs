@@ -8,8 +8,8 @@ use owql::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Sequential evaluation of `p` on any engine via the unified API.
-fn eval<I: TripleLookup + Sync>(engine: &Engine<I>, p: &Pattern) -> MappingSet {
+/// Sequential evaluation of `p` on an engine via the unified API.
+fn eval(engine: &Engine, p: &Pattern) -> MappingSet {
     engine
         .run(p, &ExecOpts::seq(), &Pool::sequential())
         .expect("unlimited budget cannot time out")

@@ -3,9 +3,9 @@
 //! The term-level [`Mapping`]/[`MappingSet`] types implement the
 //! paper's semantics directly; this module is their hot-path twin over
 //! [`TermId`]s. A query's variables are fixed up front in a
-//! [`VarFrame`]; a solution is then a dense row of `u64` ids — one slot
+//! [`VarFrame`]; a solution is then a dense row of `u32` ids — one slot
 //! per frame variable, `0` ([`NO_TERM`]) meaning "unbound" — and a
-//! solution set is a flat row-major `Vec<u64>`. On this layout the
+//! solution set is a flat row-major `Vec<TermId>`. On this layout the
 //! paper's core relations collapse to word operations:
 //!
 //! * compatibility `µ₁ ∼ µ₂`: per column, `a == 0 || b == 0 || a == b`;
@@ -250,7 +250,7 @@ impl IdMappingSet {
             .collect();
         let hash = |row: &[TermId]| {
             let mut h = FxHasher::default();
-            key.iter().for_each(|&c| h.write_u64(row[c]));
+            key.iter().for_each(|&c| h.write_u32(row[c]));
             h.finish()
         };
         let swapped = self.len() > other.len();

@@ -10,16 +10,16 @@
 //! no column is bound in every row (empty key), and no rows at all.
 
 use owql_algebra::{IdMappingSet, Iri, MappingSet, VarFrame, Variable};
-use owql_rdf::TermDict;
+use owql_rdf::{TermDict, TermId};
 use proptest::prelude::*;
 
 /// Distinct term ids in play; `0` is unbound.
-const IDS: u64 = 3;
+const IDS: TermId = 3;
 const MAX_WIDTH: usize = 6;
 
 /// One side: its shape (see the module docs) and raw cells, `MAX_WIDTH`
 /// per row, in `0..=IDS`.
-fn arb_side() -> impl Strategy<Value = (u8, Vec<Vec<u64>>)> {
+fn arb_side() -> impl Strategy<Value = (u8, Vec<Vec<TermId>>)> {
     (
         0..5u8,
         proptest::collection::vec(
@@ -29,7 +29,7 @@ fn arb_side() -> impl Strategy<Value = (u8, Vec<Vec<u64>>)> {
     )
 }
 
-fn build(width: usize, (shape, cells): (u8, Vec<Vec<u64>>)) -> IdMappingSet {
+fn build(width: usize, (shape, cells): (u8, Vec<Vec<TermId>>)) -> IdMappingSet {
     let mut set = IdMappingSet::new(width);
     for (r, row) in cells.iter().enumerate() {
         let mut row = row[..width].to_vec();
@@ -54,7 +54,7 @@ fn assert_matches(
     dict: &TermDict,
     op: &str,
 ) {
-    let rows: Vec<&[u64]> = got.rows().collect();
+    let rows: Vec<&[TermId]> = got.rows().collect();
     assert!(
         rows.windows(2).all(|w| w[0] < w[1]),
         "{op}: rows not sorted and distinct"

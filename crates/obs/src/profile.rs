@@ -216,6 +216,9 @@ pub struct StoreMetrics {
     pub delta_len: usize,
     /// Compactions performed so far.
     pub compactions: u64,
+    /// Allocated bytes of the triple index: its id runs, deletion set
+    /// and dictionary tables.
+    pub index_bytes: usize,
     /// Terms in the store-wide dictionary (append-only across epochs).
     pub dict_terms: usize,
     /// Dictionary interns that found an existing id.
@@ -239,6 +242,11 @@ impl StoreMetrics {
                 "owql_store_triples",
                 "Triples visible to a fresh snapshot.",
                 self.len as u64,
+            ),
+            Family::gauge(
+                "owql_store_index_bytes",
+                "Allocated bytes of the triple index: id runs, deletion set and dictionary tables.",
+                self.index_bytes as u64,
             ),
             Family::counter(
                 "owql_store_cache_hits_total",
@@ -382,7 +390,8 @@ impl Profile {
                 let _ = writeln!(
                     out,
                     "  \"store\": {{\"epoch\": {}, \"triples\": {}, \"base_len\": {}, \
-                     \"delta_len\": {}, \"compactions\": {}, \"dict_terms\": {}, \
+                     \"delta_len\": {}, \"compactions\": {}, \"index_bytes\": {}, \
+                     \"dict_terms\": {}, \
                      \"dict_hits\": {}, \"dict_misses\": {}, \"cache_hits\": {}, \
                      \"cache_misses\": {}, \"cache_evictions\": {}, \
                      \"cache_invalidations\": {}, \"cache_hit_rate\": {}}},",
@@ -391,6 +400,7 @@ impl Profile {
                     s.base_len,
                     s.delta_len,
                     s.compactions,
+                    s.index_bytes,
                     s.dict_terms,
                     s.dict_hits,
                     s.dict_misses,
@@ -470,6 +480,7 @@ mod tests {
             base_len: 90,
             delta_len: 10,
             compactions: 1,
+            index_bytes: 4800,
             dict_terms: 42,
             dict_hits: 5,
             dict_misses: 42,

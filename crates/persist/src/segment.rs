@@ -31,10 +31,11 @@
 //! sorted array — the layout of the in-memory `owql_rdf::IdRuns`,
 //! where every triple-pattern shape is a binary-searched contiguous
 //! range of exactly one run. A loaded [`Segment`] keeps the term table
-//! and the SPO run; a reopening store seeds its dictionary from the
-//! table (`id = rank + 1`) and rebuilds its base runs from the SPO run,
-//! so nothing is re-interned. The POS and OSP runs are checked on load
-//! through the body CRC alone.
+//! and the SPO run; a reopening store takes both
+//! ([`Segment::into_parts`]), seeds its dictionary from the table
+//! (`id = rank + 1`) and rebuilds its base runs from the SPO run, so
+//! nothing is re-interned or copied. The POS and OSP runs are checked
+//! on load through the body CRC alone.
 //!
 //! Segments are written to a temp file, fsync'd, then renamed into
 //! place (and the directory fsync'd): a crash mid-write leaves a
@@ -42,7 +43,7 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_parent_dir;
-use owql_rdf::{Iri, Triple};
+use owql_rdf::{Iri, TermDict, TermId, Triple};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::File;
@@ -227,6 +228,14 @@ impl Segment {
                 runs_bytes
             )));
         }
+        // A term's id is its rank + 1, so the table must leave room in
+        // the id space for every rank: checked before any id is formed.
+        if TermDict::check_capacity(0, term_count).is_err() {
+            return Err(corrupt(format!(
+                "{term_count} terms overflow the {}-term id space",
+                TermId::MAX
+            )));
+        }
         // Every term carries a 4-byte length prefix.
         if term_count > terms_bytes / 4 {
             return Err(corrupt(format!(
@@ -297,19 +306,17 @@ impl Segment {
         self.terms.len()
     }
 
-    /// The term dictionary: lexicographically sorted, id = rank. A
-    /// recovering store seeds its in-memory `TermDict` from this table
-    /// (`TermDict::from_sorted_terms` assigns `rank + 1`, reserving `0`
-    /// for "unbound"), so the SPO run becomes its base rows by adding
-    /// one to every id, with zero dictionary misses.
-    pub fn terms(&self) -> &[Iri] {
-        &self.terms
-    }
-
-    /// The SPO run: `[s, p, o]` rows of term ranks (indexes into
-    /// [`Segment::terms`]), sorted and distinct.
-    pub fn spo(&self) -> &[[u32; 3]] {
-        &self.spo
+    /// Hands over, without copying either, the term dictionary —
+    /// lexicographically sorted, id = rank — and the SPO run: `[s, p,
+    /// o]` rows of term ranks (indexes into the dictionary), sorted and
+    /// distinct. A recovering store seeds its in-memory `TermDict` from
+    /// the table (`TermDict::from_sorted_terms` assigns `rank + 1`,
+    /// reserving `0` for "unbound"), so the SPO run becomes its base
+    /// rows by adding one to every rank in place, with zero dictionary
+    /// misses: every rank is below [`Segment::term_count`], which is at
+    /// most `TermId::MAX`.
+    pub fn into_parts(self) -> (Vec<Iri>, Vec<[u32; 3]>) {
+        (self.terms, self.spo)
     }
 
     /// Number of triples in the segment.
@@ -415,13 +422,16 @@ mod tests {
 
     /// The segment's triples in SPO order, decoded through its term
     /// table.
-    fn decoded(segment: &Segment) -> impl Iterator<Item = Triple> + '_ {
-        let term = |rank: u32| segment.terms()[rank as usize];
-        segment.spo().iter().map(move |&[s, p, o]| Triple {
-            s: term(s),
-            p: term(p),
-            o: term(o),
-        })
+    fn decoded(segment: Segment) -> Vec<Triple> {
+        let (terms, spo) = segment.into_parts();
+        let term = |rank: u32| terms[rank as usize];
+        spo.iter()
+            .map(|&[s, p, o]| Triple {
+                s: term(s),
+                p: term(p),
+                o: term(o),
+            })
+            .collect()
     }
 
     fn sample() -> Vec<Triple> {
@@ -447,7 +457,7 @@ mod tests {
         assert_eq!(segment.len(), triples.len());
         let mut want = triples.clone();
         want.sort();
-        assert_eq!(decoded(&segment).collect::<Vec<_>>(), want);
+        assert_eq!(decoded(segment), want);
     }
 
     /// The loaded SPO run is the rank encoding of the sorted, distinct
@@ -459,16 +469,16 @@ mod tests {
         let dir = tmp("ranks");
         let path = write_segment(&dir, 1, 1, &sample()).expect("write");
         let segment = Segment::load(&path).expect("load");
-        let terms = segment.terms();
+        let (terms, spo) = segment.into_parts();
         assert!(terms.windows(2).all(|w| w[0] < w[1]));
-        assert!(segment.spo().windows(2).all(|w| w[0] < w[1]));
+        assert!(spo.windows(2).all(|w| w[0] < w[1]));
         let rank = |t: Iri| terms.binary_search(&t).expect("in the table") as u32;
         let mut want: Vec<[u32; 3]> = sample()
             .iter()
             .map(|t| [rank(t.s), rank(t.p), rank(t.o)])
             .collect();
         want.sort_unstable();
-        assert_eq!(segment.spo(), &want[..]);
+        assert_eq!(spo, want);
     }
 
     #[test]
@@ -481,7 +491,7 @@ mod tests {
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.len(), sample().len());
         assert_eq!(
-            decoded(&segment).collect::<Graph>(),
+            decoded(segment).into_iter().collect::<Graph>(),
             graph_from(&[
                 ("a", "p", "b"),
                 ("a", "p", "c"),
@@ -504,9 +514,9 @@ mod tests {
     }
 
     /// A crafted file whose CRCs were recomputed (a CRC is no MAC) is
-    /// rejected as corrupt, never a crash: a term count too large to
-    /// allocate, counts whose byte total wraps around to the body
-    /// length, and a term table out of order.
+    /// rejected as corrupt, never a crash: a term count past the id
+    /// space or too large to allocate, counts whose byte total wraps
+    /// around to the body length, and a term table out of order.
     #[test]
     fn crafted_header_counts_are_rejected() {
         let dir = tmp("crafted");
@@ -523,6 +533,13 @@ mod tests {
             std::fs::write(&path, &bytes).expect("write forged");
             Segment::load(&path)
         };
+        // One term past the id space is refused before any `rank + 1`
+        // is formed; a full id space passes that check and fails the
+        // next one, since this body cannot hold that many terms.
+        let past = forge(&[(32, u64::from(TermId::MAX) + 1)]).expect_err("past the id space");
+        assert!(past.to_string().contains("id space"), "{past}");
+        let full = forge(&[(32, u64::from(TermId::MAX))]).expect_err("too many terms");
+        assert!(full.to_string().contains("cannot fit"), "{full}");
         let huge_terms = forge(&[(32, 1 << 58)]);
         assert!(
             matches!(huge_terms, Err(SegmentError::Corrupt(_))),

@@ -2,9 +2,10 @@
 //!
 //! The evaluation hot path — scans, AND-spine joins, mapping
 //! compatibility, NS subsumption — historically compared [`Iri`] terms
-//! per mapping. This module interns every term into a dense `u64`
+//! per mapping. This module interns every term into a dense `u32`
 //! [`TermId`] once, at load/commit time, so the hot path becomes word
-//! compares over columnar batches:
+//! compares over columnar batches, and an id row `[s, p, o]` is 12
+//! bytes in memory as it is in a persisted segment:
 //!
 //! * [`TermDict`] — an append-only, thread-safe `Iri ↔ TermId` map.
 //!   Ids are *rank-preserving at seed time*: [`TermDict::from_sorted_terms`]
@@ -23,17 +24,51 @@
 //!   delta runs and a deletion set (the `owql-store` snapshot shape).
 //!
 //! Id `0` is reserved as the "unbound" sentinel so a columnar mapping
-//! row can use a plain `0` for an absent binding.
+//! row can use a plain `0` for an absent binding. Real ids are
+//! `1..=TermId::MAX`, so a dictionary holds at most `u32::MAX` terms
+//! (the segment format's limit too). The id space is checked, never
+//! wrapped: a wrapped id would be `0` and silently turn a term into
+//! "unbound", so [`TermDict::check_capacity`] refuses a batch that would
+//! outgrow it before any of its terms is interned.
 
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::term::{Iri, Triple};
 use std::collections::HashSet;
+use std::fmt;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// A dictionary-assigned term identifier. `0` is reserved for "unbound";
-/// real ids start at `1`.
-pub type TermId = u64;
+/// real ids are `1..=TermId::MAX`.
+pub type TermId = u32;
+
+const _: () = assert!(size_of::<[TermId; 3]>() == 12);
+
+/// The most terms one dictionary can hold: one per non-zero id.
+const MAX_TERMS: usize = TermId::MAX as usize;
+
+/// A batch of terms refused because its new terms would push the
+/// dictionary past [`TermId::MAX`] terms.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdSpaceFull {
+    /// Terms the dictionary already holds.
+    pub existing: usize,
+    /// Terms the batch would add.
+    pub new: usize,
+}
+
+impl fmt::Display for IdSpaceFull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} new terms do not fit beside {} existing ones: a term dictionary holds at most {} terms",
+            self.new, self.existing, MAX_TERMS
+        )
+    }
+}
+
+impl std::error::Error for IdSpaceFull {}
 
 /// The reserved "no binding" sentinel.
 pub const NO_TERM: TermId = 0;
@@ -46,6 +81,13 @@ struct DictInner {
 }
 
 impl DictInner {
+    /// Allocated bytes of the two tables: their capacity, not just the
+    /// live entries, with one control byte per hash slot.
+    fn heap_bytes(&self) -> usize {
+        self.terms.capacity() * size_of::<Iri>()
+            + self.ids.capacity() * (size_of::<(Iri, TermId)>() + 1)
+    }
+
     fn encode(&self, t: &Triple) -> Option<[TermId; 3]> {
         Some([
             *self.ids.get(&t.s)?,
@@ -74,21 +116,52 @@ impl TermDict {
         TermDict::default()
     }
 
+    /// `Ok` iff `new` more terms fit beside `existing` ones, i.e.
+    /// `existing + new <= TermId::MAX`. The one capacity check every
+    /// path that assigns ids in bulk goes through.
+    pub fn check_capacity(existing: usize, new: usize) -> Result<(), IdSpaceFull> {
+        match existing.checked_add(new) {
+            Some(total) if total <= MAX_TERMS => Ok(()),
+            _ => Err(IdSpaceFull { existing, new }),
+        }
+    }
+
+    /// [`TermDict::check_capacity`] for interning `terms` (duplicates
+    /// and already-interned terms allowed) into this dictionary. Only
+    /// counts the genuinely new ones when the batch's size alone does
+    /// not already prove it fits.
+    pub fn check_room(&self, terms: impl Iterator<Item = Iri> + Clone) -> Result<(), IdSpaceFull> {
+        let inner = self.inner.read().unwrap();
+        let existing = inner.terms.len();
+        if TermDict::check_capacity(existing, terms.clone().count()).is_ok() {
+            return Ok(());
+        }
+        let new: FxHashSet<Iri> = terms.filter(|t| !inner.ids.contains_key(t)).collect();
+        TermDict::check_capacity(existing, new.len())
+    }
+
     /// Seeds a dictionary from a lexicographically sorted, distinct term
     /// table, assigning `id = rank + 1` — the persisted-segment layout,
-    /// so a recovered store reuses segment ids verbatim.
-    pub fn from_sorted_terms(terms: &[Iri]) -> TermDict {
+    /// so a recovered store reuses segment ids verbatim. Takes an owned
+    /// table without copying it.
+    ///
+    /// # Panics
+    ///
+    /// If the table holds more than `TermId::MAX` terms (a segment
+    /// with that many is rejected as corrupt when it loads).
+    pub fn from_sorted_terms(terms: impl Into<Vec<Iri>>) -> TermDict {
+        let terms = terms.into();
         debug_assert!(
             terms.windows(2).all(|w| w[0] < w[1]),
             "seed terms must be sorted and distinct"
         );
-        let mut inner = DictInner {
-            ids: FxHashMap::with_capacity_and_hasher(terms.len(), Default::default()),
-            terms: terms.to_vec(),
-        };
-        for (rank, &t) in terms.iter().enumerate() {
-            inner.ids.insert(t, rank as TermId + 1);
+        if let Err(full) = TermDict::check_capacity(0, terms.len()) {
+            panic!("{full}");
         }
+        let mut ids = FxHashMap::with_capacity_and_hasher(terms.len(), Default::default());
+        // The capacity check makes the zip exact: every rank gets an id.
+        ids.extend(terms.iter().copied().zip(1..=TermId::MAX));
+        let inner = DictInner { ids, terms };
         TermDict {
             inner: RwLock::new(inner),
             hits: AtomicU64::new(0),
@@ -98,6 +171,12 @@ impl TermDict {
 
     /// Interns a term, returning its id (existing id on a hit, a fresh
     /// one on a miss).
+    ///
+    /// # Panics
+    ///
+    /// On a miss when the dictionary already holds `TermId::MAX` terms.
+    /// Bulk callers rule this out up front with
+    /// [`TermDict::check_room`].
     pub fn intern(&self, term: Iri) -> TermId {
         if let Some(&id) = self.inner.read().unwrap().ids.get(&term) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -109,8 +188,9 @@ impl TermDict {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return id;
         }
+        let id = TermId::try_from(inner.terms.len() + 1)
+            .expect("the term dictionary is full: it holds at most u32::MAX terms");
         inner.terms.push(term);
-        let id = inner.terms.len() as TermId;
         inner.ids.insert(term, id);
         self.misses.fetch_add(1, Ordering::Relaxed);
         id
@@ -166,6 +246,13 @@ impl TermDict {
     /// `true` iff no term has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Allocated bytes of the id → term and term → id tables (the
+    /// terms' text lives in the process-wide [`Iri`] interner and is
+    /// not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.inner.read().unwrap().heap_bytes()
     }
 
     /// Interns that found an existing id.
@@ -232,6 +319,11 @@ impl IdRuns {
     /// dictionary the assigned ids are exactly the sorted ranks (the
     /// segment-compatible layout); on a pre-seeded dictionary existing
     /// ids are reused untouched and only genuinely new terms extend it.
+    ///
+    /// # Panics
+    ///
+    /// If the new terms would not fit in the id space (checked before
+    /// any of them is interned, so `dict` is left unchanged).
     pub fn build(triples: &[Triple], dict: &TermDict) -> IdRuns {
         let mut terms: Vec<Iri> = triples
             .iter()
@@ -240,6 +332,9 @@ impl IdRuns {
             .into_iter()
             .collect();
         terms.sort_unstable();
+        if let Err(full) = dict.check_room(terms.iter().copied()) {
+            panic!("{full}");
+        }
         for t in terms {
             dict.intern(t);
         }
@@ -263,6 +358,7 @@ impl IdRuns {
         };
         runs.spo.sort_unstable();
         runs.spo.dedup();
+        runs.spo.shrink_to_fit();
         runs.pos = runs
             .spo
             .iter()
@@ -324,6 +420,11 @@ impl IdRuns {
     /// Number of indexed rows.
     pub fn len(&self) -> usize {
         self.spo.len()
+    }
+
+    /// Allocated bytes of the three runs (12 per row slot).
+    pub fn heap_bytes(&self) -> usize {
+        (self.spo.capacity() + self.pos.capacity() + self.osp.capacity()) * size_of::<[TermId; 3]>()
     }
 
     /// `true` iff no row is indexed.
@@ -533,9 +634,9 @@ mod tests {
     #[test]
     fn seeded_ids_are_ranks() {
         let terms: Vec<Iri> = ["a", "b", "m", "z"].iter().map(|s| Iri::new(s)).collect();
-        let d = TermDict::from_sorted_terms(&terms);
+        let d = TermDict::from_sorted_terms(terms.clone());
         for (rank, &t) in terms.iter().enumerate() {
-            assert_eq!(d.lookup(t), Some(rank as TermId + 1));
+            assert_eq!(d.lookup(t), TermId::try_from(rank + 1).ok());
         }
         // Interning a seeded term is a pure hit; a new term appends.
         assert_eq!(d.intern(Iri::new("m")), 3);
@@ -543,6 +644,57 @@ mod tests {
         let fresh = d.intern(Iri::new("q"));
         assert_eq!(fresh, 5);
         assert_eq!(d.lookup(Iri::new("z")), Some(4), "existing ids unchanged");
+    }
+
+    /// The id space ends at `TermId::MAX` terms: filling it exactly
+    /// fits, one term more is refused (checked on the counts alone, so
+    /// no 2^32-term table is built).
+    #[test]
+    fn capacity_check_is_exact_at_the_boundary() {
+        let existing = TermId::MAX as usize - 1;
+        assert_eq!(TermDict::check_capacity(existing, 1), Ok(()));
+        let refused = TermDict::check_capacity(existing, 2);
+        assert_eq!(refused, Err(IdSpaceFull { existing, new: 2 }));
+        assert!(refused
+            .unwrap_err()
+            .to_string()
+            .contains("at most 4294967295 terms"));
+        assert!(TermDict::check_capacity(usize::MAX, 1).is_err(), "no wrap");
+        assert_eq!(TermDict::check_capacity(0, TermId::MAX as usize), Ok(()));
+
+        // A batch's duplicates and already-interned terms take no id.
+        let d = TermDict::new();
+        let a = Iri::new("a");
+        d.intern(a);
+        assert_eq!(d.check_room([a, a, Iri::new("b")].into_iter()), Ok(()));
+        assert_eq!(d.len(), 1, "checking interns nothing");
+    }
+
+    /// A fresh index's runs cost 36 bytes per row: three permutations
+    /// of a 12-byte id row, with no slack capacity.
+    #[test]
+    fn built_runs_cost_36_bytes_per_row() {
+        let triples: Vec<Triple> = (0..100)
+            .map(|i| {
+                Triple::new(
+                    &format!("s{}", i % 7),
+                    &format!("p{}", i % 3),
+                    &format!("o{i}"),
+                )
+            })
+            .chain((0..10).map(|i| Triple::new(&format!("s{i}"), "p0", "o0")))
+            .collect();
+        let dict = TermDict::new();
+        let runs = IdRuns::build(&triples, &dict);
+        assert_eq!(runs.heap_bytes(), 36 * runs.len());
+        let mut duplicated = runs.spo().to_vec();
+        duplicated.extend_from_slice(runs.spo());
+        let folded = IdRuns::from_spo_rows(duplicated);
+        assert_eq!(
+            folded.heap_bytes(),
+            36 * runs.len(),
+            "dedup leaves no slack"
+        );
     }
 
     #[test]

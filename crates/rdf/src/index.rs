@@ -24,6 +24,7 @@ use crate::dict::{IdRuns, IdView, TermDict, TermId};
 use crate::fx::FxHashSet;
 use crate::graph::Graph;
 use crate::term::Triple;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// A delta-aware triple index: an `Arc`-shared base [`IdRuns`] plus a
@@ -103,6 +104,19 @@ impl SnapshotIndex {
     /// Number of overlay entries (`|adds| + |dels|`).
     pub fn delta_len(&self) -> usize {
         self.adds.len() + self.dels.len()
+    }
+
+    /// Allocated bytes of the index: the base and add-tier runs (12
+    /// bytes per row slot in each of three permutations), the deletion
+    /// set and the dictionary's tables. The runs are counted exactly
+    /// and the hash tables by their usable capacity (a slot plus its
+    /// control byte) — what the index itself holds, unlike a process
+    /// RSS delta.
+    pub fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes()
+            + self.adds.heap_bytes()
+            + self.dels.capacity() * (size_of::<[TermId; 3]>() + 1)
+            + self.dict.heap_bytes()
     }
 
     /// Membership test for a fully ground triple: an id probe. A triple
@@ -279,6 +293,20 @@ mod tests {
         assert_eq!(
             scan(&i, Some("a"), Some("p"), Some("b")),
             vec![triple("a", "p", "b")]
+        );
+    }
+
+    /// A freshly built index holds 36 bytes of runs per base row
+    /// (three 12-byte id rows) beside its dictionary, and no overlay.
+    #[test]
+    fn fresh_index_runs_cost_36_bytes_per_row() {
+        let i = idx();
+        assert_eq!(i.heap_bytes(), 36 * i.base_len() + i.dict().heap_bytes());
+        let mut grown = i.clone();
+        grown.delete(&triple("a", "p", "b"));
+        assert!(
+            grown.heap_bytes() > i.heap_bytes(),
+            "the deletion set counts"
         );
     }
 

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod term;
 pub mod turtle;
 
-pub use dict::{IdRuns, IdView, RunOrder, TermDict, TermId, NO_TERM};
+pub use dict::{IdRuns, IdSpaceFull, IdView, RunOrder, TermDict, TermId, NO_TERM};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
 pub use index::SnapshotIndex;

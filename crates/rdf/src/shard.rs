@@ -27,7 +27,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// assignment while staying deterministic across processes.
 pub fn shard_of(s: TermId, n: usize) -> usize {
     debug_assert!(n > 0);
-    ((s.wrapping_mul(FIB) >> 32) % n as u64) as usize
+    ((u64::from(s).wrapping_mul(FIB) >> 32) % n as u64) as usize
 }
 
 /// Partitions the live rows of `view` into `n` disjoint [`IdRuns`] by

@@ -1,7 +1,7 @@
 //! Property tests for the term dictionary and the id-encoded runs: the
 //! id layer must be an exact, stable mirror of the term layer.
 
-use owql_rdf::{Graph, IdRuns, Iri, TermDict, Triple};
+use owql_rdf::{Graph, IdRuns, Iri, TermDict, TermId, Triple};
 use proptest::prelude::*;
 
 fn arb_iri() -> impl Strategy<Value = Iri> {
@@ -60,12 +60,12 @@ proptest! {
         let mut sorted: Vec<Iri> = seed.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        let dict = TermDict::from_sorted_terms(&sorted);
+        let dict = TermDict::from_sorted_terms(sorted.clone());
         // Rank-preserving: the id of the i-th sorted term is i + 1.
         for (i, &t) in sorted.iter().enumerate() {
-            prop_assert_eq!(dict.lookup(t), Some(i as u64 + 1));
+            prop_assert_eq!(dict.lookup(t), TermId::try_from(i + 1).ok());
         }
-        let before: Vec<(Iri, u64)> =
+        let before: Vec<(Iri, TermId)> =
             sorted.iter().map(|&t| (t, dict.lookup(t).unwrap())).collect();
         for &t in &later {
             dict.intern(t);
@@ -133,8 +133,9 @@ proptest! {
         let dict = TermDict::new();
         let runs = IdRuns::build(&triples, &dict);
         let n = dict.len();
-        let ids: Vec<Option<u64>> =
-            (0..=n.min(6) as u64).map(|i| if i == 0 { None } else { Some(i) }).collect();
+        let ids: Vec<Option<TermId>> = (0..=TermId::try_from(n.min(6)).expect("small"))
+            .map(|i| if i == 0 { None } else { Some(i) })
+            .collect();
         for &s in &ids {
             for &p in &ids {
                 for &o in &ids {

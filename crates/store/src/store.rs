@@ -35,7 +35,7 @@ use owql_eval::{Engine, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_exec::Pool;
 use owql_obs::{MetricsHub, Profile, ShardMetrics, SlowQuery};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
-use owql_rdf::{shard_rows, Graph, IdRuns, SnapshotIndex, TermDict, TermId, Triple};
+use owql_rdf::{shard_rows, Graph, IdRuns, SnapshotIndex, TermDict, Triple};
 use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
@@ -659,15 +659,19 @@ impl Store {
 
         // Seed the term dictionary straight from the segment's
         // rank-sorted term table (id = rank + 1), so the segment's SPO
-        // run is the base's rows once every id is shifted by one: no
-        // term is decoded, re-interned or re-encoded on recovery.
-        let mut inner = match &recovered.segment {
+        // run is the base's rows once every id is shifted by one, in
+        // place: no term is decoded, re-interned or re-encoded, and
+        // neither table is copied. `Segment::load` checked every rank
+        // is below a term count of at most `TermId::MAX`, so no shift
+        // wraps.
+        let mut inner = match recovered.segment {
             Some(seg) => {
-                let dict = Arc::new(TermDict::from_sorted_terms(seg.terms()));
-                let id = |rank: u32| TermId::from(rank) + 1;
-                let rows = seg.spo().iter().map(|&[s, p, o]| [id(s), id(p), id(o)]);
-                let base = IdRuns::from_spo_rows(rows.collect());
-                StoreInner::new(SnapshotIndex::new(dict, base), seg.epoch())
+                let epoch = seg.epoch();
+                let (terms, mut spo) = seg.into_parts();
+                let dict = Arc::new(TermDict::from_sorted_terms(terms));
+                spo.iter_mut().flatten().for_each(|rank| *rank += 1);
+                let base = IdRuns::from_spo_rows(spo);
+                StoreInner::new(SnapshotIndex::new(dict, base), epoch)
             }
             None => StoreInner::new(SnapshotIndex::default(), 0),
         };
@@ -785,16 +789,20 @@ impl Store {
     /// Applies a batch atomically. One epoch bump per commit that
     /// changes anything; no bump for all-no-op batches.
     ///
-    /// On a durable store a WAL-append failure panics; use
-    /// [`Store::try_commit`] to handle the I/O error instead.
+    /// A WAL-append failure on a durable store, or a batch whose new
+    /// terms would outgrow the id space, panics; use
+    /// [`Store::try_commit`] to handle the error instead.
     pub fn commit(&self, tx: Transaction) -> CommitSummary {
-        self.try_commit(tx)
-            .expect("write-ahead log append failed; use try_commit to handle I/O errors")
+        self.try_commit(tx).expect(
+            "commit refused (WAL I/O or a full term dictionary); use try_commit to handle it",
+        )
     }
 
-    /// [`Store::commit`], surfacing WAL I/O errors. On `Err` the store
-    /// is untouched: the effective ops are planned *before* the WAL
-    /// append (a dry run over the current overlay), the record is
+    /// [`Store::commit`], surfacing WAL I/O errors and a batch whose new
+    /// terms would outgrow the dictionary's id space (`TermId::MAX`
+    /// terms). On `Err` the store is untouched: the effective ops are
+    /// planned *before* the WAL append (a dry run over the current
+    /// overlay, which also checks the id space), the record is
     /// written and — per [`PersistConfig::fsync`] — synced, and only
     /// then are the ops applied and the new epoch published. A reader
     /// can therefore never observe an epoch whose WAL record isn't on
@@ -828,6 +836,20 @@ impl Store {
                 compacted: false,
             });
         }
+        // The inserts' new terms must fit in the id space; a batch that
+        // would outgrow it is refused here, with the store untouched.
+        let inserted = effective
+            .iter()
+            .filter_map(|op| match op {
+                DeltaOp::Insert(t) => Some([t.s, t.p, t.o]),
+                DeltaOp::Delete(_) => None,
+            })
+            .flatten();
+        inner
+            .index
+            .dict()
+            .check_room(inserted)
+            .map_err(io::Error::other)?;
 
         // Phase 2 — log: append + fsync the commit record while still
         // holding the write lock, *before* any in-memory change. An
@@ -1111,6 +1133,7 @@ impl Store {
             base_len: inner.index.base_len(),
             delta_len: inner.index.delta_len(),
             compactions: inner.compactions,
+            index_bytes: inner.index.heap_bytes(),
             dict_terms: dict.len(),
             dict_hits: dict.hits(),
             dict_misses: dict.misses(),
@@ -1262,6 +1285,12 @@ mod tests {
         let after = store.snapshot();
         assert_eq!(after.id_view().base.spo(), &before[..]);
         assert_eq!(live_rows(&after), before);
+        // The folded base is 36 bytes of runs per row, with no slack.
+        let metrics = store.metrics();
+        assert_eq!(
+            metrics.index_bytes,
+            36 * metrics.base_len + dict.heap_bytes()
+        );
     }
 
     /// Deleting a triple over a term the store never saw changes

@@ -80,7 +80,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror, plan replay, mirror classifier or second OPT normal form, no second triple index, one JSON escaper, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror, plan replay, mirror classifier or second OPT normal form, no second triple index, no unchecked term-id cast, one JSON escaper, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -139,6 +139,12 @@ stage_lint_smoke() {
   if grep -rnE 'QueryLang''uage|opt_nf_p''ass|certainly_bound_v''ars|fragments::class''ify|rewrite::pattern_t''ree' \
       crates/ tests/ examples/ scripts/; then
     echo "a second fragment classifier, OPT normal form or certainty set reappeared"; exit 1
+  fi
+  # Half-width ids: narrowing into the id space goes through
+  # `TermId::try_from` or the dictionary's capacity check, never a
+  # cast that could wrap a term into the unbound id 0.
+  if grep -rnE 'as Term''Id\b' crates/ --include='*.rs'; then
+    echo "an unchecked cast into the term-id space reappeared"; exit 1
   fi
   if [[ "$(grep -rnF '\\u{:04''x}' crates/ --include='*.rs' | wc -l)" -ne 1 ]]; then
     echo "expected exactly one JSON string escape loop under crates/"; exit 1

@@ -39,6 +39,7 @@ FAMILIES = {
     "owql_server_responses_total": "counter",
     "owql_store_epoch": "gauge",
     "owql_store_triples": "gauge",
+    "owql_store_index_bytes": "gauge",
 }
 
 

@@ -308,7 +308,7 @@ fn dict_ids_stay_stable_across_commits() {
     });
     churn(&store, &mut rng, 30);
     let dict = store.dict();
-    let before: Vec<(u64, Iri)> = (1..=dict.len() as u64)
+    let before: Vec<(TermId, Iri)> = (1..=TermId::try_from(dict.len()).expect("in the id space"))
         .map(|id| (id, dict.resolve(id).expect("dense ids")))
         .collect();
     assert!(!before.is_empty(), "churn interned nothing");

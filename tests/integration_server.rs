@@ -444,6 +444,7 @@ fn both_metrics_renderings_walk_one_family_list() {
         ("owql_server_chunked_responses_total", "counter"),
         ("owql_store_epoch", "gauge"),
         ("owql_store_triples", "gauge"),
+        ("owql_store_index_bytes", "gauge"),
         ("owql_store_cache_hits_total", "counter"),
         ("owql_store_cache_misses_total", "counter"),
         ("owql_wal_records", "gauge"),

@@ -16,12 +16,12 @@
 //! (smallest first, by their actual sizes).
 //!
 //! This is the only production implementation of the semantics.
-//! Sequential, pool-parallel, traced and sharded runs are all the same
+//! Sequential, pool-parallel and traced runs are all the same
 //! [`Columnar::eval`] walk; answer-set equality with
 //! [`crate::reference::evaluate`] — the paper's §2.1/§5.1 definition,
 //! kept as the oracle — is the contract, held by the differential
-//! suites (`#[cfg(test)]` below, `tests/integration_columnar.rs`,
-//! `tests/integration_sharded.rs`, `tests/integration_prune.rs`).
+//! suites (`tests/integration_columnar.rs`,
+//! `tests/integration_parallel.rs`, `tests/integration_prune.rs`).
 //!
 //! **Totality.** A fully ground pattern has an empty variable frame;
 //! its tables are padded to one never-bound column, so the answer is
@@ -38,38 +38,14 @@
 //! flow through the recorder's columnar atomics. A *disabled* recorder
 //! short-circuits before any label formatting or clock read, so the
 //! untraced hot path pays only a predictable branch per operator.
-//!
-//! **Sharding is a scan source.** With a [`ShardSet`] — `N` disjoint
-//! subject-hash partitions of the *same* snapshot's live rows
-//! ([`owql_rdf::shard::shard_rows`]) and one [`Pool`] per shard — two
-//! steps of the walk fan out, and nothing else changes:
-//!
-//! * **AND spines** scatter their *first* step: every shard extends the
-//!   seed table by the plan's first step against its **shard-local**
-//!   runs only. Because the shards partition the live rows disjointly
-//!   by subject id, the per-shard partial tables are disjoint; each
-//!   shard then runs the remaining steps against the **global** view on
-//!   its own pool, and the coordinator merges by concatenation +
-//!   sort/dedup. Only the first scan is partitioned, so no cross-shard
-//!   join pair is ever lost.
-//! * **UNION spines** fan their disjuncts out round-robin across the
-//!   shard pools (each disjunct evaluated whole against the global
-//!   view), merged with set semantics at the coordinator.
-//!
-//! Every other operator — NS maximality included, which needs the
-//! complete candidate set — combines its gathered children at the
-//! coordinator exactly as on one node. The shard runs, the view and
-//! the deletion mask all derive from one [`IdView`], so a scatter
-//! never mixes epochs.
 
 use crate::plan::{IdPos, IdTriple, Node, Plan, Spine, Step};
 use crate::run::{EvalBudget, EvalError, BUDGET_CHECK_STRIDE};
 use owql_algebra::id_mapping::{IdMapping, IdMappingSet, VarFrame};
 use owql_algebra::MappingSet;
 use owql_exec::{chunk_ranges, Pool};
-use owql_obs::{OpKind, Recorder, ShardMetrics, SpanId};
-use owql_rdf::{IdRuns, IdView, TermId, NO_TERM};
-use std::sync::atomic::Ordering;
+use owql_obs::{OpKind, Recorder, SpanId};
+use owql_rdf::{IdView, TermId, NO_TERM};
 
 /// Minimum candidate rows per dealt chunk of a partitioned spine step.
 /// Profiled EXPLAIN ANALYZE runs of the `spine` query, which had
@@ -80,19 +56,7 @@ use std::sync::atomic::Ordering;
 /// spines while leaving genuinely wide spines fanned out.
 const MIN_BINDINGS_PER_CHUNK: usize = 4096;
 
-/// The scatter-gather scan source: disjoint subject-hash partitions of
-/// the evaluated snapshot's live rows, one pool per shard, and the
-/// store's shard counters.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardSet<'a> {
-    pub(crate) runs: &'a [IdRuns],
-    pub(crate) pools: &'a [Pool],
-    pub(crate) metrics: Option<&'a ShardMetrics>,
-}
-
-/// Per-query evaluation context. `Copy`: a sub-context (another pool,
-/// a shard-local view) is a struct update of the coordinator's.
-#[derive(Clone, Copy)]
+/// Per-query evaluation context.
 struct Columnar<'a> {
     view: IdView<'a>,
     frame: &'a VarFrame,
@@ -102,7 +66,6 @@ struct Columnar<'a> {
     /// case every recording call short-circuits on one branch.
     rec: &'a Recorder,
     budget: &'a EvalBudget,
-    shards: Option<ShardSet<'a>>,
 }
 
 /// The part of a spine's state its steps share.
@@ -115,14 +78,12 @@ struct SpineState {
 }
 
 /// Executes `plan` over `view` — the view it was planned against —
-/// decoding to terms at the end. With `shards`, spine seed scans and
-/// UNION disjuncts scatter over them; `pool` is then the coordinator's.
+/// decoding to terms at the end.
 pub(crate) fn run(
     plan: &Plan,
     view: IdView<'_>,
     parallel: bool,
     pool: &Pool,
-    shards: Option<ShardSet<'_>>,
     rec: &Recorder,
     budget: &EvalBudget,
 ) -> Result<MappingSet, EvalError> {
@@ -133,11 +94,7 @@ pub(crate) fn run(
         parallel,
         rec,
         budget,
-        shards,
     };
-    if let Some(m) = shards.and_then(|s| s.metrics) {
-        m.queries_total.fetch_add(1, Ordering::Relaxed);
-    }
     let table = ctx.eval(&plan.root, SpanId::ROOT)?;
     // `decode` emits provably distinct rows, so the resulting
     // `MappingSet` keeps the `Repr::Distinct` fast path and never
@@ -151,17 +108,6 @@ impl Columnar<'_> {
     /// never-bound column for a fully ground pattern.
     fn width(&self) -> usize {
         self.frame.width().max(1)
-    }
-
-    /// This context on another pool, without the shard set: what a
-    /// shard's chain and a scattered UNION disjunct evaluate in.
-    fn on_pool<'b>(&'b self, pool: &'b Pool) -> Columnar<'b> {
-        Columnar {
-            pool,
-            parallel: pool.threads() > 1,
-            shards: None,
-            ..*self
-        }
     }
 
     /// One plan operator: evaluates it and records its span under
@@ -180,20 +126,13 @@ impl Columnar<'_> {
                 (Some(left.len() as u64), left.left_outer_join(&right))
             }
             Node::Union(disjuncts) => {
-                let parts = match self.shards {
-                    // Each disjunct runs whole against the global view,
-                    // dealt round-robin over the shard pools.
-                    Some(shards) => scoped_map(disjuncts.len(), |i| {
-                        self.on_pool(&shards.pools[i % shards.pools.len()])
-                            .eval(&disjuncts[i], id)
-                    }),
-                    None if self.parallel => {
-                        self.pool.map_profiled(disjuncts, rec, |d| self.eval(d, id))
-                    }
+                let parts = if self.parallel {
+                    self.pool.map_profiled(disjuncts, rec, |d| self.eval(d, id))
+                } else {
                     // Left to right, merged by one sort below: a
                     // pairwise fold would re-sort the growing prefix
                     // once per disjunct.
-                    None => disjuncts.iter().map(|d| self.eval(d, id)).collect(),
+                    disjuncts.iter().map(|d| self.eval(d, id)).collect()
                 };
                 (None, self.gather(parts)?)
             }
@@ -234,23 +173,16 @@ impl Columnar<'_> {
     }
 
     /// Concatenates the partial tables of a fan-out and restores set
-    /// semantics; on a sharded run this is one scatter round, counted
-    /// with how many partials were non-empty.
+    /// semantics.
     fn gather(
         &self,
         parts: Vec<Result<IdMappingSet, EvalError>>,
     ) -> Result<IdMappingSet, EvalError> {
         let mut out = IdMappingSet::new(self.width());
-        let mut fanout = 0usize;
         for part in parts {
-            let part = part?;
-            fanout += usize::from(!part.is_empty());
-            for row in part.rows() {
+            for row in part?.rows() {
                 out.push_row(row);
             }
-        }
-        if let Some(m) = self.shards.and_then(|s| s.metrics) {
-            m.record_scatter(fanout);
         }
         out.sort_dedup();
         Ok(out)
@@ -258,10 +190,10 @@ impl Columnar<'_> {
 
     /// The `AND`-spine: evaluate the non-triple conjuncts, join them
     /// smallest-first as the seed, then extend it by the plan's steps
-    /// in order via binary-searched run scans — scattered over the
-    /// shard set when there is one. `span` is this spine's own span id.
-    /// Returns the seeded candidate count (the spine span's `rows_in`)
-    /// with the result.
+    /// in order via binary-searched run scans, stopping early once no
+    /// row is left. `span` is this spine's own span id. Returns the
+    /// seeded candidate count (the spine span's `rows_in`) with the
+    /// result.
     fn eval_spine(
         &self,
         spine: &Spine,
@@ -308,59 +240,15 @@ impl Columnar<'_> {
             dedup: !homogeneous,
             span,
         };
-        let out = match (self.shards, spine.steps.split_first()) {
-            (Some(shards), Some((first, rest))) if !seed.is_empty() => self
-                .gather(scoped_map(shards.runs.len(), |k| {
-                    self.shard_chain(shards, k, &seed, first, rest, state)
-                }))?,
-            _ => self.join_chain(seed, &spine.steps, state)?,
-        };
-        Ok((seeded, out))
-    }
-
-    /// Extends `current` by every step of `steps`, in order, against
-    /// this context's view; stops early once no row is left.
-    fn join_chain(
-        &self,
-        mut current: IdMappingSet,
-        steps: &[Step],
-        state: SpineState,
-    ) -> Result<IdMappingSet, EvalError> {
-        for step in steps {
+        let mut current = seed;
+        for step in &spine.steps {
             if current.is_empty() {
                 break;
             }
             self.budget.check()?;
             current = self.scan_step(&current, step, state)?;
         }
-        Ok(current)
-    }
-
-    /// One shard's chain: extend the seed by the first step against the
-    /// shard-local runs, then run the remaining steps against the
-    /// global view on the shard's own pool.
-    fn shard_chain(
-        &self,
-        shards: ShardSet<'_>,
-        k: usize,
-        seed: &IdMappingSet,
-        first: &Step,
-        rest: &[Step],
-        state: SpineState,
-    ) -> Result<IdMappingSet, EvalError> {
-        let global = self.on_pool(&shards.pools[k.min(shards.pools.len() - 1)]);
-        // Shard runs hold live rows only (deletions were filtered at
-        // partition time), so the local context needs no deletion mask.
-        let local = Columnar {
-            view: IdView::plain(self.view.dict, &shards.runs[k]),
-            ..global
-        };
-        let current = local.scan_step(seed, first, state)?;
-        let out = global.join_chain(current, rest, state)?;
-        if let Some(m) = shards.metrics {
-            m.record_shard_task(k, out.len() as u64);
-        }
-        Ok(out)
+        Ok((seeded, current))
     }
 
     /// One spine step with its `SCAN` span: input candidates in,
@@ -514,88 +402,5 @@ impl Columnar<'_> {
         }
         self.rec.record_columnar_hints(hint_hits, hint_misses);
         Ok(())
-    }
-}
-
-/// Runs `f(0)..f(n - 1)` on one scoped thread each (inline for `n ==
-/// 1`) and collects the results in order — the shard fan-out. The
-/// threads only coordinate; the work inside `f` runs on shard pools.
-fn scoped_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if n == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (0..n).map(|k| s.spawn(move || f(k))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scatter worker panicked"))
-            .collect()
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{evaluate, Engine, ExecOpts};
-    use owql_exec::Pool;
-    use owql_parser::parse_pattern;
-    use owql_rdf::{shard_rows, Graph, Triple};
-
-    fn social() -> Graph {
-        let mut triples = Vec::new();
-        for i in 0..20u32 {
-            triples.push(Triple::new(
-                &format!("p{i}"),
-                "knows",
-                &format!("p{}", (i + 1) % 20),
-            ));
-            if i % 2 == 0 {
-                triples.push(Triple::new(&format!("p{i}"), "age", &format!("{}", 20 + i)));
-            }
-        }
-        triples.into_iter().collect()
-    }
-
-    /// The scattered walk over `shards` partitions answers exactly like
-    /// the reference evaluator.
-    fn sharded_matches_reference(pattern: &str, shards: usize) {
-        let engine = Engine::new(&social());
-        let pattern = parse_pattern(pattern).expect("pattern parses");
-        let expected = evaluate(&pattern, &engine.index().to_graph());
-        let runs = shard_rows(&engine.index().id_view(), shards);
-        let pools: Vec<Pool> = (0..shards).map(|_| Pool::sequential()).collect();
-        let got = engine
-            .run_sharded(&pattern, &ExecOpts::seq(), &runs, &pools, None)
-            .expect("sharded run")
-            .mappings;
-        assert_eq!(got, expected, "sharded answers diverge at {shards} shards");
-    }
-
-    #[test]
-    fn spine_scatter_matches_reference() {
-        for shards in [1, 2, 8] {
-            sharded_matches_reference("((?x, knows, ?y) AND (?y, knows, ?z))", shards);
-            sharded_matches_reference("((?x, knows, ?y) AND (?x, age, ?a))", shards);
-        }
-    }
-
-    #[test]
-    fn union_and_ns_scatter_match_reference() {
-        for shards in [1, 2, 8] {
-            sharded_matches_reference("((?x, knows, ?y) UNION (?x, age, ?a))", shards);
-            sharded_matches_reference("NS (((?x, knows, ?y) OPT (?y, age, ?a)))", shards);
-        }
-    }
-
-    /// Ground spines scatter too: the one shard holding the subject
-    /// answers `{µ∅}`, every other shard `∅`.
-    #[test]
-    fn ground_patterns_scatter() {
-        for shards in [1, 2, 8] {
-            sharded_matches_reference("(p0, knows, p1)", shards);
-            sharded_matches_reference("(p1, knows, p0)", shards);
-            sharded_matches_reference("((p0, knows, p1) AND (p2, age, 22))", shards);
-            sharded_matches_reference("((p0, knows, p1) UNION (p0, knows, nobody))", shards);
-        }
     }
 }

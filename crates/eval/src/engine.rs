@@ -8,9 +8,8 @@
 //! [`ExecOpts`] value, not by the method name. Every run goes through
 //! one prelude (admission → optimize → plan → recorder) and then the
 //! one evaluator (`columnar.rs`), which executes the [`Plan`] the
-//! prelude built; [`Engine::run_sharded`] differs only in handing that
-//! evaluator a shard set to scatter over. [`Engine::explain`] is the
-//! prelude's plan phase alone.
+//! prelude built. [`Engine::explain`] is the prelude's plan phase
+//! alone.
 //!
 //! Answers are held to exact agreement with
 //! [`crate::reference::evaluate`] by the randomized differential tests
@@ -21,7 +20,7 @@
 //! spine step), so a run with a deadline unwinds with
 //! [`EvalError::Timeout`] instead of hanging.
 
-use crate::columnar::{self, ShardSet};
+use crate::columnar;
 use crate::plan::Plan;
 use crate::run::{EvalBudget, EvalError, ExecMode, ExecOpts, RunOutcome};
 use owql_algebra::pattern::Pattern;
@@ -106,47 +105,6 @@ impl Engine {
         opts: &ExecOpts,
         pool: &Pool,
     ) -> Result<RunOutcome, EvalError> {
-        let parallel = opts.mode == ExecMode::Parallel && pool.threads() > 1;
-        self.run_on(pattern, opts, parallel, pool, None)
-    }
-
-    /// [`Engine::run`] with a scatter-gather scan source: `shard_runs`
-    /// are disjoint subject-hash partitions of this engine's snapshot
-    /// (`owql_rdf::shard_rows` over its id view), with one [`Pool`] per
-    /// shard; `pools[0]` doubles as the coordinator's. Admission,
-    /// optimizer, deadline, and tracing semantics are [`Engine::run`]'s.
-    ///
-    /// # Panics
-    /// If `shard_runs` or `pools` is empty.
-    pub fn run_sharded(
-        &self,
-        pattern: &Pattern,
-        opts: &ExecOpts,
-        shard_runs: &[owql_rdf::IdRuns],
-        pools: &[Pool],
-        metrics: Option<&owql_obs::ShardMetrics>,
-    ) -> Result<RunOutcome, EvalError> {
-        assert!(!shard_runs.is_empty(), "a shard set has at least one shard");
-        let coordinator = pools.first().expect("a shard set has at least one pool");
-        let shards = ShardSet {
-            runs: shard_runs,
-            pools,
-            metrics,
-        };
-        let parallel = coordinator.threads() > 1;
-        self.run_on(pattern, opts, parallel, coordinator, Some(shards))
-    }
-
-    /// The shared body of [`Engine::run`] and [`Engine::run_sharded`]:
-    /// admission → optimize → plan → recorder → execute.
-    fn run_on(
-        &self,
-        pattern: &Pattern,
-        opts: &ExecOpts,
-        parallel: bool,
-        pool: &Pool,
-        shards: Option<ShardSet<'_>>,
-    ) -> Result<RunOutcome, EvalError> {
         crate::run::check_admission(pattern, opts)?;
         let budget = EvalBudget::from_opts(opts);
         let (pattern, prunes) = if opts.optimize {
@@ -161,7 +119,8 @@ impl Engine {
         } else {
             Recorder::disabled()
         };
-        let mappings = columnar::run(&plan, view, parallel, pool, shards, &rec, &budget)?;
+        let parallel = opts.mode == ExecMode::Parallel && pool.threads() > 1;
+        let mappings = columnar::run(&plan, view, parallel, pool, &rec, &budget)?;
         Ok(RunOutcome {
             mappings,
             profile: opts.trace.then(|| Profile {

@@ -19,8 +19,8 @@
 //!   boundary. A run plans once ([`plan::Plan`]: frame, id-compiled
 //!   patterns, step order and estimates) and then executes that plan;
 //!   [`Engine::explain`] returns the plan without executing it. The
-//!   same walk serves sequential, pool-parallel, traced and sharded
-//!   runs. Its results are cross-validated against the
+//!   same walk serves sequential, pool-parallel and traced runs. Its
+//!   results are cross-validated against the
 //!   reference evaluator by a large randomized test suite (and the
 //!   engine ablation of experiment E12 measures the gap).
 //!

@@ -77,16 +77,6 @@ impl Pool {
         }))
     }
 
-    /// One pool per shard for scatter-gather evaluation: `shards`
-    /// pools of `threads_each` workers. Shard counts and widths are a
-    /// deployment decision, so no environment fallback applies here —
-    /// the caller (typically the store's shard runtime) decides both.
-    pub fn shard_pools(shards: usize, threads_each: usize) -> Vec<Pool> {
-        (0..shards.max(1))
-            .map(|_| Pool::new(threads_each))
-            .collect()
-    }
-
     /// Number of worker threads a parallel `map` spawns.
     pub fn threads(&self) -> usize {
         self.threads

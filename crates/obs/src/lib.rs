@@ -60,7 +60,7 @@ pub mod prometheus;
 pub mod recorder;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metrics::{MetricsHub, ShardMetrics, SlowQuery, MAX_SHARDS};
+pub use metrics::{MetricsHub, SlowQuery};
 pub use profile::{
     CacheStats, ColumnarObs, NsObs, OperatorTotals, PersistMetrics, PoolObs, Profile, PruneObs,
     StoreMetrics, WorkerStat,

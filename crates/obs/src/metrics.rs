@@ -16,7 +16,7 @@
 use crate::histogram::Histogram;
 use crate::json;
 use crate::profile::{OperatorTotals, PruneObs};
-use crate::prometheus::{Family, Value};
+use crate::prometheus::Family;
 use crate::recorder::{OpKind, Span};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,122 +63,6 @@ impl SlowQuery {
     }
 }
 
-/// Upper bound on shards the metrics arrays are sized for. Scatter
-/// plans wider than this still evaluate; only per-shard attribution
-/// saturates into the last slot.
-pub const MAX_SHARDS: usize = 64;
-
-/// Counters for the sharded scatter-gather evaluation path: how many
-/// queries scattered, a power-of-two fan-out histogram (shards that
-/// produced non-empty partial tables per scatter round, whose total is
-/// the scatter-round count), and per-shard task/row attribution. All
-/// relaxed atomics — recorded from inside the scatter workers without
-/// contention.
-#[derive(Debug)]
-pub struct ShardMetrics {
-    /// Queries answered on the sharded path.
-    pub queries_total: AtomicU64,
-    /// Fan-out histogram: bucket `i` counts scatter rounds whose
-    /// non-empty partial count was ≤ 2^i (bounds 1, 2, 4, …, 64).
-    pub fanout_buckets: [AtomicU64; 7],
-    /// Sum of fan-outs, for the mean.
-    pub fanout_sum: AtomicU64,
-    /// Scatter tasks executed per shard id.
-    pub shard_tasks: [AtomicU64; MAX_SHARDS],
-    /// Partial-result rows produced per shard id.
-    pub shard_rows: [AtomicU64; MAX_SHARDS],
-}
-
-impl Default for ShardMetrics {
-    fn default() -> ShardMetrics {
-        ShardMetrics {
-            queries_total: AtomicU64::new(0),
-            fanout_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            fanout_sum: AtomicU64::new(0),
-            shard_tasks: std::array::from_fn(|_| AtomicU64::new(0)),
-            shard_rows: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl ShardMetrics {
-    /// Records one scatter round that saw `fanout` shards produce
-    /// non-empty partials.
-    pub fn record_scatter(&self, fanout: usize) {
-        self.fanout_sum.fetch_add(fanout as u64, Ordering::Relaxed);
-        // Bucket index = log2 of the next power of two ≥ fanout,
-        // saturating into the last (le="64") bucket.
-        let idx = (fanout.max(1).next_power_of_two().trailing_zeros() as usize).min(6);
-        self.fanout_buckets[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one per-shard scatter task and the rows it produced.
-    pub fn record_shard_task(&self, shard: usize, rows: u64) {
-        let k = shard.min(MAX_SHARDS - 1);
-        self.shard_tasks[k].fetch_add(1, Ordering::Relaxed);
-        self.shard_rows[k].fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Scatter rounds executed (one per AND-spine seed scan or UNION
-    /// fan-out): the fan-out histogram's total.
-    pub fn scatters(&self) -> u64 {
-        self.fanout_buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// The shard families. Empty until the first scatter, so
-    /// expositions from unsharded deployments carry none of them.
-    pub fn families(&self) -> Vec<Family> {
-        let mut cumulative = Vec::with_capacity(8);
-        let mut cum = 0u64;
-        for (i, b) in self.fanout_buckets.iter().enumerate() {
-            cum += b.load(Ordering::Relaxed);
-            cumulative.push((Some((1u64 << i) as f64), cum));
-        }
-        if cum == 0 {
-            return Vec::new();
-        }
-        cumulative.push((None, cum));
-        let fanout = Value::Histogram(cumulative, self.fanout_sum.load(Ordering::Relaxed) as f64);
-        let mut tasks = Family::new(
-            "owql_shard_tasks_total",
-            "counter",
-            "Scatter tasks executed per shard.",
-        );
-        let mut rows = Family::new(
-            "owql_shard_rows_total",
-            "counter",
-            "Partial-result rows produced per shard.",
-        );
-        for k in 0..MAX_SHARDS {
-            let task_count = self.shard_tasks[k].load(Ordering::Relaxed);
-            if task_count == 0 {
-                continue;
-            }
-            let row_count = self.shard_rows[k].load(Ordering::Relaxed);
-            tasks = tasks.sample(Some(("shard", k.to_string())), task_count);
-            rows = rows.sample(Some(("shard", k.to_string())), row_count);
-        }
-        vec![
-            Family::counter(
-                "owql_sharded_queries_total",
-                "Queries answered by the sharded scatter-gather path.",
-                self.queries_total.load(Ordering::Relaxed),
-            ),
-            Family::new(
-                "owql_shard_fanout",
-                "histogram",
-                "Shards producing non-empty partials per scatter round.",
-            )
-            .sample(None, fanout),
-            tasks,
-            rows,
-        ]
-    }
-}
-
 /// The cross-query metrics accumulator. See module docs.
 #[derive(Debug, Default)]
 pub struct MetricsHub {
@@ -204,8 +88,6 @@ pub struct MetricsHub {
     /// OPT nodes collapsed to AND because the enclosing FILTER demands
     /// an optional-only binding (lint rule BD001).
     pub pruned_opt_collapses: AtomicU64,
-    /// Scatter-gather shard counters (zero until sharding is enabled).
-    pub shards: ShardMetrics,
     slow: Mutex<VecDeque<SlowQuery>>,
 }
 
@@ -261,7 +143,7 @@ impl MetricsHub {
         }
     }
 
-    /// Every hub-owned `/metrics` family, shard families last.
+    /// Every hub-owned `/metrics` family.
     /// `cache_hits` is the store's query-cache hit count: the queries
     /// served that the evaluator did not run.
     pub fn families(&self, cache_hits: u64) -> Vec<Family> {
@@ -292,7 +174,7 @@ impl MetricsHub {
                 counter.load(Ordering::Relaxed),
             );
         }
-        let mut families = vec![
+        vec![
             Family::counter(
                 "owql_queries_total",
                 "Queries served (cache hits included).",
@@ -325,9 +207,7 @@ impl MetricsHub {
                 self.slow_queries_total.load(Ordering::Relaxed),
             ),
             prunes,
-        ];
-        families.extend(self.shards.families());
-        families
+        ]
     }
 }
 

@@ -39,7 +39,7 @@ impl From<&HistogramSnapshot> for Value {
     }
 }
 
-/// A sample's one label (`op="AND"`, `shard="3"`), if it has one.
+/// A sample's one label (`op="AND"`, `rule="FL003"`), if it has one.
 pub type Label = Option<(&'static str, String)>;
 
 /// One metric family: a name, its help text and Prometheus type, and

@@ -348,8 +348,8 @@ impl IdRuns {
     /// (sorted or not, duplicates tolerated). The rows were id-encoded
     /// by an existing dictionary, so no interning happens here and the
     /// ids stay comparable across every run set built from the same
-    /// dict — the constructor of the shard partitioner, the store's
-    /// compaction fold and a reopened segment's base.
+    /// dict — the constructor of the store's compaction fold and a
+    /// reopened segment's base.
     pub fn from_spo_rows(rows: Vec<[TermId; 3]>) -> IdRuns {
         let mut runs = IdRuns {
             spo: rows,
@@ -565,16 +565,6 @@ pub struct IdView<'a> {
 }
 
 impl<'a> IdView<'a> {
-    /// A view over a single run set with no overlay.
-    pub fn plain(dict: &'a TermDict, base: &'a IdRuns) -> IdView<'a> {
-        IdView {
-            dict,
-            base,
-            adds: None,
-            dels: None,
-        }
-    }
-
     /// The live `[s, p, o]` rows matching a pattern with optionally
     /// bound positions: base matches minus deletions, then add-tier
     /// matches. Each tier yields its rows in its run's sorted order.

@@ -32,7 +32,6 @@ pub mod generate;
 pub mod graph;
 pub mod index;
 pub mod ntriples;
-pub mod shard;
 pub mod stats;
 pub mod term;
 pub mod turtle;
@@ -41,5 +40,4 @@ pub use dict::{IdRuns, IdSpaceFull, IdView, RunOrder, TermDict, TermId, NO_TERM}
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
 pub use index::SnapshotIndex;
-pub use shard::{shard_of, shard_rows};
 pub use term::{Iri, Triple};

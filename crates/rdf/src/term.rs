@@ -23,6 +23,16 @@ struct Interner {
     strings: Vec<&'static str>,
 }
 
+/// The id of the next entry of a table holding `len`: ids are `1..`,
+/// so the `u32::MAX`-th entry is the last one that fits. Past it the
+/// interner panics rather than wrap onto an existing id.
+fn next_id(len: usize) -> NonZeroU32 {
+    u32::try_from(len + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+        .expect("interner id overflow")
+}
+
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
@@ -58,7 +68,7 @@ impl Iri {
             return Iri(id);
         }
         let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        let id = NonZeroU32::new(guard.strings.len() as u32 + 1).expect("interner id overflow");
+        let id = next_id(guard.strings.len());
         guard.ids.insert(leaked, id);
         guard.strings.push(leaked);
         Iri(id)
@@ -186,6 +196,24 @@ pub fn triple(s: impl Into<Iri>, p: impl Into<Iri>, o: impl Into<Iri>) -> Triple
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn next_id_takes_the_last_u32() {
+        assert_eq!(next_id(0).get(), 1);
+        assert_eq!(next_id(u32::MAX as usize - 1).get(), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "interner id overflow")]
+    fn next_id_refuses_a_full_table() {
+        next_id(u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "interner id overflow")]
+    fn next_id_refuses_past_a_full_table() {
+        next_id(u32::MAX as usize + 1);
+    }
     use std::collections::HashSet;
 
     #[test]

@@ -35,11 +35,6 @@ pub struct ServerConfig {
     /// override it with `slow_ms` (`slow_ms=0` captures every query —
     /// the smoke-test injection mechanism). `None` disables capture.
     pub slow_query_threshold: Option<Duration>,
-    /// Shards for scatter-gather evaluation: [`Server::start`](crate::Server::start) calls
-    /// [`Store::enable_sharding`](owql_store::Store::enable_sharding) with this count (each shard gets
-    /// `pool_threads` evaluation threads) and prewarms the partitioned
-    /// runs before accepting traffic. `0` leaves sharding off.
-    pub shards: usize,
 }
 
 impl Default for ServerConfig {
@@ -54,7 +49,6 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(5),
             admission_ceiling: None,
             slow_query_threshold: Some(Duration::from_millis(250)),
-            shards: 0,
         }
     }
 }
@@ -130,12 +124,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Scatter-gather shard count (0 = off).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// The finished configuration.
     pub fn build(self) -> ServerConfig {
         self.config
@@ -158,7 +146,6 @@ mod tests {
             .io_timeout(Duration::from_secs(9))
             .admission_ceiling(Some(owql_lint::ComplexityClass::Np))
             .slow_query_threshold(None)
-            .shards(4)
             .build();
         assert_eq!(config.workers, 2);
         assert_eq!(config.queue_capacity, 16);
@@ -171,6 +158,5 @@ mod tests {
             Some(owql_lint::ComplexityClass::Np)
         );
         assert_eq!(config.slow_query_threshold, None);
-        assert_eq!(config.shards, 4);
     }
 }

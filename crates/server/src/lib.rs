@@ -38,10 +38,10 @@
 //!   or the connection — and `GET` probes answer while a query runs.
 //!   Pipelining is bounded per connection, and a panicking request
 //!   handler becomes a `500` and a counter, not a dead worker.
-//! - **Sharded scatter-gather.** With [`ServerConfig::shards`] set,
-//!   the store partitions its id-encoded runs by subject and
-//!   parallel-mode queries fan out across per-shard evaluation pools
-//!   pinned to a single snapshot epoch.
+//! - **One parallelism mechanism.** Each worker owns an evaluation
+//!   pool of [`ServerConfig::pool_threads`] threads; a parallel-mode
+//!   request fans its UNION disjuncts and the rows of a wide AND-spine
+//!   step out over it, all against the request's one snapshot.
 //! - **Per-request deadlines.** `deadline_ms` (or the configured
 //!   default) becomes [`owql_eval::ExecOpts::deadline`]; the engine's
 //!   cooperative budget unwinds evaluation and the server answers
@@ -58,7 +58,7 @@
 //! use std::sync::Arc;
 //!
 //! let store = Arc::new(Store::new());
-//! let config = ServerConfig::builder().shards(2).build();
+//! let config = ServerConfig::builder().pool_threads(2).build();
 //! let server = Server::start(store, config).unwrap();
 //! println!("listening on {}", server.addr());
 //! server.shutdown();

@@ -131,7 +131,7 @@ impl ServerMetrics {
 }
 
 /// Everything `GET /metrics` exports, in render order: the store's hub
-/// (latency histograms, prune and shard counters), the server's
+/// (latency histograms and prune counters), the server's
 /// request counters, then the store's state gauges. Both renderings —
 /// Prometheus text and `?format=json` — walk this one list.
 pub(crate) fn families(store: &Store, metrics: &ServerMetrics) -> Vec<Family> {
@@ -203,8 +203,8 @@ mod tests {
     /// The golden Prometheus-format test: after `N` queries the text
     /// rendering carries a monotonically non-decreasing cumulative `le`
     /// series ending in `+Inf`, and `owql_query_latency_seconds_count ==
-    /// N`. (The full family set is pinned, over a durable sharded
-    /// server, by `tests/integration_server.rs`.)
+    /// N`. (The full family set is pinned, over a durable server, by
+    /// `tests/integration_server.rs`.)
     #[test]
     fn metrics_prometheus_is_golden_after_n_queries() {
         let store = Store::new();

@@ -18,8 +18,8 @@ use std::time::Duration;
 /// Dispatches one parsed request to its endpoint.
 ///
 /// `ready` gates `/v1/healthz?ready=1` — it is `true` once segments
-/// are recovered and the shard runtime (when configured) is prewarmed,
-/// and drops back to `false` while draining for shutdown.
+/// are recovered and the server is wired, and drops back to `false`
+/// while draining for shutdown.
 pub(crate) fn route(
     req: &Request,
     store: &Store,
@@ -57,7 +57,7 @@ pub(crate) fn route(
 
 /// `GET /v1/healthz`: liveness always answers; `?ready=1` makes it a
 /// readiness probe that fails `503` until the server can actually
-/// serve queries (segments recovered, shards built) and while
+/// serve queries (segments recovered, server wired) and while
 /// draining.
 fn v1_healthz(req: &Request, store: &Store, ready: bool) -> Reply {
     let wants_ready = req
@@ -97,7 +97,7 @@ fn v1_query(
 
 /// `POST /v1/explain`: JSON envelope in, EXPLAIN ANALYZE out. The
 /// request runs through the same store entry point as `/v1/query` —
-/// deadline, admission ceiling, optimizer, shards — traced and
+/// deadline, admission ceiling, optimizer, pool — traced and
 /// uncached; the body reports the plan that ran, annotated with what
 /// the run observed. Errors answer the `/v1/query` envelopes.
 fn v1_explain(

@@ -36,9 +36,8 @@
 //!    `panics_total`; the worker pops the next job. Query evaluation
 //!    pins one store [`Snapshot`](owql_store::Store::snapshot) per
 //!    request — writers never block readers, and the response reports
-//!    the epoch it is consistent with. When sharded scatter-gather is
-//!    enabled ([`ServerConfig::shards`]), parallel-mode queries fan out
-//!    across shard evaluation pools pinned to that same snapshot epoch.
+//!    the epoch it is consistent with. A parallel-mode query fans out
+//!    over the worker's own evaluation pool against that same snapshot.
 //! 4. Deadlines ride the unified API: `deadline_ms` becomes
 //!    [`ExecOpts::deadline`], the engine's cooperative budget unwinds
 //!    the evaluation, and the worker maps [`EvalError::Timeout`] to
@@ -95,10 +94,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, builds the shard runtime when configured, and starts the
-    /// event loop plus `config.workers` workers (at least one). Readiness
-    /// (`/v1/healthz?ready=1`) turns true here, after sharding is
-    /// prewarmed and before the first connection is served.
+    /// Binds and starts the event loop plus `config.workers` workers
+    /// (at least one). Readiness (`/v1/healthz?ready=1`) turns true
+    /// here, once the queue and the event loop are wired and before
+    /// the first connection is served.
     pub fn start(store: Arc<Store>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -122,15 +121,6 @@ impl Server {
             config.clone(),
         )?;
 
-        // Build and prewarm the shard runtime before declaring
-        // readiness: the first scatter-gather query must not pay the
-        // partitioning cost.
-        if config.shards > 0 {
-            store.enable_sharding(config.shards, config.pool_threads.max(1));
-            if let Some(runtime) = store.shard_runtime() {
-                let _ = runtime.runs_for(&store.snapshot());
-            }
-        }
         flags.ready.store(true, Ordering::Release);
 
         let worker_handles: Vec<JoinHandle<()>> = (0..config.workers.max(1))

@@ -54,5 +54,5 @@ pub use cache::{cache_key, CacheStats, QueryCache};
 pub use owql_persist::{segment_path, PersistConfig, RecoveryReport, WAL_FILE};
 pub use store::{
     CheckpointSummary, CommitSummary, DeltaOp, LogEntry, PersistMetrics, QueryOutcome,
-    QueryRequest, ShardRuntime, Snapshot, Store, StoreMetrics, StoreOptions, Transaction,
+    QueryRequest, Snapshot, Store, StoreMetrics, StoreOptions, Transaction,
 };

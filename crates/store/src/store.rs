@@ -31,11 +31,11 @@
 use crate::cache::{cache_key, CacheStats, QueryCache};
 use owql_algebra::mapping_set::MappingSet;
 use owql_algebra::pattern::Pattern;
-use owql_eval::{Engine, EvalError, ExecMode, ExecOpts, RunOutcome};
+use owql_eval::{Engine, EvalError, ExecOpts, RunOutcome};
 use owql_exec::Pool;
-use owql_obs::{MetricsHub, Profile, ShardMetrics, SlowQuery};
+use owql_obs::{MetricsHub, Profile, SlowQuery};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
-use owql_rdf::{shard_rows, Graph, IdRuns, SnapshotIndex, TermDict, Triple};
+use owql_rdf::{Graph, IdRuns, SnapshotIndex, TermDict, Triple};
 use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
@@ -442,21 +442,6 @@ impl Snapshot {
         Ok(self.outcome(req, out))
     }
 
-    /// Scatter-gather variant of [`Snapshot::query_request`]: answers
-    /// `req` across `rt`'s shards, all pinned to this snapshot's epoch.
-    pub fn query_request_sharded(
-        &self,
-        req: &QueryRequest,
-        rt: &ShardRuntime,
-        metrics: Option<&ShardMetrics>,
-    ) -> Result<QueryOutcome, EvalError> {
-        let runs = rt.runs_for(self);
-        let out = self
-            .engine()
-            .run_sharded(&req.pattern, &req.opts, &runs, rt.pools(), metrics)?;
-        Ok(self.outcome(req, out))
-    }
-
     /// Stamps an engine run with this snapshot's epoch and labels its
     /// profile with the request.
     fn outcome(&self, req: &QueryRequest, out: RunOutcome) -> QueryOutcome {
@@ -489,65 +474,6 @@ impl Deref for Snapshot {
     type Target = SnapshotIndex;
     fn deref(&self) -> &SnapshotIndex {
         &self.index
-    }
-}
-
-/// The scatter-gather shard runtime: `N` evaluation pools plus an
-/// epoch-keyed cache of the subject-hash shard partitions.
-///
-/// Shard runs are **pinned to a snapshot epoch**: [`ShardRuntime::runs_for`]
-/// rebuilds the partition the first time a query observes a new epoch
-/// and reuses the cached `Arc` for every query at that epoch, so a
-/// scatter never mixes rows from two store versions. The pools are
-/// long-lived — one per shard, each sized independently of the
-/// request-level pool.
-#[derive(Debug)]
-pub struct ShardRuntime {
-    shards: usize,
-    pools: Vec<Pool>,
-    runs: Mutex<Option<(u64, Arc<Vec<IdRuns>>)>>,
-}
-
-impl ShardRuntime {
-    /// A runtime of `shards` partitions with `threads_each` workers
-    /// per shard pool.
-    pub fn new(shards: usize, threads_each: usize) -> ShardRuntime {
-        let shards = shards.max(1);
-        ShardRuntime {
-            shards,
-            pools: Pool::shard_pools(shards, threads_each),
-            runs: Mutex::new(None),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The per-shard evaluation pools.
-    pub fn pools(&self) -> &[Pool] {
-        &self.pools
-    }
-
-    /// The shard partition for `snapshot`'s epoch, building (and
-    /// caching) it on first use.
-    pub fn runs_for(&self, snapshot: &Snapshot) -> Arc<Vec<IdRuns>> {
-        let epoch = snapshot.epoch();
-        {
-            let guard = self.runs.lock().expect("shard runs lock poisoned");
-            if let Some((e, runs)) = guard.as_ref() {
-                if *e == epoch {
-                    return runs.clone();
-                }
-            }
-        }
-        let built = Arc::new(shard_rows(&snapshot.index().id_view(), self.shards));
-        let mut guard = self.runs.lock().expect("shard runs lock poisoned");
-        // Last writer wins: under churn two epochs can race here, and
-        // whichever publishes second simply serves the next rebuild.
-        *guard = Some((epoch, built.clone()));
-        built
     }
 }
 
@@ -586,9 +512,6 @@ pub struct Store {
     persist: Option<Arc<PersistState>>,
     /// The background indexer thread, joined on drop.
     indexer: Mutex<Option<JoinHandle<()>>>,
-    /// Scatter-gather shard runtime — `Some` after
-    /// [`Store::enable_sharding`].
-    shards: Mutex<Option<Arc<ShardRuntime>>>,
 }
 
 impl Default for Store {
@@ -632,7 +555,6 @@ impl Store {
             hub: Arc::new(MetricsHub::default()),
             persist: None,
             indexer: Mutex::new(None),
-            shards: Mutex::new(None),
         }
     }
 
@@ -712,7 +634,6 @@ impl Store {
             hub,
             persist: Some(persist.clone()),
             indexer: Mutex::new(None),
-            shards: Mutex::new(None),
         };
         if config.background_indexer {
             let inner = store.inner.clone();
@@ -1040,7 +961,7 @@ impl Store {
                 plan: None,
             },
             None => {
-                let outcome = self.eval_snapshot(&snapshot, req, pool)?;
+                let outcome = snapshot.query_request(req, pool)?;
                 if let Some(key) = key {
                     let answers = outcome.mappings.clone();
                     self.cache.store(key, snapshot.epoch(), answers);
@@ -1052,42 +973,6 @@ impl Store {
             p.store = Some(self.metrics());
         }
         Ok(outcome)
-    }
-
-    /// Evaluates `req` against `snapshot`, scattering over the
-    /// [`ShardRuntime`] when one is enabled and the request asks for
-    /// parallel scheduling.
-    fn eval_snapshot(
-        &self,
-        snapshot: &Snapshot,
-        req: &QueryRequest,
-        pool: &Pool,
-    ) -> Result<QueryOutcome, EvalError> {
-        if req.opts.mode == ExecMode::Parallel {
-            if let Some(rt) = self.shard_runtime() {
-                return snapshot.query_request_sharded(req, &rt, Some(&self.hub.shards));
-            }
-        }
-        snapshot.query_request(req, pool)
-    }
-
-    /// Enables scatter-gather evaluation: partitions every queried
-    /// epoch into `shards` subject-hash shards, each with its own
-    /// `threads_each`-worker pool. Parallel-mode requests then
-    /// scatter across the shards (sequential requests keep the
-    /// single-node path). Idempotent: calling again replaces the
-    /// runtime.
-    pub fn enable_sharding(&self, shards: usize, threads_each: usize) {
-        *self.shards.lock().expect("shard runtime lock poisoned") =
-            Some(Arc::new(ShardRuntime::new(shards, threads_each)));
-    }
-
-    /// The active shard runtime, if sharding was enabled.
-    pub fn shard_runtime(&self) -> Option<Arc<ShardRuntime>> {
-        self.shards
-            .lock()
-            .expect("shard runtime lock poisoned")
-            .clone()
     }
 
     /// Evaluates `pattern` at the current epoch through the query
@@ -1559,46 +1444,6 @@ mod tests {
         let ok =
             QueryRequest::with_opts(p, ExecOpts::seq().with_max_class(ComplexityClass::Pspace));
         assert!(store.query_request(&ok, &pool).expect(NO_BUDGET).cache_hit);
-    }
-
-    /// Sharded scatter-gather answers match the single-node path over
-    /// churn, the shard partition is pinned per epoch (same `Arc`
-    /// while the epoch stands, rebuilt after a commit), and the hub's
-    /// shard counters advance.
-    #[test]
-    fn sharded_queries_match_and_pin_epochs() {
-        let store = Store::from_graph(&graph_from(&[
-            ("a", "knows", "b"),
-            ("b", "knows", "c"),
-            ("c", "knows", "d"),
-            ("a", "age", "42"),
-        ]));
-        store.enable_sharding(2, 1);
-        let rt = store.shard_runtime().expect("sharding enabled");
-        assert_eq!(rt.shards(), 2);
-        let pool = Pool::new(2);
-        let p = Pattern::t("?x", "knows", "?y").and(Pattern::t("?y", "knows", "?z"));
-        for round in 0..3 {
-            let snap = store.snapshot();
-            let runs1 = rt.runs_for(&snap);
-            let runs2 = rt.runs_for(&snap);
-            assert!(
-                Arc::ptr_eq(&runs1, &runs2),
-                "same epoch must reuse the cached partition"
-            );
-            let sharded = QueryRequest::with_opts(p.clone(), ExecOpts::parallel().uncached());
-            let got = store.query_request(&sharded, &pool).expect(NO_BUDGET);
-            let want = owql_eval::evaluate(&p, &store.to_graph());
-            assert_eq!(got.mappings, want, "round {round}");
-            // Churn: the next epoch must rebuild the partition.
-            store.insert(Triple::new(&format!("n{round}"), "knows", "a"));
-            let next = store.snapshot();
-            let runs3 = rt.runs_for(&next);
-            assert!(!Arc::ptr_eq(&runs1, &runs3), "new epoch rebuilds");
-        }
-        let hub = store.metrics_hub();
-        assert!(hub.shards.queries_total.load(Ordering::Relaxed) >= 3);
-        assert!(hub.shards.scatters() >= 3);
     }
 
     /// The store's hub families in Prometheus text format.

@@ -53,13 +53,13 @@ stage_determinism() {
 stage_differential() {
   step "differential: the one evaluator vs the reference evaluator"
   # There is one production evaluator and one oracle; these suites hold
-  # every store/parallel/sharded configuration of the former to the
+  # every store/parallel/pruned configuration of the former to the
   # latter's answers. One level down, owql-algebra's proptest_id_mapping
   # holds the columnar pair kernel (join, difference, left outer join)
   # to the term-level MappingSet operations the oracle is built from.
   cargo test -q -p owql \
     --test integration_columnar --test integration_store --test integration_parallel \
-    --test integration_sharded --test integration_prune
+    --test integration_prune
   cargo test -q -p owql-algebra
   cargo test -q -p owql-rdf --test proptest_dict
   echo "differential OK"
@@ -80,7 +80,7 @@ stage_lint_smoke() {
       || { echo "missing $rule diagnostic over the golden corpus"; exit 1; }
   done
 
-  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror, plan replay, mirror classifier or second OPT normal form, no second triple index, no unchecked term-id cast, one JSON escaper, no unwrap/expect on the route/render path)"
+  step "source hygiene (no unsafe outside server/src/sys.rs, no unimplemented!/todo!, no retired switch, adapter, inline path, instrument, metrics mirror, plan replay, mirror classifier or second OPT normal form, no second triple index, no second parallelism tier, no unchecked term-id cast, one JSON escaper, no unwrap/expect on the route/render path)"
   if grep -rnE '\bunsafe\s*(\{|fn|impl|trait)' crates/ --include='*.rs' \
       | grep -v 'crates/server/src/sys.rs'; then
     echo "unsafe code outside the audited syscall shim"; exit 1
@@ -139,6 +139,14 @@ stage_lint_smoke() {
   if grep -rnE 'QueryLang''uage|opt_nf_p''ass|certainly_bound_v''ars|fragments::class''ify|rewrite::pattern_t''ree' \
       crates/ tests/ examples/ scripts/; then
     echo "a second fragment classifier, OPT normal form or certainty set reappeared"; exit 1
+  fi
+  # One parallelism mechanism: the pool fans out UNION disjuncts and
+  # the rows of wide spine steps, so the in-process partition tier —
+  # its scan source, runtime, counters, families and thread-per-disjunct
+  # fan-out — stays gone.
+  if grep -rnE 'Shard''Set|Shard''Runtime|Shard''Metrics|run_shar''ded|enable_shar''ding|shard_r''ows|scoped_m''ap|owql_sh''ard' \
+      crates/ tests/ examples/; then
+    echo "a second parallelism tier reappeared"; exit 1
   fi
   # Half-width ids: narrowing into the id space goes through
   # `TermId::try_from` or the dictionary's capacity check, never a

@@ -12,7 +12,6 @@ use owql::algebra::random::{random_pattern, PatternConfig};
 use owql::eval::Plan;
 use owql::obs::OpKind;
 use owql::prelude::*;
-use owql::rdf::shard_rows;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -355,10 +354,10 @@ fn fixed_store() -> Store {
 
 /// Fully ground patterns — alone and as an operand of every operator —
 /// evaluate on the one walker: sequential and parallel at widths 1, 2
-/// and 8, and scattered over 1, 2 and 8 shards, always exactly the
-/// reference evaluator's `{µ∅}` or `∅`-driven answer.
+/// and 8, always exactly the reference evaluator's `{µ∅}` or
+/// `∅`-driven answer.
 #[test]
-fn ground_patterns_are_total_at_every_width_and_shard_count() {
+fn ground_patterns_are_total_at_every_width() {
     let store = fixed_store();
     let snapshot = store.snapshot();
     let graph = snapshot.to_graph();
@@ -420,20 +419,6 @@ fn ground_patterns_are_total_at_every_width_and_shard_count() {
             }
         }
     }
-    let pool = Pool::new(2);
-    for shards in [1usize, 2, 8] {
-        store.enable_sharding(shards, 1);
-        for p in &patterns {
-            let got = store
-                .query_request(
-                    &QueryRequest::with_opts(p.clone(), ExecOpts::parallel()),
-                    &pool,
-                )
-                .expect("unlimited budget cannot time out")
-                .mappings;
-            assert_eq!(got, evaluate(p, &graph), "{shards} shards, pattern {p}");
-        }
-    }
 }
 
 /// A snapshot whose joins cross the base/overlay boundary: the add
@@ -478,34 +463,28 @@ fn snapshot_overlay_joins_across_tiers() {
 }
 
 /// One variable over the 64-column limit is a typed error from the
-/// store — cached or not, sharded or not — and the store keeps
-/// answering afterwards.
+/// store — cached or not — and the store keeps answering afterwards.
 #[test]
 fn over_wide_pattern_is_a_typed_error_from_the_store() {
     let store = fixed_store();
     let wide = Pattern::union_all((0..65).map(|i| Pattern::t(format!("?w{i}").as_str(), "p", "b")));
     let pool = Pool::new(2);
-    for sharded in [false, true] {
-        if sharded {
-            store.enable_sharding(2, 1);
-        }
-        for opts in [
-            ExecOpts::seq(),
-            ExecOpts::seq().uncached().traced(),
-            ExecOpts::parallel().uncached().optimized(),
-        ] {
-            let err = store
-                .query_request(&QueryRequest::with_opts(wide.clone(), opts), &pool)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                EvalError::TooManyVariables {
-                    count: 65,
-                    limit: 64
-                },
-                "sharded {sharded}, {opts:?}"
-            );
-        }
+    for opts in [
+        ExecOpts::seq(),
+        ExecOpts::seq().uncached().traced(),
+        ExecOpts::parallel().uncached().optimized(),
+    ] {
+        let err = store
+            .query_request(&QueryRequest::with_opts(wide.clone(), opts), &pool)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EvalError::TooManyVariables {
+                count: 65,
+                limit: 64
+            },
+            "{opts:?}"
+        );
         assert_eq!(store.query(&Pattern::t("?x", "p", "b")).len(), 1);
     }
 }
@@ -528,10 +507,6 @@ enum Walk {
     /// Spines in any order (fanned-out UNIONs allocate span ids
     /// concurrently), each still a chain of its plan's steps.
     Parallel,
-    /// Shards scan the first step each and finish the chain on their
-    /// own, so a spine's scans interleave: each must be a planned step,
-    /// and the first must be the plan's first.
-    Sharded,
 }
 
 fn planned_spines(plan: &Plan) -> Vec<Vec<ScanKey>> {
@@ -568,32 +543,22 @@ fn spine_runs(profile: &Profile) -> Vec<SpineRun> {
         .collect()
 }
 
-/// `true` iff `run` is what executing the planned `steps` under `walk`
-/// can record. A chain stops early only once a step leaves no row (or
-/// the seed is empty), so a shorter run must end there.
-fn fits(steps: &[ScanKey], run: &SpineRun, walk: Walk) -> bool {
+/// `true` iff `run` is what executing the planned `steps` can record.
+/// A chain stops early only once a step leaves no row (or the seed is
+/// empty), so a shorter run must end there.
+fn fits(steps: &[ScanKey], run: &SpineRun) -> bool {
     let stopped = || {
         run.scans
             .last()
             .map_or(run.seeded == Some(0), |(_, rows)| *rows == 0)
     };
-    match walk {
-        Walk::Sharded => match run.scans.first() {
-            None => steps.is_empty() || run.seeded == Some(0),
-            Some((first, _)) => {
-                steps.first() == Some(first) && run.scans.iter().all(|(key, _)| steps.contains(key))
-            }
-        },
-        Walk::Sequential | Walk::Parallel => {
-            run.scans.len() <= steps.len()
-                && run
-                    .scans
-                    .iter()
-                    .zip(steps)
-                    .all(|((key, _), step)| key == step)
-                && (run.scans.len() == steps.len() || stopped())
-        }
-    }
+    run.scans.len() <= steps.len()
+        && run
+            .scans
+            .iter()
+            .zip(steps)
+            .all(|((key, _), step)| key == step)
+        && (run.scans.len() == steps.len() || stopped())
 }
 
 /// Every spine span of `profile` is the run of one spine of `plan`, and
@@ -605,7 +570,7 @@ fn assert_spans_follow_plan(plan: &Plan, profile: &Profile, walk: Walk, what: &s
     if let Walk::Sequential = walk {
         for (i, (steps, run)) in planned.iter().zip(&runs).enumerate() {
             assert!(
-                fits(steps, run, walk),
+                fits(steps, run),
                 "{what}: spine {i} ran {:?}, planned {steps:?}\n{plan}",
                 run.scans
             );
@@ -617,7 +582,7 @@ fn assert_spans_follow_plan(plan: &Plan, profile: &Profile, walk: Walk, what: &s
     runs.sort_by_key(|r| std::cmp::Reverse(r.scans.len()));
     let mut unused: Vec<&Vec<ScanKey>> = planned.iter().collect();
     for run in &runs {
-        let Some(i) = unused.iter().position(|steps| fits(steps, run, walk)) else {
+        let Some(i) = unused.iter().position(|steps| fits(steps, run)) else {
             panic!(
                 "{what}: {walk:?} spine ran {:?}, which no planned spine fits\n{plan}",
                 run.scans
@@ -793,48 +758,6 @@ fn explain_is_the_plan_that_ran_on_the_benchmark_queries() {
                 let opts = ExecOpts { mode, ..opts };
                 let what = format!("width {}, {mode:?}, {p}", pool.threads());
                 assert_explain_is_the_run(&engine, &p, opts, pool, &what);
-            }
-        }
-    }
-}
-
-/// Sharded runs at 2 and 8 shards scan only planned steps: every SCAN
-/// span's label and estimate is a step of its spine's plan (the
-/// scattered first step included — it reports the plan's estimate, not
-/// one re-taken against a shard's runs).
-#[test]
-fn sharded_scans_are_plan_steps() {
-    let cfg = pattern_config();
-    let mut cases: Vec<(Store, Vec<(Pattern, ExecOpts)>)> =
-        vec![(social_store(), benchmark_queries())];
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0_6000 ^ seed);
-        let store = Store::with_options(StoreOptions {
-            min_compact: 8,
-            compact_fraction: 0.3,
-            cache_capacity: 0,
-        });
-        churn(&store, &mut rng, 50);
-        let patterns = (0..6u64)
-            .map(|k| (random_pattern(&cfg, seed * 733 + k), ExecOpts::seq()))
-            .collect();
-        cases.push((store, patterns));
-    }
-    for (store, patterns) in &cases {
-        let snapshot = store.snapshot();
-        let engine = snapshot.engine();
-        for shards in [2usize, 8] {
-            let runs = shard_rows(&engine.index().id_view(), shards);
-            let pools: Vec<Pool> = (0..shards).map(|_| Pool::new(1)).collect();
-            for (p, opts) in patterns {
-                let out = engine
-                    .run_sharded(p, &opts.traced(), &runs, &pools, None)
-                    .expect("unlimited budget cannot time out");
-                let explained = engine.explain(out.plan.pattern()).expect("narrow pattern");
-                assert_eq!(explained.to_string(), out.plan.to_string(), "{p}");
-                let profile = out.profile.expect("traced run has a profile");
-                let what = format!("{shards} shards, {p}");
-                assert_spans_follow_plan(&explained, &profile, Walk::Sharded, &what);
             }
         }
     }

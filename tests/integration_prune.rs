@@ -3,8 +3,8 @@
 //! plan — dropping provably-unsatisfiable FILTERs (FL003), subsumed
 //! UNION branches (UN002), and collapsing bound-guarded OPTs to joins
 //! (BD001) — and every rewrite must preserve the answer set exactly:
-//! against the reference engine, at every pool width, at every shard
-//! count, over churned store snapshots. The handcrafted cases also pin
+//! against the reference engine, at every pool width, over churned
+//! store snapshots. The handcrafted cases also pin
 //! the observability contract: prune counters in the outcome, the
 //! metrics hub, the Prometheus rendering, and the EXPLAIN plan.
 
@@ -88,7 +88,9 @@ proptest! {
     /// Acceptance criterion: optimize-with-pruning is answer-identical
     /// to the unoptimized reference engine for random NS-SPARQL+MINUS
     /// patterns over churned snapshots, at pool widths 1, 2, and 8, in
-    /// both sequential and parallel mode.
+    /// both sequential and parallel mode. The unoptimized parallel run
+    /// rides along, so the pool's fan-out is held to the reference on
+    /// churned snapshots with the pruning pass out of the picture.
     #[test]
     fn pruned_evaluation_matches_reference_at_all_widths(
         store_seed in 0..1000u64,
@@ -103,6 +105,7 @@ proptest! {
             let runs = [
                 ExecOpts::seq().uncached().optimized(),
                 ExecOpts::parallel().uncached().optimized(),
+                ExecOpts::parallel().uncached(),
             ];
             for opts in runs {
                 let req = QueryRequest::with_opts(p.clone(), opts);
@@ -113,42 +116,15 @@ proptest! {
                 prop_assert_eq!(
                     &got,
                     &reference,
-                    "pruned plan diverged from reference at width {}, pattern {}",
+                    "plan diverged from reference at width {}, {:?}, pattern {}",
                     width,
+                    opts,
                     p
                 );
             }
         }
     }
 
-    /// Same criterion through the sharded scatter-gather path: the
-    /// pruned plan at 1, 2, and 8 shards answers exactly like the
-    /// reference engine on the same snapshot.
-    #[test]
-    fn pruned_evaluation_matches_reference_when_sharded(
-        store_seed in 0..1000u64,
-        pattern_seed in 0..1000u64,
-    ) {
-        let store = churned_store(0x5EED ^ store_seed, 50);
-        let p = random_pattern(&pattern_config(), pattern_seed);
-        let reference = evaluate(&p, &store.snapshot().to_graph());
-        let req = optimized_request(&p);
-        let pool = Pool::new(2);
-        for shards in [1usize, 2, 8] {
-            store.enable_sharding(shards, 1);
-            let got = store
-                .query_request(&req, &pool)
-                .expect("unlimited budget cannot time out")
-                .mappings;
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "pruned sharded run diverged at {} shards, pattern {}",
-                shards,
-                p
-            );
-        }
-    }
 }
 
 /// Each certified rewrite fires end-to-end on a handcrafted shape: the

@@ -322,17 +322,17 @@ fn retired_paths_answer_404_envelopes() {
 #[test]
 fn v1_surface_speaks_json_envelopes() {
     let store = seeded_store(5);
-    // Exercise the sharded scatter-gather path end-to-end too.
-    let config = ServerConfig::builder().workers(2).shards(2).build();
+    // Exercise the pool's parallel path end-to-end too.
+    let config = ServerConfig::builder().workers(2).pool_threads(2).build();
     let server = Server::start(store, config).expect("start");
     let addr = server.addr();
 
-    // Readiness probe: sharding is prewarmed before start() returns.
+    // Readiness probe: the server is ready when start() returns.
     let (status, _, body) = send(addr, "GET", "/v1/healthz?ready=1", "");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"ready\": true"), "{body}");
 
-    // Query with options in the JSON body, over the sharded path.
+    // Query with options in the JSON body, over the pool's parallel path.
     let (status, _, body) = send(
         addr,
         "POST",
@@ -388,7 +388,7 @@ fn v1_surface_speaks_json_envelopes() {
     server.shutdown();
 }
 
-/// The golden exposition test: a durable, sharded store with traffic
+/// The golden exposition test: a durable store with parallel traffic
 /// exposes exactly today's family set, in order, one header each, and
 /// the JSON rendering carries every text family under its name with the
 /// same type (plus `"slow_queries"`).
@@ -404,7 +404,7 @@ fn both_metrics_renderings_walk_one_family_list() {
         store.insert(Triple::new(&format!("s{i}"), "p", &format!("o{i}")));
     }
     store.checkpoint().expect("checkpoint");
-    let config = ServerConfig::builder().workers(2).shards(2).build();
+    let config = ServerConfig::builder().workers(2).pool_threads(2).build();
     let server = Server::start(Arc::new(store), config).expect("start");
     let addr = server.addr();
     let traced = r#"{"mode": "parallel", "cache": false, "trace": true, "slow_ms": 0}"#;
@@ -426,10 +426,6 @@ fn both_metrics_renderings_walk_one_family_list() {
         ("owql_checkpoint_seconds", "histogram"),
         ("owql_slow_queries_total", "counter"),
         ("owql_lint_prunes_total", "counter"),
-        ("owql_sharded_queries_total", "counter"),
-        ("owql_shard_fanout", "histogram"),
-        ("owql_shard_tasks_total", "counter"),
-        ("owql_shard_rows_total", "counter"),
         ("owql_server_accepted_total", "counter"),
         ("owql_server_responses_total", "counter"),
         ("owql_server_shed_total", "counter"),
@@ -465,7 +461,7 @@ fn both_metrics_renderings_walk_one_family_list() {
         assert_eq!(family.and_then(JsonValue::as_str), Some(kind), "{name}");
     }
     assert!(sample_sum(&doc, "owql_checkpoints_total") >= 1);
-    assert!(sample_sum(&doc, "owql_sharded_queries_total") >= 2);
+    assert!(sample_sum(&doc, "owql_columnar_runs_total") >= 2);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,10 +10,11 @@
 //! the result boundary.
 //!
 //! The plan phase ([`crate::plan`]) fixed the variable frame, compiled
-//! the triples and conditions to ids, and ordered every spine's steps;
-//! this walk follows that plan and chooses nothing but the order in
-//! which a spine's non-triple conjuncts are joined into its seed
-//! (smallest first, by their actual sizes).
+//! the triples and conditions to ids, ordered every spine's steps
+//! (filtered steps included) and chose which `OPT`s probe from their
+//! left side; this walk follows that plan and chooses nothing but the
+//! order in which a spine's non-triple conjuncts are joined into its
+//! seed (smallest first, by their actual sizes).
 //!
 //! This is the only production implementation of the semantics.
 //! Sequential, pool-parallel and traced runs are all the same
@@ -55,6 +56,17 @@ use owql_rdf::{IdView, TermId, NO_TERM};
 /// below two full chunks) recovers the sequential baseline on small
 /// spines while leaving genuinely wide spines fanned out.
 const MIN_BINDINGS_PER_CHUNK: usize = 4096;
+
+/// How much smaller an `OPT`'s left side must be than its right side's
+/// unseeded first step for the plan to probe the right side from it:
+/// left estimate × `PROBE_RATIO` ≤ right estimate. On the seed-1
+/// 16,000-person benchmark graph the anchored `log_mix` OPTs run at
+/// left/right ≈ 4/7,956 (`email`) and 4/12,805 (`was_born_in`), the
+/// analytic OPTs at 4,270/7,956 or more; probing every OPT doubled
+/// `analytic_opt`'s per-query time, since the probe then re-scans most
+/// of the right run in a seeded step. A misjudged left side costs at
+/// most the probes over a left table that is already built.
+pub(crate) const PROBE_RATIO: usize = 32;
 
 /// Per-query evaluation context.
 struct Columnar<'a> {
@@ -114,15 +126,30 @@ impl Columnar<'_> {
     /// `parent`. With a disabled recorder the `begin`/`timer` calls
     /// return immediately and the label is never formatted.
     fn eval(&self, node: &Node, parent: SpanId) -> Result<IdMappingSet, EvalError> {
+        self.eval_seeded(node, parent, None)
+    }
+
+    /// [`Columnar::eval`], with the seed of a probed spine: the planner
+    /// gives a probe only to an `OPT` whose right operand is a spine of
+    /// triple steps, so `probe` is `Some` only for such a spine.
+    fn eval_seeded(
+        &self,
+        node: &Node,
+        parent: SpanId,
+        probe: Option<IdMappingSet>,
+    ) -> Result<IdMappingSet, EvalError> {
         self.budget.check()?;
         let rec = self.rec;
         let id = rec.begin();
         let timer = rec.timer();
         let (rows_in, out) = match node {
-            Node::Spine(spine) => self.eval_spine(spine, id)?,
-            Node::LeftOuterJoin(a, b) => {
+            Node::Spine(spine) => self.eval_spine(spine, id, probe)?,
+            Node::LeftOuterJoin(a, b, keep) => {
                 let left = self.eval(a, id)?;
-                let right = self.eval(b, id)?;
+                // `project` sorts and dedups, so the probes ascend and
+                // the seeded scans' galloping hints hit.
+                let probe = keep.as_ref().map(|keep| left.project(keep));
+                let right = self.eval_seeded(b, id, probe)?;
                 (Some(left.len() as u64), left.left_outer_join(&right))
             }
             Node::Union(disjuncts) => {
@@ -189,15 +216,16 @@ impl Columnar<'_> {
     }
 
     /// The `AND`-spine: evaluate the non-triple conjuncts, join them
-    /// smallest-first as the seed, then extend it by the plan's steps
-    /// in order via binary-searched run scans, stopping early once no
-    /// row is left. `span` is this spine's own span id. Returns the
-    /// seeded candidate count (the spine span's `rows_in`) with the
-    /// result.
+    /// smallest-first as the seed (or take the `probe` an `OPT` seeds
+    /// it with), then extend it by the plan's steps in order via
+    /// binary-searched run scans, stopping early once no row is left.
+    /// `span` is this spine's own span id. Returns the seeded candidate
+    /// count (the spine span's `rows_in`) with the result.
     fn eval_spine(
         &self,
         spine: &Spine,
         span: SpanId,
+        probe: Option<IdMappingSet>,
     ) -> Result<(Option<u64>, IdMappingSet), EvalError> {
         let w = self.width();
         if spine.unsatisfiable {
@@ -210,7 +238,9 @@ impl Columnar<'_> {
             .iter()
             .map(|p| self.eval(p, span))
             .collect::<Result<_, _>>()?;
-        let seed = if sub.is_empty() {
+        let seed = if let Some(probe) = probe {
+            probe
+        } else if sub.is_empty() {
             let mut seed = IdMappingSet::new(w);
             seed.push_row(&vec![NO_TERM; w]);
             seed
@@ -262,7 +292,10 @@ impl Columnar<'_> {
         let rec = self.rec;
         let id = rec.begin();
         let timer = rec.timer();
-        let out = self.extend(current, step.ids, state.dedup)?;
+        let mut out = self.extend(current, step.ids, state.dedup)?;
+        if let Some((_, cond)) = &step.filter {
+            out.retain(|row| cond.satisfied_by(row));
+        }
         if rec.is_enabled() {
             rec.record_span_est(
                 id,

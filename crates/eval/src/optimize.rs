@@ -14,7 +14,10 @@
 //! 4. **Filter pushdown** — `(P₁ AND P₂) FILTER R → (P₁ FILTER R) AND
 //!    P₂` when `var(R)` is *certainly bound* by `P₁`
 //!    ([`owql_lint::Bindings::of`]), shrinking join inputs before the
-//!    join.
+//!    join. When `P₁` is a triple `t` and `var(R) ⊆ var(t)`, the plan
+//!    runs the pushed FILTER on `t`'s scan step, after the steps that
+//!    bind `t`'s shared columns (`crate::plan`); otherwise `P₁ FILTER
+//!    R` is a subpattern that seeds the spine.
 //! 5. **Projection fusion** — `SELECT V (SELECT W P) → SELECT (V∩W) P`;
 //!    `SELECT V P → P` when `var(P) ⊆ V`.
 //! 6. **NS idempotence** — `NS(NS(P)) → NS(P)` (maximality is

@@ -6,7 +6,9 @@
 //! term ids against the snapshot's dictionary, orders each `AND`-spine's
 //! scan steps greedily — fewest columns not yet bound, then the smallest
 //! estimate — and records each step's access path and estimate, the
-//! [`IdView::cardinality_upper`] of its constants. The execute phase
+//! [`IdView::cardinality_upper`] of its constants. A conjunct
+//! `t FILTER R` with `vars(R) ⊆ vars(t)` is a scan step that carries
+//! `R`, so it is ordered like any other triple. The execute phase
 //! (`columnar.rs`) walks this plan, never the pattern, and every `SCAN`
 //! span it records carries the label and estimate of the step it runs.
 //! [`Engine::explain`](crate::Engine::explain) stops after this phase,
@@ -16,7 +18,15 @@
 //! conjuncts certainly bind ([`owql_lint::Bindings`]). One choice is
 //! left to run time — those conjuncts are joined into the spine's seed
 //! smallest-first by their actual sizes — and the rendered plan says so.
+//!
+//! `P1 OPT P2` whose right side is a spine of (possibly filtered) triple
+//! steps *probes* from its left side when that is selective: P2 is
+//! planned with the columns P1 certainly binds and P2 mentions already
+//! bound, and runs seeded by the left table's distinct projection onto
+//! them. The rule ([`PROBE_RATIO`]) is fixed here, and the join's label
+//! names the probe columns.
 
+use crate::columnar::PROBE_RATIO;
 use crate::run::EvalError;
 use owql_algebra::analysis::pattern_vars;
 use owql_algebra::id_mapping::{VarFrame, WIDTH_LIMIT};
@@ -103,12 +113,23 @@ pub struct Step {
     /// (0 when a constant is not in the dictionary).
     pub estimated_rows: usize,
     pub(crate) ids: IdTriple,
+    /// The condition of a `t FILTER R` conjunct, as written and
+    /// id-compiled: the step keeps only the rows that satisfy it.
+    pub(crate) filter: Option<(Condition, IdCond)>,
 }
 
 impl Step {
     /// The label of the `SCAN` span that runs this step.
     pub fn label(&self) -> String {
-        format!("{} via {}", self.pattern, self.access_path)
+        match self.filter() {
+            Some(r) => format!("{} via {} filter ({r})", self.pattern, self.access_path),
+            None => format!("{} via {}", self.pattern, self.access_path),
+        }
+    }
+
+    /// The FILTER condition this step applies to its rows, if any.
+    pub fn filter(&self) -> Option<&Condition> {
+        self.filter.as_ref().map(|(r, _)| r)
     }
 }
 
@@ -129,7 +150,9 @@ pub struct Spine {
 #[derive(Clone, Debug)]
 pub(crate) enum Node {
     Spine(Spine),
-    LeftOuterJoin(Box<Node>, Box<Node>),
+    /// `P1 OPT P2`; with probe columns (a per-column mask), the right
+    /// spine runs seeded by the left table's projection onto them.
+    LeftOuterJoin(Box<Node>, Box<Node>, Option<Vec<bool>>),
     /// The disjuncts of a `UNION` spine, in pattern order.
     Union(Vec<Node>),
     Difference(Box<Node>, Box<Node>),
@@ -162,19 +185,13 @@ impl Node {
                 m => format!("index join: {} steps + {m} subpatterns", s.steps.len()),
             },
             Node::Union(ds) => format!("union of {} disjuncts", ds.len()),
-            Node::LeftOuterJoin(..) => "left outer join".to_owned(),
+            Node::LeftOuterJoin(_, _, None) => "left outer join".to_owned(),
+            Node::LeftOuterJoin(_, _, Some(keep)) => {
+                format!("left outer join (probe on {})", var_set(frame, keep))
+            }
             Node::Difference(..) => "difference".to_owned(),
             Node::Filter(_, r, _) => format!("filter {r}"),
-            Node::Project(_, keep) => {
-                let names: Vec<String> = frame
-                    .vars()
-                    .iter()
-                    .zip(keep)
-                    .filter(|(_, &k)| k)
-                    .map(|(v, _)| v.to_string())
-                    .collect();
-                format!("project {{{}}}", names.join(", "))
-            }
+            Node::Project(_, keep) => format!("project {}", var_set(frame, keep)),
             Node::MaximalAnswers(_) => "maximal answers".to_owned(),
         }
     }
@@ -183,7 +200,7 @@ impl Node {
         match self {
             Node::Spine(s) => s.others.iter().collect(),
             Node::Union(ds) => ds.iter().collect(),
-            Node::LeftOuterJoin(a, b) | Node::Difference(a, b) => vec![a.as_ref(), b.as_ref()],
+            Node::LeftOuterJoin(a, b, _) | Node::Difference(a, b) => vec![a.as_ref(), b.as_ref()],
             Node::Filter(p, ..) | Node::Project(p, _) | Node::MaximalAnswers(p) => vec![p.as_ref()],
         }
     }
@@ -290,6 +307,18 @@ impl fmt::Display for Plan {
     }
 }
 
+/// The frame variables a column mask keeps, as `{?a, ?b}`.
+fn var_set(frame: &VarFrame, keep: &[bool]) -> String {
+    let names: Vec<String> = frame
+        .vars()
+        .iter()
+        .zip(keep)
+        .filter(|(_, &k)| k)
+        .map(|(v, _)| v.to_string())
+        .collect();
+    format!("{{{}}}", names.join(", "))
+}
+
 fn indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
     for _ in 0..depth {
         write!(f, "  ")?;
@@ -307,8 +336,12 @@ impl Planner<'_> {
     fn node(&self, p: &Pattern) -> Node {
         let node = |q: &Pattern| Box::new(self.node(q));
         match p {
-            Pattern::Triple(_) | Pattern::And(..) => Node::Spine(self.spine(p)),
-            Pattern::Opt(a, b) => Node::LeftOuterJoin(node(a), node(b)),
+            Pattern::Triple(_) | Pattern::And(..) => Node::Spine(self.spine(p, 0)),
+            Pattern::Opt(a, b) => {
+                let left = self.node(a);
+                let (right, probe) = self.opt_right(a, b, &left);
+                Node::LeftOuterJoin(Box::new(left), Box::new(right), probe)
+            }
             Pattern::Union(..) => {
                 Node::Union(union_spine(p).into_iter().map(|d| self.node(d)).collect())
             }
@@ -324,14 +357,54 @@ impl Planner<'_> {
         }
     }
 
-    /// Orders the spine's steps greedily from the columns its
-    /// non-triple conjuncts certainly bind: fewest columns not yet
-    /// bound, ties broken by the smaller estimate, then by pattern
-    /// order.
-    fn spine(&self, p: &Pattern) -> Spine {
+    /// Plans the right operand of `a OPT b`, whose left operand planned
+    /// as `left`. It probes — `b` is planned with the probe columns
+    /// bound and the mask is returned — iff `b` is a satisfiable spine
+    /// of triple steps sharing columns that `a` certainly binds, and
+    /// the left side is selective: its estimate times [`PROBE_RATIO`]
+    /// is at most the estimate of `b`'s unseeded first step.
+    ///
+    /// Sound because every probe column is bound in every left row and
+    /// in every right row: a right row outside the semi-join agrees
+    /// with no left row there, so it is compatible with none.
+    fn opt_right(&self, a: &Pattern, b: &Pattern, left: &Node) -> (Node, Option<Vec<bool>>) {
+        let unseeded = self.node(b);
+        let Node::Spine(spine) = &unseeded else {
+            return (unseeded, None);
+        };
+        let right_vars = spine.steps.iter().fold(0, |m, s| m | s.ids.var_mask());
+        let shared = self.certain_mask(a) & right_vars;
+        let selective = match (left_estimate(left), spine.steps.first()) {
+            (Some(l), Some(first)) => l.saturating_mul(PROBE_RATIO) <= first.estimated_rows,
+            _ => false,
+        };
+        if shared == 0 || !spine.others.is_empty() || spine.unsatisfiable || !selective {
+            return (unseeded, None);
+        }
+        let keep = (0..self.frame.width())
+            .map(|c| shared & (1 << c) != 0)
+            .collect();
+        (Node::Spine(self.spine(b, shared)), Some(keep))
+    }
+
+    /// The frame columns `p` certainly binds, as a bitmask.
+    fn certain_mask(&self, p: &Pattern) -> u64 {
+        owql_lint::Bindings::of(p)
+            .certain
+            .iter()
+            .filter_map(|v| self.frame.col(*v))
+            .fold(0, |m, c| m | (1 << c))
+    }
+
+    /// Orders the spine's steps greedily from `bound` (the probe
+    /// columns, when it is seeded by an OPT's left side) and the
+    /// columns its non-triple conjuncts certainly bind: fewest columns
+    /// not yet bound, ties broken by the smaller estimate, then by
+    /// pattern order.
+    fn spine(&self, p: &Pattern, bound: u64) -> Spine {
         let (mut triples, mut others) = (Vec::new(), Vec::new());
         spine_parts(p, &mut triples, &mut others);
-        let mut remaining: Vec<Step> = triples.into_iter().map(|t| self.step(t)).collect();
+        let mut remaining: Vec<Step> = triples.into_iter().map(|(t, r)| self.step(t, r)).collect();
         if remaining.iter().any(|s| s.ids.unsatisfiable()) {
             return Spine {
                 others: Vec::new(),
@@ -339,13 +412,7 @@ impl Planner<'_> {
                 unsatisfiable: true,
             };
         }
-        let mut bound = others.iter().fold(0u64, |m, o| {
-            owql_lint::Bindings::of(o)
-                .certain
-                .iter()
-                .filter_map(|v| self.frame.col(*v))
-                .fold(m, |m, c| m | (1 << c))
-        });
+        let mut bound = others.iter().fold(bound, |m, o| m | self.certain_mask(o));
         let mut steps = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
             let key = |s: &Step| ((s.ids.var_mask() & !bound).count_ones(), s.estimated_rows);
@@ -364,7 +431,7 @@ impl Planner<'_> {
         }
     }
 
-    fn step(&self, t: TriplePattern) -> Step {
+    fn step(&self, t: TriplePattern, filter: Option<&Condition>) -> Step {
         let compile = |tp: TermPattern| match tp {
             TermPattern::Iri(iri) => self
                 .view
@@ -389,6 +456,7 @@ impl Planner<'_> {
                 self.view.cardinality_upper(s, p, o)
             },
             ids,
+            filter: filter.map(|r| (r.clone(), self.cond(r))),
         }
     }
 
@@ -434,11 +502,30 @@ fn access_path(t: TriplePattern) -> &'static str {
     }
 }
 
-/// Splits an `AND`-spine into its triple-pattern leaves and the other
-/// conjunct sub-patterns.
+/// The estimate of a left operand: the first step of its leftmost
+/// spine of triple steps alone (`None` without one). OPT, MINUS,
+/// FILTER, SELECT and NS keep or extend their left operand's rows, so
+/// the descent follows that operand.
+fn left_estimate(node: &Node) -> Option<usize> {
+    match node {
+        Node::Spine(s) if s.others.is_empty() => s.steps.first().map(|s| s.estimated_rows),
+        Node::LeftOuterJoin(a, ..)
+        | Node::Difference(a, _)
+        | Node::Filter(a, ..)
+        | Node::Project(a, _)
+        | Node::MaximalAnswers(a) => left_estimate(a),
+        Node::Spine(_) | Node::Union(_) => None,
+    }
+}
+
+/// Splits an `AND`-spine into its triple-pattern leaves — a conjunct
+/// `t FILTER R` with `vars(R) ⊆ vars(t)` is a leaf carrying `R` — and
+/// the other conjunct sub-patterns. A condition over a variable outside
+/// `t` stays a sub-pattern: on a joined row it would read bindings `t`
+/// does not supply.
 fn spine_parts<'a>(
     p: &'a Pattern,
-    triples: &mut Vec<TriplePattern>,
+    triples: &mut Vec<(TriplePattern, Option<&'a Condition>)>,
     others: &mut Vec<&'a Pattern>,
 ) {
     match p {
@@ -446,7 +533,11 @@ fn spine_parts<'a>(
             spine_parts(a, triples, others);
             spine_parts(b, triples, others);
         }
-        Pattern::Triple(t) => triples.push(*t),
+        Pattern::Triple(t) => triples.push((*t, None)),
+        Pattern::Filter(q, r) => match **q {
+            Pattern::Triple(t) if r.vars().is_subset(&t.vars()) => triples.push((t, Some(r))),
+            _ => others.push(p),
+        },
         other => others.push(other),
     }
 }

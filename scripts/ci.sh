@@ -54,12 +54,14 @@ stage_differential() {
   step "differential: the one evaluator vs the reference evaluator"
   # There is one production evaluator and one oracle; these suites hold
   # every store/parallel/pruned configuration of the former to the
-  # latter's answers. One level down, owql-algebra's proptest_id_mapping
-  # holds the columnar pair kernel (join, difference, left outer join)
-  # to the term-level MappingSet operations the oracle is built from.
+  # latter's answers, and integration_properties holds the engine, NS
+  # maximality and the union normal form to them on random graphs. One
+  # level down, owql-algebra's proptest_id_mapping holds the columnar
+  # pair kernel (join, difference, left outer join) to the term-level
+  # MappingSet operations the oracle is built from.
   cargo test -q -p owql \
     --test integration_columnar --test integration_store --test integration_parallel \
-    --test integration_prune
+    --test integration_prune --test integration_properties
   cargo test -q -p owql-algebra
   cargo test -q -p owql-rdf --test proptest_dict
   echo "differential OK"

@@ -840,3 +840,285 @@ fn estimates_on_a_store_with_deletes_are_the_runs() {
     assert!(plan.to_string().contains("(~10 rows)"), "{plan}");
     assert_eq!(traced_scans(&engine, &p), want);
 }
+
+/// The benchmark's graph: seed-1 `social_network` at 16,000 people
+/// (100,751 triples), as `owql_bench` generates it, built once.
+fn benchmark_store() -> &'static Store {
+    static STORE: std::sync::OnceLock<Store> = std::sync::OnceLock::new();
+    STORE.get_or_init(|| {
+        let graph = owql::rdf::generate::social_network(
+            owql::rdf::generate::SocialOptions {
+                people: 16_000,
+                avg_follows: 4,
+                email_probability: 0.5,
+                birthplace_probability: 0.8,
+            },
+            1,
+        );
+        Store::from_graph(&graph)
+    })
+}
+
+/// A mix template at person constants `c` and `d`.
+fn mix_query(template: &str, c: usize, d: usize) -> Pattern {
+    let text = template
+        .replace("{C}", &format!("person{c}"))
+        .replace("{D}", &format!("person{d}"));
+    parse_pattern(&text).expect("mix template")
+}
+
+/// The plan a run of `p` under `opts` executed (the optimized pattern's
+/// plan, when `opts` asks for the optimizer).
+fn plan_of(engine: &Engine, p: &Pattern, opts: ExecOpts) -> Plan {
+    engine
+        .run(p, &opts, &Pool::sequential())
+        .expect("unlimited budget cannot time out")
+        .plan
+}
+
+/// The plan shapes the benchmark runs, on the benchmark's graph (the
+/// 120-person `social_store` is too small for the probe rule to fire):
+/// the analytic OPT suite plans no probe, the anchored mix OPTs that
+/// share `?x` probe at every OPT, an OPT sharing no certain column
+/// does not, and both FILTER templates run their condition on a seeded
+/// `was_born_in` step instead of scanning that run as a subpattern.
+#[test]
+fn plan_shapes_on_the_benchmark_graph() {
+    let store = benchmark_store();
+    let snapshot = store.snapshot();
+    let engine = snapshot.engine();
+    for text in &SUITE[..3] {
+        let p = parse_pattern(text).expect("suite query");
+        let plan = plan_of(&engine, &p, ExecOpts::seq());
+        assert!(!plan.to_string().contains("probe"), "{p}\n{plan}");
+    }
+    let pools: Vec<Pool> = [1, 2].into_iter().map(Pool::new).collect();
+    for (c, d) in [(0, 1), (3, 4), (17, 2)] {
+        let optimized = ExecOpts::seq().optimized();
+        for (template, probes) in [(TEMPLATES[13], 1), (TEMPLATES[15], 2), (TEMPLATES[14], 0)] {
+            let p = mix_query(template, c, d);
+            let text = plan_of(&engine, &p, optimized).to_string();
+            assert_eq!(
+                text.matches("left outer join (probe on {?x})").count(),
+                probes,
+                "{p}\n{text}"
+            );
+            assert_eq!(text.matches("probe").count(), probes, "{p}\n{text}");
+        }
+        for template in [TEMPLATES[11], TEMPLATES[12]] {
+            let p = mix_query(template, c, d);
+            let plan = plan_of(&engine, &p, optimized);
+            let spines = plan.spines();
+            assert_eq!(spines.len(), 1, "no subpattern spine: {p}\n{plan}");
+            let steps = &spines[0].steps;
+            assert_eq!(steps.len(), 2, "{p}\n{plan}");
+            assert!(steps[0].filter().is_none(), "anchored step first: {plan}");
+            assert!(steps[1].filter().is_some(), "filtered step second: {plan}");
+            assert!(
+                steps.iter().all(|s| !s.label().ends_with("via P index")),
+                "no unfiltered P-index scan: {p}\n{plan}"
+            );
+        }
+        for template in [
+            TEMPLATES[11],
+            TEMPLATES[12],
+            TEMPLATES[13],
+            TEMPLATES[14],
+            TEMPLATES[15],
+        ] {
+            let p = mix_query(template, c, d);
+            for pool in &pools {
+                for mode in [ExecMode::Seq, ExecMode::Parallel] {
+                    let opts = ExecOpts { mode, ..optimized };
+                    let what = format!("width {}, {mode:?}, {p}", pool.threads());
+                    assert_explain_is_the_run(&engine, &p, opts, pool, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Rows the `SCAN` spans of a traced sequential run of `p` produced.
+fn scanned_rows(engine: &Engine, p: &Pattern, opts: ExecOpts) -> u64 {
+    let out = engine
+        .run(p, &opts.traced(), &Pool::sequential())
+        .expect("unlimited budget cannot time out");
+    let profile = out.profile.expect("traced run has a profile");
+    profile
+        .spans
+        .iter()
+        .filter(|s| s.kind == OpKind::Scan)
+        .map(|s| s.rows_out)
+        .sum()
+}
+
+/// The optimizer never makes a mix query scan more: on the benchmark's
+/// graph, at three pairs of constants, every template's optimized run
+/// produces at most as many `SCAN` rows as its unoptimized run. Rows,
+/// not time, so the check is exact. (Before a pushed FILTER rode its
+/// scan step, the FILTER templates scanned all 12,805 `was_born_in`
+/// rows optimized against about 8 plain.)
+#[test]
+fn optimized_mix_scans_no_more_rows_than_plain() {
+    let store = benchmark_store();
+    let snapshot = store.snapshot();
+    let engine = snapshot.engine();
+    for (c, d) in [(0, 1), (3, 4), (17, 2)] {
+        for template in TEMPLATES {
+            let p = mix_query(template, c, d);
+            let plain = scanned_rows(&engine, &p, ExecOpts::seq());
+            let optimized = scanned_rows(&engine, &p, ExecOpts::seq().optimized());
+            assert!(
+                optimized <= plain,
+                "{p}: optimized scanned {optimized} rows, plain {plain}"
+            );
+        }
+    }
+}
+
+/// A random anchored pattern over the social vocabulary: an anchored
+/// spine, possibly with a filtered conjunct, then a chain of OPTs whose
+/// right operands are spines of (possibly filtered) triples. The
+/// corners: a condition over a variable outside its triple, a
+/// never-interned constant in a condition and in a right operand, and
+/// a nested OPT whose shared variable is only possibly bound.
+fn anchored_pattern(rng: &mut StdRng) -> Pattern {
+    let anchor = format!("person{}", rng.gen_range(0..40usize));
+    let anchor = anchor.as_str();
+    let cond = |rng: &mut StdRng| match rng.gen_range(0..5) {
+        0 => Condition::eq_const("c", "Chile"),
+        1 => Condition::eq_const("c", "Sweden").not(),
+        2 => Condition::eq_const("c", "Atlantis"),
+        3 => Condition::eq_const("c", "Belgium").or(Condition::bound("c")),
+        _ => Condition::eq_const("c", "Chile").and(Condition::bound("c")),
+    };
+    let born = |rng: &mut StdRng, s: &str| Pattern::t(s, "was_born_in", "?c").filter(cond(rng));
+    let mut p = match rng.gen_range(0..5) {
+        0 => Pattern::t(anchor, "follows", "?x"),
+        1 => Pattern::t("?x", "follows", anchor),
+        2 => Pattern::t(anchor, "follows", "?x").and(born(rng, "?x")),
+        3 => Pattern::t("?x", "follows", anchor).and(Pattern::t("?x", "follows", "?y")),
+        // A condition over `?y`, which its triple does not bind but an
+        // earlier step does: on the joined row it would pass them all.
+        _ => Pattern::t(anchor, "follows", "?y")
+            .and(Pattern::t(anchor, "follows", "?x"))
+            .and(
+                Pattern::t("?x", "was_born_in", "?c")
+                    .filter(Condition::eq_const("c", "Chile").or(Condition::bound("y"))),
+            ),
+    };
+    for _ in 0..rng.gen_range(1..=3usize) {
+        let right = match rng.gen_range(0..8) {
+            0 => Pattern::t("?x", "email", "?e"),
+            1 => Pattern::t("?x", "was_born_in", "?c"),
+            2 => Pattern::t("?x", "follows", "?y"),
+            // Shares `?y`, which an earlier OPT may leave unbound.
+            3 => Pattern::t("?y", "name", "?n"),
+            // Shares `?x` for certain and `?y` possibly.
+            4 => Pattern::t("?x", "follows", "?y").and(Pattern::t("?y", "name", "?n")),
+            5 => Pattern::t("?x", "name", "?n").and(born(rng, "?x")),
+            // A never-interned constant in the right operand.
+            6 => Pattern::t("?x", "email", "nobody@nowhere"),
+            _ => Pattern::t("?x", "follows", "?z").and(born(rng, "?z")),
+        };
+        p = p.opt(right);
+    }
+    p
+}
+
+/// The probe and the filtered step against the reference evaluator,
+/// where both fire: random anchored OPT chains and `t FILTER R`
+/// conjuncts on a 400-person social network whose snapshot overlays
+/// inserts and deletes on the anchors' neighbourhoods (so the probes
+/// cross the add tier and the delete set), at pool widths 1, 2 and 8,
+/// sequential and parallel, plain and optimized. Fails if no plan
+/// probes or no step carries a filter.
+#[test]
+fn probes_and_filtered_steps_match_reference() {
+    let graph = owql::rdf::generate::social_network(
+        owql::rdf::generate::SocialOptions {
+            people: 400,
+            avg_follows: 4,
+            email_probability: 0.5,
+            birthplace_probability: 0.8,
+        },
+        7,
+    );
+    let store = Store::from_graph(&graph);
+    let mut rng = StdRng::seed_from_u64(0xC0_6000);
+    let anchors: std::collections::BTreeSet<String> =
+        (0..40).map(|i| format!("person{i}")).collect();
+    let base: Vec<Triple> = graph.iter().copied().collect();
+    let anchored: Vec<Triple> = base
+        .iter()
+        .copied()
+        .filter(|t| anchors.contains(t.s.as_str()))
+        .collect();
+    for _ in 0..30 {
+        let mut tx = store.begin();
+        for _ in 0..10 {
+            let i = rng.gen_range(0..40usize);
+            let person = format!("person{i}");
+            if rng.gen_bool(0.5) {
+                let t = match rng.gen_range(0..3) {
+                    0 => Triple::new(
+                        &person,
+                        "follows",
+                        &format!("person{}", rng.gen_range(0..400usize)),
+                    ),
+                    1 => Triple::new(&person, "email", &format!("{person}@example.net")),
+                    _ => Triple::new(
+                        &format!("person{}", rng.gen_range(0..400usize)),
+                        "follows",
+                        &person,
+                    ),
+                };
+                tx.insert(t);
+            } else if rng.gen_bool(0.8) {
+                tx.delete(anchored[rng.gen_range(0..anchored.len())]);
+            } else {
+                tx.delete(base[rng.gen_range(0..base.len())]);
+            }
+        }
+        store.commit(tx);
+    }
+    let snapshot = store.snapshot();
+    let (engine, visible) = (snapshot.engine(), snapshot.to_graph());
+    let pools: Vec<Pool> = [1, 2, 8].into_iter().map(Pool::new).collect();
+    let (mut probed, mut filtered) = (0, 0);
+    for k in 0..40 {
+        let p = anchored_pattern(&mut rng);
+        let reference = evaluate(&p, &visible);
+        for optimize in [false, true] {
+            let base = if optimize {
+                ExecOpts::seq().optimized()
+            } else {
+                ExecOpts::seq()
+            };
+            let plan = plan_of(&engine, &p, base);
+            probed += usize::from(plan.to_string().contains("(probe on"));
+            filtered += usize::from(
+                plan.spines()
+                    .iter()
+                    .any(|s| s.steps.iter().any(|st| st.filter().is_some())),
+            );
+            for pool in &pools {
+                for mode in [ExecMode::Seq, ExecMode::Parallel] {
+                    let opts = ExecOpts { mode, ..base };
+                    let got = engine
+                        .run(&p, &opts, pool)
+                        .expect("unlimited budget cannot time out")
+                        .mappings;
+                    assert_eq!(
+                        got,
+                        reference,
+                        "pattern {k}, width {}, {mode:?}, optimize {optimize}: {p}\n{plan}",
+                        pool.threads()
+                    );
+                }
+            }
+        }
+    }
+    assert!(probed > 0, "no plan probed");
+    assert!(filtered > 0, "no step carried a filter");
+}

@@ -62,10 +62,9 @@ const MIN_BINDINGS_PER_CHUNK: usize = 4096;
 /// left estimate × `PROBE_RATIO` ≤ right estimate. On the seed-1
 /// 16,000-person benchmark graph the anchored `log_mix` OPTs run at
 /// left/right ≈ 4/7,956 (`email`) and 4/12,805 (`was_born_in`), the
-/// analytic OPTs at 4,270/7,956 or more; probing every OPT doubled
-/// `analytic_opt`'s per-query time, since the probe then re-scans most
-/// of the right run in a seeded step. A misjudged left side costs at
-/// most the probes over a left table that is already built.
+/// analytic OPTs at 4,270/7,956 or more, and probing every OPT roughly
+/// doubled `analytic_opt`'s per-query time. A misjudged left side costs
+/// at most the probes over a left table that is already built.
 pub(crate) const PROBE_RATIO: usize = 32;
 
 /// Per-query evaluation context.

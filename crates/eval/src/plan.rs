@@ -5,7 +5,8 @@
 //! variables), compiles every triple pattern and FILTER condition to
 //! term ids against the snapshot's dictionary, orders each `AND`-spine's
 //! scan steps greedily — fewest columns not yet bound, then the smallest
-//! estimate — and records each step's access path and estimate, the
+//! estimate — and records each step's access path (the run its
+//! constants and the columns bound before it select) and estimate, the
 //! [`IdView::cardinality_upper`] of its constants. A conjunct
 //! `t FILTER R` with `vars(R) ⊆ vars(t)` is a scan step that carries
 //! `R`, so it is ordered like any other triple. The execute phase
@@ -23,8 +24,8 @@
 //! steps *probes* from its left side when that is selective: P2 is
 //! planned with the columns P1 certainly binds and P2 mentions already
 //! bound, and runs seeded by the left table's distinct projection onto
-//! them. The rule ([`PROBE_RATIO`]) is fixed here, and the join's label
-//! names the probe columns.
+//! them. The rule (`PROBE_RATIO`, columnar.rs) is fixed here, and the
+//! join's label names the probe columns.
 
 use crate::columnar::PROBE_RATIO;
 use crate::run::EvalError;
@@ -106,7 +107,8 @@ impl IdCond {
 pub struct Step {
     /// The triple pattern scanned.
     pub pattern: TriplePattern,
-    /// The index access path its constants select.
+    /// The index access path the step scans: the run its constants
+    /// and the columns bound before it in the spine select.
     pub access_path: &'static str,
     /// Upper bound on the rows the pattern matches: the constant-only
     /// run cardinality of base plus add tier, deletions not subtracted
@@ -420,7 +422,8 @@ impl Planner<'_> {
             let next = (0..remaining.len())
                 .min_by_key(|&i| key(&remaining[i]))
                 .unwrap_or(0);
-            let step = remaining.swap_remove(next);
+            let mut step = remaining.swap_remove(next);
+            step.access_path = access_path(&step.ids, bound);
             bound |= step.ids.var_mask();
             steps.push(step);
         }
@@ -449,7 +452,7 @@ impl Planner<'_> {
         });
         Step {
             pattern: t,
-            access_path: access_path(t),
+            access_path: access_path(&ids, 0),
             estimated_rows: if ids.unsatisfiable() {
                 0
             } else {
@@ -485,12 +488,14 @@ impl Planner<'_> {
     }
 }
 
-fn access_path(t: TriplePattern) -> &'static str {
-    match (
-        t.s.as_iri().is_some(),
-        t.p.as_iri().is_some(),
-        t.o.as_iri().is_some(),
-    ) {
+/// The run a step scans when the columns in `bound` are bound: each
+/// position is bound by a constant or by a bound variable's column.
+fn access_path(ids: &IdTriple, bound: u64) -> &'static str {
+    let [s, p, o] = ids.pos.map(|pos| match pos {
+        IdPos::Var(c) => bound & (1 << c) != 0,
+        IdPos::Const(_) | IdPos::Missing => true,
+    });
+    match (s, p, o) {
         (true, true, true) => "SPO (point)",
         (true, true, false) => "SP index",
         (false, true, true) => "PO index",

@@ -34,7 +34,7 @@ pub use segment::{
     load_newest_valid, prune_segments, segment_epoch, segment_generations, segment_path,
     write_segment, Segment, SegmentError,
 };
-pub use wal::{replay_bytes, replay_file, CommitRecord, Wal, WalOp, WalReplay};
+pub use wal::{replay_bytes, CommitRecord, Wal, WalOp, WalPoisoned, WalReplay};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -125,8 +125,6 @@ pub struct RecoveryReport {
     pub segment_triples: usize,
     /// WAL records re-applied on top of the segment.
     pub replayed_records: u64,
-    /// Mutations inside those records.
-    pub replayed_ops: u64,
     /// WAL records skipped because a segment already covers them.
     pub stale_records: u64,
     /// Torn/corrupt trailing WAL bytes truncated.
@@ -159,7 +157,6 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         segment_epoch: watermark,
         segment_triples: segment.as_ref().map_or(0, Segment::len),
         replayed_records: replay.len() as u64,
-        replayed_ops: replay.iter().map(|r| r.ops.len() as u64).sum(),
         stale_records,
         skipped_wal_bytes: wal_replay.skipped_bytes,
         rejected_segments: rejected,

@@ -17,9 +17,12 @@
 //! are handled the same: the log is truncated back to its longest
 //! valid prefix and the store recovers to the last fully-committed
 //! epoch. IRIs travel as text because interner ids are process-local.
+//! A failed append cuts the file back to its last whole frame, so the
+//! next frame follows the last acknowledged one ([`Wal::append`]).
 
 use crate::crc::crc32;
 use owql_rdf::Triple;
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,10 +41,11 @@ pub enum WalOp {
 }
 
 impl WalOp {
-    /// The triple the op touches.
-    pub fn triple(&self) -> Triple {
+    /// `(true, t)` for an insert of `t`, `(false, t)` for a delete.
+    pub fn parts(&self) -> (bool, Triple) {
         match *self {
-            WalOp::Insert(t) | WalOp::Delete(t) => t,
+            WalOp::Insert(t) => (true, t),
+            WalOp::Delete(t) => (false, t),
         }
     }
 }
@@ -57,6 +61,16 @@ pub struct CommitRecord {
 }
 
 impl CommitRecord {
+    /// The record's frame: header, then [`CommitRecord::encode`].
+    fn frame(&self) -> Vec<u8> {
+        let payload = self.encode();
+        let header = [
+            (payload.len() as u32).to_le_bytes(),
+            crc32(&payload).to_le_bytes(),
+        ];
+        [header.as_flattened(), &payload].concat()
+    }
+
     /// Serializes the record payload (everything after the frame
     /// header).
     pub fn encode(&self) -> Vec<u8> {
@@ -160,6 +174,20 @@ impl WalReplay {
     }
 }
 
+/// The error of every append to a poisoned [`Wal`]: an earlier append
+/// could not be cut back, or its fsync failed, so what the file holds
+/// past the last whole frame is unknown.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalPoisoned;
+
+impl fmt::Display for WalPoisoned {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("the write-ahead log is poisoned by a failed append; reopen the store")
+    }
+}
+
+impl std::error::Error for WalPoisoned {}
+
 /// An open write-ahead log: an append handle plus running counters.
 #[derive(Debug)]
 pub struct Wal {
@@ -167,6 +195,7 @@ pub struct Wal {
     file: File,
     records: u64,
     bytes: u64,
+    poisoned: bool,
 }
 
 impl Wal {
@@ -196,21 +225,33 @@ impl Wal {
             file,
             records: replay.records.len() as u64,
             bytes: replay.valid_bytes,
+            poisoned: false,
         };
         Ok((wal, replay))
     }
 
     /// Appends one frame; with `fsync`, the frame is durable before
     /// this returns. Returns the frame's size in bytes.
+    ///
+    /// On a write or fsync error the file is cut back to its last whole
+    /// frame. If that cut fails, or the fsync did (the kernel may have
+    /// dropped the dirty pages, so a retry proves nothing), the log is
+    /// poisoned: later appends and truncations fail with [`WalPoisoned`].
     pub fn append(&mut self, record: &CommitRecord, fsync: bool) -> io::Result<u64> {
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
-        if fsync {
-            self.file.sync_data()?;
+        if self.poisoned {
+            return Err(io::Error::other(WalPoisoned));
+        }
+        let frame = record.frame();
+        let written = match self.file.write_all(&frame) {
+            Err(err) => Err((err, false)),
+            Ok(()) if fsync => self.file.sync_data().map_err(|err| (err, true)),
+            Ok(()) => Ok(()),
+        };
+        if let Err((err, sync_failed)) = written {
+            let cut = self.file.set_len(self.bytes);
+            let cut = cut.and_then(|()| self.file.seek(SeekFrom::Start(self.bytes)));
+            self.poisoned = sync_failed || cut.is_err();
+            return Err(err);
         }
         self.records += 1;
         self.bytes += frame.len() as u64;
@@ -223,6 +264,9 @@ impl Wal {
     /// renamed over the log, so a crash mid-truncation leaves either
     /// the old or the new log, never a mix.
     pub fn truncate_behind(&mut self, watermark: u64) -> io::Result<u64> {
+        if self.poisoned {
+            return Err(io::Error::other(WalPoisoned));
+        }
         let mut bytes = Vec::with_capacity(self.bytes as usize);
         self.file.seek(SeekFrom::Start(0))?;
         self.file.read_to_end(&mut bytes)?;
@@ -237,12 +281,10 @@ impl Wal {
         let mut out = File::create(&tmp)?;
         let (mut records, mut total) = (0u64, 0u64);
         for record in kept {
-            let payload = record.encode();
-            out.write_all(&(payload.len() as u32).to_le_bytes())?;
-            out.write_all(&crc32(&payload).to_le_bytes())?;
-            out.write_all(&payload)?;
+            let frame = record.frame();
+            out.write_all(&frame)?;
             records += 1;
-            total += 8 + payload.len() as u64;
+            total += frame.len() as u64;
         }
         out.sync_data()?;
         drop(out);
@@ -266,11 +308,6 @@ impl Wal {
     /// Bytes in the current valid prefix.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -301,11 +338,6 @@ pub fn replay_bytes(bytes: &[u8]) -> WalReplay {
         valid_bytes: at as u64,
         skipped_bytes: (bytes.len() - at) as u64,
     }
-}
-
-/// Replays the log at `path` without opening it for append.
-pub fn replay_file(path: impl AsRef<Path>) -> io::Result<WalReplay> {
-    Ok(replay_bytes(&std::fs::read(path)?))
 }
 
 /// Fsyncs the directory containing `path`, making a rename/create of
@@ -420,7 +452,7 @@ mod tests {
         wal.append(&record(2, 2), true)
             .expect("append after recovery");
         drop(wal);
-        let replay = replay_file(&path).expect("replay");
+        let replay = replay_bytes(&std::fs::read(&path).expect("read"));
         assert_eq!(replay.records.len(), 2);
         assert!(!replay.torn());
     }
@@ -443,6 +475,30 @@ mod tests {
         assert!(replay.torn());
     }
 
+    /// An append whose write fails and whose cut-back fails too — here
+    /// on a handle opened read-only — poisons the log: every later
+    /// append and truncation is refused, and the file is unchanged.
+    #[test]
+    fn failed_append_that_cannot_be_undone_poisons_the_log() {
+        let path = tmp("poison");
+        let (mut wal, _) = Wal::open(&path).expect("open");
+        wal.append(&record(1, 2), true).expect("append");
+        let before = std::fs::read(&path).expect("read");
+        wal.file = File::open(&path).expect("read-only handle");
+        assert!(wal.append(&record(2, 2), true).is_err());
+        for err in [
+            wal.append(&record(2, 1), true).expect_err("poisoned"),
+            wal.truncate_behind(1).expect_err("poisoned"),
+        ] {
+            assert_eq!(
+                err.get_ref().and_then(|e| e.downcast_ref::<WalPoisoned>()),
+                Some(&WalPoisoned)
+            );
+        }
+        assert_eq!(wal.records(), 1);
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+    }
+
     #[test]
     fn truncate_behind_drops_checkpointed_records() {
         let path = tmp("behind");
@@ -456,7 +512,7 @@ mod tests {
         // The surviving suffix replays, and the handle still appends.
         wal.append(&record(7, 1), true).expect("append");
         drop(wal);
-        let replay = replay_file(&path).expect("replay");
+        let replay = replay_bytes(&std::fs::read(&path).expect("read"));
         assert_eq!(
             replay.records.iter().map(|r| r.epoch).collect::<Vec<_>>(),
             vec![5, 6, 7]

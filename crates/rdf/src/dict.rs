@@ -126,20 +126,6 @@ impl TermDict {
         }
     }
 
-    /// [`TermDict::check_capacity`] for interning `terms` (duplicates
-    /// and already-interned terms allowed) into this dictionary. Only
-    /// counts the genuinely new ones when the batch's size alone does
-    /// not already prove it fits.
-    pub fn check_room(&self, terms: impl Iterator<Item = Iri> + Clone) -> Result<(), IdSpaceFull> {
-        let inner = self.inner.read().unwrap();
-        let existing = inner.terms.len();
-        if TermDict::check_capacity(existing, terms.clone().count()).is_ok() {
-            return Ok(());
-        }
-        let new: FxHashSet<Iri> = terms.filter(|t| !inner.ids.contains_key(t)).collect();
-        TermDict::check_capacity(existing, new.len())
-    }
-
     /// Seeds a dictionary from a lexicographically sorted, distinct term
     /// table, assigning `id = rank + 1` — the persisted-segment layout,
     /// so a recovered store reuses segment ids verbatim. Takes an owned
@@ -176,7 +162,7 @@ impl TermDict {
     ///
     /// On a miss when the dictionary already holds `TermId::MAX` terms.
     /// Bulk callers rule this out up front with
-    /// [`TermDict::check_room`].
+    /// [`TermDict::check_capacity`].
     pub fn intern(&self, term: Iri) -> TermId {
         if let Some(&id) = self.inner.read().unwrap().ids.get(&term) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -221,6 +207,13 @@ impl TermDict {
     /// `terms[id - 1]` is the term with id `id`.
     pub fn with_terms<R>(&self, f: impl FnOnce(&[Iri]) -> R) -> R {
         f(&self.inner.read().unwrap().terms)
+    }
+
+    /// Runs `f` over the term → id table under one read lock — the
+    /// lookup-only batch probe of a plan or a build. The table's length
+    /// is the number of interned terms.
+    pub(crate) fn with_ids<R>(&self, f: impl FnOnce(&FxHashMap<Iri, TermId>) -> R) -> R {
+        f(&self.inner.read().unwrap().ids)
     }
 
     /// The `[s, p, o]` id row of `t` under one read lock, or `None` if
@@ -332,7 +325,11 @@ impl IdRuns {
             .into_iter()
             .collect();
         terms.sort_unstable();
-        if let Err(full) = dict.check_room(terms.iter().copied()) {
+        // Count the genuinely new terms only when the batch's size alone
+        // does not prove it fits.
+        let fits = |new| TermDict::check_capacity(dict.len(), new);
+        let new = || dict.with_ids(|ids| terms.iter().filter(|t| !ids.contains_key(t)).count());
+        if let Err(full) = fits(terms.len()).or_else(|_| fits(new())) {
             panic!("{full}");
         }
         for t in terms {
@@ -374,46 +371,25 @@ impl IdRuns {
         runs
     }
 
-    /// Inserts one `[s, p, o]` id row into all three runs; returns
-    /// `true` if it was new. `O(n)` per run (binary search + shift) —
-    /// sized for the store's bounded add tier, not for bulk loads (use
-    /// [`IdRuns::from_spo_rows`]).
-    pub fn insert(&mut self, row: [TermId; 3]) -> bool {
-        match self.spo.binary_search(&row) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.spo.insert(pos, row);
-                for (run, order) in [
-                    (&mut self.pos, RunOrder::Pos),
-                    (&mut self.osp, RunOrder::Osp),
-                ] {
-                    let permuted = order.from_spo(row);
-                    if let Err(p) = run.binary_search(&permuted) {
-                        run.insert(p, permuted);
-                    }
-                }
-                true
-            }
-        }
-    }
-
-    /// Removes one `[s, p, o]` id row from all three runs; returns
-    /// `true` if it was present.
-    pub fn remove(&mut self, row: [TermId; 3]) -> bool {
-        match self.spo.binary_search(&row) {
-            Err(_) => false,
-            Ok(pos) => {
-                self.spo.remove(pos);
-                for (run, order) in [
-                    (&mut self.pos, RunOrder::Pos),
-                    (&mut self.osp, RunOrder::Osp),
-                ] {
-                    if let Ok(p) = run.binary_search(&order.from_spo(row)) {
-                        run.remove(p);
-                    }
-                }
-                true
-            }
+    /// Fresh runs of `(self \ remove) ∪ add`, for `[s, p, o]` rows in
+    /// any order with `add` disjoint from `self` and `remove` a subset
+    /// of it: one `merge_run` per run, SPO, then POS, then OSP.
+    pub fn merged(&self, add: &[[TermId; 3]], remove: &[[TermId; 3]]) -> IdRuns {
+        let len = self.len() + add.len() - remove.len();
+        let run = |old: &[[TermId; 3]], order: RunOrder| {
+            let edit = |adding| move |&row| (order.from_spo(row), adding);
+            let mut edits: Vec<_> = add
+                .iter()
+                .map(edit(true))
+                .chain(remove.iter().map(edit(false)))
+                .collect();
+            edits.sort_unstable();
+            merge_run(old, &edits, len)
+        };
+        IdRuns {
+            spo: run(&self.spo, RunOrder::Spo),
+            pos: run(&self.pos, RunOrder::Pos),
+            osp: run(&self.osp, RunOrder::Osp),
         }
     }
 
@@ -448,16 +424,7 @@ impl IdRuns {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> (&[[TermId; 3]], RunOrder) {
-        match (s, p, o) {
-            (None, None, None) => (&self.spo, RunOrder::Spo),
-            (Some(s), None, None) => (prefix_range(&self.spo, &[s]), RunOrder::Spo),
-            (Some(s), Some(p), None) => (prefix_range(&self.spo, &[s, p]), RunOrder::Spo),
-            (Some(s), Some(p), Some(o)) => (prefix_range(&self.spo, &[s, p, o]), RunOrder::Spo),
-            (None, Some(p), None) => (prefix_range(&self.pos, &[p]), RunOrder::Pos),
-            (None, Some(p), Some(o)) => (prefix_range(&self.pos, &[p, o]), RunOrder::Pos),
-            (None, None, Some(o)) => (prefix_range(&self.osp, &[o]), RunOrder::Osp),
-            (Some(s), None, Some(o)) => (prefix_range(&self.osp, &[o, s]), RunOrder::Osp),
-        }
+        self.scan_from(s, p, o, &mut 0)
     }
 
     /// [`IdRuns::scan`] with a positional hint: `hint` is a guess at the
@@ -493,24 +460,31 @@ impl IdRuns {
         (&run[lo..hi], order)
     }
 
-    /// Exact number of rows matching a pattern (a slice length — two
-    /// binary searches, no row is touched).
-    pub fn cardinality(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.scan(s, p, o).0.len()
-    }
-
     /// Membership test for a fully ground id row.
     pub fn contains(&self, row: [TermId; 3]) -> bool {
         self.spo.binary_search(&row).is_ok()
     }
 }
 
-/// The rows of `run` whose first `key.len()` components equal `key`.
-fn prefix_range<'a>(run: &'a [[TermId; 3]], key: &[TermId]) -> &'a [[TermId; 3]] {
-    let k = key.len();
-    let lo = run.partition_point(|row| row[..k] < *key);
-    let hi = run.partition_point(|row| row[..k] <= *key);
-    &run[lo..hi]
+/// `old` with sorted `edits` applied — `(row, true)` adds a row absent
+/// from `old`, `(row, false)` removes a present one — copying the rows
+/// between edits as whole slices.
+fn merge_run(old: &[[TermId; 3]], edits: &[([TermId; 3], bool)], len: usize) -> Vec<[TermId; 3]> {
+    let mut out = Vec::with_capacity(len);
+    let mut from = 0;
+    for &(edit, adding) in edits {
+        let at = from + old[from..].partition_point(|row| *row < edit);
+        assert_eq!(old.get(at) == Some(&edit), !adding, "stale edit {edit:?}");
+        out.extend_from_slice(&old[from..at]);
+        if adding {
+            out.push(edit);
+            from = at;
+        } else {
+            from = at + 1;
+        }
+    }
+    out.extend_from_slice(&old[from..]);
+    out
 }
 
 /// The partition point of monotone `pred` (`true*false*`) found by
@@ -594,7 +568,8 @@ impl<'a> IdView<'a> {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> usize {
-        self.base.cardinality(s, p, o) + self.adds.map_or(0, |a| a.cardinality(s, p, o))
+        let rows = |runs: &IdRuns| runs.scan(s, p, o).0.len();
+        rows(self.base) + self.adds.map_or(0, rows)
     }
 }
 
@@ -651,13 +626,6 @@ mod tests {
             .contains("at most 4294967295 terms"));
         assert!(TermDict::check_capacity(usize::MAX, 1).is_err(), "no wrap");
         assert_eq!(TermDict::check_capacity(0, TermId::MAX as usize), Ok(()));
-
-        // A batch's duplicates and already-interned terms take no id.
-        let d = TermDict::new();
-        let a = Iri::new("a");
-        d.intern(a);
-        assert_eq!(d.check_room([a, a, Iri::new("b")].into_iter()), Ok(()));
-        assert_eq!(d.len(), 1, "checking interns nothing");
     }
 
     /// A fresh index's runs cost 36 bytes per row: three permutations
@@ -723,34 +691,45 @@ mod tests {
         assert_eq!(runs.scan(Some(999), None, None).0.len(), 0);
     }
 
+    /// Merging a batch in and a batch out reaches exactly the runs a
+    /// fresh build over the net rows has, in all three orders — and
+    /// leaves the runs it started from as they were.
     #[test]
-    fn incremental_runs_match_rebuild() {
+    fn merged_runs_match_rebuild() {
         let dict = TermDict::new();
-        let mut runs = IdRuns::build(&[], &dict);
-        let triples = vec![
+        let start = vec![
             triple("a", "p", "b"),
             triple("c", "q", "d"),
             triple("a", "r", "d"),
+            triple("e", "p", "a"),
         ];
-        for t in &triples {
-            let row = [dict.intern(t.s), dict.intern(t.p), dict.intern(t.o)];
-            assert!(runs.insert(row));
-            assert!(!runs.insert(row), "duplicate insert is a no-op");
-        }
-        let gone = triples[1];
-        let gone_row = [
-            dict.lookup(gone.s).unwrap(),
-            dict.lookup(gone.p).unwrap(),
-            dict.lookup(gone.o).unwrap(),
+        let runs = IdRuns::build(&start, &dict);
+        let before = runs.clone();
+        let added = [
+            triple("b", "q", "a"),
+            triple("a", "p", "a"),
+            triple("z", "z", "z"),
         ];
-        assert!(runs.remove(gone_row));
-        assert!(!runs.remove(gone_row));
+        let rows = |ts: &[Triple]| -> Vec<[TermId; 3]> {
+            ts.iter()
+                .map(|t| [dict.intern(t.s), dict.intern(t.p), dict.intern(t.o)])
+                .collect()
+        };
+        let merged = runs.merged(&rows(&added), &rows(&[start[1], start[3]]));
 
-        let kept: Vec<Triple> = vec![triples[0], triples[2]];
+        let kept = [start[0], start[2], added[0], added[1], added[2]];
         let rebuilt = IdRuns::build(&kept, &dict);
-        assert_eq!(runs.spo, rebuilt.spo);
-        assert_eq!(runs.pos, rebuilt.pos);
-        assert_eq!(runs.osp, rebuilt.osp);
+        assert_eq!(merged.spo, rebuilt.spo);
+        assert_eq!(merged.pos, rebuilt.pos);
+        assert_eq!(merged.osp, rebuilt.osp);
+        assert_eq!(merged.heap_bytes(), 36 * merged.len(), "no slack");
+        assert_eq!(runs.spo, before.spo, "the source runs are untouched");
+
+        // Removing every row, and merging into empty runs, also hold.
+        let emptied = merged.merged(&[], &rows(&kept));
+        assert!(emptied.is_empty() && emptied.pos.is_empty() && emptied.osp.is_empty());
+        let refilled = IdRuns::default().merged(&rows(&kept), &[]);
+        assert_eq!(refilled.osp, rebuilt.osp);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! contiguous range each. So an index is a term dictionary
 //! ([`TermDict`]) plus a base run set, overlaid for the live store
 //! (`owql-store`) with an add tier (runs of its own on the same
-//! dictionary) and a set of deleted base rows. A mutation costs `O(1)`
-//! overlay work instead of an `O(|G|)` rebuild; compaction folds the
-//! overlay back into the base over id rows alone, and many reader
+//! dictionary) and a set of deleted base rows. A batch of mutations is
+//! netted on id rows ([`SnapshotIndex::plan`]) and applied as one merge
+//! ([`SnapshotIndex::apply`]), not an `O(|G|)` rebuild; compaction folds
+//! the overlay back into the base over id rows alone, and many reader
 //! threads can hold snapshots while a writer proceeds.
 //!
 //! Nothing here is term-level beyond the dictionary: a membership test
@@ -20,10 +21,10 @@
 //! scans the graph exactly as the paper's semantics is written — which is
 //! what experiment E12's engine ablation measures.
 
-use crate::dict::{IdRuns, IdView, TermDict, TermId};
-use crate::fx::FxHashSet;
+use crate::dict::{IdRuns, IdSpaceFull, IdView, TermDict, TermId, NO_TERM};
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::graph::Graph;
-use crate::term::Triple;
+use crate::term::{Iri, Triple};
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -31,13 +32,12 @@ use std::sync::Arc;
 /// small overlay of `adds` (rows not in the base) and `dels` (base rows
 /// deleted since the base was built), all encoded by one [`TermDict`].
 ///
-/// Cloning is four `Arc` clones, so a writer can keep mutating its copy
-/// (copy-on-write through [`SnapshotIndex::insert`] and
-/// [`SnapshotIndex::delete`]) while any number of reader threads
+/// Cloning is four `Arc` clones, so a writer can keep changing its copy
+/// through [`SnapshotIndex::apply`] while any number of reader threads
 /// evaluate against earlier clones.
 ///
-/// Invariants (kept by `insert`/`delete`): `adds ∩ base = ∅`,
-/// `dels ⊆ base`, and therefore `adds ∩ dels = ∅`.
+/// Invariants (kept by `apply`): `adds ∩ base = ∅`, `dels ⊆ base`, and
+/// therefore `adds ∩ dels = ∅`.
 ///
 /// ```
 /// use owql_rdf::{Graph, SnapshotIndex, Triple};
@@ -58,6 +58,25 @@ pub struct SnapshotIndex {
     base: Arc<IdRuns>,
     adds: Arc<IdRuns>,
     dels: Arc<FxHashSet<[TermId; 3]>>,
+}
+
+/// A batch of inserts and deletes netted against one state of a
+/// [`SnapshotIndex`] by [`SnapshotIndex::plan`], carried out by
+/// [`SnapshotIndex::apply`]. Making one changes nothing, not even the
+/// dictionary, so the store can log the effective ops first.
+#[derive(Clone, Debug, Default)]
+pub struct BatchPlan {
+    /// Positions, in batch order, of the ops that change visibility
+    /// where they stand: an insert of a triple not visible at that
+    /// point of the batch, or a delete of one that is.
+    pub effective: Vec<usize>,
+    /// Dictionary size at planning time: provisional id `known + 1 + i`
+    /// stands for `fresh[i]`, a term new to the dictionary.
+    known: usize,
+    fresh: Vec<Iri>,
+    /// Net rows the batch makes visible and invisible.
+    shown: Vec<[TermId; 3]>,
+    hidden: Vec<[TermId; 3]>,
 }
 
 impl SnapshotIndex {
@@ -122,43 +141,120 @@ impl SnapshotIndex {
     /// Membership test for a fully ground triple: an id probe. A triple
     /// over a never-interned term is not visible.
     pub fn contains(&self, t: &Triple) -> bool {
-        self.dict.encode(t).is_some_and(|row| {
-            (self.base.contains(row) && !self.dels.contains(&row)) || self.adds.contains(row)
-        })
+        self.dict
+            .encode(t)
+            .is_some_and(|row| self.contains_row(row))
     }
 
-    /// Makes `t` visible, interning its terms; returns `true` iff it was
-    /// not visible before. Re-inserting a deleted base triple cancels
-    /// the delete.
+    fn contains_row(&self, row: [TermId; 3]) -> bool {
+        (self.base.contains(row) && !self.dels.contains(&row)) || self.adds.contains(row)
+    }
+
+    /// Makes `t` visible; returns `true` iff it was not visible before.
+    /// A one-op batch; panics if the dictionary has no id left for a
+    /// new term.
     pub fn insert(&mut self, t: Triple) -> bool {
-        let row = [
-            self.dict.intern(t.s),
-            self.dict.intern(t.p),
-            self.dict.intern(t.o),
-        ];
-        if self.dels.contains(&row) {
-            Arc::make_mut(&mut self.dels).remove(&row)
-        } else if self.base.contains(row) {
-            false
-        } else {
-            Arc::make_mut(&mut self.adds).insert(row)
-        }
+        self.apply_one(true, t)
     }
 
     /// Makes `t` invisible; returns `true` iff it was visible before.
-    /// Only looks its terms up: a triple over a never-seen term is not
-    /// visible, and deleting it interns nothing. Deleting an uncompacted
-    /// add cancels the add.
+    /// A one-op batch, which interns nothing.
     pub fn delete(&mut self, t: &Triple) -> bool {
-        let Some(row) = self.dict.encode(t) else {
-            return false;
+        self.apply_one(false, *t)
+    }
+
+    fn apply_one(&mut self, insert: bool, t: Triple) -> bool {
+        let plan = self
+            .plan([(insert, t)])
+            .unwrap_or_else(|full| panic!("{full}"));
+        let changed = !plan.effective.is_empty();
+        self.apply(plan);
+        changed
+    }
+
+    /// Nets a batch of ops — `(true, t)` inserts `t`, `(false, t)`
+    /// deletes it — against this index, without changing it. Each
+    /// triple is encoded once, by lookup: a never-seen term is not
+    /// visible, so a delete over one is a no-op, and an insert gives it
+    /// a provisional id that [`SnapshotIndex::apply`] interns. Refused
+    /// iff the batch's new terms would not fit in the id space.
+    pub fn plan(
+        &self,
+        ops: impl IntoIterator<Item = (bool, Triple)>,
+    ) -> Result<BatchPlan, IdSpaceFull> {
+        self.dict.with_ids(|ids| {
+            let known = ids.len();
+            let mut plan = BatchPlan {
+                known,
+                ..BatchPlan::default()
+            };
+            let mut fresh: FxHashMap<Iri, TermId> = FxHashMap::default();
+            // Per touched row: (visible before the batch, visible now).
+            let mut staged: FxHashMap<[TermId; 3], (bool, bool)> = FxHashMap::default();
+            'ops: for (at, (insert, t)) in ops.into_iter().enumerate() {
+                let mut row = [NO_TERM; 3];
+                for (slot, term) in row.iter_mut().zip([t.s, t.p, t.o]) {
+                    *slot = match ids.get(&term).or_else(|| fresh.get(&term)) {
+                        Some(&id) => id,
+                        None if insert => {
+                            TermDict::check_capacity(known, fresh.len() + 1)?;
+                            let id = TermId::try_from(known + fresh.len() + 1)
+                                .expect("the capacity check bounds every id");
+                            fresh.insert(term, id);
+                            plan.fresh.push(term);
+                            id
+                        }
+                        None => continue 'ops,
+                    };
+                }
+                let state = staged.entry(row).or_insert_with(|| {
+                    let visible = self.contains_row(row);
+                    (visible, visible)
+                });
+                if state.1 != insert {
+                    state.1 = insert;
+                    plan.effective.push(at);
+                }
+            }
+            for (row, (_, is)) in staged.into_iter().filter(|(_, (was, is))| was != is) {
+                let net = if is {
+                    &mut plan.shown
+                } else {
+                    &mut plan.hidden
+                };
+                net.push(row);
+            }
+            Ok(plan)
+        })
+    }
+
+    /// Carries out a plan [`SnapshotIndex::plan`] made on this index,
+    /// unchanged since: interns the new terms, then moves each net base
+    /// row out of or into the deletion set and merges every other net
+    /// row into fresh add-tier runs ([`IdRuns::merged`]).
+    pub fn apply(&mut self, plan: BatchPlan) {
+        let fresh: Vec<TermId> = plan.fresh.iter().map(|&t| self.dict.intern(t)).collect();
+        let interned = |row: [TermId; 3]| {
+            row.map(|id| {
+                (id as usize)
+                    .checked_sub(plan.known + 1)
+                    .map_or(id, |i| fresh[i])
+            })
         };
-        if self.adds.contains(row) {
-            Arc::make_mut(&mut self.adds).remove(row)
-        } else if self.base.contains(row) && !self.dels.contains(&row) {
-            Arc::make_mut(&mut self.dels).insert(row)
-        } else {
-            false
+        let in_base = |row: &[TermId; 3]| self.base.contains(*row);
+        let (undel, add): (Vec<_>, Vec<_>) =
+            plan.shown.iter().map(|&r| interned(r)).partition(in_base);
+        let (del, unadd): (Vec<_>, Vec<_>) =
+            plan.hidden.iter().map(|&r| interned(r)).partition(in_base);
+        if !undel.is_empty() || !del.is_empty() {
+            let dels = Arc::make_mut(&mut self.dels);
+            for row in &undel {
+                dels.remove(row);
+            }
+            dels.extend(del);
+        }
+        if !add.is_empty() || !unadd.is_empty() {
+            self.adds = Arc::new(self.adds.merged(&add, &unadd));
         }
     }
 
@@ -367,6 +463,37 @@ mod tests {
         assert_eq!(i.dict().len(), terms);
         assert_eq!(i.dict().lookup(Iri::new("never_seen")), None);
         assert_eq!(i.delta_len(), 0);
+    }
+
+    /// A plan interns nothing and changes nothing; applying it nets
+    /// the batch: an insert-then-delete of a new triple is two
+    /// effective ops and no net row, a delete-then-reinsert of a base
+    /// triple is two effective ops and leaves the base as it was.
+    #[test]
+    fn plan_nets_the_batch_and_apply_carries_it_out() {
+        let mut i = idx();
+        let terms = i.dict().len();
+        let (new, base) = (triple("n", "p", "m"), triple("a", "p", "b"));
+        let ops = [
+            (true, new),
+            (false, new),
+            (false, base),
+            (true, base),
+            (true, base),
+            (false, triple("ghost", "p", "b")),
+            (true, triple("a", "q", "n")),
+        ];
+        let plan = i.plan(ops).expect("fits");
+        assert_eq!(plan.effective, [0, 1, 2, 3, 6]);
+        assert_eq!(i.dict().len(), terms, "planning interns nothing");
+        let before = i.clone();
+        i.apply(plan);
+        assert_eq!(i.dict().len(), terms + 2, "n and m are interned");
+        assert_eq!(i.delta_len(), 1, "only (a, q, n) is net new");
+        assert!(i.contains(&triple("a", "q", "n")) && i.contains(&base));
+        assert!(!i.contains(&new));
+        assert_eq!(before.len(), 4, "an earlier clone keeps its rows");
+        assert!(!before.contains(&triple("a", "q", "n")));
     }
 
     mod snapshot_overlay {

@@ -39,5 +39,5 @@ pub mod turtle;
 pub use dict::{IdRuns, IdSpaceFull, IdView, RunOrder, TermDict, TermId, NO_TERM};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
-pub use index::SnapshotIndex;
+pub use index::{BatchPlan, SnapshotIndex};
 pub use term::{Iri, Triple};

@@ -14,12 +14,13 @@
 //! - **Incremental indexing** — the store's one index is an
 //!   [`owql_rdf::SnapshotIndex`]: a term dictionary, id-encoded base
 //!   runs, and a small overlay of net-added and net-deleted id rows
-//!   that every mutation lands in. Once the overlay outgrows a
+//!   that each commit's net rows are merged into. Once the overlay
+//!   outgrows a
 //!   threshold, compaction folds it into fresh base runs over id rows
 //!   alone (no term is re-interned). No full rebuild per write.
-//! - **Epoch-keyed query cache** — [`Store::query`] canonicalizes the
-//!   pattern (UNION normal form where tractable, see [`cache_key`])
-//!   and caches `MappingSet` results keyed by `(pattern, epoch)`. A
+//! - **Epoch-keyed query cache** — [`Store::query`] caches
+//!   `MappingSet` results keyed by `(pattern text, epoch)` (see
+//!   [`cache_key`]). A
 //!   write bumps the epoch and thereby invalidates every cached entry
 //!   implicitly; hit/miss/eviction counters are exposed via
 //!   [`Store::cache_stats`].
@@ -53,6 +54,6 @@ pub mod store;
 pub use cache::{cache_key, CacheStats, QueryCache};
 pub use owql_persist::{segment_path, PersistConfig, RecoveryReport, WAL_FILE};
 pub use store::{
-    CheckpointSummary, CommitSummary, DeltaOp, LogEntry, PersistMetrics, QueryOutcome,
-    QueryRequest, Snapshot, Store, StoreMetrics, StoreOptions, Transaction,
+    CheckpointSummary, CommitSummary, PersistMetrics, QueryOutcome, QueryRequest, Snapshot, Store,
+    StoreMetrics, StoreOptions, Transaction,
 };

@@ -2,9 +2,12 @@
 //!
 //! A [`Store`] holds one [`SnapshotIndex`] — a term dictionary, an
 //! immutable `Arc`-shared base of id runs, and a small overlay of
-//! net-added and net-deleted id rows — plus an ordered delta log.
-//! Mutations are batched into [`Transaction`]s; committing a batch that
-//! changes anything bumps a monotonically increasing **epoch**. Readers
+//! net-added and net-deleted id rows. Mutations are batched into
+//! [`Transaction`]s; a commit plans the batch against the index
+//! (encoding each triple once, by lookup, and netting on id rows),
+//! logs its effective ops, then applies the net rows as one merge. A
+//! commit that changes anything bumps a monotonically increasing
+//! **epoch**. Readers
 //! take [`Snapshot`]s — four `Arc` clones — and evaluate queries
 //! against them while writers proceed;
 //! a snapshot keeps answering from the state it captured forever
@@ -36,7 +39,6 @@ use owql_exec::Pool;
 use owql_obs::{MetricsHub, Profile, SlowQuery};
 use owql_persist::{CommitRecord, PersistConfig, RecoveryReport, Wal, WalOp};
 use owql_rdf::{Graph, IdRuns, SnapshotIndex, TermDict, Triple};
-use std::collections::HashMap;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -118,28 +120,12 @@ impl Default for StoreOptions {
     }
 }
 
-/// One mutation in a transaction / the delta log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeltaOp {
-    /// Add a triple (no-op if already present).
-    Insert(Triple),
-    /// Remove a triple (no-op if absent).
-    Delete(Triple),
-}
-
-/// A delta-log record: the op plus the epoch whose commit applied it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LogEntry {
-    /// Epoch the op became visible at.
-    pub epoch: u64,
-    /// The applied mutation.
-    pub op: DeltaOp,
-}
-
-/// A batch of mutations, applied atomically by [`Store::commit`].
+/// A batch of mutations, applied atomically by [`Store::commit`]. Its
+/// ops are the write-ahead log's own ([`WalOp`]): an insert of a
+/// present triple or a delete of an absent one is a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct Transaction {
-    ops: Vec<DeltaOp>,
+    ops: Vec<WalOp>,
 }
 
 impl Transaction {
@@ -150,13 +136,13 @@ impl Transaction {
 
     /// Queues an insertion.
     pub fn insert(&mut self, t: Triple) -> &mut Self {
-        self.ops.push(DeltaOp::Insert(t));
+        self.ops.push(WalOp::Insert(t));
         self
     }
 
     /// Queues a deletion.
     pub fn delete(&mut self, t: Triple) -> &mut Self {
-        self.ops.push(DeltaOp::Delete(t));
+        self.ops.push(WalOp::Delete(t));
         self
     }
 
@@ -363,8 +349,6 @@ struct StoreInner {
     /// append-only: ids survive compactions and epochs.
     index: SnapshotIndex,
     epoch: u64,
-    /// Ordered mutation log since the last compaction.
-    log: Vec<LogEntry>,
     compactions: u64,
 }
 
@@ -373,30 +357,14 @@ impl StoreInner {
         StoreInner {
             index,
             epoch,
-            log: Vec::new(),
             compactions: 0,
         }
-    }
-
-    /// Applies one op to the index overlay, recording it in the delta
-    /// log under `epoch`. Returns `true` iff the op changed the store.
-    /// Shared by the live commit path and WAL replay on `open`.
-    fn apply_op(&mut self, op: DeltaOp, epoch: u64) -> bool {
-        let changed = match op {
-            DeltaOp::Insert(t) => self.index.insert(t),
-            DeltaOp::Delete(t) => self.index.delete(&t),
-        };
-        if changed {
-            self.log.push(LogEntry { epoch, op });
-        }
-        changed
     }
 
     /// Folds the overlay into a fresh base over id rows; every
     /// surviving triple keeps its ids. Called under the write lock.
     fn compact(&mut self) {
         self.index = self.index.compacted();
-        self.log.clear();
         self.compactions += 1;
     }
 }
@@ -597,14 +565,10 @@ impl Store {
             }
             None => StoreInner::new(SnapshotIndex::default(), 0),
         };
+        // Replay plans and applies each record like a live commit.
         for record in &recovered.replay {
-            for op in &record.ops {
-                let delta = match op {
-                    WalOp::Insert(t) => DeltaOp::Insert(*t),
-                    WalOp::Delete(t) => DeltaOp::Delete(*t),
-                };
-                inner.apply_op(delta, record.epoch);
-            }
+            let plan = inner.index.plan(record.ops.iter().map(WalOp::parts));
+            inner.index.apply(plan.map_err(io::Error::other)?);
             inner.epoch = record.epoch;
         }
 
@@ -648,11 +612,6 @@ impl Store {
     /// The data directory, when this store is durable.
     pub fn data_dir(&self) -> Option<&Path> {
         self.persist.as_deref().map(|p| p.dir.as_path())
-    }
-
-    /// `true` iff this store was opened with [`Store::open`].
-    pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
     }
 
     /// What recovery found when this store opened (durable stores
@@ -721,70 +680,37 @@ impl Store {
 
     /// [`Store::commit`], surfacing WAL I/O errors and a batch whose new
     /// terms would outgrow the dictionary's id space (`TermId::MAX`
-    /// terms). On `Err` the store is untouched: the effective ops are
-    /// planned *before* the WAL append (a dry run over the current
-    /// overlay, which also checks the id space), the record is
-    /// written and — per [`PersistConfig::fsync`] — synced, and only
-    /// then are the ops applied and the new epoch published. A reader
-    /// can therefore never observe an epoch whose WAL record isn't on
-    /// disk.
+    /// terms). On `Err` the store is untouched: the batch is planned
+    /// *before* the WAL append (a lookup-only dry run over the current
+    /// index, which also checks the id space), the record of its
+    /// effective ops is written and — per [`PersistConfig::fsync`] —
+    /// synced, and only then are its terms interned, its net rows
+    /// applied and the new epoch published. A reader can therefore
+    /// never observe an epoch whose WAL record isn't on disk.
     pub fn try_commit(&self, tx: Transaction) -> io::Result<CommitSummary> {
         let mut inner = self.inner.write().expect("store lock poisoned");
         let next_epoch = inner.epoch + 1;
 
-        // Phase 1 — plan: find the ops that will actually change the
-        // store, tracking intra-batch visibility without mutating.
-        let mut staged: HashMap<Triple, bool> = HashMap::new();
-        let mut effective: Vec<DeltaOp> = Vec::new();
-        for &op in &tx.ops {
-            let (t, wanted) = match op {
-                DeltaOp::Insert(t) => (t, true),
-                DeltaOp::Delete(t) => (t, false),
-            };
-            let currently = staged
-                .get(&t)
-                .copied()
-                .unwrap_or_else(|| inner.index.contains(&t));
-            if currently != wanted {
-                effective.push(op);
-                staged.insert(t, wanted);
-            }
-        }
-        if effective.is_empty() {
+        // Phase 1 — plan: which ops change the store, and the net rows.
+        let plan = inner.index.plan(tx.ops.iter().map(WalOp::parts));
+        let plan = plan.map_err(io::Error::other)?;
+        let applied = plan.effective.len();
+        if applied == 0 {
             return Ok(CommitSummary {
                 epoch: inner.epoch,
-                applied: 0,
+                applied,
                 compacted: false,
             });
         }
-        // The inserts' new terms must fit in the id space; a batch that
-        // would outgrow it is refused here, with the store untouched.
-        let inserted = effective
-            .iter()
-            .filter_map(|op| match op {
-                DeltaOp::Insert(t) => Some([t.s, t.p, t.o]),
-                DeltaOp::Delete(_) => None,
-            })
-            .flatten();
-        inner
-            .index
-            .dict()
-            .check_room(inserted)
-            .map_err(io::Error::other)?;
 
-        // Phase 2 — log: append + fsync the commit record while still
-        // holding the write lock, *before* any in-memory change. An
-        // I/O error aborts the commit with the store untouched.
+        // Phase 2 — log: append + fsync the effective ops, in batch
+        // order, while still holding the write lock and *before* any
+        // in-memory change. An I/O error aborts the commit with the
+        // store untouched.
         if let Some(p) = &self.persist {
             let record = CommitRecord {
                 epoch: next_epoch,
-                ops: effective
-                    .iter()
-                    .map(|op| match op {
-                        DeltaOp::Insert(t) => WalOp::Insert(*t),
-                        DeltaOp::Delete(t) => WalOp::Delete(*t),
-                    })
-                    .collect(),
+                ops: plan.effective.iter().map(|&at| tx.ops[at]).collect(),
             };
             let mut wal = p.wal.lock().expect("wal lock poisoned");
             let fsync_started = Instant::now();
@@ -795,13 +721,7 @@ impl Store {
         }
 
         // Phase 3 — apply and publish.
-        let mut applied = 0usize;
-        for &op in &effective {
-            if inner.apply_op(op, next_epoch) {
-                applied += 1;
-            }
-        }
-        debug_assert_eq!(applied, effective.len(), "plan/apply divergence");
+        inner.index.apply(plan);
         inner.epoch = next_epoch;
         let compacted = self.maybe_compact(&mut inner);
         let summary = CommitSummary {
@@ -864,11 +784,6 @@ impl Store {
         }
     }
 
-    /// The ordered delta log since the last compaction.
-    pub fn history(&self) -> Vec<LogEntry> {
-        self.inner.read().expect("store lock poisoned").log.clone()
-    }
-
     /// Materializes the current visible graph.
     pub fn to_graph(&self) -> Graph {
         self.snapshot().to_graph()
@@ -886,8 +801,9 @@ impl Store {
     /// whole run, so however long the evaluation takes and however many
     /// commits land meanwhile, it reads one immutable graph version
     /// (the outcome reports that epoch). When [`ExecOpts::cache`] is
-    /// set, the epoch-keyed cache is consulted first (canonicalize via
-    /// [`cache_key`], look up `(key, epoch)`) and filled on a miss —
+    /// set, the epoch-keyed cache is consulted first (key the pattern
+    /// text via [`cache_key`], look up `(key, epoch)`) and filled on a
+    /// miss —
     /// so every hit *and* miss shows up in the cache counters that
     /// traced profiles carry in their `"store"` section.
     ///
@@ -1097,10 +1013,11 @@ mod tests {
             .delete(triple("a", "p", "b"));
         let summary = store.commit(tx);
         assert_eq!(summary.applied, 2); // both ops changed state…
+        assert_eq!(summary.epoch, 1);
+        assert_eq!(store.epoch(), 1);
         assert!(store.is_empty()); // …and net to nothing
-        let log = store.history();
-        assert_eq!(log.len(), 2);
-        assert!(log.iter().all(|e| e.epoch == 1));
+        assert_eq!(store.metrics().delta_len, 0);
+        assert_eq!(store.to_graph(), Graph::new());
     }
 
     #[test]
@@ -1163,7 +1080,6 @@ mod tests {
         assert_eq!(store.to_graph(), graph);
         assert_eq!(store.epoch(), epoch);
         assert_eq!(store.metrics().delta_len, 0);
-        assert!(store.history().is_empty());
         // Every term keeps its id, and the live rows are the same rows.
         assert!(Arc::ptr_eq(&store.dict(), &dict));
         assert_eq!(dict.with_terms(|terms| terms.to_vec()), ids);
@@ -1641,7 +1557,6 @@ mod tests {
         let dir = tmp_dir("wal-only");
         {
             let store = Store::open(&dir, StoreOptions::default(), test_persist()).expect("open");
-            assert!(store.is_persistent());
             assert_eq!(store.data_dir(), Some(dir.as_path()));
             store.insert(triple("a", "p", "b"));
             store.insert(triple("b", "p", "c"));

@@ -16,7 +16,7 @@
 #   bench-smoke   owql_bench run --quick --trace (all five workloads, answers checked) + profile schema
 #   server-smoke  HTTP boot, live /v1 smoke, owql_bench log_mix gate, removed-API sweep
 #   obs-smoke     live server scrape: Prometheus + JSON /metrics, slow-query injection
-#   persist-smoke durable example, kill -9 recovery tests
+#   persist-smoke durable example, kill -9 recovery and failed-append tests, proptest_persist
 #   doc           rustdoc with -D warnings
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -243,12 +243,17 @@ stage_obs_smoke() {
 }
 
 stage_persist_smoke() {
-  step "persist-smoke (durable example, kill -9 recovery)"
+  step "persist-smoke (durable example, kill -9 recovery, failed append, WAL/segment proptests)"
   cargo run --release --example durable_store
-  # Both tests SIGKILL a real writer process (this test binary, re-run
-  # as its ignored `crash_writer` test) and check recovery.
+  # The two kill -9 tests SIGKILL a real writer process (this test
+  # binary, re-run as its ignored `crash_writer` test) and check
+  # recovery; the failed-append test re-runs it as
+  # `failed_append_writer` under a file-size limit, so one commit's
+  # WAL append fails part-way, and checks the next commit survives.
   cargo test --release -q -p owql --test integration_persist -- \
-    killed_writer_recovers_to_last_committed_epoch repeated_crashes_accumulate_monotonically
+    killed_writer_recovers_to_last_committed_epoch repeated_crashes_accumulate_monotonically \
+    failed_append_leaves_the_log_as_it_found_it
+  cargo test --release -q -p owql-persist --test proptest_persist
   echo "persist smoke OK"
 }
 

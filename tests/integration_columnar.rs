@@ -792,9 +792,11 @@ fn seeded_spine_is_explained_in_run_order() {
     let p = parse_pattern("(((?a, p, ?b) AND (?b, q, ?c)) AND ((?c, r, k) UNION (?c, r, k)))")
         .expect("pattern parses");
     let plan = engine.explain(&p).expect("narrow pattern");
+    // Each step is labelled with the run it scans: `?c` comes bound
+    // from the UNION, then `?b` from the first step.
     let want: Vec<ScanKey> = vec![
-        ("(?b, q, ?c) via P index".to_owned(), 3),
-        ("(?a, p, ?b) via P index".to_owned(), 2),
+        ("(?b, q, ?c) via PO index".to_owned(), 3),
+        ("(?a, p, ?b) via PO index".to_owned(), 2),
     ];
     assert_eq!(planned_spines(&plan)[0], want, "{plan}");
     assert_eq!(traced_scans(&engine, &p), want);
@@ -918,7 +920,7 @@ fn plan_shapes_on_the_benchmark_graph() {
         let p = mix_query(TEMPLATES[11], c, d);
         assert_eq!(
             plan_of(&engine, &p, optimized).spines()[0].steps[1].label(),
-            "(?x, was_born_in, ?c) via P index filter (?c = Chile)"
+            "(?x, was_born_in, ?c) via SP index filter (?c = Chile)"
         );
         for template in [
             TEMPLATES[11],

@@ -5,7 +5,9 @@
 //!
 //! The third injection — `kill -9` of a writer *process* mid-commit
 //! loop — re-runs this test binary as the writer (the ignored
-//! `crash_writer` test) and SIGKILLs it.
+//! `crash_writer` test) and SIGKILLs it. The fourth — a WAL append
+//! that fails part-way — re-runs it as `failed_append_writer` under a
+//! file-size limit.
 
 use owql_algebra::pattern::Pattern;
 use owql_rdf::term::triple;
@@ -258,6 +260,92 @@ fn crash_writer() {
         store.insert(workload_triple(i));
         println!("committed {i}");
     }
+}
+
+/// Names the failed-append writer's data directory; without it the
+/// writer returns at once.
+const FAILED_APPEND_DIR: &str = "OWQL_FAILED_APPEND_DIR";
+
+/// The triples the failed-append writer commits one at a time.
+const APPEND_A: (&str, &str, &str) = ("a", "p", "o");
+const APPEND_C: (&str, &str, &str) = ("c", "p", "o");
+
+/// The child process of `failed_append_leaves_the_log_as_it_found_it`,
+/// not a test of its own. Run under a 2 KiB file-size limit with
+/// SIGXFSZ ignored, it commits A (one triple), then B (200 inserts, a
+/// frame too large for the limit, so its write fails part-way and the
+/// commit is refused), then C (one triple), with fsync on.
+#[test]
+#[ignore = "spawned by failed_append_leaves_the_log_as_it_found_it"]
+fn failed_append_writer() {
+    let Some(dir) = std::env::var_os(FAILED_APPEND_DIR) else {
+        return;
+    };
+    let store = Store::open(
+        dir,
+        StoreOptions::default(),
+        PersistConfig::default()
+            .checkpoint_every(0)
+            .inline_indexer(),
+    )
+    .expect("open store");
+    let one = |(s, p, o): (&str, &str, &str)| {
+        let mut tx = store.begin();
+        tx.insert(triple(s, p, o));
+        tx
+    };
+    assert_eq!(store.try_commit(one(APPEND_A)).expect("A fits").epoch, 1);
+    let mut b = store.begin();
+    for i in 0..200 {
+        let s = format!("subject-of-the-oversized-batch-{i}");
+        b.insert(triple(s.as_str(), "p", "o"));
+    }
+    let refused = store.try_commit(b).expect_err("B outgrows the limit");
+    println!("B refused: {refused}");
+    assert_eq!(store.epoch(), 1, "a refused commit publishes nothing");
+    assert_eq!(store.try_commit(one(APPEND_C)).expect("C fits").epoch, 2);
+    println!("committed A and C");
+}
+
+/// A commit whose WAL append fails part-way is refused and leaves the
+/// log as it found it: the next commit is acknowledged, and both
+/// acknowledged commits — not the refused one — survive a reopen.
+#[test]
+fn failed_append_leaves_the_log_as_it_found_it() {
+    let dir = tmp_dir("failed-append");
+    // `ulimit -f` counts 512-byte blocks in POSIX sh; the limit holds
+    // only in the child, which `exec` turns into this test binary.
+    let out = Command::new("sh")
+        .args(["-c", "trap '' XFSZ; ulimit -f 4; exec \"$0\" \"$@\""])
+        .arg(std::env::current_exe().expect("own test binary"))
+        .args([
+            "--exact",
+            "failed_append_writer",
+            "--ignored",
+            "--nocapture",
+        ])
+        .env(FAILED_APPEND_DIR, &dir)
+        .output()
+        .expect("spawn failed-append writer");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("committed A and C"),
+        "writer failed: {}\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let store = open(&dir);
+    let report = store.recovery_report().expect("durable").clone();
+    assert_eq!(report.skipped_wal_bytes, 0, "no torn frame was left");
+    assert_eq!(report.replayed_records, 2);
+    assert_eq!(store.epoch(), 2);
+    let want: owql_rdf::Graph = [APPEND_A, APPEND_C]
+        .into_iter()
+        .map(|(s, p, o)| triple(s, p, o))
+        .collect();
+    assert_eq!(store.to_graph(), want);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Re-runs this test binary as the crash writer on `dir`, SIGKILLs it

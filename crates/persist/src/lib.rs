@@ -196,7 +196,9 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         // Segment covers epochs 1..=5; WAL holds 4..=7 (overlap is
         // normal after a crash between segment rename and truncation).
-        write_segment(&dir, 2, 5, &[triple("a", "p", "b")]).expect("segment");
+        let graph = [triple("a", "p", "b")].into_iter().collect();
+        let (terms, spo) = owql_rdf::SnapshotIndex::from_graph(&graph).ranked();
+        write_segment(&dir, 2, 5, &terms, &spo).expect("segment");
         let (mut wal, _) = Wal::open(dir.join(WAL_FILE)).expect("wal");
         for epoch in 4..=7u64 {
             let t = triple(format!("s{epoch}").as_str(), "p", "o");

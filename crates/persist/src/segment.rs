@@ -35,7 +35,10 @@
 //! ([`Segment::into_parts`]), seeds its dictionary from the table
 //! (`id = rank + 1`) and rebuilds its base runs from the SPO run, so
 //! nothing is re-interned or copied. The POS and OSP runs are checked
-//! on load through the body CRC alone.
+//! on load through the body CRC alone. The writer takes the same pair,
+//! which `owql_rdf::SnapshotIndex::ranked` derives from a snapshot's id
+//! rows, so a checkpoint never drops back to triples: [`write_segment`]
+//! sorts POS and OSP, serializes, checksums and writes.
 //!
 //! Segments are written to a temp file, fsync'd, then renamed into
 //! place (and the directory fsync'd): a crash mid-write leaves a
@@ -43,8 +46,7 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_parent_dir;
-use owql_rdf::{Iri, TermDict, TermId, Triple};
-use std::collections::BTreeSet;
+use owql_rdf::{Iri, TermDict, TermId};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
@@ -101,46 +103,38 @@ fn parse_generation(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Writes the segment for `triples` at `epoch` atomically; returns the
-/// final path. `triples` need not be sorted or deduplicated.
+/// Writes the segment for `epoch` atomically and returns its final
+/// path. `terms` and the `[s, p, o]` rank rows `spo` are the graph as
+/// `owql_rdf::SnapshotIndex::ranked` returns it; either out of order, or
+/// a rank past the table, is refused as `InvalidInput`.
 pub fn write_segment(
     dir: &Path,
     generation: u64,
     epoch: u64,
-    triples: &[Triple],
+    terms: &[Iri],
+    spo: &[[TermId; 3]],
 ) -> io::Result<PathBuf> {
-    // Dictionary: every distinct term, in lexicographic (= `Iri::Ord`)
-    // order, so rank == id and id order == string order.
-    let mut terms: BTreeSet<Iri> = BTreeSet::new();
-    for t in triples {
-        terms.extend(t.components());
+    let past = |&rank: &TermId| rank as usize >= terms.len();
+    if terms.windows(2).any(|w| w[0] >= w[1])
+        || spo.windows(2).any(|w| w[0] >= w[1])
+        || spo.iter().flatten().any(past)
+    {
+        let why = "segment terms and rows must be sorted and distinct, ranks inside the table";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
     }
-    let terms: Vec<Iri> = terms.into_iter().collect();
-    let id = |iri: Iri| -> u32 {
-        terms
-            .binary_search(&iri)
-            .expect("every component was collected") as u32
-    };
-
-    let mut spo: Vec<[u32; 3]> = triples
-        .iter()
-        .map(|t| [id(t.s), id(t.p), id(t.o)])
-        .collect();
-    spo.sort_unstable();
-    spo.dedup();
-    let mut pos: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [p, o, s]).collect();
+    let mut pos: Vec<[TermId; 3]> = spo.iter().map(|&[s, p, o]| [p, o, s]).collect();
     pos.sort_unstable();
-    let mut osp: Vec<[u32; 3]> = spo.iter().map(|&[s, p, o]| [o, s, p]).collect();
+    let mut osp: Vec<[TermId; 3]> = spo.iter().map(|&[s, p, o]| [o, s, p]).collect();
     osp.sort_unstable();
 
     let mut body = Vec::new();
-    for &term in &terms {
+    for term in terms {
         let text = term.as_str().as_bytes();
         body.extend_from_slice(&(text.len() as u32).to_le_bytes());
         body.extend_from_slice(text);
     }
     let terms_bytes = body.len() as u64;
-    for run in [&spo, &pos, &osp] {
+    for run in [spo, &pos, &osp] {
         for row in run {
             for &component in row {
                 body.extend_from_slice(&component.to_le_bytes());
@@ -411,7 +405,7 @@ mod tests {
     use super::*;
     use owql_rdf::graph::graph_from;
     use owql_rdf::term::triple;
-    use owql_rdf::Graph;
+    use owql_rdf::{Graph, SnapshotIndex, Triple};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("owql-seg-{name}-{}", std::process::id()));
@@ -434,6 +428,14 @@ mod tests {
             .collect()
     }
 
+    /// Writes the segment of the graph `triples` form, ranked as a
+    /// checkpoint ranks a snapshot.
+    fn write(dir: &Path, generation: u64, epoch: u64, triples: &[Triple]) -> io::Result<PathBuf> {
+        let graph: Graph = triples.iter().copied().collect();
+        let (terms, spo) = SnapshotIndex::from_graph(&graph).ranked();
+        write_segment(dir, generation, epoch, &terms, &spo)
+    }
+
     fn sample() -> Vec<Triple> {
         vec![
             triple("a", "p", "b"),
@@ -449,7 +451,7 @@ mod tests {
     fn write_load_roundtrip_preserves_triples_and_epoch() {
         let dir = tmp("roundtrip");
         let triples = sample();
-        let path = write_segment(&dir, 3, 17, &triples).expect("write");
+        let path = write(&dir, 3, 17, &triples).expect("write");
         assert_eq!(path, segment_path(&dir, 3));
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.generation(), 3);
@@ -467,7 +469,7 @@ mod tests {
     #[test]
     fn spo_run_is_the_rank_encoding() {
         let dir = tmp("ranks");
-        let path = write_segment(&dir, 1, 1, &sample()).expect("write");
+        let path = write(&dir, 1, 1, &sample()).expect("write");
         let segment = Segment::load(&path).expect("load");
         let (terms, spo) = segment.into_parts();
         assert!(terms.windows(2).all(|w| w[0] < w[1]));
@@ -481,13 +483,33 @@ mod tests {
         assert_eq!(spo, want);
     }
 
+    /// Duplicate and unsorted triples reach the writer as one canonical
+    /// graph, byte for byte; terms or rows handed to the writer out of
+    /// order or twice, and ranks past the term table, are refused, never
+    /// written.
     #[test]
     fn duplicate_and_unsorted_input_is_canonicalized() {
         let dir = tmp("dedup");
         let mut triples = sample();
         triples.extend(sample()); // duplicates
         triples.reverse();
-        let path = write_segment(&dir, 1, 1, &triples).expect("write");
+        let canonical = std::fs::read(write(&dir, 2, 1, &sample()).expect("write")).expect("read");
+        let path = write(&dir, 1, 1, &triples).expect("write");
+        assert_eq!(std::fs::read(&path).expect("read"), canonical);
+
+        let (terms, spo) =
+            SnapshotIndex::from_graph(&graph_from(&[("a", "p", "b"), ("b", "p", "a")])).ranked();
+        let past = [[0, 1, TermId::try_from(terms.len()).expect("small")]];
+        let refused = [vec![spo[1], spo[0]], vec![spo[0], spo[0]], past.to_vec()];
+        for rows in refused {
+            let err = write_segment(&dir, 3, 1, &terms, &rows).expect_err("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rows:?}");
+        }
+        let reversed: Vec<Iri> = terms.iter().rev().copied().collect();
+        let err = write_segment(&dir, 3, 1, &reversed, &spo).expect_err("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!segment_path(&dir, 3).exists());
+
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.len(), sample().len());
         assert_eq!(
@@ -503,10 +525,24 @@ mod tests {
         );
     }
 
+    /// Writing a ranked graph and loading it back hands over exactly
+    /// the pair that was written: `into_parts` inverts the writer.
+    #[test]
+    fn loaded_parts_are_the_written_ranked_pair() {
+        let dir = tmp("parts");
+        let graph: Graph = sample().into_iter().collect();
+        let (terms, spo) = SnapshotIndex::from_graph(&graph).ranked();
+        let path = write_segment(&dir, 1, 9, &terms, &spo).expect("write");
+        assert_eq!(
+            Segment::load(&path).expect("load").into_parts(),
+            (terms, spo)
+        );
+    }
+
     #[test]
     fn empty_segment_roundtrips() {
         let dir = tmp("empty");
-        let path = write_segment(&dir, 1, 0, &[]).expect("write");
+        let path = write(&dir, 1, 0, &[]).expect("write");
         let segment = Segment::load(&path).expect("load");
         assert_eq!(segment.len(), 0);
         assert_eq!(segment.term_count(), 0);
@@ -520,7 +556,7 @@ mod tests {
     #[test]
     fn crafted_header_counts_are_rejected() {
         let dir = tmp("crafted");
-        let path = write_segment(&dir, 1, 5, &sample()).expect("write");
+        let path = write(&dir, 1, 5, &sample()).expect("write");
         let clean = std::fs::read(&path).expect("read");
         let body_len = (clean.len() - HEADER_LEN) as u64;
         let forge = |fields: &[(usize, u64)]| {
@@ -576,7 +612,7 @@ mod tests {
     #[test]
     fn every_byte_flip_is_detected() {
         let dir = tmp("flip");
-        let path = write_segment(&dir, 1, 5, &sample()).expect("write");
+        let path = write(&dir, 1, 5, &sample()).expect("write");
         let clean = std::fs::read(&path).expect("read");
         // Flipping the reserved pad (bytes 56..64) is legitimately
         // undetected — nothing reads it; every other byte must trip a
@@ -597,8 +633,8 @@ mod tests {
     #[test]
     fn newest_valid_skips_corrupt_generations() {
         let dir = tmp("newest");
-        write_segment(&dir, 1, 10, &sample()).expect("write gen 1");
-        let newer = write_segment(&dir, 2, 20, &sample()[..2]).expect("write gen 2");
+        write(&dir, 1, 10, &sample()).expect("write gen 1");
+        let newer = write(&dir, 2, 20, &sample()[..2]).expect("write gen 2");
         // Corrupt the newer one.
         let mut bytes = std::fs::read(&newer).expect("read");
         let last = bytes.len() - 1;
@@ -617,7 +653,7 @@ mod tests {
     fn prune_keeps_newest_and_clears_tmp_stragglers() {
         let dir = tmp("prune");
         for generation in 1..=4 {
-            write_segment(&dir, generation, generation, &sample()).expect("write");
+            write(&dir, generation, generation, &sample()).expect("write");
         }
         std::fs::write(dir.join("segment-0000000009.seg.tmp"), b"straggler").expect("tmp");
         let removed = prune_segments(&dir, 2).expect("prune");

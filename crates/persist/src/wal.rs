@@ -21,10 +21,10 @@
 //! next frame follows the last acknowledged one ([`Wal::append`]).
 
 use crate::crc::crc32;
-use owql_rdf::Triple;
+use owql_rdf::{Iri, Triple};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Upper bound on one frame's payload (64 MiB): a length prefix larger
@@ -96,40 +96,44 @@ impl CommitRecord {
     /// on any structural violation (recovery treats that frame as the
     /// end of the valid prefix).
     pub fn decode(payload: &[u8]) -> Option<CommitRecord> {
-        let mut cursor = Cursor {
-            buf: payload,
-            at: 0,
-        };
-        let epoch = cursor.u64()?;
-        let op_count = cursor.u32()?;
-        let mut ops = Vec::with_capacity(op_count.min(1 << 20) as usize);
-        for _ in 0..op_count {
-            let tag = cursor.u8()?;
-            let s = cursor.iri()?;
-            let p = cursor.iri()?;
-            let o = cursor.iri()?;
-            let t = Triple::new(s, p, o);
-            ops.push(match tag {
-                0 => WalOp::Insert(t),
-                1 => WalOp::Delete(t),
-                _ => return None,
-            });
-        }
-        if cursor.at != payload.len() {
-            return None; // trailing garbage inside a framed payload
-        }
+        let mut ops = Vec::new();
+        let epoch = walk_payload(payload, |op, [s, p, o]| {
+            ops.push(op(Triple::new(Iri::new(s), Iri::new(p), Iri::new(o))));
+        })?;
         Some(CommitRecord { epoch, ops })
     }
 }
 
-/// Byte-slice reader for [`CommitRecord::decode`].
+/// The record's epoch if `payload` follows the record grammar, handing
+/// each op's constructor and IRI texts to `visit`; interns nothing.
+fn walk_payload<'a>(
+    payload: &'a [u8],
+    mut visit: impl FnMut(fn(Triple) -> WalOp, [&'a str; 3]),
+) -> Option<u64> {
+    let mut cursor = Cursor {
+        buf: payload,
+        at: 0,
+    };
+    let epoch = cursor.u64()?;
+    for _ in 0..cursor.u32()? {
+        let op: fn(Triple) -> WalOp = match cursor.u8()? {
+            0 => WalOp::Insert,
+            1 => WalOp::Delete,
+            _ => return None,
+        };
+        visit(op, [cursor.text()?, cursor.text()?, cursor.text()?]);
+    }
+    (cursor.at == payload.len()).then_some(epoch) // no trailing garbage
+}
+
+/// Byte-slice reader for [`walk_payload`].
 struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.at.checked_add(n)?;
         let slice = self.buf.get(self.at..end)?;
         self.at = end;
@@ -148,10 +152,9 @@ impl Cursor<'_> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn iri(&mut self) -> Option<owql_rdf::Iri> {
+    fn text(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        let text = std::str::from_utf8(self.take(len)?).ok()?;
-        Some(owql_rdf::Iri::new(text))
+        std::str::from_utf8(self.take(len)?).ok()
     }
 }
 
@@ -259,44 +262,49 @@ impl Wal {
     }
 
     /// Drops every record with `epoch <= watermark` — the checkpoint
-    /// step that truncates the log behind a durable segment. The
-    /// surviving suffix is written to a temp file and atomically
-    /// renamed over the log, so a crash mid-truncation leaves either
-    /// the old or the new log, never a mix.
+    /// step that truncates the log behind a durable segment. The frames
+    /// replay would read are walked (interning no IRI) and the kept ones
+    /// copied byte for byte to a temp log, fsync'd and renamed over the
+    /// log: a crash leaves the old or the new log, never a mix. The
+    /// temp log is the append handle before the rename, and a failure
+    /// after it poisons the log, so no append lands in the old inode.
     pub fn truncate_behind(&mut self, watermark: u64) -> io::Result<u64> {
         if self.poisoned {
             return Err(io::Error::other(WalPoisoned));
         }
-        let mut bytes = Vec::with_capacity(self.bytes as usize);
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut bytes)?;
-        let replay = replay_bytes(&bytes);
-        let kept: Vec<&CommitRecord> = replay
-            .records
-            .iter()
-            .filter(|r| r.epoch > watermark)
-            .collect();
+        // Read by path: the append handle's offset must not move.
+        let bytes = std::fs::read(&self.path)?;
+        let (mut kept, mut records) = (Vec::new(), 0u64);
+        walk_frames(&bytes, |frame, payload| {
+            let epoch = walk_payload(payload, |_, _| ());
+            if epoch.is_some_and(|epoch| epoch > watermark) {
+                kept.extend_from_slice(frame);
+                records += 1;
+            }
+            epoch.is_some()
+        });
 
         let tmp = self.path.with_extension("tmp");
-        let mut out = File::create(&tmp)?;
-        let (mut records, mut total) = (0u64, 0u64);
-        for record in kept {
-            let frame = record.frame();
-            out.write_all(&frame)?;
-            records += 1;
-            total += frame.len() as u64;
-        }
+        let mut out = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)?;
+        out.write_all(&kept)?;
         out.sync_data()?;
-        drop(out);
-        std::fs::rename(&tmp, &self.path)?;
-        sync_parent_dir(&self.path)?;
-
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::End(0))?;
-        self.file = file;
+        let old = std::mem::replace(&mut self.file, out);
+        if let Err(err) = std::fs::rename(&tmp, &self.path) {
+            self.file = old; // the old log is still in place
+            return Err(err);
+        }
         let dropped = self.records - records;
         self.records = records;
-        self.bytes = total;
+        self.bytes = kept.len() as u64;
+        if let Err(err) = sync_parent_dir(&self.path) {
+            self.poisoned = true;
+            return Err(err);
+        }
         Ok(dropped)
     }
 
@@ -314,30 +322,34 @@ impl Wal {
 /// Parses the longest valid frame prefix of `bytes`.
 pub fn replay_bytes(bytes: &[u8]) -> WalReplay {
     let mut records = Vec::new();
-    let mut at = 0usize;
-    while let Some(header) = bytes.get(at..at + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len as u32 > MAX_PAYLOAD {
-            break;
-        }
-        let Some(payload) = bytes.get(at + 8..at + 8 + len) else {
-            break; // torn: the payload never finished writing
-        };
-        if crc32(payload) != crc {
-            break; // corrupt: bits changed after the write
-        }
-        let Some(record) = CommitRecord::decode(payload) else {
-            break;
-        };
-        records.push(record);
-        at += 8 + len;
-    }
+    let valid = walk_frames(bytes, |_, payload| {
+        CommitRecord::decode(payload)
+            .map(|r| records.push(r))
+            .is_some()
+    });
     WalReplay {
         records,
-        valid_bytes: at as u64,
-        skipped_bytes: (bytes.len() - at) as u64,
+        valid_bytes: valid as u64,
+        skipped_bytes: (bytes.len() - valid) as u64,
     }
+}
+
+/// The frame walker of replay and truncation: the length of the prefix
+/// of whole frames (and their payloads) handed to `visit`, up to a
+/// length past the bound, a torn payload, a CRC mismatch or a `false`.
+fn walk_frames(bytes: &[u8], mut visit: impl FnMut(&[u8], &[u8]) -> bool) -> usize {
+    let mut at = 0usize;
+    while let Some(header) = bytes.get(at..at + 8) {
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        let end = at + 8 + len as usize;
+        // No payload: torn mid-write. A CRC mismatch: corrupt.
+        match bytes.get(at + 8..end).filter(|_| len <= MAX_PAYLOAD) {
+            Some(payload) if crc32(payload) == crc && visit(&bytes[at..end], payload) => at = end,
+            _ => break,
+        }
+    }
+    at
 }
 
 /// Fsyncs the directory containing `path`, making a rename/create of
@@ -497,6 +509,45 @@ mod tests {
         }
         assert_eq!(wal.records(), 1);
         assert_eq!(std::fs::read(&path).expect("read"), before);
+    }
+
+    /// A frame whose CRC checks out but whose payload does not decode
+    /// ends the valid prefix for truncation as it does for replay:
+    /// `truncate_behind` keeps only the records `replay_bytes` reports,
+    /// never the well-formed frame behind the bad one.
+    #[test]
+    fn truncate_behind_keeps_replays_prefix() {
+        let path = tmp("undecodable");
+        let bad_payloads: [&[u8]; 3] = [
+            &[0u8; 3],                                         // shorter than an epoch
+            &[[3u8; 8].as_slice(), &[1, 0, 0, 0, 7]].concat(), // op tag 7
+            &[record(3, 0).encode(), vec![0xFF]].concat(),     // trailing garbage
+        ];
+        for bad in bad_payloads {
+            let (mut wal, _) = Wal::open(&path).expect("open");
+            wal.truncate_behind(u64::MAX).expect("empty the log");
+            for e in 1..=2 {
+                wal.append(&record(e, 2), false).expect("append");
+            }
+            let valid = std::fs::read(&path).expect("read");
+            let header = [(bad.len() as u32).to_le_bytes(), crc32(bad).to_le_bytes()];
+            let mut raw = OpenOptions::new().append(true).open(&path).expect("raw");
+            raw.write_all(header.as_flattened()).expect("header");
+            raw.write_all(bad).expect("payload");
+            raw.write_all(&record(4, 2).frame()).expect("frame");
+            drop(raw);
+            let full = std::fs::read(&path).expect("read");
+            let replay = replay_bytes(&full);
+            assert_eq!(replay.valid_bytes, valid.len() as u64, "{bad:?}");
+            assert_eq!(replay.records.len(), 2, "{bad:?}");
+
+            assert_eq!(wal.truncate_behind(1).expect("truncate"), 1);
+            assert_eq!(wal.records(), 1);
+            let kept = std::fs::read(&path).expect("read");
+            assert_eq!(wal.bytes(), kept.len() as u64);
+            assert_eq!(replay_bytes(&kept).records, replay.records[1..], "{bad:?}");
+            assert!(!replay_bytes(&kept).torn());
+        }
     }
 
     #[test]

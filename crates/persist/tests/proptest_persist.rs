@@ -8,12 +8,18 @@
 //!   shapes (each of s/p/o bound or free — exercising the SPO, POS and
 //!   OSP runs plus their prefix ranges) exactly like a naive filter
 //!   over the input triples.
+//! - Checkpoint oracle: a churned durable store's every checkpoint is
+//!   byte-identical to what a term-level writer makes of its graph.
 
-use owql_persist::{replay_bytes, write_segment, CommitRecord, PersistConfig, Segment, Wal, WalOp};
-use owql_rdf::{Graph, Iri, Triple};
+use owql_persist::{
+    crc32, replay_bytes, segment_path, write_segment, CommitRecord, PersistConfig, Segment, Wal,
+    WalOp,
+};
+use owql_rdf::{Graph, Iri, SnapshotIndex, Triple};
 use owql_store::{Store, StoreOptions};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -131,14 +137,16 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let dir = tmp_dir(seed.wrapping_add(1 << 41));
-        write_segment(&dir, 1, epoch, &triples).expect("write");
+        let graph: Graph = triples.iter().copied().collect();
+        let (terms, spo) = SnapshotIndex::from_graph(&graph).ranked();
+        write_segment(&dir, 1, epoch, &terms, &spo).expect("write");
         let segment = Segment::load(&owql_persist::segment_path(&dir, 1)).expect("load");
         prop_assert_eq!(segment.epoch(), epoch);
 
         let config = PersistConfig::default().no_fsync().checkpoint_every(0).inline_indexer();
         let store = Store::open(&dir, StoreOptions::default(), config).expect("reopen");
         prop_assert_eq!(store.epoch(), epoch);
-        prop_assert_eq!(store.to_graph(), triples.iter().copied().collect::<Graph>(), "round-trip");
+        prop_assert_eq!(store.to_graph(), graph, "round-trip");
 
         let snapshot = store.snapshot();
         let view = snapshot.id_view();
@@ -172,6 +180,114 @@ proptest! {
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn durable(dir: &Path) -> Store {
+    let config = PersistConfig::default()
+        .no_fsync()
+        .checkpoint_every(0)
+        .inline_indexer();
+    Store::open(dir, StoreOptions::default(), config).expect("open")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every checkpoint of a churned durable store is the oracle's
+    /// segment of its graph, byte for byte. Each round inserts random
+    /// triples plus new terms in reverse lexicographic order (so ids
+    /// and ranks disagree), then deletes random triples and the only
+    /// triple over a `dead-` term (so the dictionary holds dead terms),
+    /// checkpoints, and reopens from the segment before the next round.
+    #[test]
+    fn checkpoint_matches_the_term_level_oracle(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((arb_triple(), 0u8..3), 1..16),
+            3..4,
+        ),
+        seed in 0u64..1 << 32,
+    ) {
+        let dir = tmp_dir(seed.wrapping_add(1 << 42));
+        let mut store = durable(&dir);
+        for (round, ops) in rounds.iter().enumerate() {
+            let fresh = |name: &str| Iri::new(&format!("{name}-{round}-{seed}"));
+            let dead = Triple::new(fresh("dead"), fresh("zz-new"), fresh("aa-new"));
+            let mut tx = store.begin();
+            tx.insert(dead);
+            for &(t, _) in ops {
+                tx.insert(t);
+            }
+            store.commit(tx);
+            let mut tx = store.begin();
+            tx.delete(dead);
+            for &(t, kind) in ops {
+                if kind == 0 {
+                    tx.delete(t);
+                }
+            }
+            tx.insert(Triple::new(fresh("zz-new"), fresh("aa-new"), fresh("mm-new")));
+            store.commit(tx);
+
+            let summary = store.checkpoint().expect("io").expect("checkpoint ran");
+            let graph = store.to_graph();
+            let written = std::fs::read(segment_path(&dir, summary.generation)).expect("read");
+            prop_assert_eq!(&written, &oracle_segment(&graph, summary.epoch), "round {}", round);
+            let segment = Segment::load(&segment_path(&dir, summary.generation)).expect("load");
+            let live: BTreeSet<Iri> = graph.iter().flat_map(|t| t.components()).collect();
+            let (terms, _) = segment.into_parts();
+            prop_assert_eq!(terms, live.into_iter().collect::<Vec<_>>(), "only live terms");
+
+            drop(store);
+            store = durable(&dir);
+            prop_assert_eq!(store.to_graph(), graph, "reopen, round {}", round);
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The checkpoint oracle: the term-level segment writer the id path
+/// replaced. Every distinct term of `graph` goes into a `BTreeSet` (so
+/// the table is in `Iri` order), each triple is binary-searched back to
+/// its ranks, and the file is laid out in the segment format.
+fn oracle_segment(graph: &Graph, epoch: u64) -> Vec<u8> {
+    let terms: BTreeSet<Iri> = graph.iter().flat_map(|t| t.components()).collect();
+    let terms: Vec<Iri> = terms.into_iter().collect();
+    let rank = |t: Iri| terms.binary_search(&t).expect("collected") as u32;
+    let run = |order: fn([u32; 3]) -> [u32; 3]| {
+        let mut rows: Vec<[u32; 3]> = graph
+            .iter()
+            .map(|t| order([rank(t.s), rank(t.p), rank(t.o)]))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    let mut body = Vec::new();
+    for t in &terms {
+        body.extend((t.as_str().len() as u32).to_le_bytes());
+        body.extend(t.as_str().as_bytes());
+    }
+    let terms_bytes = body.len() as u64;
+    let runs = [
+        run(|r| r),
+        run(|[s, p, o]| [p, o, s]),
+        run(|[s, p, o]| [o, s, p]),
+    ];
+    body.extend(
+        runs.iter()
+            .flatten()
+            .flatten()
+            .flat_map(|id| id.to_le_bytes()),
+    );
+    let mut file = b"OWQLSEG1".to_vec();
+    file.extend([1u32, 0].iter().flat_map(|v| v.to_le_bytes()));
+    let counts = [epoch, graph.len() as u64, terms.len() as u64, terms_bytes];
+    file.extend(counts.iter().flat_map(|v| v.to_le_bytes()));
+    file.extend(crc32(&body).to_le_bytes());
+    file.extend(crc32(&file).to_le_bytes());
+    file.extend([0u8; 8]);
+    file.extend(body);
+    file
 }
 
 /// The reference scan (the filter `proptest_dict` checks the id runs

@@ -267,11 +267,55 @@ impl SnapshotIndex {
         SnapshotIndex::new(self.dict.clone(), IdRuns::from_spo_rows(rows))
     }
 
-    /// The visible triples, decoded once under one dictionary read lock
-    /// (base rows in SPO order, then the add tier's).
-    pub fn triples(&self) -> Vec<Triple> {
+    /// The visible graph in the layout of a persisted segment: its live
+    /// terms in lexicographic order, and its rows as `[s, p, o]` ranks
+    /// into that table, sorted and distinct — what a loaded segment's
+    /// `into_parts` hands back, so seeding a dictionary from it
+    /// ([`TermDict::from_sorted_terms`], id = rank + 1) inverts this.
+    ///
+    /// Works on ids: the live rows are collected once, the ids they use
+    /// are marked in a dense table and only those are sorted by their
+    /// text, and each row is mapped through the id → rank table. Terms
+    /// no visible row uses (left behind by deletes) are dropped. The
+    /// dictionary's read lock is held only to copy out the live terms.
+    pub fn ranked(&self) -> (Vec<Iri>, Vec<[TermId; 3]>) {
+        let mut rows: Vec<[TermId; 3]> = self.id_view().rows(None, None, None).collect();
+        // `rank[id]` first marks the ids the rows use, then holds their
+        // ranks. Commits may intern terms past its end meanwhile: the
+        // dictionary is shared and append-only, and no row here uses
+        // them.
+        let mut rank: Vec<TermId> = vec![NO_TERM; self.dict.len() + 1];
+        for &id in rows.iter().flatten() {
+            rank[id as usize] = 1;
+        }
+        // Each text is resolved once here, not in every comparison.
+        let mut live: Vec<(&str, Iri, TermId)> = self.dict.with_terms(|terms| {
+            terms[..rank.len() - 1]
+                .iter()
+                .zip(1..=TermId::MAX)
+                .filter(|&(_, id)| rank[id as usize] != NO_TERM)
+                .map(|(&term, id)| (term.as_str(), term, id))
+                .collect()
+        });
+        // Ids interned in rank order (a seeded or freshly built
+        // dictionary) come in already sorted runs, which a stable sort
+        // merges rather than re-sorts.
+        live.sort_by(|a, b| a.0.cmp(b.0));
+        for (r, &(_, _, id)) in live.iter().enumerate() {
+            rank[id as usize] = TermId::try_from(r).expect("fewer ranks than ids");
+        }
+        for row in &mut rows {
+            *row = row.map(|id| rank[id as usize]);
+        }
+        rows.sort_unstable();
+        (live.into_iter().map(|(_, term, _)| term).collect(), rows)
+    }
+
+    /// Materializes the visible triples as a [`Graph`], decoded once
+    /// under one dictionary read lock.
+    pub fn to_graph(&self) -> Graph {
         let view = self.id_view();
-        self.dict.with_terms(|terms| {
+        let triples: Vec<Triple> = self.dict.with_terms(|terms| {
             let term = |id: TermId| terms[id as usize - 1];
             view.rows(None, None, None)
                 .map(|[s, p, o]| Triple {
@@ -280,12 +324,8 @@ impl SnapshotIndex {
                     o: term(o),
                 })
                 .collect()
-        })
-    }
-
-    /// Materializes the visible triples as a [`Graph`].
-    pub fn to_graph(&self) -> Graph {
-        self.triples().into_iter().collect()
+        });
+        triples.into_iter().collect()
     }
 
     /// The id-encoded scan surface the evaluator plans and runs on.
@@ -494,6 +534,36 @@ mod tests {
         assert!(!i.contains(&new));
         assert_eq!(before.len(), 4, "an earlier clone keeps its rows");
         assert!(!before.contains(&triple("a", "q", "n")));
+    }
+
+    /// `ranked` is the segment layout of the visible graph: only live
+    /// terms, in text order, whatever order they were interned in, and
+    /// the rows as sorted ranks that decode to the graph. Seeding a
+    /// dictionary from the table and shifting every rank by one gives
+    /// an index over the same graph.
+    #[test]
+    fn ranked_keeps_live_terms_in_text_order() {
+        let mut i = idx();
+        i.insert(triple("z", "p", "a")); // a new term past every other
+        i.insert(triple("c", "q", "0")); // "0" sorts first
+        i.delete(&triple("d", "p", "b")); // "d" is left dead
+        let (terms, spo) = i.ranked();
+        let text: Vec<&str> = terms.iter().map(|t| t.as_str()).collect();
+        assert_eq!(text, ["0", "a", "b", "c", "p", "q", "z"]);
+        assert!(spo.windows(2).all(|w| w[0] < w[1]));
+        let decoded: Graph = spo
+            .iter()
+            .map(|r| r.map(|rank| terms[rank as usize]))
+            .map(|[s, p, o]| Triple { s, p, o })
+            .collect();
+        assert_eq!(decoded, i.to_graph());
+
+        let dict = Arc::new(TermDict::from_sorted_terms(terms));
+        let rows = spo.iter().map(|r| r.map(|rank| rank + 1)).collect();
+        let reopened = SnapshotIndex::new(dict, IdRuns::from_spo_rows(rows));
+        assert_eq!(reopened.to_graph(), i.to_graph());
+        assert_eq!(reopened.ranked(), i.ranked());
+        assert_eq!(SnapshotIndex::default().ranked(), (vec![], vec![]));
     }
 
     mod snapshot_overlay {

@@ -281,9 +281,9 @@ fn run_checkpoint(
     {
         return Ok(None); // nothing committed since the last checkpoint
     }
-    let triples = index.triples();
+    let (terms, spo) = index.ranked();
     let generation = persist.segment_generation.load(Ordering::SeqCst) + 1;
-    owql_persist::write_segment(&persist.dir, generation, epoch, &triples)?;
+    owql_persist::write_segment(&persist.dir, generation, epoch, &terms, &spo)?;
     persist
         .segment_generation
         .store(generation, Ordering::SeqCst);
@@ -310,7 +310,7 @@ fn run_checkpoint(
     Ok(Some(CheckpointSummary {
         generation,
         epoch,
-        triples: triples.len(),
+        triples: spo.len(),
         wal_records_dropped,
     }))
 }

@@ -16,7 +16,7 @@
 #   bench-smoke   owql_bench run --quick --trace (all five workloads, answers checked) + profile schema
 #   server-smoke  HTTP boot, live /v1 smoke, owql_bench log_mix gate, removed-API sweep
 #   obs-smoke     live server scrape: Prometheus + JSON /metrics, slow-query injection
-#   persist-smoke durable example, kill -9 recovery and failed-append tests, proptest_persist
+#   persist-smoke durable example, kill -9 recovery and failed-append tests, proptest_persist (checkpoint oracle)
 #   doc           rustdoc with -D warnings
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -243,7 +243,7 @@ stage_obs_smoke() {
 }
 
 stage_persist_smoke() {
-  step "persist-smoke (durable example, kill -9 recovery, failed append, WAL/segment proptests)"
+  step "persist-smoke (durable example, kill -9 recovery, failed append, WAL/segment proptests, checkpoint oracle)"
   cargo run --release --example durable_store
   # The two kill -9 tests SIGKILL a real writer process (this test
   # binary, re-run as its ignored `crash_writer` test) and check
@@ -253,7 +253,13 @@ stage_persist_smoke() {
   cargo test --release -q -p owql --test integration_persist -- \
     killed_writer_recovers_to_last_committed_epoch repeated_crashes_accumulate_monotonically \
     failed_append_leaves_the_log_as_it_found_it
+  # proptest_persist round-trips the WAL and segment codecs, and its
+  # checkpoint_matches_the_term_level_oracle holds every checkpoint of a
+  # churned durable store byte for byte to a term-level segment writer.
   cargo test --release -q -p owql-persist --test proptest_persist
+  cargo test --release -q -p owql-persist --test proptest_persist -- --list 2>/dev/null \
+    | grep -x 'checkpoint_matches_the_term_level_oracle: test' >/dev/null \
+    || { echo "the checkpoint oracle test is missing from proptest_persist"; exit 1; }
   echo "persist smoke OK"
 }
 
